@@ -1,0 +1,5 @@
+"""flatgrav benchmark: seeded workloads, output checks and layer tracing.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see perfbench/README.md.
+"""
