@@ -8,10 +8,10 @@ model.  Geometric units (c = 1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DenominatorVanishes, TurningPointNotFound, UnsupportedQuantity
 from .presets import Scenario
+from .quadrature import gauss_legendre
 
 __all__ = [
     "schwarzschild_baseline", "newtonian_baseline",
@@ -85,5 +85,4 @@ def schwarzschild_precession_quadrature(r_o: float, r_min: float,
         u = mid - half * np.cos(theta)
         return 1.0 / np.sqrt(2.0 * r_o * (u3 - u))
 
-    val, _ = quad(integrand, 0.0, np.pi, epsrel=1e-12, epsabs=0.0, limit=200)
-    return 2.0 * val - 2.0 * np.pi
+    return 2.0 * gauss_legendre(integrand, 0.0, np.pi) - 2.0 * np.pi

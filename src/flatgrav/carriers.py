@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonPositiveRadius
+from .quadrature import gauss_legendre
 
 __all__ = [
     "RadialCarrier", "ElectricCarrier", "DensityResiduals",
@@ -152,19 +152,34 @@ def enclosed_energy(c: RadialCarrier, R: float) -> float:
     return c.total_energy * R / (R + c.r_o)
 
 
+def _shell_quadrature(scale: float, r_o: float, R: float,
+                      epsrel: float) -> float:
+    """Quadrature of the shell integrand scale*r_o/(r + r_o)^2 over [0, R].
+
+    Both carriers share this radial profile.  Substituting
+    r = r_o*(e^s - 1) over [0, ln(1 + R/r_o)] maps the long 1/r^2 tail
+    onto a short range with a smooth integrand for the Gauss-Legendre
+    helper.
+    """
+    def shell_ds(s):
+        r = r_o * np.expm1(s)
+        return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
+
+    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), epsrel)
+
+
 def enclosed_energy_quadrature(c: RadialCarrier, R: float,
                                epsrel: float = 1e-12) -> float:
-    """Adaptive quadrature of 4*pi*r^2*eps over [0, R]."""
+    """Quadrature of 4*pi*r^2*eps over [0, R].
+
+    ``epsrel`` is the agreement required of two successive Gauss-Legendre
+    rules.
+    """
     if R < 0.0:
         raise NonPositiveRadius(f"R must be >= 0, got {R}")
     if R == 0.0:
         return 0.0
-
-    def shell(r):
-        return c.total_energy * c.r_o / (r + c.r_o) ** 2
-
-    val, _ = quad(shell, 0.0, R, epsrel=epsrel, epsabs=0.0, limit=200)
-    return float(val)
+    return _shell_quadrature(c.total_energy, c.r_o, R, epsrel)
 
 
 def total_energy_quadrature(c: RadialCarrier) -> float:
@@ -254,13 +269,9 @@ def enclosed_charge(c: ElectricCarrier, R: float) -> float:
 def total_charge_quadrature(c: ElectricCarrier) -> float:
     """Quadrature of 4*pi*r^2*rho to the tail split plus the exact tail."""
     split = TAIL_SPLIT * c.r_o
-
-    def shell(r):
-        return c.e * c.r_o / (r + c.r_o) ** 2
-
-    head, _ = quad(shell, 0.0, split, epsrel=1e-12, epsabs=0.0, limit=200)
+    head = _shell_quadrature(c.e, c.r_o, split, 1e-12)
     tail = c.e * c.r_o / (split + c.r_o)
-    return float(head) + tail
+    return head + tail
 
 
 def self_energy_quadrature(c: ElectricCarrier) -> float:

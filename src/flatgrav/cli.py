@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -152,13 +152,17 @@ def _load_scenario(args: argparse.Namespace, default_preset: str) -> Scenario:
 
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
     sc = _load_scenario(args, "mercury")
+    if args.orbits is not None:
+        sc = replace(sc, n_orbits=args.orbits)
+    if args.samples < 2:
+        raise ConfigInvalid(f"samples must be >= 2, got {args.samples}")
     p = sc.params
-    n_orbits = args.orbits if args.orbits else sc.n_orbits
     report = RunReport(scenario=sc.name, model=sc.model,
-                       config={"params": p, "n_orbits": n_orbits,
+                       config={"params": p, "n_orbits": sc.n_orbits,
                                "tol": sc.tol})
     state, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
-    traj = integrate_orbit(p["r_o"], state, integrals, n_orbits, tol=sc.tol)
+    traj = integrate_orbit(p["r_o"], state, integrals, sc.n_orbits,
+                           tol=sc.tol)
     numeric = precession_numeric(traj)
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", numeric.delta_phi_per_orbit, "rad",
@@ -167,7 +171,7 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
                "closed-form")
     report.add("precession_century", numeric.arcsec_per_century,
                "arcsec/century", "orbit-integration", tolerance=sc.tol)
-    report.add("energy_integral_drift", traj.integral_drift(), "relative",
+    report.add("energy_integral_drift", traj.drift, "relative",
                "orbit-integration")
     phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
     u, _, t, par = traj.sol(phis)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .constants import ARCSEC_PER_RAD, C_SI, SECONDS_PER_CENTURY
 from .errors import (
@@ -29,6 +27,7 @@ from .errors import (
     TurningPointNotFound,
     UnboundOrbit,
 )
+from .quadrature import gauss_legendre
 
 DEFAULT_TOL = 1e-12
 
@@ -115,8 +114,9 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     """Initial perihelion state and integrals from Keplerian elements.
 
     Uses the Newtonian closure L^2 = r_o*a*(1 - ecc^2); the energy ratio
-    then follows from the orbit energy integral at the perihelion turning
-    point.
+    then follows from the orbit energy integral at the turning point
+    r = a*(1 - ecc).  In strong fields at small ecc that point is the outer
+    turning point (u'' > 0 there); the state then starts at the inner one.
     """
     if ecc < 0.0:
         raise ValueError(f"eccentricity must be >= 0, got {ecc}")
@@ -136,9 +136,34 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     else:
         energy_ratio = 1.0
     integrals = OrbitIntegrals(energy_ratio=energy_ratio, L=L)
+    if (L > 0.0 and 3.0 * r_o * u_p < 1.0
+            and rosette_rhs(u_p, 0.0, r_o, L) > 0.0):
+        u_p = _inner_turning_point(r_o, u_p, L)
+        r_p = 1.0 / u_p
     dphidp = integrals.J_phi * u_p**2 if L > 0.0 else 0.0
     state = GeodesicState(p=0.0, t=0.0, r=r_p, phi=0.0, drdp=0.0, dphidp=dphidp)
     return state, integrals
+
+
+def _inner_turning_point(r_o: float, u_apo: float, L: float) -> float:
+    """Perihelion root of the turning cubic, given its apocentre root u_apo.
+
+    Dividing 3*r_o*u^3 - u^2 + 2*r_o*u/L^2 + (A - B) by (u - u_apo) leaves
+    a quadratic whose roots have sum S = 1/(3*r_o) - u_apo and product
+    P = (2*r_o/L^2 - u_apo*(1 - 3*r_o*u_apo))/(3*r_o); A - B is eliminated
+    through the cubic at u_apo, so no cancellation enters.  The smaller
+    root is the perihelion.  Unlike ``turning_points`` this stays accurate
+    for near-circular orbits, where the two turning points almost coincide.
+    """
+    s = 1.0 / (3.0 * r_o) - u_apo
+    p = (2.0 * r_o / L**2 - u_apo * (1.0 - 3.0 * r_o * u_apo)) / (3.0 * r_o)
+    disc = s * s - 4.0 * p
+    if disc < 0.0:
+        raise TurningPointNotFound(f"no inner turning point inside u = {u_apo}")
+    u_peri = p / (0.5 * (s + np.sqrt(disc)))
+    if not u_apo <= u_peri < 1.0 / (3.0 * r_o):
+        raise TurningPointNotFound(f"no inner turning point inside u = {u_apo}")
+    return float(u_peri)
 
 
 def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]:
@@ -209,6 +234,7 @@ class Trajectory:
     sol: object                      # scipy OdeSolution over phi
     phi_start: float
     phi_end: float
+    drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
 
     def u(self, phi):
         return self.sol(phi)[0]
@@ -251,10 +277,12 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
                     backward: bool = False) -> Trajectory:
     """Integrate the bound motion over ``n_orbits`` revolutions of phi.
 
-    Adaptive embedded Runge-Kutta (DOP853) with dense output.  Raises
-    ToleranceNotMet if the per-orbit drift of the energy integral exceeds
-    1000 * tol * n_orbits.
+    Adaptive embedded Runge-Kutta (DOP853) with dense output.  The drift
+    of the energy integral is stored on the trajectory; ToleranceNotMet is
+    raised if it exceeds 1000 * tol * n_orbits.
     """
+    from scipy.integrate import solve_ivp
+
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
     if state.r <= 0:
@@ -271,10 +299,9 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
         raise ToleranceNotMet(sol.message)
     traj = Trajectory(r_o=r_o, integrals=integrals, sol=sol.sol,
                       phi_start=min(phi0, phi1), phi_end=max(phi0, phi1))
-    if traj.integral_drift() > 1000.0 * tol * max(n_orbits, 1.0):
-        raise ToleranceNotMet(
-            f"energy-integral drift {traj.integral_drift():.3e} too large"
-        )
+    traj.drift = traj.integral_drift()
+    if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
+        raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
     return traj
 
 
@@ -284,6 +311,8 @@ def perihelion_angles(traj: Trajectory, refine_tol: float = 1e-12) -> np.ndarray
     Sign changes of u' are bracketed on a fine grid and refined by Brent
     root-finding (bisection plus secant-type steps) to ``refine_tol`` in phi.
     """
+    from scipy.optimize import brentq
+
     n = max(int((traj.phi_end - traj.phi_start) / (2.0 * np.pi)) * 720, 1440)
     phis = np.linspace(traj.phi_start, traj.phi_end, n)
     up = traj.sol(phis)[1]
@@ -355,7 +384,8 @@ def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
     The turning cubic factors as u'^2*(1 - 3*r_o*u) =
     3*r_o*(u1 - u)*(u - u2)*(u3 - u); substituting
     u = (u1+u2)/2 - (u1-u2)/2*cos(theta) removes both endpoint
-    singularities, leaving a smooth integrand over [0, pi].
+    singularities, leaving a smooth integrand over [0, pi] for the
+    Gauss-Legendre helper.
     """
     integrals = integrals_from_turning_points(r_o, r_min, r_max)
     u1, u2 = 1.0 / r_min, 1.0 / r_max
@@ -368,8 +398,7 @@ def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
         u = mid - half * np.cos(theta)
         return np.sqrt((1.0 - 3.0 * r_o * u) / (3.0 * r_o * (u3 - u)))
 
-    val, _ = quad(integrand, 0.0, np.pi, epsrel=1e-12, epsabs=0.0, limit=200)
-    return 2.0 * val - 2.0 * np.pi
+    return 2.0 * gauss_legendre(integrand, 0.0, np.pi) - 2.0 * np.pi
 
 
 def geodesic_force(r_o: float, E_m: float, x: np.ndarray, v: np.ndarray

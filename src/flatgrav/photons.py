@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import GeometryInvalid, NonPositiveRadius, RayCaptured
+from .quadrature import gauss_legendre
 
 __all__ = [
     "RayState", "EchoGeometry", "EchoDelayResult", "DeflectionResult",
@@ -66,20 +66,25 @@ def shapiro_delay(geom: EchoGeometry, observer_time: bool = False
                   ) -> EchoDelayResult:
     """Round-trip excess delay along the straight Euclidean ray.
 
-    Integrates 2 * (1/ldot - 1) over x in [-x_E, x_M] at y = R_s by adaptive
-    quadrature, and evaluates the logarithmic estimate
-    4*r_o*ln(4*r_MS*r_ES/R_S^2).  With ``observer_time`` the world delay is
-    scaled by sqrt(g00) at the Earth endpoint.
+    Integrates 2 * (1/ldot - 1) over x in [-x_E, x_M] at y = R_s, and
+    evaluates the logarithmic estimate 4*r_o*ln(4*r_MS*r_ES/R_S^2).  On each
+    side of closest approach x = R_s*sinh(s) turns the slowly decaying
+    excess into a smooth integrand over a short s-range for the
+    Gauss-Legendre helper.  The excess is written r_o/r*(2 + r_o/r), not
+    (1 + r_o/r)^2 - 1, which cancels; times dx/ds = r it is
+    r_o*(2 + r_o/r).  With ``observer_time`` the world delay is scaled by
+    sqrt(g00) at the Earth endpoint.
     """
     x_e = np.sqrt(geom.r_es**2 - geom.R_s**2)
     x_m = np.sqrt(geom.r_ms**2 - geom.R_s**2)
     r_o, y = geom.r_o, geom.R_s
 
-    def excess(x):
-        r = np.hypot(x, y)
-        return (1.0 + r_o / r) ** 2 - 1.0
+    def excess_ds(s):
+        r = y * np.cosh(s)                # hypot(x, R_s) = dx/ds
+        return r_o * (2.0 + r_o / r)
 
-    val, _ = quad(excess, -x_e, x_m, epsrel=1e-10, epsabs=0.0, limit=200)
+    val = sum(gauss_legendre(excess_ds, 0.0, np.arcsinh(x / y))
+              for x in (x_e, x_m))
     delay = 2.0 * val
     closed = 4.0 * r_o * np.log(4.0 * geom.r_ms * geom.r_es / geom.R_s**2)
     if observer_time:
@@ -101,8 +106,8 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
     """Coordinate deflection -2 * int d/dy (ldot) dx at grazing distance R_s.
 
     The improper x-integral is mapped onto theta in [0, pi/2) by
-    x = R_s*tan(theta), leaving a bounded smooth integrand; the closed form
-    is -4*r_o/R_s.
+    x = R_s*tan(theta), leaving a bounded smooth integrand for the
+    Gauss-Legendre helper; the closed form is -4*r_o/R_s.
     """
     if R_s <= 0.0:
         raise GeometryInvalid(f"R_s must be > 0, got {R_s}")
@@ -113,7 +118,7 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
         c = np.cos(theta)
         return c / (1.0 + r_o * c / R_s) ** 3
 
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, epsrel=1e-10, epsabs=0.0)
+    val = gauss_legendre(integrand, 0.0, np.pi / 2.0)
     return DeflectionResult(quadrature=float(-4.0 * r_o / R_s * val),
                             closed_form=-4.0 * r_o / R_s)
 
@@ -214,6 +219,8 @@ def fermat_ray_integrate(state: RayState, r_o: float,
     on the far side; returns the trajectory and the deflection angle.
     Raises RayCaptured if u climbs past 1/(4*r_o).
     """
+    from scipy.integrate import solve_ivp
+
     if abs(state.phi - np.pi) > 1e-12 or state.u != 0.0:
         raise GeometryInvalid("ray must be launched at phi = pi, u = 0")
     u0 = state.u0

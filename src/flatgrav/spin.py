@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NonPositiveRadius, NumericalFailure
 from .metric import FourPotential, rotating_central_potential
@@ -169,6 +168,8 @@ def transport_spin(spec: RotatingFieldSpec,
 
     Returns a callable mapping coordinate time to the covariant spatial spin.
     """
+    from scipy.integrate import solve_ivp
+
     s0 = np.asarray(s_initial, dtype=float)
 
     def rhs(t, s):

@@ -12,6 +12,11 @@ from flatgrav.baseline import (
 )
 from flatgrav.cli import main
 from flatgrav.errors import ConfigInvalid, UnsupportedQuantity
+from flatgrav.orbits import (
+    orbit_from_elements,
+    precession_quadrature,
+    turning_points,
+)
 from flatgrav.presets import (
     MERCURY_ECCENTRICITY,
     MERCURY_SEMI_MAJOR,
@@ -158,6 +163,31 @@ class TestCli:
         cfg.write_text(json.dumps({"preset": "mercury",
                                    "params": {"ecc": 1.5}}))
         assert main(["orbit", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--orbits", "0"], ["--orbits", "-3"],
+        ["--samples", "0"], ["--samples", "1"],
+    ])
+    def test_orbit_rejects_bad_counts(self, flags, capsys):
+        assert main(["orbit", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_strong_field_low_eccentricity_orbit(self, tmp_path):
+        # a*(1 - ecc) is the outer turning point here; starting there left
+        # two revolutions with a single perihelion passage (exit 3)
+        cfg = tmp_path / "strong.json"
+        cfg.write_text(json.dumps({"preset": "mercury", "n_orbits": 2,
+                                   "params": {"a": 33835.0, "ecc": 0.0517}}))
+        report = self.run_json(["orbit", "--config", str(cfg)], tmp_path)
+        numeric = next(row for row in report["rows"]
+                       if row["quantity"] == "precession_per_orbit"
+                       and row["provenance"] == "orbit-integration")
+        _, integrals = orbit_from_elements(1480.0, 33835.0, 0.0517)
+        ref = precession_quadrature(1480.0,
+                                    *turning_points(1480.0, integrals))
+        # the 2*pi cancellation floor of an integration at tol, x100
+        floor = 100.0 * 2.0 * np.pi * numeric["tolerance"]
+        assert abs(numeric["value"] - ref) <= floor
 
     def test_compare_reports_divergence(self, tmp_path):
         report = self.run_json(["compare"], tmp_path)

@@ -81,6 +81,25 @@ class TestElementsAndTurningPoints:
         assert state.drdp == 0.0
         assert state.r == pytest.approx(A * (1 - ECC), rel=1e-6)
 
+    def test_outer_root_start_moves_to_perihelion(self):
+        # strong field, small ecc: a*(1 - ecc) is the apocentre
+        state, integrals = orbit_from_elements(R_O, 33835.0, 0.0517)
+        r_min, r_max = turning_points(R_O, integrals)
+        assert r_max == pytest.approx(33835.0 * (1 - 0.0517), rel=1e-12)
+        assert state.r == pytest.approx(r_min, rel=1e-12)
+        assert state.drdp == 0.0
+        assert state.dphidp == pytest.approx(integrals.J_phi / r_min**2,
+                                             rel=1e-12)
+
+    def test_near_circular_start_on_shell(self):
+        # the turning points nearly coincide; the start stays on shell
+        state, integrals = orbit_from_elements(R_O, A, 0.0)
+        assert state.r < A
+        c = energy_integral(1.0 / state.r, 0.0, R_O, integrals.L)
+        assert c == pytest.approx((integrals.energy_ratio / integrals.L) ** 2,
+                                  rel=1e-14)
+        assert rosette_rhs(1.0 / state.r, 0.0, R_O, integrals.L) < 0.0
+
     def test_unbound_rejected(self):
         with pytest.raises(UnboundOrbit):
             orbit_from_elements(R_O, A, 1.0)
@@ -102,6 +121,7 @@ class TestIntegration:
         state, integrals = orbit_from_elements(R_O, A, ECC)
         traj = integrate_orbit(R_O, state, integrals, 5)
         assert traj.integral_drift() < 1e-12
+        assert traj.drift == traj.integral_drift()
 
     def test_constraint_residual_weak_field(self):
         state, integrals = orbit_from_elements(R_O, A, ECC)

@@ -1,0 +1,182 @@
+"""Gauss-Legendre helper, the quadrature routes built on it, and the
+scipy-free import of the closed-form and quadrature paths."""
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad
+
+from flatgrav import quadrature
+from flatgrav.baseline import schwarzschild_precession_quadrature
+from flatgrav.carriers import (
+    ElectricCarrier,
+    RadialCarrier,
+    enclosed_energy,
+    enclosed_energy_quadrature,
+    total_charge_quadrature,
+    total_energy_quadrature,
+)
+from flatgrav.cli import main
+from flatgrav.errors import DenominatorVanishes, NoConvergence
+from flatgrav.orbits import precession_quadrature
+from flatgrav.photons import EchoGeometry, deflection_integral, shapiro_delay
+from flatgrav.presets import solar_echo_geometry
+from flatgrav.quadrature import gauss_legendre
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestGaussLegendre:
+    def test_polynomial_exact(self):
+        val = gauss_legendre(lambda x: 5 * x**4 - 3 * x**2, -1.0, 2.0)
+        assert val == pytest.approx(33.0 - 9.0, rel=1e-14)
+
+    def test_analytic_integrand(self):
+        val = gauss_legendre(np.exp, 0.0, 3.0)
+        assert val == pytest.approx(np.expm1(3.0), rel=1e-14)
+
+    def test_empty_interval(self):
+        assert gauss_legendre(np.cos, 1.0, 1.0) == 0.0
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # |x - 0.3|^-1/2 is integrable but not analytic: the rules keep
+        # disagreeing, so the helper must refuse rather than return a value
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        with pytest.raises(NoConvergence):
+            gauss_legendre(lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0)
+
+    def test_no_convergence_exits_3(self, capsys):
+        # r_min = 7.5 r_o with r_max = 2 r_min puts the third root of the
+        # turning cubic on the orbit; just outside it the integrand is
+        # nearly singular, where adaptive quad warned and returned a value
+        assert main(["compare", "--strong-rmin", "7.5000001"]) == 3
+        assert "1024 nodes" in capsys.readouterr().err
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NoConvergence):
+            gauss_legendre(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_nodes_are_shared_and_read_only(self):
+        x, w = quadrature._rule(32)
+        assert quadrature._rule(32)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
+def _old_turning_quadrature(r_o, r_min, r_max, k):
+    """The adaptive-quad form of both turning-point quadratures (k = 3 flat,
+    k = 2 Schwarzschild), with their strong-field guard."""
+    u1, u2 = 1.0 / r_min, 1.0 / r_max
+    u3 = 1.0 / (k * r_o) - u1 - u2
+    if u3 <= u1:
+        raise DenominatorVanishes("third root inside orbit")
+    mid, half = 0.5 * (u1 + u2), 0.5 * (u1 - u2)
+
+    def integrand(theta):
+        u = mid - half * np.cos(theta)
+        if k == 3:
+            return np.sqrt((1.0 - 3.0 * r_o * u) / (3.0 * r_o * (u3 - u)))
+        return 1.0 / np.sqrt(2.0 * r_o * (u3 - u))
+
+    val, _ = quad(integrand, 0.0, np.pi, epsrel=1e-12, epsabs=0.0, limit=200)
+    return 2.0 * val - 2.0 * np.pi
+
+
+class TestRoutesAgainstReferences:
+    @pytest.mark.parametrize("func,k", [
+        (precession_quadrature, 3),
+        (schwarzschild_precession_quadrature, 2),
+    ])
+    def test_turning_point_quadratures_match_quad(self, func, k):
+        compared = 0
+        for r_min in np.geomspace(8.0, 3.1e7, 25):
+            for ecc in np.linspace(0.05, 0.9, 18):
+                r_max = r_min * (1.0 + ecc) / (1.0 - ecc)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", IntegrationWarning)
+                        ref = _old_turning_quadrature(1.0, r_min, r_max, k)
+                except (DenominatorVanishes, IntegrationWarning):
+                    continue
+                assert abs(func(1.0, r_min, r_max) - ref) <= 5e-14
+                compared += 1
+        assert compared > 400
+
+    def test_echo_delay_matches_antiderivative(self):
+        geom = solar_echo_geometry()
+        r_o, R_s = geom.r_o, geom.R_s
+
+        def antiderivative(x):
+            return 2.0 * r_o * np.arcsinh(x / R_s) \
+                + r_o**2 / R_s * np.arctan(x / R_s)
+
+        exact = 2.0 * sum(antiderivative(np.sqrt(r**2 - R_s**2))
+                          for r in (geom.r_es, geom.r_ms))
+        assert shapiro_delay(geom).quadrature == pytest.approx(exact,
+                                                               rel=1e-13)
+
+    def test_echo_delay_strong_field(self):
+        geom = EchoGeometry(r_es=50.0, r_ms=20.0, R_s=2.0, r_o=1.0)
+        x_e, x_m = np.sqrt(50.0**2 - 4.0), np.sqrt(20.0**2 - 4.0)
+        exact = 2.0 * sum(2.0 * np.arcsinh(x / 2.0) + np.arctan(x / 2.0) / 2.0
+                          for x in (x_e, x_m))
+        assert shapiro_delay(geom).quadrature == pytest.approx(exact,
+                                                               rel=1e-13)
+
+    @pytest.mark.parametrize("b", [1e-8, 2.1e-6, 1e-5, 1e-4])
+    def test_deflection_matches_closed_form_series(self, b):
+        # quadrature / (-4 r_o/R_s) = int_0^{pi/2} cos/(1 + b cos)^3, b = r_o/R_s,
+        # = 1 - 3 pi b/4 + 4 b^2 - 15 pi b^3/8 + 8 b^4 + O(b^5)
+        res = deflection_integral(b * 7e8, 7e8)
+        series = 1.0 - 0.75 * np.pi * b + 4.0 * b**2 \
+            - 1.875 * np.pi * b**3 + 8.0 * b**4
+        assert res.quadrature / res.closed_form == pytest.approx(series,
+                                                                 rel=1e-15)
+
+    @pytest.mark.parametrize("b", [0.1, 1.0, 100.0])
+    def test_deflection_strong_field_matches_quad(self, b):
+        ref, _ = quad(lambda th: np.cos(th) / (1.0 + b * np.cos(th)) ** 3,
+                      0.0, np.pi / 2.0, epsrel=1e-13, epsabs=0.0)
+        res = deflection_integral(b, 1.0)
+        assert res.quadrature == pytest.approx(-4.0 * b * ref, rel=1e-13)
+
+    @pytest.mark.parametrize("R", [1e-6, 0.5, 1.0, 37.0, 1e3, 1e8])
+    def test_enclosed_energy_closed_form(self, R):
+        c = RadialCarrier(r_o=2.5)
+        assert enclosed_energy_quadrature(c, R * 2.5) == pytest.approx(
+            enclosed_energy(c, R * 2.5), rel=1e-14)
+
+    def test_carrier_totals_closed_form(self):
+        assert total_energy_quadrature(RadialCarrier(r_o=3.0)) == \
+            pytest.approx(3.0, rel=1e-14)
+        assert total_charge_quadrature(ElectricCarrier(e=2.0, r_e=1.0,
+                                                       r_o=1.0)) == \
+            pytest.approx(2.0, rel=1e-14)
+
+
+def test_closed_form_paths_do_not_import_scipy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import flatgrav\n"
+        "from flatgrav import cli\n"
+        "codes = []\n"
+        "for sub in ('precession', 'echo-delay', 'gyro', 'density',\n"
+        "            'electric', 'compare'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main([sub]))\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["scipy"] == []
