@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .orbits import (
     precession_analytic,
     precession_numeric,
     precession_quadrature,
-    turning_points,
+    turning_points_from_elements,
 )
 from .photons import (
     EchoGeometry,
@@ -53,7 +53,7 @@ from .photons import (
     ray_launch,
     shapiro_delay,
 )
-from .presets import Scenario, preset_scenario
+from .presets import FLAT_MODEL, Scenario, preset_scenario
 from .spin import (
     RotatingFieldSpec,
     circular_polar_orbit,
@@ -105,23 +105,32 @@ class RunReport:
 def _emit(report: RunReport, fmt: str, out: Optional[str]) -> None:
     text = report.to_json() if fmt == "json" else report.rows_csv()
     if out:
-        Path(out).write_text(text, encoding="utf-8")
         stem = Path(out)
-        for name, table in report.tables.items():
-            tpath = stem.with_name(f"{stem.stem}_{name}.csv")
-            with tpath.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                cols = list(table)
-                writer.writerow(cols)
-                for vals in zip(*(table[c] for c in cols)):
-                    writer.writerow([repr(float(v)) for v in vals])
+        try:
+            stem.write_text(text, encoding="utf-8")
+            for name, table in report.tables.items():
+                tpath = stem.with_name(f"{stem.stem}_{name}.csv")
+                with tpath.open("w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    cols = list(table)
+                    writer.writerow(cols)
+                    for vals in zip(*(table[c] for c in cols)):
+                        writer.writerow([repr(float(v)) for v in vals])
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write --out {out}: {exc}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def _load_scenario(args: argparse.Namespace, default_preset: str) -> Scenario:
+def _load_scenario(args: argparse.Namespace, default_preset: str,
+                   needs: Tuple[str, ...], flat_only: bool = True) -> Scenario:
+    """Preset or --config scenario, checked for the parameters ``needs``.
+
+    A subcommand that computes only the flat model (``flat_only``) rejects
+    any other ``model``, so no row carries a label it was not computed by.
+    """
     if getattr(args, "config", None):
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -132,18 +141,27 @@ def _load_scenario(args: argparse.Namespace, default_preset: str) -> Scenario:
         base = preset_scenario(raw.get("preset", default_preset))
         params = dict(base.params)
         params.update(raw.get("params", {}))
-        return Scenario(
+        scenario = Scenario(
             name=raw.get("name", base.name),
             model=raw.get("model", base.model),
             params=params,
             n_orbits=raw.get("n_orbits", base.n_orbits),
             tol=raw.get("tol", getattr(args, "tol", None) or 1e-12),
         )
-    scenario = preset_scenario(getattr(args, "preset", None) or default_preset)
-    if getattr(args, "tol", None):
-        scenario = Scenario(name=scenario.name, model=scenario.model,
-                            params=scenario.params,
-                            n_orbits=scenario.n_orbits, tol=args.tol)
+    else:
+        scenario = preset_scenario(getattr(args, "preset", None)
+                                   or default_preset)
+        if getattr(args, "tol", None):
+            scenario = Scenario(name=scenario.name, model=scenario.model,
+                                params=scenario.params,
+                                n_orbits=scenario.n_orbits, tol=args.tol)
+    missing = [key for key in needs if key not in scenario.params]
+    if missing:
+        raise ConfigInvalid(f"scenario {scenario.name!r} lacks parameter(s) "
+                            f"{', '.join(missing)}")
+    if flat_only and scenario.model != FLAT_MODEL:
+        raise ConfigInvalid(f"{args.command} computes only the {FLAT_MODEL} "
+                            f"model, got model {scenario.model!r}")
     return scenario
 
 
@@ -151,7 +169,7 @@ def _load_scenario(args: argparse.Namespace, default_preset: str) -> Scenario:
 
 
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
-    sc = _load_scenario(args, "mercury")
+    sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
     if args.orbits is not None:
         sc = replace(sc, n_orbits=args.orbits)
     if args.samples < 2:
@@ -185,8 +203,10 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_precession(args: argparse.Namespace) -> RunReport:
-    sc = _load_scenario(args, "mercury")
+    sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
     p = sc.params
+    if not p["r_o"] > 0:
+        raise ConfigInvalid("precession needs r_o > 0: no field, no advance")
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
@@ -194,8 +214,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
                "closed-form")
     report.add("precession_century", analytic.arcsec_per_century,
                "arcsec/century", "closed-form")
-    _, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
-    r_min, r_max = turning_points(p["r_o"], integrals)
+    r_min, r_max = turning_points_from_elements(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit",
                precession_quadrature(p["r_o"], r_min, r_max), "rad",
                "turning-point-quadrature")
@@ -205,7 +224,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
-    sc = _load_scenario(args, "solar")
+    sc = _load_scenario(args, "solar", ("r_o", "R_s"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
@@ -221,7 +240,7 @@ def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
-    sc = _load_scenario(args, "solar")
+    sc = _load_scenario(args, "solar", ("r_o", "R_s", "r_es", "r_ms"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
@@ -237,7 +256,7 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
-    sc = _load_scenario(args, "earth")
+    sc = _load_scenario(args, "earth", ("r_o", "inertia", "omega"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": {k: (list(v) if isinstance(v, np.ndarray)
@@ -313,7 +332,8 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> RunReport:
-    mercury = _load_scenario(args, "mercury")
+    mercury = _load_scenario(args, "mercury", ("r_o", "a", "ecc"),
+                             flat_only=False)
     solar = preset_scenario("solar")
     report = RunReport(scenario="compare", model="flatspace-weber",
                        config={"mercury": mercury.params,
@@ -433,14 +453,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        _emit(args.func(args), args.format, args.out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FlatgravError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args.format, args.out)
     return 0
 
 

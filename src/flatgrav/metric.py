@@ -248,11 +248,20 @@ def christoffels_numeric(pot: FourPotential, at: Vec3,
     step = h if h is not None else 1e-6 * max(float(np.linalg.norm(x)), 1.0)
     m = build_metric(pot, x)
     dg3 = metric_gradient_numeric(pot, x, step)
-    dg = np.zeros((4, 4, 4))  # dg[sigma, mu, nu] = d_sigma g_{mu nu}
+    dg = np.zeros((4, 4, 4))
     dg[1:] = dg3
+    return _christoffel(m.ginv, dg)
+
+
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[lam, mu, nu] from the inverse metric and the metric gradient.
+
+    ``dg[sigma, mu, nu]`` = d_sigma g_{mu nu}, with the time slot zero for
+    a static field.
+    """
     brackets = np.einsum("msn->smn", dg) + np.einsum("nsm->smn", dg) - dg
     # brackets[s, m, n] = d_m g_{s n} + d_n g_{s m} - d_s g_{m n}
-    return 0.5 * np.einsum("ls,smn->lmn", m.ginv, brackets)
+    return 0.5 * np.einsum("ls,smn->lmn", ginv, brackets)
 
 
 def proper_time_rate(ldot: float, r_o_over_r: float, energy_ratio: float,

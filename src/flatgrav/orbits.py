@@ -132,38 +132,63 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     u_p = 1.0 / r_p
     if L > 0.0:
         e2 = L**2 * energy_integral(u_p, 0.0, r_o, L)
+        if not e2 > 0.0:
+            raise TurningPointNotFound(
+                f"no bound orbit turns at r = {r_p}: the field is too strong")
         energy_ratio = float(np.sqrt(e2))
     else:
         energy_ratio = 1.0
     integrals = OrbitIntegrals(energy_ratio=energy_ratio, L=L)
     if (L > 0.0 and 3.0 * r_o * u_p < 1.0
             and rosette_rhs(u_p, 0.0, r_o, L) > 0.0):
-        u_p = _inner_turning_point(r_o, u_p, L)
+        u_peri = _second_turning_point(r_o, u_p, L)
+        if u_peri < u_p:
+            raise TurningPointNotFound(
+                f"no inner turning point inside u = {u_p}")
+        u_p = u_peri
         r_p = 1.0 / u_p
     dphidp = integrals.J_phi * u_p**2 if L > 0.0 else 0.0
     state = GeodesicState(p=0.0, t=0.0, r=r_p, phi=0.0, drdp=0.0, dphidp=dphidp)
     return state, integrals
 
 
-def _inner_turning_point(r_o: float, u_apo: float, L: float) -> float:
-    """Perihelion root of the turning cubic, given its apocentre root u_apo.
+def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
+    """The other turning root of the cubic, given one turning root u_known.
 
-    Dividing 3*r_o*u^3 - u^2 + 2*r_o*u/L^2 + (A - B) by (u - u_apo) leaves
-    a quadratic whose roots have sum S = 1/(3*r_o) - u_apo and product
-    P = (2*r_o/L^2 - u_apo*(1 - 3*r_o*u_apo))/(3*r_o); A - B is eliminated
-    through the cubic at u_apo, so no cancellation enters.  The smaller
-    root is the perihelion.  Unlike ``turning_points`` this stays accurate
-    for near-circular orbits, where the two turning points almost coincide.
+    Dividing 3*r_o*u^3 - u^2 + 2*r_o*u/L^2 + (A - B) by (u - u_known)
+    leaves a quadratic whose roots have sum S = 1/(3*r_o) - u_known and
+    product P = (2*r_o/L^2 - u_known*(1 - 3*r_o*u_known))/(3*r_o); A - B
+    is eliminated through the cubic at u_known, so no cancellation enters.
+    The smaller root is the other turning point, the larger one the third
+    root near 1/(3*r_o).  Unlike ``turning_points`` this stays accurate for
+    near-circular orbits, where the two turning points almost coincide.
     """
-    s = 1.0 / (3.0 * r_o) - u_apo
-    p = (2.0 * r_o / L**2 - u_apo * (1.0 - 3.0 * r_o * u_apo)) / (3.0 * r_o)
+    s = 1.0 / (3.0 * r_o) - u_known
+    p = ((2.0 * r_o / L**2 - u_known * (1.0 - 3.0 * r_o * u_known))
+         / (3.0 * r_o))
     disc = s * s - 4.0 * p
-    if disc < 0.0:
-        raise TurningPointNotFound(f"no inner turning point inside u = {u_apo}")
-    u_peri = p / (0.5 * (s + np.sqrt(disc)))
-    if not u_apo <= u_peri < 1.0 / (3.0 * r_o):
-        raise TurningPointNotFound(f"no inner turning point inside u = {u_apo}")
-    return float(u_peri)
+    if disc < 0.0 or p <= 0.0:
+        raise TurningPointNotFound(f"no second turning point for u = {u_known}")
+    u_other = p / (0.5 * (s + np.sqrt(disc)))
+    if not u_other < 1.0 / (3.0 * r_o):
+        raise TurningPointNotFound(f"no second turning point for u = {u_known}")
+    return float(u_other)
+
+
+def turning_points_from_elements(r_o: float, a: float, ecc: float
+                                 ) -> Tuple[float, float]:
+    """Turning points (r_min, r_max) of the orbit ``orbit_from_elements`` sets up.
+
+    One root of the turning cubic is known, u = 1/(a*(1 - ecc)); the other
+    follows by deflation, which keeps near-circular orbits (ecc -> 0) apart
+    where ``turning_points`` loses the near-double root.
+    """
+    _, integrals = orbit_from_elements(r_o, a, ecc)
+    if r_o <= 0.0:
+        raise TurningPointNotFound("need r_o > 0 for a bound orbit")
+    u_known = 1.0 / (a * (1.0 - ecc))
+    u_other = _second_turning_point(r_o, u_known, integrals.L)
+    return 1.0 / max(u_known, u_other), 1.0 / min(u_known, u_other)
 
 
 def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]:
@@ -385,9 +410,11 @@ def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
     3*r_o*(u1 - u)*(u - u2)*(u3 - u); substituting
     u = (u1+u2)/2 - (u1-u2)/2*cos(theta) removes both endpoint
     singularities, leaving a smooth integrand over [0, pi] for the
-    Gauss-Legendre helper.
+    Gauss-Legendre helper.  r_min == r_max is the circular limit.
     """
-    integrals = integrals_from_turning_points(r_o, r_min, r_max)
+    if not (r_o > 0.0 and 0.0 < r_min <= r_max):
+        raise TurningPointNotFound(
+            f"need r_o > 0 and 0 < r_min <= r_max, got {r_o}, {r_min}, {r_max}")
     u1, u2 = 1.0 / r_min, 1.0 / r_max
     u3 = 1.0 / (3.0 * r_o) - u1 - u2
     if u3 <= u1:

@@ -14,7 +14,8 @@ from .constants import C_SI, G_SI
 from .errors import ConfigInvalid
 from .photons import EchoGeometry
 
-MODELS = ("flatspace-weber", "schwarzschild", "newtonian")
+FLAT_MODEL = "flatspace-weber"
+MODELS = (FLAT_MODEL, "schwarzschild", "newtonian")
 
 # Solar gravitational energy radius (m).
 SOLAR_R_O = 1480.0
@@ -93,6 +94,10 @@ class Scenario:
             elif key == "r_o":
                 if not (isinstance(value, (int, float)) and value >= 0):
                     raise ConfigInvalid("length 'r_o' must be >= 0")
+            elif key == "ecc":
+                if not (isinstance(value, (int, float)) and 0 <= value < 1):
+                    raise ConfigInvalid(
+                        f"eccentricity must be in [0, 1), got {value!r}")
 
 
 def preset_scenario(name: str, model: str = "flatspace-weber") -> Scenario:

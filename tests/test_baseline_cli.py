@@ -159,9 +159,10 @@ class TestCli:
         assert main(["precession", "--config", str(cfg)]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # r_p = 2000 m < 3 r_o: no bound orbit turns there
         cfg = tmp_path / "unbound.json"
         cfg.write_text(json.dumps({"preset": "mercury",
-                                   "params": {"ecc": 1.5}}))
+                                   "params": {"a": 4000.0, "ecc": 0.5}}))
         assert main(["orbit", "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize("flags", [
@@ -211,3 +212,74 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestCliContract:
+    """Invalid input exits 2 with a config error, never a traceback."""
+
+    @staticmethod
+    def config(tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return str(cfg)
+
+    @pytest.mark.parametrize("command", ["orbit", "precession"])
+    @pytest.mark.parametrize("ecc", [-0.2, 1.0, 1.5])
+    def test_eccentricity_outside_unit_interval(self, tmp_path, capsys,
+                                                command, ecc):
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"ecc": ecc}})
+        assert main([command, "--config", cfg]) == 2
+        assert "eccentricity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["orbit", "--preset", "solar"], "a, ecc"),
+        (["gyro", "--preset", "mercury"], "inertia, omega"),
+    ])
+    def test_preset_without_parameters(self, capsys, argv, missing):
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["precession", "density"])
+    def test_unwritable_out(self, tmp_path, capsys, command):
+        out = tmp_path / "missing-dir" / "report.json"
+        assert main([command, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["orbit", "precession",
+                                         "light-deflect", "echo-delay",
+                                         "gyro"])
+    def test_flat_only_commands_reject_other_models(self, tmp_path, capsys,
+                                                    command):
+        cfg = self.config(tmp_path, {"model": "schwarzschild"})
+        assert main([command, "--config", cfg]) == 2
+        assert "flatspace-weber" in capsys.readouterr().err
+
+    def test_compare_keeps_per_row_labels(self, tmp_path):
+        cfg = self.config(tmp_path, {"model": "schwarzschild"})
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        flat = [r for r in rows if r["provenance"] == "bending-quadrature"]
+        assert [r["model"] for r in flat] == ["flatspace-weber"]
+
+    def test_zero_field_precession(self, tmp_path):
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"r_o": 0.0}})
+        assert main(["precession", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("ecc", [0.0, 1e-9, 1e-7, 1e-5])
+    def test_near_circular_precession(self, tmp_path, ecc):
+        # np.roots split the near-double turning root into a complex pair
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"ecc": ecc}})
+        out = tmp_path / "prec.json"
+        assert main(["precession", "--config", cfg, "--out", str(out)]) == 0
+        by_prov = {r["provenance"]: r["value"]
+                   for r in json.loads(out.read_text())["rows"]
+                   if r["quantity"] == "precession_per_orbit"}
+        closed = by_prov["closed-form"]
+        quad = by_prov["turning-point-quadrature"]
+        # the flat model departs from 6 pi r_o/(a(1 - e^2)) at O(r_o/a)
+        assert abs(quad - closed) <= 20.0 * SOLAR_R_O / MERCURY_SEMI_MAJOR \
+            * closed

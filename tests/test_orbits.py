@@ -24,6 +24,7 @@ from flatgrav.orbits import (
     resonant_forcing_amplitude,
     rosette_rhs,
     turning_points,
+    turning_points_from_elements,
 )
 
 R_O = 1480.0
@@ -109,6 +110,30 @@ class TestElementsAndTurningPoints:
             orbit_from_elements(R_O, -1.0, 0.1)
         with pytest.raises(ValueError):
             orbit_from_elements(R_O, A, -0.2)
+
+    @pytest.mark.parametrize("a, ecc", [(A, ECC), (33835.0, 0.0517),
+                                        (1e5, 0.3), (A, 0.0), (A, 1e-9),
+                                        (A, 1e-7)])
+    def test_deflated_turning_points_are_roots(self, a, ecc):
+        # near-circular cases are where turning_points loses the pair
+        _, integrals = orbit_from_elements(R_O, a, ecc)
+        r_min, r_max = turning_points_from_elements(R_O, a, ecc)
+        assert r_min < r_max
+        assert min(abs(r - a * (1.0 - ecc)) for r in (r_min, r_max)) \
+            <= 1e-15 * a
+        c0 = (integrals.energy_ratio / integrals.L) ** 2
+        for r in (r_min, r_max):
+            c = energy_integral(1.0 / r, 0.0, R_O, integrals.L)
+            assert c == pytest.approx(c0, rel=1e-14)
+        if ecc > 1e-3:
+            assert (r_min, r_max) == pytest.approx(
+                turning_points(R_O, integrals), rel=1e-6)
+
+    def test_quadrature_accepts_circular_limit(self):
+        r = 1e10
+        value = precession_quadrature(R_O, r, r)
+        closed = precession_analytic(R_O, r, 0.0).delta_phi_per_orbit
+        assert value == pytest.approx(closed, rel=20.0 * R_O / r)
 
     def test_circular_orbit_has_no_radial_range(self):
         # matched turning points collapse the bracket

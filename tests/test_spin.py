@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from flatgrav.errors import NonPositiveRadius
+from flatgrav import spin
+from flatgrav.errors import NonPositiveRadius, NumericalFailure
 from flatgrav.metric import christoffels_numeric
+from flatgrav.presets import earth_spin_parameters
 from flatgrav.spin import (
     RotatingFieldSpec,
     SpinState,
@@ -139,6 +141,79 @@ class TestTransport:
         state = SpinState(t=0.0, s=np.array([1.0, 2.0, 3.0]))
         v = np.array([0.1, 0.0, -0.2])
         assert state.s_time(v) == pytest.approx(-(0.1 - 0.6), rel=1e-15)
+
+
+def connection_contraction(spec, x, v, s):
+    """The einsum route: Gamma^lam_{i nu} S_lam xdot^nu from the full array."""
+    gamma = rotating_connections(spec, x)
+    s4 = np.concatenate(([-float(np.dot(v, s))], s))
+    xdot = np.concatenate(([1.0], v))
+    return np.einsum("liv,l,v->i", gamma[:, 1:, :], s4, xdot)
+
+
+def random_spec_point(rng):
+    spec = RotatingFieldSpec(
+        r_o=10.0 ** rng.uniform(-8.0, -1.0),
+        inertia=10.0 ** rng.uniform(-6.0, -1.0),
+        omega=rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-7.0, -1.0))
+    x = rng.normal(0.0, 1.0, 3)
+    x *= rng.uniform(1.0, 5.0) / np.linalg.norm(x)
+    v = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-5.0, -0.5)
+    return spec, x, v, rng.normal(0.0, 1.0, 3)
+
+
+class TestDirectContraction:
+    """transport_rhs against the contraction of rotating_connections."""
+
+    @staticmethod
+    def assert_agrees(spec, x, v, s):
+        direct = transport_rhs(spec, x, v, s)
+        oracle = connection_contraction(spec, x, v, s)
+        assert np.max(np.abs(direct - oracle)) <= \
+            1e-13 * np.max(np.abs(oracle))
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            self.assert_agrees(*random_spec_point(rng))
+
+    def test_zero_rotation(self):
+        spec = RotatingFieldSpec(r_o=1e-3, inertia=0.0, omega=np.zeros(3))
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            _, x, v, s = random_spec_point(rng)
+            self.assert_agrees(spec, x, v, s)
+
+    def test_earth_preset_scales(self):
+        p = earth_spin_parameters()
+        spec = RotatingFieldSpec(r_o=p["r_o"], inertia=p["inertia"],
+                                 omega=p["omega"])
+        pos, vel, _, period = circular_polar_orbit(7.02e6, p["r_o"])
+        for t in np.linspace(0.0, period, 7):
+            self.assert_agrees(spec, pos(t), vel(t),
+                               np.array([0.6, -0.2, 0.5]))
+
+    def test_center_guard(self):
+        with pytest.raises(NonPositiveRadius):
+            transport_rhs(generic_spec(), np.zeros(3), np.ones(3) * 1e-3,
+                          np.ones(3))
+
+    def test_initial_cross_check_catches_disagreement(self, monkeypatch):
+        exact = spin.rotating_connections
+
+        def skewed(spec, x):
+            gamma = exact(spec, x).copy()
+            gamma[1, 2, 0] *= 1.0 + 1e-9
+            return gamma
+
+        monkeypatch.setattr(spin, "rotating_connections", skewed)
+        r_o = 1e-8
+        spec = RotatingFieldSpec(r_o=r_o, inertia=1e-2,
+                                 omega=np.array([0.0, 0.0, 1e-7]))
+        pos, vel, _, period = circular_polar_orbit(1.0, r_o)
+        with pytest.raises(NumericalFailure):
+            transport_spin(spec, pos, vel, np.array([1.0, 0.0, 0.0]),
+                           (0.0, period))
 
 
 class TestPolarOrbit:
