@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DenominatorVanishes, TurningPointNotFound, UnsupportedQuantity
+from .orbits import _cosine_map_advance
 from .presets import Scenario
-from .quadrature import gauss_legendre
 
 __all__ = [
     "schwarzschild_baseline", "newtonian_baseline",
@@ -68,7 +68,7 @@ def schwarzschild_precession_quadrature(r_o: float, r_min: float,
 
     The radial equation u'^2 = A + B*u - u^2 + 2*r_o*u^3 has the two given
     turning points as roots; the third follows from the cubic's root sum
-    1/(2*r_o).  The same cosine substitution as the flat-space quadrature
+    1/(2*r_o).  The cosine map shared with the flat-space quadrature
     removes the endpoint singularities.
     """
     if not 0.0 < r_min < r_max:
@@ -79,10 +79,4 @@ def schwarzschild_precession_quadrature(r_o: float, r_min: float,
     u3 = 1.0 / (2.0 * r_o) - u1 - u2
     if u3 <= u1:
         raise DenominatorVanishes("third root inside orbit: field too strong")
-    mid, half = 0.5 * (u1 + u2), 0.5 * (u1 - u2)
-
-    def integrand(theta):
-        u = mid - half * np.cos(theta)
-        return 1.0 / np.sqrt(2.0 * r_o * (u3 - u))
-
-    return 2.0 * gauss_legendre(integrand, 0.0, np.pi) - 2.0 * np.pi
+    return _cosine_map_advance(u1, u2, u3, 1.0)

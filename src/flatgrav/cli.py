@@ -139,8 +139,12 @@ def _load_scenario(args: argparse.Namespace, default_preset: str,
         if not isinstance(raw, dict):
             raise ConfigInvalid("config root must be a JSON object")
         base = preset_scenario(raw.get("preset", default_preset))
+        overrides = raw.get("params", {})
+        if not isinstance(overrides, dict):
+            raise ConfigInvalid(
+                f"config 'params' must be a JSON object, got {overrides!r}")
         params = dict(base.params)
-        params.update(raw.get("params", {}))
+        params.update(overrides)
         scenario = Scenario(
             name=raw.get("name", base.name),
             model=raw.get("model", base.model),
@@ -192,7 +196,7 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
     report.add("energy_integral_drift", traj.drift, "relative",
                "orbit-integration")
     phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
-    u, _, t, par = traj.sol(phis)
+    u, _, t, par = traj.sample(phis)
     report.tables["trajectory"] = {
         "phi_rad": list(map(float, phis)),
         "r_m": list(map(float, 1.0 / u)),

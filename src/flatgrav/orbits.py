@@ -5,16 +5,20 @@ equation, the exact derivative of the weak-field energy integral
 
     (1 - 2*r_o*u)/L^2 + (1 - 3*r_o*u)*(u'^2 + u^2) = (E_m/m)^2/L^2,
 
-with u = 1/r.  Perihelion advance is extracted three independent ways:
-the closed form 6*pi*r_o/(a*(1-e^2)), root-finding on the integrated
-trajectory, and quadrature of d(phi)/du between turning points.
+with u = 1/r, integrated as the slowly varying osculating elements of
+u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi).  Perihelion advance is
+extracted three independent ways: the closed form 6*pi*r_o/(a*(1-e^2)),
+the perihelion passages of the integrated trajectory, and quadrature of
+d(phi)/du between turning points.
 
 Geometric units throughout (c = 1, lengths in meters).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +34,9 @@ from .errors import (
 from .quadrature import gauss_legendre
 
 DEFAULT_TOL = 1e-12
+# Newton refinement cap: bisection alone narrows a 1/720-turn bracket
+# below 1e-12 rad in 33 steps
+_NEWTON_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -250,51 +257,146 @@ def integrals_from_turning_points(r_o: float, r_min: float, r_max: float
     return OrbitIntegrals(energy_ratio=float(np.sqrt(A / B)), L=float(L))
 
 
+class _DenseOutput:
+    """Every DOP853 interpolant of one ``solve_ivp`` run, evaluated in one pass.
+
+    scipy's ``OdeSolution`` calls one interpolant per segment in a Python
+    loop.  This does the same arithmetic point by point on stacked
+    coefficients: the same segment choice (the lower index at a breakpoint)
+    and the same operations in the same order, so its values are bitwise
+    equal to ``OdeSolution``'s.  Points may come with their segment
+    indices, which skips the search.
+    """
+
+    def __init__(self, sol):
+        self.ts = sol.ts
+        parts = sol.interpolants
+        self.n_segments = len(parts)
+        self.t_old = np.array([d.t_old for d in parts])
+        self.h = np.array([d.h for d in parts])
+        # coefficients in the order the Horner-like scheme applies them,
+        # state-major so that a gather over segments is contiguous
+        self.F = np.stack([d.F[::-1] for d in parts], axis=-1)
+        self.y_old = np.stack([d.y_old for d in parts], axis=-1)
+        self.ascending = bool(self.ts[-1] >= self.ts[0])
+        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
+
+    def segments(self, t) -> np.ndarray:
+        """Index of the interpolant ``OdeSolution`` would use at each ``t``."""
+        side = "left" if self.ascending else "right"
+        seg = np.searchsorted(self.ts_sorted, t, side=side) - 1
+        seg = np.clip(seg, 0, self.n_segments - 1)
+        return seg if self.ascending else self.n_segments - 1 - seg
+
+    def __call__(self, t, seg=None) -> np.ndarray:
+        """State at ``t`` (any shape), with the state axis first.
+
+        ``seg`` must broadcast against ``t``; a segment index shared by a row
+        of points (shape (m, 1)) gathers each coefficient once per row.
+        """
+        t = np.asarray(t, dtype=float)
+        if seg is None:
+            seg = self.segments(t)
+        x = (t - self.t_old.take(seg)) / self.h.take(seg)
+        one_minus_x = 1 - x
+        y = np.zeros(self.y_old.shape[:1] + x.shape)
+        for i, coeff in enumerate(self.F.take(seg, axis=-1)):
+            y += coeff
+            y *= x if i % 2 == 0 else one_minus_x
+        y += self.y_old.take(seg, axis=-1)
+        return y
+
+
 @dataclass
 class Trajectory:
-    """Densely integrated orbit over a span of polar angle."""
+    """Densely integrated orbit over a span of polar angle.
+
+    The solver carries the osculating elements alpha, beta of
+    u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi), u' = beta*cos(phi) -
+    alpha*sin(phi); t and p are quadratures of dt/dphi and dp/dphi from the
+    launch angle ``sol.ts[0]``, where they equal ``t0`` and ``p0``.
+    """
 
     r_o: float
     integrals: OrbitIntegrals
-    sol: object                      # scipy OdeSolution over phi
+    sol: _DenseOutput                # (alpha, beta) over phi
     phi_start: float
     phi_end: float
+    t0: float = 0.0
+    p0: float = 0.0
     drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
 
-    def u(self, phi):
-        return self.sol(phi)[0]
+    def _u(self, phi, seg=None) -> Tuple[np.ndarray, np.ndarray]:
+        """u and u' at ``phi`` from the interpolated elements."""
+        alpha, beta = self.sol(phi, seg)
+        cos, sin = np.cos(phi), np.sin(phi)
+        return (self.r_o / self.integrals.L**2 + alpha * cos + beta * sin,
+                beta * cos - alpha * sin)
 
-    def uprime(self, phi):
-        return self.sol(phi)[1]
+    def _clock_rates(self, phi, seg) -> np.ndarray:
+        """dt/dphi and dp/dphi, stacked on a new first axis."""
+        e, L = self.integrals.energy_ratio, self.integrals.L
+        u = self._u(phi, seg)[0]
+        inv = 1.0 / (L * u**2)
+        return np.stack([e * (1.0 + self.r_o * u) ** 2 * inv, inv / e])
+
+    @cached_property
+    def _segment_clocks(self) -> np.ndarray:
+        """t and p at each solver breakpoint ``sol.ts``, shape (2, n + 1)."""
+        ts, n = self.sol.ts, self.sol.n_segments
+        seg = np.arange(n)[:, None]
+        whole = gauss_legendre(lambda x: self._clock_rates(x, seg),
+                               ts[:-1], ts[1:])
+        start = np.array([[self.t0], [self.p0]])
+        return np.concatenate([start, start + np.cumsum(whole, axis=1)],
+                              axis=1)
+
+    def sample(self, phis):
+        """u, u', t and p at the angles ``phis`` (scalar or 1-D)."""
+        phis = np.asarray(phis, dtype=float)
+        flat = phis.reshape(-1)
+        seg = self.sol.segments(flat)
+        u, up = self._u(flat, seg)
+        part = gauss_legendre(lambda x: self._clock_rates(x, seg[:, None]),
+                              self.sol.ts[seg], flat)
+        t, p = self._segment_clocks[:, seg] + part
+        return tuple(v.reshape(phis.shape) for v in (u, up, t, p))
 
     def state(self, phi: float) -> GeodesicState:
-        u, up, t, p = self.sol(phi)
+        u, up, t, p = (float(v) for v in self.sample(phi))
         j = self.integrals.J_phi
-        return GeodesicState(p=float(p), t=float(t), r=1.0 / float(u),
-                             phi=float(phi), drdp=-j * float(up),
-                             dphidp=j * float(u) ** 2)
-
-    def states(self, n: int = 512) -> Sequence[GeodesicState]:
-        phis = np.linspace(self.phi_start, self.phi_end, n)
-        return [self.state(ph) for ph in phis]
+        return GeodesicState(p=p, t=t, r=1.0 / u, phi=float(phi),
+                             drdp=-j * up, dphidp=j * u**2)
 
     def integral_drift(self, n: int = 512) -> float:
         """Max relative drift of the energy integral over the span."""
         phis = np.linspace(self.phi_start, self.phi_end, n)
-        u, up = self.sol(phis)[:2]
+        u, up = self._u(phis)
         c = energy_integral(u, up, self.r_o, self.integrals.L)
         c0 = (self.integrals.energy_ratio / self.integrals.L) ** 2
         return float(np.max(np.abs(c - c0)) / c0)
 
 
-def _rhs(phi, y, r_o, integrals):
-    u, up = y[0], y[1]
-    L = integrals.L
-    e = integrals.energy_ratio
-    upp = rosette_rhs(u, up, r_o, L)
-    dt = e * (1.0 + r_o * u) ** 2 / (L * u**2)
-    dp = 1.0 / (e * L * u**2)
-    return [up, upp, dt, dp]
+def _forcing(u, uprime, r_o: float, c: float):
+    """F = u'' + u - r_o/L^2 of the rosette equation, with c = r_o/L^2.
+
+    Solving the rosette equation for u'' and subtracting u - c leaves
+    F*(1 - 3*r_o*u) = r_o*(3*c*u + 1.5*u^2 + 1.5*u'^2), which has no
+    cancellation: F is small where the field is weak.
+    """
+    return r_o * (3.0 * c * u + 1.5 * (u * u + uprime * uprime)) \
+        / (1.0 - 3.0 * r_o * u)
+
+
+def _element_rhs(phi, y, r_o, c):
+    """alpha' = -F*sin(phi), beta' = F*cos(phi) (variation of constants)."""
+    alpha, beta = y.tolist()
+    cos, sin = math.cos(phi), math.sin(phi)
+    u = c + alpha * cos + beta * sin
+    if 3.0 * r_o * u >= 1.0:
+        raise DenominatorVanishes(f"3*r_o*u = {3.0 * r_o * u} >= 1")
+    f = _forcing(u, beta * cos - alpha * sin, r_o, c)
+    return [-f * sin, f * cos]
 
 
 def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
@@ -302,9 +404,13 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
                     backward: bool = False) -> Trajectory:
     """Integrate the bound motion over ``n_orbits`` revolutions of phi.
 
-    Adaptive embedded Runge-Kutta (DOP853) with dense output.  The drift
-    of the energy integral is stored on the trajectory; ToleranceNotMet is
-    raised if it exceeds 1000 * tol * n_orbits.
+    The rosette equation is integrated by variation of constants
+    (Brouwer & Clemence 1961): the slowly varying elements alpha, beta of
+    u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi) obey alpha' = -F*sin(phi),
+    beta' = F*cos(phi) with F = ``_forcing``, by adaptive embedded
+    Runge-Kutta (DOP853) with dense output.  The drift of the energy
+    integral is stored on the trajectory; ToleranceNotMet is raised if it
+    exceeds 1000 * tol * n_orbits.
     """
     from scipy.integrate import solve_ivp
 
@@ -314,63 +420,98 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
         raise NonPositiveRadius(f"r must be > 0, got {state.r}")
     u0 = 1.0 / state.r
     up0 = -state.drdp / integrals.J_phi
+    c = r_o / integrals.L**2
     phi0 = state.phi
     phi1 = phi0 + (-1.0 if backward else 1.0) * 2.0 * np.pi * n_orbits
-    atol = tol * np.array([u0, u0, max(abs(state.t), 1.0), 1.0])
-    sol = solve_ivp(_rhs, (phi0, phi1), [u0, up0, state.t, state.p],
-                    args=(r_o, integrals), method="DOP853",
-                    rtol=tol, atol=atol, dense_output=True)
+    cos0, sin0 = np.cos(phi0), np.sin(phi0)
+    y0 = [(u0 - c) * cos0 - up0 * sin0, (u0 - c) * sin0 + up0 * cos0]
+    sol = solve_ivp(_element_rhs, (phi0, phi1), y0, args=(r_o, c),
+                    method="DOP853", rtol=tol, atol=tol * u0,
+                    dense_output=True)
     if not sol.success:
         raise ToleranceNotMet(sol.message)
-    traj = Trajectory(r_o=r_o, integrals=integrals, sol=sol.sol,
-                      phi_start=min(phi0, phi1), phi_end=max(phi0, phi1))
+    traj = Trajectory(r_o=r_o, integrals=integrals,
+                      sol=_DenseOutput(sol.sol),
+                      phi_start=min(phi0, phi1), phi_end=max(phi0, phi1),
+                      t0=state.t, p0=state.p)
     traj.drift = traj.integral_drift()
     if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
         raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
     return traj
 
 
+def _newton_perihelia(traj: Trajectory, lo: np.ndarray, hi: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """Roots of u' in the brackets [lo, hi] (u' > 0 at lo, < 0 at hi).
+
+    Newton steps on all brackets at once, with u'' = F - (u - r_o/L^2) from
+    the rosette equation; a step that leaves its bracket becomes a bisection
+    step, and each evaluation shrinks the bracket.  Stops when every step is
+    within ``tol``.
+    """
+    c = traj.r_o / traj.integrals.L**2
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if x.size == 0:
+            break
+        u, up = traj._u(x)
+        lo = np.where(up > 0.0, x, lo)
+        hi = np.where(up < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - up / (_forcing(u, up, traj.r_o, c) - (u - c))
+        new = np.where(up == 0.0, x,
+                       np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)))
+        done = np.all(np.abs(new - x) <= tol)
+        x = new
+        if done:
+            break
+    return x
+
+
 def perihelion_angles(traj: Trajectory, refine_tol: float = 1e-12) -> np.ndarray:
     """Polar angles of the radial minima (maxima of u) along a trajectory.
 
-    Sign changes of u' are bracketed on a fine grid and refined by Brent
-    root-finding (bisection plus secant-type steps) to ``refine_tol`` in phi.
+    Sign changes of u' are bracketed on a fine grid and refined by
+    bracket-safeguarded Newton steps to ``refine_tol`` in phi.
     """
-    from scipy.optimize import brentq
-
     n = max(int((traj.phi_end - traj.phi_start) / (2.0 * np.pi)) * 720, 1440)
     phis = np.linspace(traj.phi_start, traj.phi_end, n)
-    up = traj.sol(phis)[1]
+    up = traj._u(phis)[1]
     found = []
     # include the start point if the trajectory is launched exactly at perihelion
     if abs(up[0]) < 1e-13 * max(abs(up).max(), 1e-300):
-        if traj.sol(phis[0] + 1e-6)[1] < 0.0:
+        if traj._u(phis[0] + 1e-6)[1] < 0.0:
             found.append(traj.phi_start)
-    sign = np.sign(up)
-    for i in np.nonzero(np.diff(sign) < 0)[0]:  # u' goes + -> -: maximum of u
-        a, b = phis[i], phis[i + 1]
-        if up[i] == 0.0:
-            continue
-        root = brentq(lambda ph: traj.sol(ph)[1], a, b, xtol=refine_tol)
-        found.append(root)
-    return np.asarray(found)
+    # u' goes + -> -: maximum of u
+    i = np.nonzero((np.diff(np.sign(up)) < 0) & (up[:-1] != 0.0))[0]
+    roots = _newton_perihelia(traj, phis[i], phis[i + 1], refine_tol)
+    return np.concatenate([found, roots])
 
 
 def precession_numeric(traj: Trajectory) -> PrecessionResult:
     """Perihelion advance from successive radial minima of a trajectory.
 
     Delta(phi) is the mean angular spacing between perihelion passages minus
-    2*pi; the orbital period in coordinate time (for the century conversion)
-    is the mean spacing of t at the same passages.
+    2*pi.  At a passage phi is the argument of perihelion atan2(beta, alpha)
+    up to whole turns, so Delta(phi) is taken from the change of that
+    argument between the first and last passage, unwrapped by the count of
+    turns between them, without subtracting 2*pi from a spacing.  The
+    orbital period in coordinate time (for the century conversion) is the
+    mean spacing of t at the same passages.
     """
     peri = perihelion_angles(traj)
     if len(peri) < 2:
         raise InsufficientOrbits(
             f"found {len(peri)} perihelion passages, need at least 2"
         )
-    dphi = float(np.mean(np.diff(peri))) - 2.0 * np.pi
-    t_peri = np.array([traj.sol(ph)[2] for ph in peri])
-    period_s = float(np.mean(np.diff(t_peri))) / C_SI
+    ends = peri[[0, -1]]
+    alpha, beta = traj.sol(ends)
+    turned = float(np.diff(np.arctan2(beta, alpha))[0])
+    revs = len(peri) - 1
+    wraps = round((ends[1] - ends[0] - turned) / (2.0 * np.pi)) - revs
+    dphi = (turned + 2.0 * np.pi * wraps) / revs
+    t_peri = traj.sample(ends)[2]
+    period_s = float(t_peri[1] - t_peri[0]) / revs / C_SI
     arcsec = dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
     return PrecessionResult(delta_phi_per_orbit=dphi,
                             arcsec_per_century=arcsec, method="numeric")
@@ -419,13 +560,27 @@ def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
     u3 = 1.0 / (3.0 * r_o) - u1 - u2
     if u3 <= u1:
         raise DenominatorVanishes("third root inside orbit: field too strong")
+    return _cosine_map_advance(u1, u2, u3, 0.0)
+
+
+def _cosine_map_advance(u1: float, u2: float, u3: float, k: float) -> float:
+    """Perihelion advance 2*int_0^pi (f - 1) dtheta between turning points.
+
+    u = (u1+u2)/2 - (u1-u2)/2*cos(theta) maps the turning points u2 < u1 to
+    theta = 0, pi, and d(phi)/d(theta) = f with f^2 - 1 =
+    (u1 + u2 + k*u)/(u3 - u), u3 the third root of the turning cubic:
+    k = 0 for the flat model, k = 1 for the Schwarzschild orbit.  f - 1 is
+    integrated as (f^2 - 1)/(f + 1), so no 2*pi is subtracted from the
+    result and the advance keeps its relative precision in weak fields.
+    """
     mid, half = 0.5 * (u1 + u2), 0.5 * (u1 - u2)
 
     def integrand(theta):
         u = mid - half * np.cos(theta)
-        return np.sqrt((1.0 - 3.0 * r_o * u) / (3.0 * r_o * (u3 - u)))
+        g = (u1 + u2 + k * u) / (u3 - u)
+        return g / (np.sqrt(1.0 + g) + 1.0)
 
-    return 2.0 * gauss_legendre(integrand, 0.0, np.pi) - 2.0 * np.pi
+    return 2.0 * gauss_legendre(integrand, 0.0, np.pi)
 
 
 def geodesic_force(r_o: float, E_m: float, x: np.ndarray, v: np.ndarray

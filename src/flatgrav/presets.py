@@ -5,7 +5,9 @@ the library takes plain numbers in geometric units (c = 1, meters).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any, Dict
 
 import numpy as np
@@ -83,10 +85,15 @@ class Scenario:
             raise ConfigInvalid(
                 f"model must be one of {MODELS}, got {self.model!r}"
             )
-        if self.tol <= 0.0:
-            raise ConfigInvalid(f"tol must be > 0, got {self.tol}")
-        if self.n_orbits < 1:
-            raise ConfigInvalid(f"n_orbits must be >= 1, got {self.n_orbits}")
+        if not (isinstance(self.tol, Real) and not isinstance(self.tol, bool)
+                and math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigInvalid(
+                f"tol must be a finite number > 0, got {self.tol!r}")
+        if not (isinstance(self.n_orbits, Integral)
+                and not isinstance(self.n_orbits, bool)
+                and self.n_orbits >= 1):
+            raise ConfigInvalid(
+                f"n_orbits must be an integer >= 1, got {self.n_orbits!r}")
         for key, value in self.params.items():
             if key in ("a", "R_s", "r_es", "r_ms", "radius"):
                 if not (isinstance(value, (int, float)) and value > 0):

@@ -31,26 +31,34 @@ def _rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   epsrel: float = DEFAULT_EPSREL) -> float:
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b,
+                   epsrel: float = DEFAULT_EPSREL):
     """Integral of the vectorized ``f`` over [a, b].
 
+    ``a`` and ``b`` may also be arrays of one shape, one interval per entry:
+    ``f`` then gets the nodes of every interval at once, shape
+    ``a.shape + (n,)``, and the result has the shape of ``a``.  ``f`` may
+    return extra leading axes (several integrands on the same nodes), which
+    the result keeps in front.
+
     Starts with START_NODES nodes and doubles the count until two successive
-    rules agree to ``epsrel`` relative; returns the finer of the two.  Raises
-    NoConvergence if they still disagree at MAX_NODES nodes, or at once if
-    a rule sums to a non-finite value, so an unconverged value is never
-    returned.
+    rules agree to ``epsrel`` relative on every interval; returns the finer
+    of the two.  Raises NoConvergence if they still disagree at MAX_NODES
+    nodes, or at once if a rule sums to a non-finite value, so an
+    unconverged value is never returned.
     """
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid, scale = (0.5 * (lo + hi))[..., None], half[..., None]
     prev = None
     n = START_NODES
     while n <= MAX_NODES:
         x, w = _rule(n)
-        val = half * float(w @ f(mid + half * x))
-        if not np.isfinite(val):
+        val = half * (f(mid + scale * x) @ w)
+        if not np.isfinite(val).all():
             raise NoConvergence(f"integrand is not finite on [{a!r}, {b!r}]")
-        if prev is not None and abs(val - prev) <= epsrel * abs(val):
-            return val
+        if prev is not None and (abs(val - prev) <= epsrel * abs(val)).all():
+            return val if val.ndim else float(val)
         prev = val
         n *= 2
     raise NoConvergence(

@@ -232,6 +232,23 @@ class TestCliContract:
         assert main([command, "--config", cfg]) == 2
         assert "eccentricity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["orbit", "precession"])
+    @pytest.mark.parametrize("raw, key", [
+        ({"n_orbits": "abc"}, "n_orbits"),
+        ({"n_orbits": True}, "n_orbits"),
+        ({"n_orbits": 2.5}, "n_orbits"),
+        ({"tol": "x"}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"params": [1, 2]}, "params"),
+    ])
+    def test_wrongly_typed_config_values(self, tmp_path, capsys, command,
+                                         raw, key):
+        cfg = self.config(tmp_path, {"preset": "mercury", **raw})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     @pytest.mark.parametrize("argv, missing", [
         (["orbit", "--preset", "solar"], "a, ecc"),
         (["gyro", "--preset", "mercury"], "inertia, omega"),

@@ -1,6 +1,8 @@
 """Bound-orbit dynamics, turning points, and perihelion advance."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from flatgrav.errors import (
     DenominatorVanishes,
@@ -9,6 +11,7 @@ from flatgrav.errors import (
     TurningPointNotFound,
     UnboundOrbit,
 )
+from flatgrav import orbits
 from flatgrav.orbits import (
     energy_integral,
     geodesic_force,
@@ -177,6 +180,132 @@ class TestIntegration:
             precession_numeric(traj)
 
 
+def u_form_solve(r_o, state, integrals, n_orbits, tol=1e-12):
+    """The rosette equation integrated for (u, u', t, p) directly: the form
+    the engine used before the osculating elements, kept as an oracle."""
+    L, e = integrals.L, integrals.energy_ratio
+
+    def rhs(phi, y):
+        u, up = y[0], y[1]
+        return [up, rosette_rhs(u, up, r_o, L),
+                e * (1.0 + r_o * u) ** 2 / (L * u**2), 1.0 / (e * L * u**2)]
+
+    u0 = 1.0 / state.r
+    up0 = -state.drdp / integrals.J_phi
+    atol = tol * np.array([u0, u0, max(abs(state.t), 1.0), 1.0])
+    sol = solve_ivp(rhs, (state.phi, state.phi + 2.0 * np.pi * n_orbits),
+                    [u0, up0, state.t, state.p], method="DOP853", rtol=tol,
+                    atol=atol, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+def element_solve(r_o, state, integrals, n_orbits, backward=False):
+    """The ``solve_ivp`` run of ``integrate_orbit``, with its OdeSolution."""
+    c = r_o / integrals.L**2
+    u0 = 1.0 / state.r
+    up0 = -state.drdp / integrals.J_phi
+    sign = -1.0 if backward else 1.0
+    y0 = [(u0 - c) * np.cos(state.phi) - up0 * np.sin(state.phi),
+          (u0 - c) * np.sin(state.phi) + up0 * np.cos(state.phi)]
+    sol = solve_ivp(orbits._element_rhs,
+                    (state.phi, state.phi + sign * 2.0 * np.pi * n_orbits),
+                    y0, args=(r_o, c), method="DOP853", rtol=1e-12,
+                    atol=1e-12 * u0, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+class TestElementEngine:
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("a, ecc", [(A, ECC), (1e5, 0.3)])
+    def test_evaluator_is_bitwise_ode_solution(self, a, ecc, backward):
+        state, integrals = orbit_from_elements(R_O, a, ecc)
+        sol = element_solve(R_O, state, integrals, 3, backward=backward)
+        dense = orbits._DenseOutput(sol)
+        ts = sol.ts
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        rng = np.random.default_rng(7)
+        inside = rng.uniform(lo, hi, 300)
+        mids = 0.5 * (ts[1:] + ts[:-1])
+        outside = np.array([lo - 0.1, hi + 0.1])
+        for phis in (inside, ts, mids, ts[::-1], outside,
+                     np.concatenate([ts, inside])):
+            assert same_bits(dense(phis), sol(phis))
+        for phi in (ts[0], ts[1], ts[-1], inside[0], mids[2]):
+            assert same_bits(dense(phi), sol(phi))
+
+    def test_trajectory_keeps_the_evaluator(self):
+        state, integrals = orbit_from_elements(R_O, A, ECC)
+        traj = integrate_orbit(R_O, state, integrals, 2)
+        sol = element_solve(R_O, state, integrals, 2)
+        assert same_bits(traj.sol.ts, sol.ts)
+        phis = np.linspace(traj.phi_start, traj.phi_end, 97)
+        assert same_bits(traj.sol(phis), sol(phis))
+
+    @pytest.mark.parametrize("a, ecc, n", [(A, ECC, 10), (1e5, 0.3, 6),
+                                           (33835.0, 0.0517, 3)])
+    def test_columns_match_u_form(self, a, ecc, n):
+        state, integrals = orbit_from_elements(R_O, a, ecc)
+        traj = integrate_orbit(R_O, state, integrals, n)
+        oracle = u_form_solve(R_O, state, integrals, n)
+        phis = np.linspace(traj.phi_start, traj.phi_end, 512)
+        u, up, t, p = traj.sample(phis)
+        u_ref, up_ref, t_ref, p_ref = oracle(phis)
+        np.testing.assert_allclose(1.0 / u, 1.0 / u_ref, rtol=1e-10)
+        np.testing.assert_allclose(t[1:], t_ref[1:], rtol=1e-10)
+        np.testing.assert_allclose(p[1:], p_ref[1:], rtol=1e-10)
+        assert np.max(np.abs(up - up_ref)) <= 1e-10 * np.max(np.abs(u_ref))
+        assert t[0] == state.t and p[0] == state.p
+
+    def test_sample_shapes(self):
+        state, integrals = orbit_from_elements(R_O, A, ECC)
+        traj = integrate_orbit(R_O, state, integrals, 1)
+        assert all(np.shape(v) == () for v in traj.sample(1.0))
+        assert all(np.shape(v) == (3,) for v in traj.sample([0.0, 1.0, 2.0]))
+        assert traj.state(1.0).t == traj.sample([1.0])[2][0]
+
+    def test_clocks_of_a_backward_solve(self):
+        state, integrals = orbit_from_elements(R_O, 1e5, 0.3)
+        fwd = integrate_orbit(R_O, state, integrals, 2)
+        back = integrate_orbit(R_O, fwd.state(fwd.phi_end), integrals, 2,
+                               backward=True)
+        phis = np.linspace(0.0, fwd.phi_end, 33)
+        for got, want in zip(back.sample(phis), fwd.sample(phis)):
+            # t and p run back to ~0 at phi = 0: compare on the column's scale
+            np.testing.assert_allclose(got, want, rtol=1e-9,
+                                       atol=1e-11 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("a, ecc", [(A, ECC), (1e5, 0.6), (3e4, 0.1)])
+    def test_newton_roots_match_brentq(self, a, ecc):
+        state, integrals = orbit_from_elements(R_O, a, ecc)
+        traj = integrate_orbit(R_O, state, integrals, 5)
+        peri = perihelion_angles(traj)
+        uprime = lambda ph: float(traj._u(ph)[1])  # noqa: E731
+        step = 2.0 * np.pi / 720.0
+        for root in peri[1:]:
+            ref = brentq(uprime, root - step, root + step, xtol=1e-13)
+            assert abs(root - ref) <= 2e-12
+
+    @pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
+    @pytest.mark.parametrize("ecc", [0.05, 0.6])
+    def test_sweep_within_floor_of_quadrature(self, r_min_over_ro, ecc):
+        a = r_min_over_ro * R_O / (1.0 - ecc)
+        state, integrals = orbit_from_elements(R_O, a, ecc)
+        traj = integrate_orbit(R_O, state, integrals, 6)
+        num = precession_numeric(traj).delta_phi_per_orbit
+        ref = precession_quadrature(
+            R_O, *turning_points_from_elements(R_O, a, ecc))
+        # 100 times the 2*pi*tol per orbit that an integration at tol leaves
+        assert abs(num - ref) <= 100.0 * 2.0 * np.pi * 1e-12
+
+
 class TestPrecession:
     def test_analytic_value(self):
         res = precession_analytic(R_O, A, ECC)
@@ -196,7 +325,7 @@ class TestPrecession:
         num = precession_numeric(traj).delta_phi_per_orbit
         r_min, r_max = turning_points(R_O, integrals)
         assert num == pytest.approx(precession_quadrature(R_O, r_min, r_max),
-                                    rel=1e-4)
+                                    rel=1e-6, abs=0.0)
 
     def test_scaling_with_field_strength(self):
         # advance per orbit is linear in r_o in the weak field

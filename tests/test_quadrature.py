@@ -61,6 +61,31 @@ class TestGaussLegendre:
         with pytest.raises(NoConvergence):
             gauss_legendre(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
+    def test_array_endpoints_match_scalar_calls(self):
+        a = np.array([0.0, 0.5, 2.0, 1.0])
+        b = np.array([1.0, 3.0, 2.5, 1.0])
+        vals = gauss_legendre(np.exp, a, b)
+        assert vals.shape == (4,)
+        for lo, hi, val in zip(a, b, vals):
+            assert val == pytest.approx(gauss_legendre(np.exp, lo, hi),
+                                        rel=1e-15, abs=0.0)
+        assert isinstance(gauss_legendre(np.exp, 0.0, 1.0), float)
+
+    def test_several_integrands_on_shared_nodes(self):
+        a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        vals = gauss_legendre(lambda x: np.stack([x, x**2]), a, b)
+        assert vals.shape == (2, 3)
+        np.testing.assert_allclose(vals, [b**2 / 2, b**3 / 3], rtol=1e-14)
+
+    def test_one_bad_interval_fails_the_call(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        with pytest.raises(NoConvergence):
+            gauss_legendre(lambda x: np.abs(x - 0.3) ** -0.5,
+                           np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+        with pytest.raises(NoConvergence):
+            gauss_legendre(lambda x: 1.0 / x, np.array([1.0, -1.0]),
+                           np.array([2.0, 1.0]))
+
     def test_nodes_are_shared_and_read_only(self):
         x, w = quadrature._rule(32)
         assert quadrature._rule(32)[0] is x
@@ -106,6 +131,32 @@ class TestRoutesAgainstReferences:
                 assert abs(func(1.0, r_min, r_max) - ref) <= 5e-14
                 compared += 1
         assert compared > 400
+
+    @pytest.mark.parametrize("func,k", [
+        (precession_quadrature, 3),
+        (schwarzschild_precession_quadrature, 2),
+    ])
+    @pytest.mark.parametrize("r_min", [20.0, 1e5, 3.1e7])
+    def test_turning_point_quadratures_keep_relative_digits(self, func, k,
+                                                            r_min):
+        # 2*int(f) - 2*pi in 40-digit arithmetic: the float form lost the
+        # advance's leading digits to the 2*pi it subtracts in weak fields
+        r_max = 3.0 * r_min
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        with mpmath.workdps(40):
+            u1, u2 = mp.mpf(1) / r_min, mp.mpf(1) / (3.0 * r_min)
+            u3 = 1 / mp.mpf(k) - u1 - u2
+            mid, half = (u1 + u2) / 2, (u1 - u2) / 2
+
+            def f(theta):
+                u = mid - half * mp.cos(theta)
+                if k == 3:
+                    return mp.sqrt((1 - 3 * u) / (3 * (u3 - u)))
+                return 1 / mp.sqrt(2 * (u3 - u))
+
+            ref = float(2 * mp.quad(f, [0, mp.pi]) - 2 * mp.pi)
+        assert func(1.0, r_min, r_max) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_echo_delay_matches_antiderivative(self):
         geom = solar_echo_geometry()
