@@ -25,7 +25,7 @@ __all__ = [
     "attraction_law_check", "gauss_flux", "electric_profile",
     "displacement_divergence_residual", "enclosed_charge",
     "total_charge_quadrature", "self_energy_quadrature",
-    "self_potential_gradient", "superpose_density",
+    "superpose_density",
 ]
 
 TAIL_SPLIT = 1.0e3            # switch to the analytic tail at r = 1e3 * r_o
@@ -282,11 +282,6 @@ def self_energy_quadrature(c: ElectricCarrier) -> float:
     charge times e/r_e.
     """
     return total_charge_quadrature(c) * c.e / c.r_e
-
-
-def self_potential_gradient(c: ElectricCarrier) -> float:
-    """Gradient of the constant self-potential e/r_e: exactly zero."""
-    return 0.0
 
 
 def superpose_density(carriers: Iterable[RadialCarrier],

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -91,7 +91,9 @@ class RunReport:
         })
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the fields as they are: ``asdict`` would deep-copy every table
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(report, indent=2, sort_keys=True)
 
     def rows_csv(self) -> str:
         buf = io.StringIO()

@@ -10,7 +10,7 @@ Geometric units: c = 1, lengths in meters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,21 +72,6 @@ def rotating_central_potential(r_o: float, inertia: float, omega: Vec3) -> FourP
         return 2.0 * inertia * np.cross(w, x) / r**3
 
     return FourPotential(g0=base.g0, gi=gi, name="rotating-central")
-
-
-def potential_preset(name: str, **params) -> FourPotential:
-    """Look up a potential preset by name: central | rotating-central | custom-grid."""
-    if name == "central":
-        return central_potential(params["r_o"])
-    if name == "rotating-central":
-        return rotating_central_potential(
-            params["r_o"], params["inertia"], params["omega"]
-        )
-    if name == "custom-grid":
-        return FourPotential(
-            g0=params["g0"], gi=params.get("gi", _zero_vector), name="custom-grid"
-        )
-    raise KeyError(f"unknown potential preset {name!r}")
 
 
 @dataclass(frozen=True)
@@ -188,18 +173,6 @@ class ChristoffelSet:
     gamma_ph_rph: float
     gamma_th_phph: float
     gamma_ph_phth: float
-
-    def as_dict(self) -> dict:
-        return {
-            "r_tt": self.gamma_r_tt,
-            "t_tr": self.gamma_t_tr,
-            "r_thth": self.gamma_r_thth,
-            "r_phph": self.gamma_r_phph,
-            "th_rth": self.gamma_th_rth,
-            "ph_rph": self.gamma_ph_rph,
-            "th_phph": self.gamma_th_phph,
-            "ph_phth": self.gamma_ph_phth,
-        }
 
 
 def christoffels_central(r_o: float, r: float, theta: float = np.pi / 2) -> ChristoffelSet:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .errors import (
     UnboundOrbit,
 )
 from .quadrature import gauss_legendre
+
+if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
+    from .ode import DenseOutput
 
 DEFAULT_TOL = 1e-12
 # Newton refinement cap: bisection alone narrows a 1/720-turn bracket
@@ -257,56 +260,6 @@ def integrals_from_turning_points(r_o: float, r_min: float, r_max: float
     return OrbitIntegrals(energy_ratio=float(np.sqrt(A / B)), L=float(L))
 
 
-class _DenseOutput:
-    """Every DOP853 interpolant of one ``solve_ivp`` run, evaluated in one pass.
-
-    scipy's ``OdeSolution`` calls one interpolant per segment in a Python
-    loop.  This does the same arithmetic point by point on stacked
-    coefficients: the same segment choice (the lower index at a breakpoint)
-    and the same operations in the same order, so its values are bitwise
-    equal to ``OdeSolution``'s.  Points may come with their segment
-    indices, which skips the search.
-    """
-
-    def __init__(self, sol):
-        self.ts = sol.ts
-        parts = sol.interpolants
-        self.n_segments = len(parts)
-        self.t_old = np.array([d.t_old for d in parts])
-        self.h = np.array([d.h for d in parts])
-        # coefficients in the order the Horner-like scheme applies them,
-        # state-major so that a gather over segments is contiguous
-        self.F = np.stack([d.F[::-1] for d in parts], axis=-1)
-        self.y_old = np.stack([d.y_old for d in parts], axis=-1)
-        self.ascending = bool(self.ts[-1] >= self.ts[0])
-        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
-
-    def segments(self, t) -> np.ndarray:
-        """Index of the interpolant ``OdeSolution`` would use at each ``t``."""
-        side = "left" if self.ascending else "right"
-        seg = np.searchsorted(self.ts_sorted, t, side=side) - 1
-        seg = np.clip(seg, 0, self.n_segments - 1)
-        return seg if self.ascending else self.n_segments - 1 - seg
-
-    def __call__(self, t, seg=None) -> np.ndarray:
-        """State at ``t`` (any shape), with the state axis first.
-
-        ``seg`` must broadcast against ``t``; a segment index shared by a row
-        of points (shape (m, 1)) gathers each coefficient once per row.
-        """
-        t = np.asarray(t, dtype=float)
-        if seg is None:
-            seg = self.segments(t)
-        x = (t - self.t_old.take(seg)) / self.h.take(seg)
-        one_minus_x = 1 - x
-        y = np.zeros(self.y_old.shape[:1] + x.shape)
-        for i, coeff in enumerate(self.F.take(seg, axis=-1)):
-            y += coeff
-            y *= x if i % 2 == 0 else one_minus_x
-        y += self.y_old.take(seg, axis=-1)
-        return y
-
-
 @dataclass
 class Trajectory:
     """Densely integrated orbit over a span of polar angle.
@@ -319,7 +272,7 @@ class Trajectory:
 
     r_o: float
     integrals: OrbitIntegrals
-    sol: _DenseOutput                # (alpha, beta) over phi
+    sol: DenseOutput                 # (alpha, beta) over phi
     phi_start: float
     phi_end: float
     t0: float = 0.0
@@ -412,7 +365,7 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     integral is stored on the trajectory; ToleranceNotMet is raised if it
     exceeds 1000 * tol * n_orbits.
     """
-    from scipy.integrate import solve_ivp
+    from .ode import dop853
 
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
@@ -425,13 +378,11 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     phi1 = phi0 + (-1.0 if backward else 1.0) * 2.0 * np.pi * n_orbits
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
     y0 = [(u0 - c) * cos0 - up0 * sin0, (u0 - c) * sin0 + up0 * cos0]
-    sol = solve_ivp(_element_rhs, (phi0, phi1), y0, args=(r_o, c),
-                    method="DOP853", rtol=tol, atol=tol * u0,
-                    dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
-    traj = Trajectory(r_o=r_o, integrals=integrals,
-                      sol=_DenseOutput(sol.sol),
+    run = dop853(lambda phi, y: _element_rhs(phi, y, r_o, c), (phi0, phi1),
+                 y0, rtol=tol, atol=tol * u0)
+    if run.failure:
+        raise ToleranceNotMet(run.failure)
+    traj = Trajectory(r_o=r_o, integrals=integrals, sol=run.dense,
                       phi_start=min(phi0, phi1), phi_end=max(phi0, phi1),
                       t0=state.t, p0=state.p)
     traj.drift = traj.integral_drift()

@@ -8,12 +8,15 @@ bending through an explicit trajectory.  Geometric units (c = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from .errors import GeometryInvalid, NonPositiveRadius, RayCaptured
 from .quadrature import gauss_legendre
+
+if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
+    from .ode import DenseOutput
 
 __all__ = [
     "RayState", "EchoGeometry", "EchoDelayResult", "DeflectionResult",
@@ -184,7 +187,7 @@ class RayTrajectory:
 
     r_o: float
     u0: float
-    sol: object               # OdeSolution in s = pi - phi
+    sol: DenseOutput          # (u, du/ds) over s = pi - phi
     s_exit: float
 
     @property
@@ -219,7 +222,7 @@ def fermat_ray_integrate(state: RayState, r_o: float,
     on the far side; returns the trajectory and the deflection angle.
     Raises RayCaptured if u climbs past 1/(4*r_o).
     """
-    from scipy.integrate import solve_ivp
+    from .ode import dop853
 
     if abs(state.phi - np.pi) > 1e-12 or state.u != 0.0:
         raise GeometryInvalid("ray must be launched at phi = pi, u = 0")
@@ -231,34 +234,22 @@ def fermat_ray_integrate(state: RayState, r_o: float,
     def rhs(s, y):
         return [y[1], forcing - y[0]]
 
-    def exit_event(s, y):
-        return y[0]
-    exit_event.terminal = True
-    exit_event.direction = -1.0
-
-    events = [exit_event]
+    # u falls through zero at the exit; rises through 1/(4*r_o) on capture
+    events = [(lambda s, y: y[0], -1.0)]
     if r_o > 0.0:
         cap = 1.0 / (4.0 * r_o)
+        events.append((lambda s, y: y[0] - cap, 1.0))
 
-        def capture_event(s, y):
-            return y[0] - cap
-        capture_event.terminal = True
-        capture_event.direction = 1.0
-        events.append(capture_event)
-
-    sol = solve_ivp(
-        rhs, (0.0, np.pi + 0.5), [0.0, u0], method="DOP853",
-        events=events, dense_output=True, rtol=tol,
-        atol=tol * max(u0, 1e-300),
-    )
-    if not sol.success:
-        raise GeometryInvalid(f"ray integration failed: {sol.message}")
-    if r_o > 0.0 and sol.t_events[1].size:
+    run = dop853(rhs, (0.0, np.pi + 0.5), [0.0, u0], rtol=tol,
+                 atol=tol * max(u0, 1e-300), events=events)
+    if run.failure:
+        raise GeometryInvalid(f"ray integration failed: {run.failure}")
+    if run.event == 1:
         raise RayCaptured(
             f"ray with u0={u0} exceeded the validity bound 1/(4*r_o)"
         )
-    if not sol.t_events[0].size:
+    if run.event != 0:
         raise GeometryInvalid("ray never returned to u = 0")
-    s_exit = float(sol.t_events[0][0])
-    traj = RayTrajectory(r_o=r_o, u0=u0, sol=sol.sol, s_exit=s_exit)
+    traj = RayTrajectory(r_o=r_o, u0=u0, sol=run.dense,
+                         s_exit=float(run.dense.ts[-1]))
     return traj, traj.deflection

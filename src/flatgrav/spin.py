@@ -12,12 +12,15 @@ moment of inertia in m^3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 
 from .errors import NonPositiveRadius, NumericalFailure
 from .metric import FourPotential, _christoffel, rotating_central_potential
+
+if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
+    from .ode import DenseOutput
 
 __all__ = [
     "RotatingFieldSpec", "SpinState", "rotating_connections", "transport_spin",
@@ -251,14 +254,15 @@ def transport_spin(spec: RotatingFieldSpec,
                    velocity: Callable[[float], np.ndarray],
                    s_initial: np.ndarray,
                    t_span: Tuple[float, float],
-                   tol: float = 1e-12) -> Callable[[float], np.ndarray]:
+                   tol: float = 1e-12) -> DenseOutput:
     """Parallel-transport a spin along a prescribed orbit.
 
-    Returns a callable mapping coordinate time to the covariant spatial spin.
-    At the initial point the direct rate is checked once against the full
-    connection (``rotating_connections``); NumericalFailure if they differ.
+    Returns the dense output, a callable from coordinate time to the
+    covariant spatial spin.  At the initial point the direct rate is checked
+    once against the full connection (``rotating_connections``);
+    NumericalFailure if they differ.
     """
-    from scipy.integrate import solve_ivp
+    from .ode import dop853
 
     s0 = np.asarray(s_initial, dtype=float)
     t0 = t_span[0]
@@ -268,11 +272,11 @@ def transport_spin(spec: RotatingFieldSpec,
     def rhs(t, s):
         return transport_rhs(spec, position(t), velocity(t), s)
 
-    sol = solve_ivp(rhs, t_span, s0, method="DOP853", dense_output=True,
-                    rtol=tol, atol=tol * max(np.linalg.norm(s0), 1e-300))
-    if not sol.success:
-        raise NumericalFailure(f"spin transport failed: {sol.message}")
-    return sol.sol
+    run = dop853(rhs, t_span, s0, rtol=tol,
+                 atol=tol * max(np.linalg.norm(s0), 1e-300))
+    if run.failure:
+        raise NumericalFailure(f"spin transport failed: {run.failure}")
+    return run.dense
 
 
 def frame_dragging_rate(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Baseline observables and end-to-end CLI behavior."""
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from flatgrav.baseline import (
     schwarzschild_baseline,
     schwarzschild_precession_quadrature,
 )
-from flatgrav.cli import main
+from flatgrav.cli import build_parser, main
 from flatgrav.errors import ConfigInvalid, UnsupportedQuantity
 from flatgrav.orbits import (
     orbit_from_elements,
@@ -24,6 +25,9 @@ from flatgrav.presets import (
     Scenario,
     preset_scenario,
 )
+
+SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
+               "density", "electric", "compare")
 
 
 class TestBaseline:
@@ -207,6 +211,13 @@ class TestCli:
         assert by_q["geodetic_rate_desitter"] == pytest.approx(
             3.0 * by_q["geodetic_rate"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_json_is_the_asdict_dump(self, sub):
+        args = build_parser().parse_args([sub])
+        report = args.func(args)
+        assert report.to_json() == json.dumps(asdict(report), indent=2,
+                                              sort_keys=True)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,6 @@ from flatgrav.carriers import (
     log_potential,
     ricci_density,
     self_energy_quadrature,
-    self_potential_gradient,
     superpose_density,
     total_charge_quadrature,
     total_energy_quadrature,
@@ -178,10 +177,6 @@ class TestElectricAnalog:
         c = ElectricCarrier(e=1.5, r_e=0.5, r_o=0.5)
         assert self_energy_quadrature(c) == pytest.approx(c.e**2 / c.r_e,
                                                           rel=1e-8)
-
-    def test_no_self_force(self):
-        c = ElectricCarrier(e=1.0)
-        assert self_potential_gradient(c) == 0.0
 
     def test_displacement_divergence(self):
         c = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)

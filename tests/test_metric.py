@@ -16,7 +16,6 @@ from flatgrav.metric import (
     dg00_dr_central,
     g00_central,
     gauge_shift,
-    potential_preset,
     proper_time_rate,
     rotating_central_potential,
 )
@@ -88,14 +87,6 @@ class TestMetricAssembly:
             build_metric(pot, x).g00, rel=1e-15
         )
 
-    def test_preset_lookup(self):
-        assert potential_preset("central", r_o=2.0).name == "central"
-        rot = potential_preset("rotating-central", r_o=2.0, inertia=0.1,
-                               omega=np.array([0.0, 0.0, 1.0]))
-        assert rot.name == "rotating-central"
-        with pytest.raises(KeyError):
-            potential_preset("bogus")
-
 
 class TestChristoffels:
     def test_central_against_finite_difference(self):
@@ -131,13 +122,6 @@ class TestChristoffels:
         x = np.array([1.0, 0.5, -0.2])
         m = build_metric(pot, x)
         assert np.max(np.abs(m.gamma - np.eye(3))) < 1e-13
-
-    def test_as_dict_keys(self):
-        cs = christoffels_central(1.0, 10.0)
-        assert set(cs.as_dict()) == {
-            "r_tt", "t_tr", "r_thth", "r_phph", "th_rth", "ph_rph",
-            "th_phph", "ph_phth",
-        }
 
 
 class TestProperTimeRate:

@@ -228,7 +228,8 @@ class TestElementEngine:
     def test_evaluator_is_bitwise_ode_solution(self, a, ecc, backward):
         state, integrals = orbit_from_elements(R_O, a, ecc)
         sol = element_solve(R_O, state, integrals, 3, backward=backward)
-        dense = orbits._DenseOutput(sol)
+        dense = integrate_orbit(R_O, state, integrals, 3,
+                                backward=backward).sol
         ts = sol.ts
         lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
         rng = np.random.default_rng(7)
