@@ -27,6 +27,9 @@ MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 8     # -1/(order of the error estimator + 1)
 N_STAGES = 12
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# brentq stops when half its bracket is below (XTOL + RTOL*|x|)/2
+XTOL = RTOL = 4 * EPS
+MAX_ITER = 100
 
 # ----------------------------------------------------- coefficient tables
 # Hairer's dop853 coefficients to 30 digits.  Stages 13-15 are the extra
@@ -328,12 +331,6 @@ def _error_norm(K, h, scale) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _crossed(g_old: float, g_new: float, direction: float) -> bool:
-    up = g_old <= 0 and g_new >= 0
-    down = g_old >= 0 and g_new <= 0
-    return up if direction > 0 else down if direction < 0 else up or down
-
-
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
            atol: float,
            events: Sequence[Tuple[Callable, float]] = ()) -> Solution:
@@ -341,8 +338,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     ``rtol`` is floored at 100*eps.  ``events`` are (g, direction) pairs:
     the run stops at the first zero of any g(t, y) crossed in its direction
-    (> 0 rising, < 0 falling, 0 either), located on the step's interpolant
-    by ``brentq`` to 4*eps.  A step size below ten float spacings of t
+    (+1 rising, -1 falling), located on the step's interpolant by
+    ``brentq``.  A step size below ten float spacings of t
     ends the run with ``failure`` set.
     """
     t, t_bound = map(float, t_span)
@@ -351,6 +348,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     y = np.asarray(y0).astype(float, copy=False)
     if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("initial state must be a finite 1-D array")
+    if any(d not in (1, -1) for _, d in events):
+        raise ValueError("event directions must be +1 or -1")
     rtol = max(rtol, 100 * EPS)
 
     def f(t, y):
@@ -421,7 +420,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             g_new = [ev(t, y) for ev, _ in events]
             active = [i for i, (old, new, (_, d))
                       in enumerate(zip(g, g_new, events))
-                      if _crossed(old, new, d)]
+                      if d * old <= 0 <= d * new]
             g = g_new
             if active:
                 def at(s):
@@ -432,11 +431,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
                 first = np.argsort(direction * roots)[0]
                 event, t_end = active[first], roots[first]
                 y = at(t_end)
-        if ts[-1] == t_end and len(ts) > 1:     # an event at the step start
-            for stack in steps:
-                stack.pop()
-        else:
-            ts.append(t_end)
+        ts.append(t_end)
         if event is not None or direction * (t - t_bound) >= 0:
             return solution()
 
@@ -454,16 +449,15 @@ def _div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float,
-           xtol: float = 4 * EPS, rtol: float = 4 * EPS,
-           maxiter: int = 100) -> float:
+def brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     """Root of ``f`` in the bracket [xa, xb] by Brent's method.
 
     A port of scipy's C ``brentq``, operation for operation: inverse
     quadratic or secant steps, bisection when they do not shrink the
     bracket fast enough, stopping when half the bracket is below
-    (xtol + rtol*|x|)/2.  Raises ValueError if f(xa) and f(xb) have the same
-    sign, RuntimeError after ``maxiter`` iterations.
+    (XTOL + RTOL*|x|)/2, as scipy's ``brentq(xtol=4*eps, rtol=4*eps)``.
+    Raises ValueError if f(xa) and f(xb) have the same sign, RuntimeError
+    after MAX_ITER iterations.
     """
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
@@ -474,7 +468,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(MAX_ITER):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -482,7 +476,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (XTOL + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -506,4 +500,4 @@ def brentq(f: Callable[[float], float], xa: float, xb: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+    raise RuntimeError(f"brentq did not converge in {MAX_ITER} iterations")

@@ -363,10 +363,12 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     beta' = F*cos(phi) with F = ``_forcing``, by adaptive embedded
     Runge-Kutta (DOP853) with dense output.  The drift of the energy
     integral is stored on the trajectory; ToleranceNotMet is raised if it
-    exceeds 1000 * tol * n_orbits.
+    exceeds 1000 * tol * n_orbits, InsufficientOrbits if n_orbits is 0.
     """
     from .ode import dop853
 
+    if n_orbits == 0:
+        raise InsufficientOrbits("cannot integrate over 0 orbits")
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
     if state.r <= 0:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 
-from .errors import NonPositiveRadius, NumericalFailure
+from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
 from .metric import FourPotential, _christoffel, rotating_central_potential
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
@@ -260,12 +260,14 @@ def transport_spin(spec: RotatingFieldSpec,
     Returns the dense output, a callable from coordinate time to the
     covariant spatial spin.  At the initial point the direct rate is checked
     once against the full connection (``rotating_connections``);
-    NumericalFailure if they differ.
+    NumericalFailure if they differ.  GeometryInvalid for an empty span.
     """
     from .ode import dop853
 
     s0 = np.asarray(s_initial, dtype=float)
-    t0 = t_span[0]
+    t0, t1 = t_span
+    if t0 == t1:
+        raise GeometryInvalid(f"spin transport over an empty span ({t0}, {t1})")
     _check_against_connection(spec, np.asarray(position(t0), dtype=float),
                               np.asarray(velocity(t0), dtype=float), s0)
 

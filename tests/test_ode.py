@@ -128,17 +128,14 @@ def test_rtol_floor_and_step_failure_are_scipys():
     assert same_bits(run.dense.ts, ref.sol.ts)
 
 
-def test_dense_output_calls_like_ode_solution():
-    run = ode.dop853(lambda t, y: [y[1], -y[0]], (0.0, 10.0), [1.0, 0.0],
-                     rtol=1e-10, atol=1e-10)
-    ref = solve_ivp(lambda t, y: [y[1], -y[0]], (0.0, 10.0), [1.0, 0.0],
-                    method="DOP853", rtol=1e-10, atol=1e-10,
-                    dense_output=True)
-    ts = run.dense.ts
-    points = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), [-1.0, 11.0]])
-    assert same_bits(run.dense(points), ref.sol(points))
-    for t in (0.0, ts[3], 2.5, 10.0, 12.0):
-        assert same_bits(run.dense(t), ref.sol(t))
+@pytest.mark.parametrize("t_span, events", [
+    ((1.0, 1.0), ()),
+    ((0.0, 1.0), [(lambda t, y: y[0], 0)]),
+])
+def test_bad_span_or_event_direction_rejected(t_span, events):
+    with pytest.raises(ValueError):
+        ode.dop853(lambda t, y: [y[1], -y[0]], t_span, [1.0, 0.0],
+                   rtol=1e-10, atol=1e-10, events=events)
 
 
 def test_tables_are_scipys():

@@ -178,6 +178,8 @@ class TestIntegration:
         traj = integrate_orbit(R_O, state, integrals, 0.25)
         with pytest.raises(InsufficientOrbits):
             precession_numeric(traj)
+        with pytest.raises(InsufficientOrbits):
+            integrate_orbit(R_O, state, integrals, 0)
 
 
 def u_form_solve(r_o, state, integrals, n_orbits, tol=1e-12):

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from flatgrav import spin
-from flatgrav.errors import NonPositiveRadius, NumericalFailure
+from flatgrav.errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
 from flatgrav.metric import christoffels_numeric
 from flatgrav.presets import earth_spin_parameters
 from flatgrav.spin import (
@@ -214,6 +214,14 @@ class TestDirectContraction:
         with pytest.raises(NumericalFailure):
             transport_spin(spec, pos, vel, np.array([1.0, 0.0, 0.0]),
                            (0.0, period))
+
+    def test_empty_span_rejected(self):
+        spec = RotatingFieldSpec(r_o=1e-8, inertia=1e-2,
+                                 omega=np.array([0.0, 0.0, 1e-7]))
+        pos, vel, _, _ = circular_polar_orbit(1.0, 1e-8)
+        with pytest.raises(GeometryInvalid):
+            transport_spin(spec, pos, vel, np.array([1.0, 0.0, 0.0]),
+                           (2.0, 2.0))
 
 
 class TestPolarOrbit:
