@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from .carriers import (
     total_charge_quadrature,
 )
 from .constants import ARCSEC_PER_RAD, C_SI
-from .errors import ConfigInvalid, FlatgravError
+from .errors import ConfigInvalid, FlatgravError, NumericalFailure
 from .orbits import (
     integrate_orbit,
     kepler_period_seconds,
@@ -93,31 +94,44 @@ class RunReport:
     def to_json(self) -> str:
         # the fields as they are: ``asdict`` would deep-copy every table
         report = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(report, indent=2, sort_keys=True)
+        try:
+            return json.dumps(report, indent=2, sort_keys=True,
+                              allow_nan=False)
+        except ValueError as exc:       # NaN or infinity: not JSON
+            raise NumericalFailure(f"non-finite result: {exc}") from None
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
         writer.writeheader()
         for row in self.rows:
+            _finite(row["value"])
             writer.writerow(row)
         return buf.getvalue()
+
+
+def _finite(value: float) -> float:
+    """``value`` as a float; a NaN or infinity is a numerical failure."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericalFailure(f"non-finite result: {value!r}")
+    return value
 
 
 def _emit(report: RunReport, fmt: str, out: Optional[str]) -> None:
     text = report.to_json() if fmt == "json" else report.rows_csv()
     if out:
+        # every table value is checked before the first file is written
+        tables = {name: [list(table)] + [[repr(_finite(v)) for v in vals]
+                                         for vals in zip(*table.values())]
+                  for name, table in report.tables.items()}
         stem = Path(out)
         try:
             stem.write_text(text, encoding="utf-8")
-            for name, table in report.tables.items():
+            for name, lines in tables.items():
                 tpath = stem.with_name(f"{stem.stem}_{name}.csv")
                 with tpath.open("w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    cols = list(table)
-                    writer.writerow(cols)
-                    for vals in zip(*(table[c] for c in cols)):
-                        writer.writerow([repr(float(v)) for v in vals])
+                    csv.writer(fh).writerows(lines)
         except OSError as exc:
             raise ConfigInvalid(f"cannot write --out {out}: {exc}")
     else:
@@ -171,6 +185,20 @@ def _load_scenario(args: argparse.Namespace, default_preset: str,
     return scenario
 
 
+def _positive(flag: str, value: float) -> float:
+    """A length or ratio flag: finite and > 0, else a config error."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigInvalid(f"{flag} must be a finite number > 0, "
+                            f"got {value!r}")
+    return value
+
+
+def _count(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise ConfigInvalid(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -178,8 +206,7 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
     sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
     if args.orbits is not None:
         sc = replace(sc, n_orbits=args.orbits)
-    if args.samples < 2:
-        raise ConfigInvalid(f"samples must be >= 2, got {args.samples}")
+    _count("samples", args.samples, 2)
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p, "n_orbits": sc.n_orbits,
@@ -262,6 +289,7 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
+    _positive("orbit-radius", args.orbit_radius)
     sc = _load_scenario(args, "earth", ("r_o", "inertia", "omega"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
@@ -293,11 +321,12 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_density(args: argparse.Namespace) -> RunReport:
+    r = _positive("r-over-ro", args.r_over_ro)
+    _count("samples", args.samples, 1)
     carrier = RadialCarrier(r_o=1.0)
     report = RunReport(scenario="radial-carrier", model="flatspace-weber",
                        config={"r_over_ro": args.r_over_ro,
                                "samples": args.samples})
-    r = args.r_over_ro
     report.add("enclosed_fraction", enclosed_energy(carrier, r), "dimensionless",
                "closed-form")
     report.add("energy_density", float(energy_density(carrier, r)),
@@ -319,6 +348,7 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_electric(args: argparse.Namespace) -> RunReport:
+    _count("samples", args.samples, 1)
     carrier = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
     report = RunReport(scenario="electric-carrier", model="flatspace-weber",
                        config={"samples": args.samples})
@@ -338,6 +368,7 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> RunReport:
+    _positive("strong-rmin", args.strong_rmin)
     mercury = _load_scenario(args, "mercury", ("r_o", "a", "ecc"),
                              flat_only=False)
     solar = preset_scenario("solar")

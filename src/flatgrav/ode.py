@@ -249,19 +249,29 @@ class DenseOutput:
     with their segment indices, which skips the search.
     """
 
-    def __init__(self, ts, t_old, h, F_rev, y_old):
+    def __init__(self, ts, t_old, h, F, y_old):
         """Breakpoints ``ts`` (the last one may be an event time), and per
-        step its start, full length, coefficients F[6], ..., F[0] and
-        initial state."""
-        self.ts = np.array(ts)
-        self.n_segments = len(t_old)
-        self.t_old = np.array(t_old)
-        self.h = np.array(h)
+        step, on the last axis: its start, full length, coefficients
+        F[6], ..., F[0] (shape (7, n, n_segments)) and initial state
+        (shape (n, n_segments))."""
+        self.ts = np.asarray(ts)
+        self.t_old = np.asarray(t_old)
+        self.n_segments = len(self.t_old)
+        self.h = np.asarray(h)
         # state-major, so that a gather over segments is contiguous
-        self.F = np.stack(F_rev, axis=-1)           # (7, n, n_segments)
-        self.y_old = np.stack(y_old, axis=-1)       # (n, n_segments)
+        self.F = F
+        self.y_old = y_old
         self.ascending = bool(self.ts[-1] >= self.ts[0])
         self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
+
+    @classmethod
+    def join(cls, parts: Sequence["DenseOutput"]) -> "DenseOutput":
+        """The runs ``parts`` back to back, each starting where the one
+        before it ended; every interpolant is kept as it is."""
+        ts = np.concatenate([parts[0].ts] + [p.ts[1:] for p in parts[1:]])
+        return cls(ts, *(np.concatenate([getattr(p, name) for p in parts],
+                                        axis=-1)
+                         for name in ("t_old", "h", "F", "y_old")))
 
     def segments(self, t) -> np.ndarray:
         """Index of the interpolant ``OdeSolution`` would use at each ``t``."""
@@ -365,7 +375,11 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     event = None
 
     def solution(failure=None) -> Solution:
-        dense = DenseOutput(ts, *steps) if steps[0] else None
+        dense = None
+        if steps[0]:
+            t_old, h, F_rev, y_old = steps
+            dense = DenseOutput(ts, t_old, h, np.stack(F_rev, axis=-1),
+                                np.stack(y_old, axis=-1))
         return Solution(dense, y, event, failure)
 
     while True:

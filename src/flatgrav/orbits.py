@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
 
 DEFAULT_TOL = 1e-12
-# Newton refinement cap: bisection alone narrows a 1/720-turn bracket
-# below 1e-12 rad in 33 steps
-_NEWTON_MAX_STEPS = 64
+# One radial period is integrated at rtol = tol/100: each tiled revolution
+# repeats its error, which a run through n revolutions averaged over n.
+PERIOD_RTOL_DIVISOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,6 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
     return (r_o / L**2 - u + 4.5 * r_o * u**2 + 1.5 * r_o * uprime**2) / den
 
 
-def resonant_forcing_amplitude(r_o: float, L: float) -> float:
-    """Coefficient of the resonant eps*cos(phi) forcing term, 6*r_o^3/L^4.
-
-    Keeping only terms proportional to eps*cos(phi) after inserting the
-    Newtonian solution turns the rosette equation into
-    u'' + u - r_o/L^2 = 6*r_o^3*L^-4*eps*cos(phi).
-    """
-    return 6.0 * r_o**3 / L**4
-
-
 def orbit_from_elements(r_o: float, a: float, ecc: float
                         ) -> Tuple[GeodesicState, OrbitIntegrals]:
     """Initial perihelion state and integrals from Keplerian elements.
@@ -140,6 +130,9 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     L = float(np.sqrt(r_o * a * (1.0 - ecc**2)))
     r_p = a * (1.0 - ecc)
     u_p = 1.0 / r_p
+    if 3.0 * r_o * u_p >= 1.0:
+        raise TurningPointNotFound(
+            f"r = {r_p} is not outside 3*r_o: the field is too strong")
     if L > 0.0:
         e2 = L**2 * energy_integral(u_p, 0.0, r_o, L)
         if not e2 > 0.0:
@@ -180,7 +173,7 @@ def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
     if disc < 0.0 or p <= 0.0:
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
     u_other = p / (0.5 * (s + np.sqrt(disc)))
-    if not u_other < 1.0 / (3.0 * r_o):
+    if not 0.0 < u_other < 1.0 / (3.0 * r_o):
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
     return float(u_other)
 
@@ -194,8 +187,8 @@ def turning_points_from_elements(r_o: float, a: float, ecc: float
     where ``turning_points`` loses the near-double root.
     """
     _, integrals = orbit_from_elements(r_o, a, ecc)
-    if r_o <= 0.0:
-        raise TurningPointNotFound("need r_o > 0 for a bound orbit")
+    if not (r_o > 0.0 and integrals.L > 0.0):
+        raise TurningPointNotFound("need r_o > 0 and L > 0 for a bound orbit")
     u_known = 1.0 / (a * (1.0 - ecc))
     u_other = _second_turning_point(r_o, u_known, integrals.L)
     return 1.0 / max(u_known, u_other), 1.0 / min(u_known, u_other)
@@ -206,29 +199,29 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
 
     The turning condition u'^2 = 0 factors through the cubic
     3*r_o*u^3 - u^2 + 2*B*r_o*u + (A - B) = 0 with A = (E_m/m)^2/L^2 and
-    B = 1/L^2; the two roots inside (0, 1/(3*r_o)) bracket the orbit.
+    B = 1/L^2; the two roots inside (0, 1/(3*r_o)) bracket the orbit.  The
+    inner root from ``np.roots`` is polished by Newton steps on the cubic,
+    with A - B = (E_m/m - 1)*(E_m/m + 1)*B free of cancellation, and the
+    outer one follows by deflation at it (``_second_turning_point``).
     """
     L = integrals.L
     if L <= 0 or r_o <= 0:
         raise TurningPointNotFound("need r_o > 0 and L > 0")
-    A = (integrals.energy_ratio / L) ** 2
+    e = integrals.energy_ratio
     B = 1.0 / L**2
-    coeffs = [3.0 * r_o, -1.0, 2.0 * B * r_o, A - B]
-    roots = np.roots(coeffs)
+    k = (e - 1.0) * (e + 1.0) * B
+    roots = np.roots([3.0 * r_o, -1.0, 2.0 * B * r_o, k])
     real = roots[np.abs(roots.imag) <= 1e-9 * np.max(np.abs(roots))].real
-    # polish with Newton steps: np.roots loses digits on this scale spread
-    poly = np.polynomial.Polynomial(coeffs[::-1])
-    dpoly = poly.deriv()
-    for _ in range(3):
-        real = real - poly(real) / dpoly(real)
-    real = np.sort(real)
-    cand = [u for u in real if 0.0 < u < 1.0 / (3.0 * r_o)]
+    cand = np.sort(real[(0.0 < real) & (real < 1.0 / (3.0 * r_o))])
     if len(cand) < 2:
         raise TurningPointNotFound(
             f"no bound radial range for E/m={integrals.energy_ratio}, L={L}"
         )
-    u_apo, u_peri = cand[0], cand[1]
-    return 1.0 / u_peri, 1.0 / u_apo
+    u = float(cand[1])
+    for _ in range(3):
+        u -= ((((3.0 * r_o * u - 1.0) * u + 2.0 * B * r_o) * u + k)
+              / ((9.0 * r_o * u - 2.0) * u + 2.0 * B * r_o))
+    return 1.0 / u, 1.0 / _second_turning_point(r_o, u, L)
 
 
 def orbit_from_integrals(r_o: float, energy_ratio: float, L: float
@@ -262,12 +255,13 @@ def integrals_from_turning_points(r_o: float, r_min: float, r_max: float
 
 @dataclass
 class Trajectory:
-    """Densely integrated orbit over a span of polar angle.
+    """Orbit over a span of polar angle, tiled from one integrated period.
 
     The solver carries the osculating elements alpha, beta of
     u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi), u' = beta*cos(phi) -
-    alpha*sin(phi); t and p are quadratures of dt/dphi and dp/dphi from the
-    launch angle ``sol.ts[0]``, where they equal ``t0`` and ``p0``.
+    alpha*sin(phi), from the launch ``sol.ts[0]`` (where t, p = t0, p0) to
+    the first perihelion ``sol.ts[period_start]`` and one radial period on,
+    which ``sample`` tiles: whole periods of phi, t and p.
     """
 
     r_o: float
@@ -277,7 +271,20 @@ class Trajectory:
     phi_end: float
     t0: float = 0.0
     p0: float = 0.0
+    period_start: int = 0            # index in sol.ts of the perihelion
+    advance: float = 0.0             # Delta(phi) per period, set by integrate_orbit
     drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
+
+    @property
+    def period(self) -> float:
+        """Apsidal period Phi = 2*pi + advance in phi, perihelion to perihelion."""
+        return abs(self.sol.ts[-1] - self.sol.ts[self.period_start])
+
+    @property
+    def period_clocks(self) -> np.ndarray:
+        """T_r and P_r, the t and p that one period adds (signed with phi)."""
+        clocks = self._segment_clocks
+        return clocks[:, -1] - clocks[:, self.period_start]
 
     def _u(self, phi, seg=None) -> Tuple[np.ndarray, np.ndarray]:
         """u and u' at ``phi`` from the interpolated elements."""
@@ -308,11 +315,16 @@ class Trajectory:
         """u, u', t and p at the angles ``phis`` (scalar or 1-D)."""
         phis = np.asarray(phis, dtype=float)
         flat = phis.reshape(-1)
+        # whole periods (signed with the run) past the integrated perihelion
+        peri = self.sol.ts[self.period_start]
+        k = np.maximum(np.floor((flat - peri) / (self.sol.ts[-1] - peri)), 0.0)
+        flat = flat - k * (self.sol.ts[-1] - peri)
         seg = self.sol.segments(flat)
         u, up = self._u(flat, seg)
         part = gauss_legendre(lambda x: self._clock_rates(x, seg[:, None]),
                               self.sol.ts[seg], flat)
-        t, p = self._segment_clocks[:, seg] + part
+        t, p = (self._segment_clocks[:, seg] + part
+                + k * self.period_clocks[:, None])
         return tuple(v.reshape(phis.shape) for v in (u, up, t, p))
 
     def state(self, phi: float) -> GeodesicState:
@@ -322,8 +334,8 @@ class Trajectory:
                              drdp=-j * up, dphidp=j * u**2)
 
     def integral_drift(self, n: int = 512) -> float:
-        """Max relative drift of the energy integral over the span."""
-        phis = np.linspace(self.phi_start, self.phi_end, n)
+        """Max relative drift of the energy integral over the legs."""
+        phis = np.linspace(self.sol.ts[0], self.sol.ts[-1], n)
         u, up = self._u(phis)
         c = energy_integral(u, up, self.r_o, self.integrals.L)
         c0 = (self.integrals.energy_ratio / self.integrals.L) ** 2
@@ -352,20 +364,31 @@ def _element_rhs(phi, y, r_o, c):
     return [-f * sin, f * cos]
 
 
+def _uprime(phi, y):
+    """u' = beta*cos(phi) - alpha*sin(phi): zero at the turning points."""
+    return y[1] * math.cos(phi) - y[0] * math.sin(phi)
+
+
 def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
                     n_orbits: float, tol: float = DEFAULT_TOL,
                     backward: bool = False) -> Trajectory:
-    """Integrate the bound motion over ``n_orbits`` revolutions of phi.
+    """The bound motion over ``n_orbits`` revolutions of phi, from one period.
 
     The rosette equation is integrated by variation of constants
     (Brouwer & Clemence 1961): the slowly varying elements alpha, beta of
     u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi) obey alpha' = -F*sin(phi),
-    beta' = F*cos(phi) with F = ``_forcing``, by adaptive embedded
-    Runge-Kutta (DOP853) with dense output.  The drift of the energy
-    integral is stored on the trajectory; ToleranceNotMet is raised if it
-    exceeds 1000 * tol * n_orbits, InsufficientOrbits if n_orbits is 0.
+    beta' = F*cos(phi) with F = ``_forcing``, by DOP853 with dense output at
+    rtol = tol/100, atol = rtol*hypot(alpha, beta) at launch.  Legs run from
+    turning point to turning point, each ended by an event on u': to the
+    first perihelion (unless the launch is one), then to the aphelion and
+    the next perihelion.  The equation is autonomous in phi, so that radial
+    period tiles the span; its advance is the turn of the argument of
+    perihelion atan2(beta, alpha) across it, so no 2*pi is subtracted.
+    Raises ToleranceNotMet if the energy-integral drift over the legs tops
+    1000*tol*n_orbits, InsufficientOrbits if n_orbits is 0 or a leg finds
+    no turning point within 2*max(n_orbits, 1) revolutions.
     """
-    from .ode import dop853
+    from .ode import DenseOutput, dop853
 
     if n_orbits == 0:
         raise InsufficientOrbits("cannot integrate over 0 orbits")
@@ -376,95 +399,72 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     u0 = 1.0 / state.r
     up0 = -state.drdp / integrals.J_phi
     c = r_o / integrals.L**2
-    phi0 = state.phi
-    phi1 = phi0 + (-1.0 if backward else 1.0) * 2.0 * np.pi * n_orbits
+    sign = -1.0 if backward else 1.0
+    phi0, phi1 = state.phi, state.phi + sign * 2.0 * np.pi * n_orbits
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
-    y0 = [(u0 - c) * cos0 - up0 * sin0, (u0 - c) * sin0 + up0 * cos0]
-    run = dop853(lambda phi, y: _element_rhs(phi, y, r_o, c), (phi0, phi1),
-                 y0, rtol=tol, atol=tol * u0)
-    if run.failure:
-        raise ToleranceNotMet(run.failure)
-    traj = Trajectory(r_o=r_o, integrals=integrals, sol=run.dense,
-                      phi_start=min(phi0, phi1), phi_end=max(phi0, phi1),
-                      t0=state.t, p0=state.p)
+    y0 = np.array([(u0 - c) * cos0 - up0 * sin0,
+                   (u0 - c) * sin0 + up0 * cos0])
+    rtol = tol / PERIOD_RTOL_DIVISOR
+    # alpha = beta = 0 only where u = r_o/L^2, an aphelion: u0 sets the scale
+    atol = rtol * (math.hypot(*y0) or u0)
+    reach = sign * 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
+    # in run order u' falls through a perihelion going forward, rises going
+    # backward (an aphelion the reverse); a perihelion event would fire at
+    # a perihelion launch (u' = 0, u'' = F - (u - c) < 0): start there
+    to_peri = [] if up0 == 0.0 and _forcing(u0, 0.0, r_o, c) < u0 - c \
+        else [-sign]
+    legs, ends = [], [(phi0, y0)]
+    for direction in to_peri + [sign, -sign]:
+        phi, y = ends[-1]
+        run = dop853(lambda p, v: _element_rhs(p, v, r_o, c),
+                     (phi, phi + reach), y, rtol=rtol, atol=atol,
+                     events=[(_uprime, direction)])
+        if run.failure:
+            raise ToleranceNotMet(run.failure)
+        if run.event is None:
+            raise InsufficientOrbits(
+                f"no radial turning point within {abs(reach):.6g} rad")
+        legs.append(run.dense)
+        ends.append((run.dense.ts[-1], run.y))
+    (phi_p, y_p), (phi, y) = ends[-3], ends[-1]
+    turned = sign * (math.atan2(y[1], y[0]) - math.atan2(y_p[1], y_p[0]))
+    advance = turned + 2.0 * np.pi * round(
+        (abs(phi - phi_p) - 2.0 * np.pi - turned) / (2.0 * np.pi))
+    traj = Trajectory(r_o=r_o, integrals=integrals,
+                      sol=DenseOutput.join(legs), phi_start=min(phi0, phi1),
+                      phi_end=max(phi0, phi1), t0=state.t, p0=state.p,
+                      period_start=sum(d.n_segments for d in legs[:-2]),
+                      advance=advance)
     traj.drift = traj.integral_drift()
     if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
         raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
     return traj
 
 
-def _newton_perihelia(traj: Trajectory, lo: np.ndarray, hi: np.ndarray,
-                      tol: float) -> np.ndarray:
-    """Roots of u' in the brackets [lo, hi] (u' > 0 at lo, < 0 at hi).
-
-    Newton steps on all brackets at once, with u'' = F - (u - r_o/L^2) from
-    the rosette equation; a step that leaves its bracket becomes a bisection
-    step, and each evaluation shrinks the bracket.  Stops when every step is
-    within ``tol``.
-    """
-    c = traj.r_o / traj.integrals.L**2
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if x.size == 0:
-            break
-        u, up = traj._u(x)
-        lo = np.where(up > 0.0, x, lo)
-        hi = np.where(up < 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - up / (_forcing(u, up, traj.r_o, c) - (u - c))
-        new = np.where(up == 0.0, x,
-                       np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi)))
-        done = np.all(np.abs(new - x) <= tol)
-        x = new
-        if done:
-            break
-    return x
-
-
-def perihelion_angles(traj: Trajectory, refine_tol: float = 1e-12) -> np.ndarray:
-    """Polar angles of the radial minima (maxima of u) along a trajectory.
-
-    Sign changes of u' are bracketed on a fine grid and refined by
-    bracket-safeguarded Newton steps to ``refine_tol`` in phi.
-    """
-    n = max(int((traj.phi_end - traj.phi_start) / (2.0 * np.pi)) * 720, 1440)
-    phis = np.linspace(traj.phi_start, traj.phi_end, n)
-    up = traj._u(phis)[1]
-    found = []
-    # include the start point if the trajectory is launched exactly at perihelion
-    if abs(up[0]) < 1e-13 * max(abs(up).max(), 1e-300):
-        if traj._u(phis[0] + 1e-6)[1] < 0.0:
-            found.append(traj.phi_start)
-    # u' goes + -> -: maximum of u
-    i = np.nonzero((np.diff(np.sign(up)) < 0) & (up[:-1] != 0.0))[0]
-    roots = _newton_perihelia(traj, phis[i], phis[i + 1], refine_tol)
-    return np.concatenate([found, roots])
+def perihelion_angles(traj: Trajectory) -> np.ndarray:
+    """Polar angles of the perihelion passages (maxima of u) inside the
+    span, ascending: the integrated perihelion plus whole periods."""
+    peri, period = traj.sol.ts[traj.period_start], traj.period
+    j = np.arange(math.ceil((traj.phi_start - peri) / period),
+                  math.floor((traj.phi_end - peri) / period) + 1)
+    return peri + j * period
 
 
 def precession_numeric(traj: Trajectory) -> PrecessionResult:
-    """Perihelion advance from successive radial minima of a trajectory.
+    """Perihelion advance from the integrated radial period of a trajectory.
 
-    Delta(phi) is the mean angular spacing between perihelion passages minus
-    2*pi.  At a passage phi is the argument of perihelion atan2(beta, alpha)
-    up to whole turns, so Delta(phi) is taken from the change of that
-    argument between the first and last passage, unwrapped by the count of
-    turns between them, without subtracting 2*pi from a spacing.  The
-    orbital period in coordinate time (for the century conversion) is the
-    mean spacing of t at the same passages.
+    Delta(phi) is the period's ``advance``, the turn of the argument of
+    perihelion across it; the orbital period in coordinate time (for the
+    century conversion) is the t the period adds.  The span must hold at
+    least two perihelion passages.
     """
     peri = perihelion_angles(traj)
     if len(peri) < 2:
         raise InsufficientOrbits(
             f"found {len(peri)} perihelion passages, need at least 2"
         )
-    ends = peri[[0, -1]]
-    alpha, beta = traj.sol(ends)
-    turned = float(np.diff(np.arctan2(beta, alpha))[0])
-    revs = len(peri) - 1
-    wraps = round((ends[1] - ends[0] - turned) / (2.0 * np.pi)) - revs
-    dphi = (turned + 2.0 * np.pi * wraps) / revs
-    t_peri = traj.sample(ends)[2]
-    period_s = float(t_peri[1] - t_peri[0]) / revs / C_SI
+    dphi = traj.advance
+    period_s = abs(float(traj.period_clocks[0])) / C_SI
     arcsec = dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
     return PrecessionResult(delta_phi_per_orbit=dphi,
                             arcsec_per_century=arcsec, method="numeric")

@@ -6,6 +6,7 @@ the library takes plain numbers in geometric units (c = 1, meters).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any, Dict
@@ -95,12 +96,16 @@ class Scenario:
             raise ConfigInvalid(
                 f"n_orbits must be an integer >= 1, got {self.n_orbits!r}")
         for key, value in self.params.items():
+            # a finite float, or an int that a float can hold
+            finite = (isinstance(value, (int, float))
+                      and abs(value) <= sys.float_info.max)
             if key in ("a", "R_s", "r_es", "r_ms", "radius"):
-                if not (isinstance(value, (int, float)) and value > 0):
-                    raise ConfigInvalid(f"length {key!r} must be > 0")
+                if not (finite and value > 0):
+                    raise ConfigInvalid(f"length {key!r} must be finite "
+                                        f"and > 0")
             elif key == "r_o":
-                if not (isinstance(value, (int, float)) and value >= 0):
-                    raise ConfigInvalid("length 'r_o' must be >= 0")
+                if not (finite and value >= 0):
+                    raise ConfigInvalid("length 'r_o' must be finite and >= 0")
             elif key == "ecc":
                 if not (isinstance(value, (int, float)) and 0 <= value < 1):
                     raise ConfigInvalid(

@@ -11,8 +11,9 @@ from flatgrav.baseline import (
     schwarzschild_baseline,
     schwarzschild_precession_quadrature,
 )
-from flatgrav.cli import build_parser, main
-from flatgrav.errors import ConfigInvalid, UnsupportedQuantity
+from flatgrav import cli
+from flatgrav.cli import RunReport, build_parser, main
+from flatgrav.errors import ConfigInvalid, NumericalFailure, UnsupportedQuantity
 from flatgrav.orbits import (
     orbit_from_elements,
     precession_quadrature,
@@ -311,3 +312,58 @@ class TestCliContract:
         # the flat model departs from 6 pi r_o/(a(1 - e^2)) at O(r_o/a)
         assert abs(quad - closed) <= 20.0 * SOLAR_R_O / MERCURY_SEMI_MAJOR \
             * closed
+
+    @pytest.mark.parametrize("command, params", [
+        ("precession", {"r_o": 1e-300}),
+        ("orbit", {"a": 1e-300}),
+        ("precession", {"a": 1e-300}),
+    ])
+    def test_extreme_scales_fail_without_traceback(self, tmp_path, capsys,
+                                                   command, params):
+        cfg = self.config(tmp_path, {"preset": "mercury", "params": params})
+        assert main([command, "--config", cfg]) in (2, 3)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+
+    @pytest.mark.parametrize("a", [1e400, 10**400])
+    @pytest.mark.parametrize("command", ["orbit", "compare"])
+    def test_infinite_length_is_a_config_error(self, tmp_path, capsys,
+                                               command, a):
+        cfg = self.config(tmp_path, {"preset": "mercury", "params": {"a": a}})
+        assert main([command, "--config", cfg]) == 2
+        assert "'a' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--r-over-ro", "nan"],
+        ["density", "--r-over-ro", "-1"],
+        ["density", "--samples", "0"],
+        ["electric", "--samples", "0"],
+        ["compare", "--strong-rmin", "inf"],
+        ["gyro", "--orbit-radius", "nan"],
+    ])
+    def test_out_of_domain_flags(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error" in captured.err
+
+    def test_report_refuses_non_finite_values(self):
+        report = RunReport(scenario="s", model="m")
+        report.add("q", float("inf"), "1", "closed-form")
+        with pytest.raises(NumericalFailure):
+            report.to_json()
+        with pytest.raises(NumericalFailure):
+            report.rows_csv()
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "csv"],
+                                       ["--format", "csv", "--out"]])
+    def test_non_finite_result_exits_3(self, tmp_path, monkeypatch, capsys,
+                                       flags):
+        monkeypatch.setattr(cli, "enclosed_energy",
+                            lambda carrier, r: float("nan"))
+        if flags[-1:] == ["--out"]:
+            flags = flags + [str(tmp_path / "density.csv")]
+        assert main(["density", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+        assert list(tmp_path.iterdir()) == []
+

@@ -59,15 +59,20 @@ def assert_same_run(fun, t_span, y0, rtol, atol, events=()):
 @pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("ecc", [0.05, 0.6])
 @pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
-def test_orbit_elements_run_is_scipys(r_min_over_ro, ecc, backward):
+def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc, backward):
+    # the perihelion-to-aphelion leg of integrate_orbit, with its event
     r_o = SOLAR_R_O
     state, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
-    u0 = 1.0 / state.r
-    span = (0.0, (-1.0 if backward else 1.0) * 6.0 * np.pi)
-    assert_same_run(lambda phi, y: orbits._element_rhs(phi, y, r_o, c), span,
-                    [u0 - c, 0.0], rtol=1e-12, atol=1e-12 * u0)
+    alpha0 = 1.0 / state.r - c
+    sign = -1.0 if backward else 1.0
+    tol = 1e-12 / orbits.PERIOD_RTOL_DIVISOR
+    run = assert_same_run(
+        lambda phi, y: orbits._element_rhs(phi, y, r_o, c),
+        (0.0, sign * 4.0 * np.pi), [alpha0, 0.0], rtol=max(tol, 100 * EPS),
+        atol=tol * alpha0, events=[(orbits._uprime, sign)])
+    assert run.event == 0
 
 
 def ray_events(r_o):

@@ -1,4 +1,7 @@
 """Bound-orbit dynamics, turning points, and perihelion advance."""
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -24,7 +27,6 @@ from flatgrav.orbits import (
     precession_analytic,
     precession_numeric,
     precession_quadrature,
-    resonant_forcing_amplitude,
     rosette_rhs,
     turning_points,
     turning_points_from_elements,
@@ -33,6 +35,11 @@ from flatgrav.orbits import (
 R_O = 1480.0
 A = 5.79e10
 ECC = 0.2056
+EPS = np.finfo(float).eps
+# perihelion angles over 30 orbits, tiled against integrated through: the
+# sweep's worst is ~1e-12 relative (r_min = 20 r_o at ecc 0, where u' has
+# the smallest amplitude and a root of it the least precision)
+PERI_RTOL = 1e-11
 
 
 class TestDynamicsConsistency:
@@ -49,11 +56,6 @@ class TestDynamicsConsistency:
     def test_rhs_denominator_guard(self):
         with pytest.raises(DenominatorVanishes):
             rosette_rhs(1.0, 0.0, 1.0, 10.0)
-
-    def test_resonant_amplitude(self):
-        assert resonant_forcing_amplitude(2.0, 3.0) == pytest.approx(
-            6.0 * 2.0**3 / 3.0**4, rel=1e-15
-        )
 
     def test_newtonian_limit_circular(self):
         # r_o -> 0: u'' + u = r_o/L^2, circular orbit at u = r_o/L^2
@@ -132,6 +134,23 @@ class TestElementsAndTurningPoints:
             assert (r_min, r_max) == pytest.approx(
                 turning_points(R_O, integrals), rel=1e-6)
 
+    @pytest.mark.parametrize("a, ecc", [(A, ECC), (A, 0.01), (1e5, 0.3),
+                                        (33835.0, 0.0517)])
+    def test_turning_points_are_the_cubic_roots(self, a, ecc):
+        # in exact arithmetic the turning cubic of the given integrals
+        # changes sign within 1e-14 relative of each returned root
+        _, integrals = orbit_from_elements(R_O, a, ecc)
+        e, L, r_o = (Fraction(v) for v in (integrals.energy_ratio,
+                                           integrals.L, R_O))
+
+        def cubic(u):
+            u = Fraction(u)
+            return 3 * r_o * u**3 - u**2 + (2 * r_o * u + e * e - 1) / L**2
+
+        for r in turning_points(R_O, integrals):
+            u = 1.0 / r
+            assert cubic(u * (1.0 - 1e-14)) * cubic(u * (1.0 + 1e-14)) < 0
+
     def test_quadrature_accepts_circular_limit(self):
         r = 1e10
         value = precession_quadrature(R_O, r, r)
@@ -202,20 +221,61 @@ def u_form_solve(r_o, state, integrals, n_orbits, tol=1e-12):
     return sol.sol
 
 
-def element_solve(r_o, state, integrals, n_orbits, backward=False):
-    """The ``solve_ivp`` run of ``integrate_orbit``, with its OdeSolution."""
+LEG_TOL = 1e-12 / orbits.PERIOD_RTOL_DIVISOR
+LEG_RTOL = max(LEG_TOL, 100.0 * EPS)     # the stepper's floor, without warning
+
+
+def element_legs(r_o, state, integrals, n_orbits, backward=False):
+    """The ``solve_ivp`` runs of ``integrate_orbit``'s legs, with their
+    OdeSolutions: to the first perihelion unless the launch is one, then
+    perihelion to aphelion and aphelion to perihelion."""
     c = r_o / integrals.L**2
     u0 = 1.0 / state.r
     up0 = -state.drdp / integrals.J_phi
     sign = -1.0 if backward else 1.0
-    y0 = [(u0 - c) * np.cos(state.phi) - up0 * np.sin(state.phi),
-          (u0 - c) * np.sin(state.phi) + up0 * np.cos(state.phi)]
-    sol = solve_ivp(orbits._element_rhs,
-                    (state.phi, state.phi + sign * 2.0 * np.pi * n_orbits),
-                    y0, args=(r_o, c), method="DOP853", rtol=1e-12,
-                    atol=1e-12 * u0, dense_output=True)
+    phi = state.phi
+    y = np.array([(u0 - c) * np.cos(phi) - up0 * np.sin(phi),
+                  (u0 - c) * np.sin(phi) + up0 * np.cos(phi)])
+    atol = LEG_TOL * np.hypot(*y)
+    at_perihelion = up0 == 0.0 and orbits._forcing(u0, 0.0, r_o, c) < u0 - c
+    sols = []
+    for perihelion in ([] if at_perihelion else [True]) + [False, True]:
+        def event(p, v, *args):
+            return orbits._uprime(p, v)
+        event.terminal = True
+        event.direction = -sign if perihelion else sign
+        run = solve_ivp(orbits._element_rhs,
+                        (phi, phi + sign * 4.0 * np.pi * max(n_orbits, 1)),
+                        y, args=(r_o, c), method="DOP853", rtol=LEG_RTOL,
+                        atol=atol, dense_output=True, events=event)
+        assert run.status == 1
+        sols.append(run.sol)
+        phi, y = run.t[-1], run.y[:, -1]
+    return sols
+
+
+@functools.lru_cache(maxsize=None)
+def through_solve(r_min_over_ro, ecc):
+    """alpha, beta, t and p integrated by ``solve_ivp`` through 30
+    revolutions at rtol 1e-13: the form the tiled trajectory replaces, kept
+    as its oracle.  Returns the launch, the integrals and the OdeSolution."""
+    state, integrals = orbit_from_elements(
+        R_O, r_min_over_ro * R_O / (1.0 - ecc), ecc)
+    L, e = integrals.L, integrals.energy_ratio
+    c = R_O / L**2
+
+    def rhs(phi, y):
+        u = c + y[0] * np.cos(phi) + y[1] * np.sin(phi)
+        return [*orbits._element_rhs(phi, y[:2], R_O, c),
+                e * (1.0 + R_O * u) ** 2 / (L * u * u), 1.0 / (e * L * u * u)]
+
+    u0 = 1.0 / state.r
+    rates = np.abs(rhs(0.0, np.array([u0 - c, 0.0])))[2:]
+    atol = 1e-13 * np.array([u0 - c, u0 - c, *rates])
+    sol = solve_ivp(rhs, (0.0, 60.0 * np.pi), [u0 - c, 0.0, 0.0, 0.0],
+                    method="DOP853", rtol=1e-13, atol=atol, dense_output=True)
     assert sol.success
-    return sol.sol
+    return state, integrals, sol.sol
 
 
 def same_bits(a, b):
@@ -224,33 +284,50 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
+SWEEP = [(r, e) for r in (20.0, 1e3, 1e5, 3.1e7) for e in (0.0, 0.05, 0.6)]
+
+
 class TestElementEngine:
     @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("a, ecc", [(A, ECC), (1e5, 0.3)])
-    def test_evaluator_is_bitwise_ode_solution(self, a, ecc, backward):
+    @pytest.mark.parametrize("a, ecc, launch", [(A, ECC, 0.0), (1e5, 0.3, 0.0),
+                                                (1e5, 0.3, 2.0)])
+    def test_evaluator_is_bitwise_the_legs(self, a, ecc, launch, backward):
         state, integrals = orbit_from_elements(R_O, a, ecc)
-        sol = element_solve(R_O, state, integrals, 3, backward=backward)
+        if launch:       # between turning points: a leg to perihelion first
+            state = integrate_orbit(R_O, state, integrals, 1).state(launch)
+        legs = element_legs(R_O, state, integrals, 3, backward=backward)
+        assert len(legs) == (3 if launch else 2)
         dense = integrate_orbit(R_O, state, integrals, 3,
                                 backward=backward).sol
-        ts = sol.ts
-        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
         rng = np.random.default_rng(7)
-        inside = rng.uniform(lo, hi, 300)
-        mids = 0.5 * (ts[1:] + ts[:-1])
-        outside = np.array([lo - 0.1, hi + 0.1])
-        for phis in (inside, ts, mids, ts[::-1], outside,
-                     np.concatenate([ts, inside])):
-            assert same_bits(dense(phis), sol(phis))
-        for phi in (ts[0], ts[1], ts[-1], inside[0], mids[2]):
-            assert same_bits(dense(phi), sol(phi))
+        for i, sol in enumerate(legs):
+            # a breakpoint two legs share belongs to the one before it
+            ts = sol.ts if i == 0 else sol.ts[1:]
+            inside = rng.uniform(min(sol.ts[[0, -1]]), max(sol.ts[[0, -1]]),
+                                 100)
+            mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
+            for phis in (inside, ts, mids, ts[::-1],
+                         np.concatenate([ts, inside])):
+                assert same_bits(dense(phis), sol(phis))
+            for phi in (ts[0], ts[-1], inside[0], mids[-1]):
+                assert same_bits(dense(phi), sol(phi))
+        sign = -1.0 if backward else 1.0
+        before, beyond = legs[0].ts[0] - sign * 0.1, legs[-1].ts[-1] + sign * 0.1
+        assert same_bits(dense(before), legs[0](before))
+        assert same_bits(dense(beyond), legs[-1](beyond))
 
-    def test_trajectory_keeps_the_evaluator(self):
+    def test_trajectory_keeps_the_legs(self):
         state, integrals = orbit_from_elements(R_O, A, ECC)
         traj = integrate_orbit(R_O, state, integrals, 2)
-        sol = element_solve(R_O, state, integrals, 2)
-        assert same_bits(traj.sol.ts, sol.ts)
-        phis = np.linspace(traj.phi_start, traj.phi_end, 97)
-        assert same_bits(traj.sol(phis), sol(phis))
+        legs = element_legs(R_O, state, integrals, 2)
+        assert same_bits(traj.sol.ts,
+                         np.concatenate([legs[0].ts, legs[1].ts[1:]]))
+        assert traj.period_start == 0
+        assert traj.period == legs[1].ts[-1] - legs[0].ts[0]
+        between = traj.state(1.0)
+        later = integrate_orbit(R_O, between, integrals, 2)
+        assert later.sol.ts[later.period_start] == element_legs(
+            R_O, between, integrals, 2)[0].ts[-1]
 
     @pytest.mark.parametrize("a, ecc, n", [(A, ECC, 10), (1e5, 0.3, 6),
                                            (33835.0, 0.0517, 3)])
@@ -266,6 +343,35 @@ class TestElementEngine:
         np.testing.assert_allclose(p[1:], p_ref[1:], rtol=1e-10)
         assert np.max(np.abs(up - up_ref)) <= 1e-10 * np.max(np.abs(u_ref))
         assert t[0] == state.t and p[0] == state.p
+
+    @pytest.mark.parametrize("n", [2, 30])
+    @pytest.mark.parametrize("r_min_over_ro, ecc", SWEEP)
+    def test_tiling_matches_integration_through(self, r_min_over_ro, ecc, n):
+        state, integrals, oracle = through_solve(r_min_over_ro, ecc)
+        traj = integrate_orbit(R_O, state, integrals, n)
+        phis = np.linspace(traj.phi_start, traj.phi_end, 301)[1:]
+        u, _, t, p = traj.sample(phis)
+        alpha, beta, t_ref, p_ref = oracle(phis)
+        u_ref = R_O / integrals.L**2 + alpha * np.cos(phis) \
+            + beta * np.sin(phis)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-10)
+        np.testing.assert_allclose(t, t_ref, rtol=1e-10)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("r_min_over_ro, ecc", SWEEP)
+    def test_perihelia_are_roots_of_the_oracle(self, r_min_over_ro, ecc):
+        state, integrals, oracle = through_solve(r_min_over_ro, ecc)
+        traj = integrate_orbit(R_O, state, integrals, 30)
+        peri = perihelion_angles(traj)
+        assert peri[0] == 0.0 and len(peri) > 10
+
+        def uprime(phi):
+            alpha, beta = oracle(phi)[:2]
+            return beta * np.cos(phi) - alpha * np.sin(phi)
+
+        ref = [brentq(uprime, phi - 0.5, phi + 0.5, xtol=1e-13)
+               for phi in peri[1:]]
+        np.testing.assert_allclose(peri[1:], ref, rtol=PERI_RTOL)
 
     def test_sample_shapes(self):
         state, integrals = orbit_from_elements(R_O, A, ECC)
@@ -284,17 +390,6 @@ class TestElementEngine:
             # t and p run back to ~0 at phi = 0: compare on the column's scale
             np.testing.assert_allclose(got, want, rtol=1e-9,
                                        atol=1e-11 * np.max(np.abs(want)))
-
-    @pytest.mark.parametrize("a, ecc", [(A, ECC), (1e5, 0.6), (3e4, 0.1)])
-    def test_newton_roots_match_brentq(self, a, ecc):
-        state, integrals = orbit_from_elements(R_O, a, ecc)
-        traj = integrate_orbit(R_O, state, integrals, 5)
-        peri = perihelion_angles(traj)
-        uprime = lambda ph: float(traj._u(ph)[1])  # noqa: E731
-        step = 2.0 * np.pi / 720.0
-        for root in peri[1:]:
-            ref = brentq(uprime, root - step, root + step, xtol=1e-13)
-            assert abs(root - ref) <= 2e-12
 
     @pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
     @pytest.mark.parametrize("ecc", [0.05, 0.6])
@@ -329,6 +424,16 @@ class TestPrecession:
         r_min, r_max = turning_points(R_O, integrals)
         assert num == pytest.approx(precession_quadrature(R_O, r_min, r_max),
                                     rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("ecc", [0.0, 1e-7, 1e-3, ECC])
+    def test_numeric_matches_quadrature_near_circular(self, ecc):
+        # integrated through 3 orbits at atol = tol*u0, ecc 0 was 59% off
+        state, integrals = orbit_from_elements(R_O, A, ecc)
+        traj = integrate_orbit(R_O, state, integrals, 3)
+        num = precession_numeric(traj).delta_phi_per_orbit
+        ref = precession_quadrature(R_O,
+                                    *turning_points_from_elements(R_O, A, ecc))
+        assert num == pytest.approx(ref, rel=1e-7, abs=0.0)
 
     def test_scaling_with_field_strength(self):
         # advance per orbit is linear in r_o in the weak field
