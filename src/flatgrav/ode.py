@@ -311,7 +311,8 @@ def _rms(x) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol,
+                  atol) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), for an error
     estimator of order 7."""
     interval_length = abs(t_bound - t0)
@@ -326,7 +327,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    return min(100 * h0, h1, interval_length, max_step)
 
 
 def _error_norm(K, h, scale) -> float:
@@ -342,15 +343,16 @@ def _error_norm(K, h, scale) -> float:
 
 
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
-           atol: float,
-           events: Sequence[Tuple[Callable, float]] = ()) -> Solution:
+           atol: float, events: Sequence[Tuple[Callable, float]] = (),
+           max_step: float = math.inf) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` with dense output.
 
     ``rtol`` is floored at 100*eps.  ``events`` are (g, direction) pairs:
     the run stops at the first zero of any g(t, y) crossed in its direction
     (+1 rising, -1 falling), located on the step's interpolant by
-    ``brentq``.  A step size below ten float spacings of t
-    ends the run with ``failure`` set.
+    ``brentq``; only the signs at step ends are compared, so ``max_step``
+    must keep two zeros of a g out of one step.  A step size below ten
+    float spacings of t ends the run with ``failure`` set.
     """
     t, t_bound = map(float, t_span)
     if t == t_bound:
@@ -367,7 +369,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     direction = 1.0 if t_bound > t else -1.0
     fy = f(t, y)
-    h_abs = _initial_step(f, t, y, t_bound, fy, direction, rtol, atol)
+    h_abs = _initial_step(f, t, y, t_bound, max_step, fy, direction, rtol,
+                          atol)
     K_ext = np.empty((16, y.size))
     K = K_ext[:N_STAGES + 1]
     g = [ev(t, y) for ev, _ in events]
@@ -384,7 +387,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
             if h_abs < min_step:

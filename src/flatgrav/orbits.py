@@ -27,6 +27,7 @@ from .errors import (
     DenominatorVanishes,
     InsufficientOrbits,
     NonPositiveRadius,
+    NumericalFailure,
     ToleranceNotMet,
     TurningPointNotFound,
     UnboundOrbit,
@@ -40,6 +41,9 @@ DEFAULT_TOL = 1e-12
 # One radial period is integrated at rtol = tol/100: each tiled revolution
 # repeats its error, which a run through n revolutions averaged over n.
 PERIOD_RTOL_DIVISOR = 100.0
+# Turning points fall Phi/2 > pi apart and the event test compares the signs
+# of u' at step ends only, so no leg step may be longer than this.
+LEG_MAX_STEP = 0.5 * np.pi
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,16 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
     return (r_o / L**2 - u + 4.5 * r_o * u**2 + 1.5 * r_o * uprime**2) / den
 
 
+def resonant_forcing_amplitude(r_o: float, L: float) -> float:
+    """Coefficient of the resonant eps*cos(phi) forcing term, 6*r_o^3/L^4.
+
+    Keeping only terms proportional to eps*cos(phi) after inserting the
+    Newtonian solution turns the rosette equation into
+    u'' + u - r_o/L^2 = 6*r_o^3*L^-4*eps*cos(phi).
+    """
+    return 6.0 * r_o**3 / L**4
+
+
 def orbit_from_elements(r_o: float, a: float, ecc: float
                         ) -> Tuple[GeodesicState, OrbitIntegrals]:
     """Initial perihelion state and integrals from Keplerian elements.
@@ -142,8 +156,7 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     else:
         energy_ratio = 1.0
     integrals = OrbitIntegrals(energy_ratio=energy_ratio, L=L)
-    if (L > 0.0 and 3.0 * r_o * u_p < 1.0
-            and rosette_rhs(u_p, 0.0, r_o, L) > 0.0):
+    if L > 0.0 and rosette_rhs(u_p, 0.0, r_o, L) > 0.0:
         u_peri = _second_turning_point(r_o, u_p, L)
         if u_peri < u_p:
             raise TurningPointNotFound(
@@ -215,8 +228,7 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     cand = np.sort(real[(0.0 < real) & (real < 1.0 / (3.0 * r_o))])
     if len(cand) < 2:
         raise TurningPointNotFound(
-            f"no bound radial range for E/m={integrals.energy_ratio}, L={L}"
-        )
+            f"no bound radial range for E/m={e}, L={L}")
     u = float(cand[1])
     for _ in range(3):
         u -= ((((3.0 * r_o * u - 1.0) * u + 2.0 * B * r_o) * u + k)
@@ -386,7 +398,8 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     perihelion atan2(beta, alpha) across it, so no 2*pi is subtracted.
     Raises ToleranceNotMet if the energy-integral drift over the legs tops
     1000*tol*n_orbits, InsufficientOrbits if n_orbits is 0 or a leg finds
-    no turning point within 2*max(n_orbits, 1) revolutions.
+    no turning point within 2*max(n_orbits, 1) revolutions, and
+    NumericalFailure if the forcing at launch is subnormal.
     """
     from .ode import DenseOutput, dop853
 
@@ -399,6 +412,10 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     u0 = 1.0 / state.r
     up0 = -state.drdp / integrals.J_phi
     c = r_o / integrals.L**2
+    f0 = _forcing(u0, up0, r_o, c)
+    if 0.0 < f0 < np.finfo(float).tiny:
+        raise NumericalFailure(
+            f"field forcing {f0:.3g} is subnormal: the elements lose digits")
     sign = -1.0 if backward else 1.0
     phi0, phi1 = state.phi, state.phi + sign * 2.0 * np.pi * n_orbits
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
@@ -411,14 +428,13 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     # in run order u' falls through a perihelion going forward, rises going
     # backward (an aphelion the reverse); a perihelion event would fire at
     # a perihelion launch (u' = 0, u'' = F - (u - c) < 0): start there
-    to_peri = [] if up0 == 0.0 and _forcing(u0, 0.0, r_o, c) < u0 - c \
-        else [-sign]
+    to_peri = [] if up0 == 0.0 and f0 < u0 - c else [-sign]
     legs, ends = [], [(phi0, y0)]
     for direction in to_peri + [sign, -sign]:
         phi, y = ends[-1]
         run = dop853(lambda p, v: _element_rhs(p, v, r_o, c),
                      (phi, phi + reach), y, rtol=rtol, atol=atol,
-                     events=[(_uprime, direction)])
+                     events=[(_uprime, direction)], max_step=LEG_MAX_STEP)
         if run.failure:
             raise ToleranceNotMet(run.failure)
         if run.event is None:
@@ -458,15 +474,13 @@ def precession_numeric(traj: Trajectory) -> PrecessionResult:
     century conversion) is the t the period adds.  The span must hold at
     least two perihelion passages.
     """
-    peri = perihelion_angles(traj)
-    if len(peri) < 2:
+    n_peri = len(perihelion_angles(traj))
+    if n_peri < 2:
         raise InsufficientOrbits(
-            f"found {len(peri)} perihelion passages, need at least 2"
-        )
-    dphi = traj.advance
+            f"found {n_peri} perihelion passages, need at least 2")
     period_s = abs(float(traj.period_clocks[0])) / C_SI
-    arcsec = dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
-    return PrecessionResult(delta_phi_per_orbit=dphi,
+    arcsec = traj.advance * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
+    return PrecessionResult(delta_phi_per_orbit=traj.advance,
                             arcsec_per_century=arcsec, method="numeric")
 
 

@@ -315,6 +315,7 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command, params", [
         ("precession", {"r_o": 1e-300}),
+        ("orbit", {"r_o": 1e-300}),
         ("orbit", {"a": 1e-300}),
         ("precession", {"a": 1e-300}),
     ])

@@ -29,9 +29,11 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
-def assert_same_run(fun, t_span, y0, rtol, atol, events=()):
+def assert_same_run(fun, t_span, y0, rtol, atol, events=(),
+                    max_step=np.inf):
     """dop853 and solve_ivp(DOP853) agree bitwise on every output."""
-    run = ode.dop853(fun, t_span, y0, rtol=rtol, atol=atol, events=events)
+    run = ode.dop853(fun, t_span, y0, rtol=rtol, atol=atol, events=events,
+                     max_step=max_step)
     scipy_events = []
     for g, direction in events:
         def event(t, y, g=g):
@@ -40,7 +42,8 @@ def assert_same_run(fun, t_span, y0, rtol, atol, events=()):
         event.direction = direction
         scipy_events.append(event)
     ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=scipy_events or None)
+                    dense_output=True, events=scipy_events or None,
+                    max_step=max_step)
     assert ref.success and run.failure is None
     dense, parts = run.dense, ref.sol.interpolants
     assert same_bits(dense.ts, ref.sol.ts)
@@ -71,7 +74,8 @@ def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc, backward):
     run = assert_same_run(
         lambda phi, y: orbits._element_rhs(phi, y, r_o, c),
         (0.0, sign * 4.0 * np.pi), [alpha0, 0.0], rtol=max(tol, 100 * EPS),
-        atol=tol * alpha0, events=[(orbits._uprime, sign)])
+        atol=tol * alpha0, events=[(orbits._uprime, sign)],
+        max_step=orbits.LEG_MAX_STEP)
     assert run.event == 0
 
 

@@ -27,6 +27,7 @@ from flatgrav.orbits import (
     precession_analytic,
     precession_numeric,
     precession_quadrature,
+    resonant_forcing_amplitude,
     rosette_rhs,
     turning_points,
     turning_points_from_elements,
@@ -56,6 +57,11 @@ class TestDynamicsConsistency:
     def test_rhs_denominator_guard(self):
         with pytest.raises(DenominatorVanishes):
             rosette_rhs(1.0, 0.0, 1.0, 10.0)
+
+    def test_resonant_amplitude(self):
+        assert resonant_forcing_amplitude(2.0, 3.0) == pytest.approx(
+            6.0 * 2.0**3 / 3.0**4, rel=1e-15
+        )
 
     def test_newtonian_limit_circular(self):
         # r_o -> 0: u'' + u = r_o/L^2, circular orbit at u = r_o/L^2
@@ -247,7 +253,8 @@ def element_legs(r_o, state, integrals, n_orbits, backward=False):
         run = solve_ivp(orbits._element_rhs,
                         (phi, phi + sign * 4.0 * np.pi * max(n_orbits, 1)),
                         y, args=(r_o, c), method="DOP853", rtol=LEG_RTOL,
-                        atol=atol, dense_output=True, events=event)
+                        atol=atol, dense_output=True, events=event,
+                        max_step=orbits.LEG_MAX_STEP)
         assert run.status == 1
         sols.append(run.sol)
         phi, y = run.t[-1], run.y[:, -1]
@@ -434,6 +441,20 @@ class TestPrecession:
         ref = precession_quadrature(R_O,
                                     *turning_points_from_elements(R_O, A, ecc))
         assert num == pytest.approx(ref, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("r_o", [1e-3, 1e-6, 1e-20])
+    def test_numeric_matches_quadrature_in_weak_fields(self, r_o):
+        # uncapped, the legs stepped several radians at once here and
+        # crossed turning points unseen: r_o 1e-6 gave an advance of 4*pi
+        state, integrals = orbit_from_elements(r_o, A, ECC)
+        traj = integrate_orbit(r_o, state, integrals, 3)
+        assert np.max(np.diff(traj.sol.ts)) <= orbits.LEG_MAX_STEP
+        num = precession_numeric(traj).delta_phi_per_orbit
+        ref = precession_quadrature(r_o,
+                                    *turning_points_from_elements(r_o, A, ECC))
+        # the floor atol = (tol/100)*hypot(alpha, beta) puts on an advance
+        # of ~1e-13 rad or less
+        assert num == pytest.approx(ref, rel=1e-4, abs=0.0)
 
     def test_scaling_with_field_strength(self):
         # advance per orbit is linear in r_o in the weak field
