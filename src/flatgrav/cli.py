@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -95,8 +97,7 @@ class RunReport:
         # the fields as they are: ``asdict`` would deep-copy every table
         report = {f.name: getattr(self, f.name) for f in fields(self)}
         try:
-            return json.dumps(report, indent=2, sort_keys=True,
-                              allow_nan=False)
+            return _json(report, 0)
         except ValueError as exc:       # NaN or infinity: not JSON
             raise NumericalFailure(f"non-finite result: {exc}") from None
 
@@ -108,6 +109,35 @@ class RunReport:
             _finite(row["value"])
             writer.writerow(row)
         return buf.getvalue()
+
+
+def _json(value: Any, level: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` as it
+    reads ``level`` objects deep.
+
+    A list of floats, such as a table column, is written by joining
+    ``float.__repr__`` values, which is what the encoder writes for each;
+    the encoder's pure-Python path (taken for ``indent``) would spend
+    several milliseconds on the tables of one ``orbit`` report.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if value and isinstance(value, dict) and all(
+            isinstance(key, str) for key in value):
+        items = (f"{json.dumps(key)}: {_json(item, level + 1)}"
+                 for key, item in sorted(value.items()))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if value and isinstance(value, list):
+        try:
+            text = ("," + pad).join(map(float.__repr__, value))
+        except TypeError:               # not all floats: the encoder's list
+            pass
+        else:
+            if "n" in text:             # nan or inf: no finite repr has an n
+                raise ValueError("Out of range float values are not JSON "
+                                 "compliant")
+            return "[" + pad + text + pad[:-2] + "]"
+    return json.dumps(value, indent=2, sort_keys=True,
+                      allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
 def _finite(value: float) -> float:
@@ -423,7 +453,16 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
 # -------------------------------------------------------------------- driver
 
 
+def _command(name: str):
+    """The subcommand ``name``, looked up in this module when it runs: the
+    parser is built once, and a later rebinding of ``cmd_*`` (a test's
+    monkeypatch, perfbench's layer tracer) must still be the one called."""
+    return lambda args: globals()[name](args)
+
+
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (8 subparsers)."""
     parser = argparse.ArgumentParser(
         prog="flatgrav",
         description="Flat-space warped-time gravitation: orbits, light, "
@@ -446,57 +485,63 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "mercury")
     p.add_argument("--orbits", type=int, default=None)
     p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(func=cmd_orbit)
+    p.set_defaults(func=_command("cmd_orbit"))
 
     p = sub.add_parser("precession", help="perihelion advance (closed form + quadrature)")
     common(p, "mercury")
-    p.set_defaults(func=cmd_precession)
+    p.set_defaults(func=_command("cmd_precession"))
 
     p = sub.add_parser("light-deflect", help="grazing light deflection")
     common(p, "solar")
-    p.set_defaults(func=cmd_light_deflect)
+    p.set_defaults(func=_command("cmd_light_deflect"))
 
     p = sub.add_parser("echo-delay", help="round-trip radar echo delay")
     common(p, "solar")
-    p.set_defaults(func=cmd_echo_delay)
+    p.set_defaults(func=_command("cmd_echo_delay"))
 
     p = sub.add_parser("gyro", help="gyroscope precession rates")
     common(p, "earth")
     p.add_argument("--orbit-radius", type=float, default=7.02e6,
                    help="circular orbit radius in meters")
-    p.set_defaults(func=cmd_gyro)
+    p.set_defaults(func=_command("cmd_gyro"))
 
     p = sub.add_parser("density", help="radial carrier profile")
     common(p, None)
     p.add_argument("--r-over-ro", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=cmd_density)
+    p.set_defaults(func=_command("cmd_density"))
 
     p = sub.add_parser("electric", help="electric carrier analog")
     common(p, None)
     p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=cmd_electric)
+    p.set_defaults(func=_command("cmd_electric"))
 
     p = sub.add_parser("compare", help="flat-space model vs baselines")
     common(p, "mercury")
     p.add_argument("--strong-rmin", type=float, default=20.0,
                    help="strong-field probe perihelion in units of r_o")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=_command("cmd_compare"))
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.format, args.out)
+        sys.stdout.flush()
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FlatgravError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (``flatgrav orbit | head -c 1``): point it
+        # at devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

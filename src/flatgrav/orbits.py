@@ -32,7 +32,7 @@ from .errors import (
     TurningPointNotFound,
     UnboundOrbit,
 )
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, legendre_antiderivative
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
@@ -182,10 +182,12 @@ def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
     s = 1.0 / (3.0 * r_o) - u_known
     p = ((2.0 * r_o / L**2 - u_known * (1.0 - 3.0 * r_o * u_known))
          / (3.0 * r_o))
-    disc = s * s - 4.0 * p
+    disc, scale = s * s - 4.0 * p, 1.0
+    if not math.isfinite(disc):     # r_o below ~2.5e-155: s*s overflows
+        disc, scale = 1.0 - 4.0 * (p / s) / s, s
     if disc < 0.0 or p <= 0.0:
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
-    u_other = p / (0.5 * (s + np.sqrt(disc)))
+    u_other = p / (0.5 * (s + scale * np.sqrt(disc)))
     if not 0.0 < u_other < 1.0 / (3.0 * r_o):
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
     return float(u_other)
@@ -324,7 +326,12 @@ class Trajectory:
                               axis=1)
 
     def sample(self, phis):
-        """u, u', t and p at the angles ``phis`` (scalar or 1-D)."""
+        """u, u', t and p at the angles ``phis`` (scalar or 1-D).
+
+        t and p are the clocks at the start of the sample's solver step plus
+        the integral of dt/dphi, dp/dphi from there, read off one Legendre
+        series per step (``legendre_antiderivative``).
+        """
         phis = np.asarray(phis, dtype=float)
         flat = phis.reshape(-1)
         # whole periods (signed with the run) past the integrated perihelion
@@ -333,9 +340,15 @@ class Trajectory:
         flat = flat - k * (self.sol.ts[-1] - peri)
         seg = self.sol.segments(flat)
         u, up = self._u(flat, seg)
-        part = gauss_legendre(lambda x: self._clock_rates(x, seg[:, None]),
-                              self.sol.ts[seg], flat)
-        t, p = (self._segment_clocks[:, seg] + part
+        # one Legendre series per step that holds a sample
+        steps, which = np.unique(seg, return_inverse=True)
+        ts, clocks = self.sol.ts, self._segment_clocks
+        part = legendre_antiderivative(
+            lambda x: self._clock_rates(x, steps[:, None]),
+            ts[steps], ts[steps + 1], flat, which)
+        # a sample on a step's end gets that breakpoint's clocks exactly
+        t, p = (np.where(flat == ts[seg + 1], clocks[:, seg + 1],
+                         clocks[:, seg] + part)
                 + k * self.period_clocks[:, None])
         return tuple(v.reshape(phis.shape) for v in (u, up, t, p))
 
@@ -538,7 +551,9 @@ def _cosine_map_advance(u1: float, u2: float, u3: float, k: float) -> float:
     (u1 + u2 + k*u)/(u3 - u), u3 the third root of the turning cubic:
     k = 0 for the flat model, k = 1 for the Schwarzschild orbit.  f - 1 is
     integrated as (f^2 - 1)/(f + 1), so no 2*pi is subtracted from the
-    result and the advance keeps its relative precision in weak fields.
+    result and the advance keeps its relative precision in weak fields,
+    down to a subnormal advance (r_o near 1e-300 for Mercury), where the
+    rule's terms lose digits: that raises NumericalFailure.
     """
     mid, half = 0.5 * (u1 + u2), 0.5 * (u1 - u2)
 
@@ -547,7 +562,12 @@ def _cosine_map_advance(u1: float, u2: float, u3: float, k: float) -> float:
         g = (u1 + u2 + k * u) / (u3 - u)
         return g / (np.sqrt(1.0 + g) + 1.0)
 
-    return 2.0 * gauss_legendre(integrand, 0.0, np.pi)
+    advance = 2.0 * gauss_legendre(integrand, 0.0, np.pi)
+    if not advance >= np.finfo(float).tiny:
+        raise NumericalFailure(
+            f"perihelion advance {advance:.3g} is subnormal: the quadrature "
+            "loses digits")
+    return advance
 
 
 def geodesic_force(r_o: float, E_m: float, x: np.ndarray, v: np.ndarray

@@ -1,7 +1,11 @@
 """Baseline observables and end-to-end CLI behavior."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from flatgrav.presets import (
     preset_scenario,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
                "density", "electric", "compare")
 
@@ -220,6 +225,25 @@ class TestCli:
         assert report.to_json() == json.dumps(asdict(report), indent=2,
                                               sort_keys=True)
 
+    def test_json_writer_is_the_encoder_on_any_layout(self):
+        report = RunReport(scenario="s\u00e9\n", model="m", config={
+            "params": {"omega": [np.float64(0.5), -0.0, 5e-324, 1e300],
+                       "ints": [1, 2], "flags": [True, 1.0], "empty": [],
+                       "none": {}, "nested": {"b": [[1.5]], "a": None}},
+            "n_orbits": 3})
+        report.add("q", 1.25, "1", "closed-form", tolerance=1e-12)
+        report.tables = {"t": {"b": [0.1, 2.0], "a": [], "c": [3.0]}}
+        assert report.to_json() == json.dumps(asdict(report), indent=2,
+                                              sort_keys=True)
+
+    def test_parser_is_built_once_and_calls_the_current_command(
+            self, monkeypatch, capsys):
+        assert build_parser() is build_parser()
+        monkeypatch.setattr(cli, "cmd_precession",
+                            lambda args: RunReport(scenario="stub", model="m"))
+        assert main(["precession"]) == 0
+        assert json.loads(capsys.readouterr().out)["scenario"] == "stub"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -325,6 +349,33 @@ class TestCliContract:
         assert main([command, "--config", cfg]) in (2, 3)
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
+
+    @pytest.mark.parametrize("r_o", [1e-155, 1e-200])
+    def test_weak_field_precession(self, tmp_path, r_o):
+        # s*s of the deflated turning quadratic overflows at these r_o
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"r_o": r_o}})
+        out = tmp_path / "prec.json"
+        assert main(["precession", "--config", cfg, "--out", str(out)]) == 0
+        by_prov = {r["provenance"]: r["value"]
+                   for r in json.loads(out.read_text())["rows"]
+                   if r["quantity"] == "precession_per_orbit"}
+        closed = by_prov["closed-form"]
+        assert abs(by_prov["turning-point-quadrature"] - closed) \
+            <= np.finfo(float).eps * closed
+
+    @pytest.mark.parametrize("argv", [["orbit"], ["orbit", "--format", "csv"],
+                                      ["precession"]])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-m", "flatgrav.cli", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()             # the reader is gone before any write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("a", [1e400, 10**400])
     @pytest.mark.parametrize("command", ["orbit", "compare"])

@@ -15,6 +15,7 @@ from flatgrav.errors import (
     UnboundOrbit,
 )
 from flatgrav import orbits
+from flatgrav.quadrature import gauss_legendre
 from flatgrav.orbits import (
     energy_integral,
     geodesic_force,
@@ -294,6 +295,19 @@ def same_bits(a, b):
 SWEEP = [(r, e) for r in (20.0, 1e3, 1e5, 3.1e7) for e in (0.0, 0.05, 0.6)]
 
 
+def per_sample_clocks(traj, phis):
+    """t and p at ``phis`` by a Gauss-Legendre rule from the start of each
+    sample's solver step to the sample: the route ``Trajectory.sample``
+    took before its per-step Legendre series, kept as its oracle."""
+    peri, end = traj.sol.ts[traj.period_start], traj.sol.ts[-1]
+    k = np.maximum(np.floor((phis - peri) / (end - peri)), 0.0)
+    flat = phis - k * (end - peri)
+    seg = traj.sol.segments(flat)
+    part = gauss_legendre(lambda x: traj._clock_rates(x, seg[:, None]),
+                          traj.sol.ts[seg], flat)
+    return traj._segment_clocks[:, seg] + part + k * traj.period_clocks[:, None]
+
+
 class TestElementEngine:
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("a, ecc, launch", [(A, ECC, 0.0), (1e5, 0.3, 0.0),
@@ -364,6 +378,26 @@ class TestElementEngine:
         np.testing.assert_allclose(u, u_ref, rtol=1e-10)
         np.testing.assert_allclose(t, t_ref, rtol=1e-10)
         np.testing.assert_allclose(p, p_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("n", [2, 30])
+    @pytest.mark.parametrize("r_min_over_ro, ecc", SWEEP)
+    def test_clocks_match_per_sample_quadrature(self, r_min_over_ro, ecc, n,
+                                                backward):
+        state, integrals, _ = through_solve(r_min_over_ro, ecc)
+        traj = integrate_orbit(R_O, state, integrals, n, backward=backward)
+        phis = np.linspace(traj.phi_start, traj.phi_end, 512)
+        _, _, t, p = traj.sample(phis)
+        np.testing.assert_allclose([t, p], per_sample_clocks(traj, phis),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_sample_on_a_breakpoint_gets_its_clocks(self):
+        state, integrals = orbit_from_elements(R_O, 1e5, 0.3)
+        traj = integrate_orbit(R_O, state, integrals, 3)
+        # an inner breakpoint is the end of the step before it; the series
+        # there is the step's own rule, not the whole-step quadrature
+        _, _, t, p = traj.sample(traj.sol.ts)
+        assert same_bits(np.stack([t, p]), traj._segment_clocks)
 
     @pytest.mark.parametrize("r_min_over_ro, ecc", SWEEP)
     def test_perihelia_are_roots_of_the_oracle(self, r_min_over_ro, ecc):

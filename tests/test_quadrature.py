@@ -26,7 +26,7 @@ from flatgrav.errors import DenominatorVanishes, NoConvergence
 from flatgrav.orbits import precession_quadrature
 from flatgrav.photons import EchoGeometry, deflection_integral, shapiro_delay
 from flatgrav.presets import solar_echo_geometry
-from flatgrav.quadrature import gauss_legendre
+from flatgrav.quadrature import gauss_legendre, legendre_antiderivative
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -91,6 +91,51 @@ class TestGaussLegendre:
         assert quadrature._rule(32)[0] is x
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestLegendreAntiderivative:
+    A = np.array([0.0, 2.0, 1.5])
+    B = np.array([2.0, 0.5, 1.5])        # forward, backward and empty
+    X = np.array([0.0, 0.3, 1.7, 2.0, 2.0, 1.2, 0.5, 1.5])
+    WHICH = np.array([0, 0, 0, 0, 1, 1, 1, 2])
+
+    def test_polynomial_exact(self):
+        got = legendre_antiderivative(lambda x: 5 * x**4 - 3 * x**2,
+                                      self.A, self.B, self.X, self.WHICH)
+        prim = lambda x: x**5 - x**3
+        want = prim(self.X) - prim(self.A[self.WHICH])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_analytic_integrand_on_shared_nodes(self):
+        got = legendre_antiderivative(lambda x: np.stack([np.exp(x), x]),
+                                      self.A, self.B, self.X, self.WHICH)
+        lo = self.A[self.WHICH]
+        assert got.shape == (2, len(self.X))
+        np.testing.assert_allclose(got[0], np.exp(self.X) - np.exp(lo),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(got[1], (self.X**2 - lo**2) / 2,
+                                   rtol=1e-14)
+
+    def test_start_is_exactly_zero_end_is_the_rule(self):
+        got = legendre_antiderivative(np.exp, self.A, self.B, self.X,
+                                      self.WHICH)
+        at_start = self.X == self.A[self.WHICH]
+        assert (got[at_start] == 0.0).all()
+        assert got[3] == pytest.approx(gauss_legendre(np.exp, 0.0, 2.0),
+                                       rel=1e-15)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        with pytest.raises(NoConvergence):
+            legendre_antiderivative(lambda x: np.abs(x - 0.3) ** -0.5,
+                                    np.array([0.0]), np.array([1.0]),
+                                    np.array([0.5, 1.0]), np.array([0, 0]))
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NoConvergence):
+            legendre_antiderivative(lambda x: np.full_like(x, np.nan),
+                                    np.array([0.0]), np.array([1.0]),
+                                    np.array([0.5]), np.array([0]))
 
 
 def _old_turning_quadrature(r_o, r_min, r_max, k):
