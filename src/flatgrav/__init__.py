@@ -10,6 +10,7 @@ __version__ = "1.0.0"
 
 from .errors import FlatgravError
 from .metric import (
+    CentralField,
     FourPotential,
     SpacetimeMetric,
     build_metric,
@@ -40,8 +41,9 @@ from .carriers import ElectricCarrier, RadialCarrier
 __all__ = [
     "__version__",
     "FlatgravError",
-    "FourPotential", "SpacetimeMetric", "build_metric", "central_potential",
-    "christoffels_central", "proper_time_rate", "rotating_central_potential",
+    "CentralField", "FourPotential", "SpacetimeMetric", "build_metric",
+    "central_potential", "christoffels_central", "proper_time_rate",
+    "rotating_central_potential",
     "GeodesicState", "OrbitIntegrals", "integrate_orbit", "orbit_from_elements",
     "precession_analytic", "precession_numeric", "precession_quadrature",
     "EchoGeometry", "deflection_integral", "fermat_ray_integrate",

@@ -60,12 +60,53 @@ def _check_radius(r: float) -> None:
         raise NonPositiveRadius(f"r must be > 0, got {r}")
 
 
-def energy_density(c: RadialCarrier, r) -> np.ndarray:
-    """eps(r) = E_M * r_o / (4*pi*r^2*(r+r_o)^2)."""
+# -- the radial profile both carriers share, normalized to ``scale`` --------
+
+def _profile(scale: float, r_o: float, r) -> np.ndarray:
+    """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise NonPositiveRadius("r must be > 0")
-    return c.total_energy * c.r_o / (4.0 * np.pi * r**2 * (r + c.r_o) ** 2)
+    return scale * r_o / (4.0 * np.pi * r**2 * (r + r_o) ** 2)
+
+
+def _enclosed(scale: float, r_o: float, R: float) -> float:
+    """Analytic integral of the profile over the ball of radius R."""
+    if R < 0.0:
+        raise NonPositiveRadius(f"R must be >= 0, got {R}")
+    return scale * R / (R + r_o)
+
+
+def _shell_quadrature(scale: float, r_o: float, R: float,
+                      epsrel: float) -> float:
+    """Quadrature of the shell integrand scale*r_o/(r + r_o)^2 over [0, R].
+
+    Substituting r = r_o*(e^s - 1) over [0, ln(1 + R/r_o)] maps the long
+    1/r^2 tail onto a short range with a smooth integrand for the
+    Gauss-Legendre helper.
+    """
+    def shell_ds(s):
+        r = r_o * np.expm1(s)
+        return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
+
+    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), epsrel)
+
+
+def _total_quadrature(scale: float, r_o: float) -> float:
+    """Quadrature over [0, split] plus the exact tail integral beyond it.
+
+    The split sits at 1e3 * r_o; the tail of the shell integrand
+    scale*r_o/(r+r_o)^2 integrates to scale*r_o/(split+r_o) in closed form.
+    """
+    split = TAIL_SPLIT * r_o
+    head = _shell_quadrature(scale, r_o, split, 1e-12)
+    tail = scale * r_o / (split + r_o)
+    return head + tail
+
+
+def energy_density(c: RadialCarrier, r) -> np.ndarray:
+    """eps(r) = E_M * r_o / (4*pi*r^2*(r+r_o)^2)."""
+    return _profile(c.total_energy, c.r_o, r)
 
 
 def field_intensity(c: RadialCarrier, r) -> np.ndarray:
@@ -147,25 +188,7 @@ def ricci_density(c: RadialCarrier, r) -> np.ndarray:
 
 def enclosed_energy(c: RadialCarrier, R: float) -> float:
     """Analytic enclosed energy E_M * R/(R + r_o); 0 at R = 0."""
-    if R < 0.0:
-        raise NonPositiveRadius(f"R must be >= 0, got {R}")
-    return c.total_energy * R / (R + c.r_o)
-
-
-def _shell_quadrature(scale: float, r_o: float, R: float,
-                      epsrel: float) -> float:
-    """Quadrature of the shell integrand scale*r_o/(r + r_o)^2 over [0, R].
-
-    Both carriers share this radial profile.  Substituting
-    r = r_o*(e^s - 1) over [0, ln(1 + R/r_o)] maps the long 1/r^2 tail
-    onto a short range with a smooth integrand for the Gauss-Legendre
-    helper.
-    """
-    def shell_ds(s):
-        r = r_o * np.expm1(s)
-        return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
-
-    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), epsrel)
+    return _enclosed(c.total_energy, c.r_o, R)
 
 
 def enclosed_energy_quadrature(c: RadialCarrier, R: float,
@@ -183,15 +206,8 @@ def enclosed_energy_quadrature(c: RadialCarrier, R: float,
 
 
 def total_energy_quadrature(c: RadialCarrier) -> float:
-    """Quadrature over [0, split] plus the exact tail integral beyond it.
-
-    The split sits at 1e3 * r_o; the tail of the shell integrand
-    E_M*r_o/(r+r_o)^2 integrates to E_M*r_o/(split+r_o) in closed form.
-    """
-    split = TAIL_SPLIT * c.r_o
-    head = enclosed_energy_quadrature(c, split)
-    tail = c.total_energy * c.r_o / (split + c.r_o)
-    return head + tail
+    """Quadrature of 4*pi*r^2*eps to the tail split plus the exact tail."""
+    return _total_quadrature(c.total_energy, c.r_o)
 
 
 def attraction_law_check(c: RadialCarrier, E_m: float, r: float
@@ -241,10 +257,8 @@ def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
     W_e = (e/r_e)*ln((r+r_o)/r).  The displacement field D = E*r_e/r_o
     satisfies div(D) = 4*pi*rho exactly.
     """
+    rho = _profile(c.e, c.r_o, r)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise NonPositiveRadius("r must be > 0")
-    rho = c.e * c.r_o / (4.0 * np.pi * r**2 * (r + c.r_o) ** 2)
     e_field = c.e * c.r_o / (c.r_e * r * (r + c.r_o))
     potential = (c.e / c.r_e) * np.log1p(c.r_o / r)
     return rho, e_field, potential
@@ -261,17 +275,12 @@ def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
 
 def enclosed_charge(c: ElectricCarrier, R: float) -> float:
     """Analytic enclosed charge e * R/(R + r_o)."""
-    if R < 0.0:
-        raise NonPositiveRadius(f"R must be >= 0, got {R}")
-    return c.e * R / (R + c.r_o)
+    return _enclosed(c.e, c.r_o, R)
 
 
 def total_charge_quadrature(c: ElectricCarrier) -> float:
     """Quadrature of 4*pi*r^2*rho to the tail split plus the exact tail."""
-    split = TAIL_SPLIT * c.r_o
-    head = _shell_quadrature(c.e, c.r_o, split, 1e-12)
-    tail = c.e * c.r_o / (split + c.r_o)
-    return head + tail
+    return _total_quadrature(c.e, c.r_o)
 
 
 def self_energy_quadrature(c: ElectricCarrier) -> float:

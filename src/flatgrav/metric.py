@@ -10,7 +10,7 @@ Geometric units: c = 1, lengths in meters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,38 +40,71 @@ class FourPotential:
     name: str = "custom"
 
 
-def central_potential(r_o: float) -> FourPotential:
-    """Static attractive potential g0(r) = -r_o/r of a central energy-charge."""
-    if r_o < 0:
-        raise NonPositiveRadius(f"r_o must be >= 0, got {r_o}")
+@dataclass(frozen=True)
+class CentralField:
+    """Field of a (rotating) central body with its exact first derivatives.
 
-    def g0(x: Vec3) -> float:
-        r = float(np.linalg.norm(x))
-        if r <= 0:
-            raise NonPositiveRadius("potential evaluated at the center")
-        return -r_o / r
-
-    return FourPotential(g0=g0, name="central")
-
-
-def rotating_central_potential(r_o: float, inertia: float, omega: Vec3) -> FourPotential:
-    """Central potential plus the weak-rotation vector part 2*I*[w x r]/r^3.
-
-    ``inertia`` is the geometrized moment of inertia G*I/c^2 (m^3) and
-    ``omega`` the angular velocity in 1/m (SI omega divided by c).  The
+    g0 = -r_o/r and gi = 2*I*(w x x)/r^3.  ``inertia`` is the geometrized
+    moment of inertia G*I/c^2 (m^3) and ``omega`` the angular velocity in
+    1/m (SI omega divided by c; a scalar 0 means no rotation).  The
     cross-product order is fixed by requiring prograde dragging at the pole:
-    a spin there precesses in the same sense as the body's rotation.
+    a spin there precesses in the same sense as the body's rotation.  It
+    serves wherever a FourPotential is read, and ``christoffels`` takes its
+    connection from ``dg0`` and ``dgi`` in closed form.
     """
-    base = central_potential(r_o)
-    w = np.asarray(omega, dtype=float)
 
-    def gi(x: Vec3) -> Vec3:
-        r = float(np.linalg.norm(x))
-        if r <= 0:
-            raise NonPositiveRadius("potential evaluated at the center")
-        return 2.0 * inertia * np.cross(w, x) / r**3
+    r_o: float
+    inertia: float = 0.0      # geometrized moment of inertia (m^3)
+    omega: Vec3 = 0           # angular velocity vector (1/m)
 
-    return FourPotential(g0=base.g0, gi=gi, name="rotating-central")
+    def __post_init__(self):
+        object.__setattr__(self, "omega", np.full(3, self.omega, dtype=float))
+        if self.r_o < 0.0 or self.inertia < 0.0:
+            raise NonPositiveRadius("r_o and inertia must be >= 0")
+
+    @property
+    def name(self) -> str:
+        return ("rotating-central" if self.inertia and np.any(self.omega)
+                else "central")
+
+    def g0(self, x: Vec3) -> float:
+        return -self.r_o / _radius(x)
+
+    def gi(self, x: Vec3) -> Vec3:
+        return 2.0 * self.inertia * np.cross(self.omega, x) / _radius(x)**3
+
+    def dg0(self, x: Vec3) -> Vec3:
+        """d_k g0 = r_o * x_k / r^3."""
+        return self.r_o * np.asarray(x, dtype=float) / _radius(x)**3
+
+    def dgi(self, x: Vec3) -> np.ndarray:
+        """Jacobian dgi[k, i] = d_k gi_i of the vector potential."""
+        x = np.asarray(x, dtype=float)
+        r = _radius(x)
+        wx = np.cross(self.omega, x)
+        # d_k [w x x]_i = [w x e_k]_i, one row per e_k
+        w_cross_e = np.cross(self.omega, np.eye(3))
+        return 2.0 * self.inertia * (
+            w_cross_e / r**3 - 3.0 * np.outer(x, wx) / r**5
+        )
+
+
+def _radius(x: Vec3) -> float:
+    r = np.linalg.norm(x)
+    if r <= 0.0:
+        raise NonPositiveRadius("field evaluated at the center")
+    return r
+
+
+def central_potential(r_o: float) -> CentralField:
+    """Static attractive potential g0(r) = -r_o/r of a central energy-charge."""
+    return CentralField(r_o)
+
+
+def rotating_central_potential(r_o: float, inertia: float,
+                               omega: Vec3) -> CentralField:
+    """Central potential plus the weak-rotation vector part 2*I*[w x r]/r^3."""
+    return CentralField(r_o, inertia, omega)
 
 
 @dataclass(frozen=True)
@@ -126,7 +159,8 @@ def gauge_shift(pot: FourPotential, phi: Callable[[Vec3], float],
 
     ``phi`` is a static scalar field, so only the spatial components move.
     The gradient is taken by central finite differences with step ``h``
-    (default 1e-6 times the evaluation radius).
+    (default 1e-6 times the evaluation radius).  The result is a plain
+    FourPotential: the exact derivatives of a CentralField do not carry over.
     """
     def gi(x: Vec3) -> Vec3:
         step = h if h is not None else 1e-6 * max(float(np.linalg.norm(x)), 1.0)
@@ -137,7 +171,7 @@ def gauge_shift(pot: FourPotential, phi: Callable[[Vec3], float],
             grad[k] = (phi(x + dx) - phi(x - dx)) / (2.0 * step)
         return np.asarray(pot.gi(x), dtype=float) + grad
 
-    return replace(pot, gi=gi, name=pot.name + "+gauge")
+    return FourPotential(g0=pot.g0, gi=gi, name=pot.name + "+gauge")
 
 
 def g00_central(r_o: float, r: float) -> float:
@@ -224,6 +258,45 @@ def christoffels_numeric(pot: FourPotential, at: Vec3,
     dg = np.zeros((4, 4, 4))
     dg[1:] = dg3
     return _christoffel(m.ginv, dg)
+
+
+def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
+    """Exact Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
+
+    The metric g00 = (1 - g0)^-2, g0i = g00*gi, gij = g00*gi*gj - delta_ij
+    is differentiated in closed form from the field's exact gradients;
+    ``christoffels_numeric`` is its finite-difference oracle.  A plain
+    FourPotential (a gauge-shifted field, say) has no exact gradients and is
+    refused with TypeError.
+    """
+    if not isinstance(field, CentralField):
+        raise TypeError(f"christoffels needs a CentralField, got "
+                        f"{type(field).__name__}; use christoffels_numeric")
+    x = np.asarray(at, dtype=float)
+    G0 = field.g0(x)
+    Gi = field.gi(x)
+    dG0 = field.dg0(x)                # dG0[k]
+    dGi = field.dgi(x)                # dGi[k, i]
+
+    warp = 1.0 / (1.0 - G0)
+    g00 = warp**2
+    dg00 = 2.0 * warp**3 * dG0        # dg00[k]
+
+    ginv = np.empty((4, 4))
+    ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
+    ginv[0, 1:] = ginv[1:, 0] = Gi
+    ginv[1:, 1:] = -np.eye(3)
+
+    dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
+    for k in range(3):
+        s = k + 1
+        dg[s, 0, 0] = dg00[k]
+        row = dg00[k] * Gi + g00 * dGi[k]
+        dg[s, 0, 1:] = dg[s, 1:, 0] = row
+        dg[s, 1:, 1:] = (dg00[k] * np.outer(Gi, Gi)
+                         + g00 * (np.outer(dGi[k], Gi)
+                                  + np.outer(Gi, dGi[k])))
+    return _christoffel(ginv, dg)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

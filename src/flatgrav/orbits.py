@@ -113,16 +113,6 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
     return (r_o / L**2 - u + 4.5 * r_o * u**2 + 1.5 * r_o * uprime**2) / den
 
 
-def resonant_forcing_amplitude(r_o: float, L: float) -> float:
-    """Coefficient of the resonant eps*cos(phi) forcing term, 6*r_o^3/L^4.
-
-    Keeping only terms proportional to eps*cos(phi) after inserting the
-    Newtonian solution turns the rosette equation into
-    u'' + u - r_o/L^2 = 6*r_o^3*L^-4*eps*cos(phi).
-    """
-    return 6.0 * r_o**3 / L**4
-
-
 def orbit_from_elements(r_o: float, a: float, ecc: float
                         ) -> Tuple[GeodesicState, OrbitIntegrals]:
     """Initial perihelion state and integrals from Keplerian elements.
@@ -247,24 +237,6 @@ def orbit_from_integrals(r_o: float, energy_ratio: float, L: float
     state = GeodesicState(p=0.0, t=0.0, r=r_min, phi=0.0, drdp=0.0,
                           dphidp=integrals.J_phi * u_p**2)
     return state, integrals
-
-
-def integrals_from_turning_points(r_o: float, r_min: float, r_max: float
-                                  ) -> OrbitIntegrals:
-    """Solve the two turning-point conditions for (E_m/m, L)."""
-    if not 0.0 < r_min < r_max:
-        raise TurningPointNotFound(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    u1, u2 = 1.0 / r_min, 1.0 / r_max
-    # A - B*(1 - 2*r_o*u_k) = (1 - 3*r_o*u_k)*u_k^2 at both turning points;
-    # the difference quotient is factored by (u1 - u2) to dodge cancellation
-    c1 = 1.0 - 2.0 * r_o * u1
-    d1 = (1.0 - 3.0 * r_o * u1) * u1**2
-    B = ((u1 + u2) - 3.0 * r_o * (u1**2 + u1 * u2 + u2**2)) / (2.0 * r_o)
-    A = d1 + B * c1
-    if B <= 0 or A <= 0:
-        raise TurningPointNotFound("turning points do not define a bound orbit")
-    L = 1.0 / np.sqrt(B)
-    return OrbitIntegrals(energy_ratio=float(np.sqrt(A / B)), L=float(L))
 
 
 @dataclass
@@ -504,22 +476,19 @@ def kepler_period_seconds(r_o: float, a: float) -> float:
     return 2.0 * np.pi * np.sqrt(a**3 / r_o) / C_SI
 
 
-def precession_analytic(r_o: float, a: float, ecc: float,
-                        period_seconds: Optional[float] = None
+def precession_analytic(r_o: float, a: float, ecc: float
                         ) -> PrecessionResult:
     """Closed-form perihelion advance 6*pi*r_o/(a*(1-ecc^2)) per orbit.
 
-    The century rate uses ``period_seconds`` when supplied, otherwise the
-    Keplerian period of the same elements.
+    The century rate uses the Keplerian period of the same elements.
     """
     if a <= 0.0:
         raise NonPositiveRadius(f"semi-major axis must be > 0, got {a}")
     dphi = 6.0 * np.pi * r_o / (a * (1.0 - ecc**2))
     arcsec = None
     if r_o > 0.0:
-        if period_seconds is None:
-            period_seconds = kepler_period_seconds(r_o, a)
-        arcsec = dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_seconds
+        arcsec = (dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY
+                  / kepler_period_seconds(r_o, a))
     return PrecessionResult(delta_phi_per_orbit=float(dphi),
                             arcsec_per_century=arcsec, method="analytic")
 

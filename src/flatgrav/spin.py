@@ -1,7 +1,8 @@
 """Gyroscope transport around a rotating central body.
 
 The body contributes a scalar potential -r_o/r and, when spinning, the
-weak-rotation vector potential 2*I*[r x w]/r^3.  A comoving gyroscope's
+weak-rotation vector potential 2*I*[w x r]/r^3 (``metric.CentralField``,
+which also gives the exact connection).  A comoving gyroscope's
 covariant spin is parallel-transported along its orbit; the secular drift
 decomposes into a frame-dragging rate set by the vector potential's curl and
 a geodetic rate set by the motion through the scalar field's gradient.
@@ -11,130 +12,35 @@ moment of inertia in m^3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
-from .metric import FourPotential, _christoffel, rotating_central_potential
+from .metric import CentralField, _radius, christoffels
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
 
 __all__ = [
-    "RotatingFieldSpec", "SpinState", "rotating_connections", "transport_spin",
-    "spin_rhs_linearized", "precession_rates", "frame_dragging_rate",
-    "geodetic_rate", "de_sitter_rate", "circular_polar_orbit",
-    "spin_norm_invariant",
+    "RotatingFieldSpec", "rotating_connections", "transport_spin",
+    "frame_dragging_rate", "geodetic_rate", "de_sitter_rate",
+    "circular_polar_orbit", "spin_norm_invariant",
 ]
 
 
-@dataclass(frozen=True)
-class RotatingFieldSpec:
-    """Rotating central source: energy radius, inertia moment, spin vector."""
-
-    r_o: float
-    inertia: float            # geometrized moment of inertia (m^3)
-    omega: np.ndarray         # angular velocity vector (1/m)
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        if self.r_o < 0.0 or self.inertia < 0.0:
-            raise NonPositiveRadius("r_o and inertia must be >= 0")
-
-    def potential(self) -> FourPotential:
-        return rotating_central_potential(self.r_o, self.inertia, self.omega)
-
-    # -- potential values and exact first derivatives -----------------------
-
-    def G0(self, x: np.ndarray) -> float:
-        r = np.linalg.norm(x)
-        self._check(r)
-        return -self.r_o / r
-
-    def Gi(self, x: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(x)
-        self._check(r)
-        return 2.0 * self.inertia * np.cross(self.omega, x) / r**3
-
-    def grad_G0(self, x: np.ndarray) -> np.ndarray:
-        """d_k G0 = r_o * x_k / r^3."""
-        r = np.linalg.norm(x)
-        self._check(r)
-        return self.r_o * np.asarray(x, dtype=float) / r**3
-
-    def grad_Gi(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian dG[k, i] = d_k G_i of the vector potential."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        self._check(r)
-        wx = np.cross(self.omega, x)
-        # d_k [w x x]_i = [w x e_k]_i, one row per e_k
-        w_cross_e = np.cross(self.omega, np.eye(3))
-        return 2.0 * self.inertia * (
-            w_cross_e / r**3 - 3.0 * np.outer(x, wx) / r**5
-        )
-
-    @staticmethod
-    def _check(r: float) -> None:
-        if r <= 0.0:
-            raise NonPositiveRadius("field evaluated at the center")
-
-
-def _metric_blocks(spec: RotatingFieldSpec, x: np.ndarray):
-    """Covariant metric, its inverse, and all spatial derivatives at x."""
-    G0 = spec.G0(x)
-    Gi = spec.Gi(x)
-    dG0 = spec.grad_G0(x)             # dG0[k]
-    dGi = spec.grad_Gi(x)             # dGi[k, i]
-
-    warp = 1.0 / (1.0 - G0)
-    g00 = warp**2
-    dg00 = 2.0 * warp**3 * dG0        # dg00[k]
-
-    g = np.empty((4, 4))
-    g[0, 0] = g00
-    g[0, 1:] = g[1:, 0] = g00 * Gi
-    g[1:, 1:] = g00 * np.outer(Gi, Gi) - np.eye(3)
-
-    ginv = np.empty((4, 4))
-    ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
-    ginv[0, 1:] = ginv[1:, 0] = Gi
-    ginv[1:, 1:] = -np.eye(3)
-
-    dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
-    for k in range(3):
-        s = k + 1
-        dg[s, 0, 0] = dg00[k]
-        row = dg00[k] * Gi + g00 * dGi[k]
-        dg[s, 0, 1:] = dg[s, 1:, 0] = row
-        dg[s, 1:, 1:] = (dg00[k] * np.outer(Gi, Gi)
-                         + g00 * (np.outer(dGi[k], Gi)
-                                  + np.outer(Gi, dGi[k])))
-    return g, ginv, dg
+# The rotating body's field and its exact derivatives live in metric.
+RotatingFieldSpec = CentralField
 
 
 def rotating_connections(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
     """Exact Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
 
-    Built from closed-form metric derivatives of the rotating-central
-    potential; the finite-difference connection serves as its oracle.
+    The connection of ``metric.christoffels``, built from closed-form
+    metric derivatives; the finite-difference connection serves as its
+    oracle.
     """
-    _, ginv, dg = _metric_blocks(spec, np.asarray(x, dtype=float))
-    return _christoffel(ginv, dg)
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Covariant gyroscope spin: spatial components at coordinate time t."""
-
-    t: float
-    s: np.ndarray             # covariant spatial components S_i
-
-    def s_time(self, velocity: np.ndarray) -> float:
-        """Time component S_0 = -v . S fixed by orthogonality to the motion."""
-        return -float(np.dot(velocity, self.s))
+    return christoffels(spec, x)
 
 
 def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
@@ -145,8 +51,8 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
     ~3e-8 at r_o/r = 1e-4: that orbit is a Newtonian circle, not a geodesic,
     so the spin is transported along a path the metric does not follow.
     """
-    G0 = spec.G0(x)
-    Gi = spec.Gi(x)
+    G0 = spec.g0(x)
+    Gi = spec.gi(x)
     s0 = -float(np.dot(velocity, s))
     return (((1.0 - G0) ** 2 - Gi @ Gi) * s0**2
             + 2.0 * s0 * float(Gi @ s) - float(s @ s))
@@ -194,7 +100,8 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
     w = spec.omega.tolist()
     r2 = _dot(x, x)
     r = r2 ** 0.5
-    spec._check(r)
+    if r <= 0.0:
+        raise NonPositiveRadius("field evaluated at the center")
     r_o = float(spec.r_o)
     k3 = 2.0 * float(spec.inertia) / (r * r2)
     k5 = k3 / r2
@@ -284,8 +191,7 @@ def transport_spin(spec: RotatingFieldSpec,
 def frame_dragging_rate(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
     """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w) from the vector potential."""
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    spec._check(r)
+    r = _radius(x)
     rhat = x / r
     w = spec.omega
     return spec.inertia / r**3 * (3.0 * rhat * np.dot(w, rhat) - w)
@@ -294,14 +200,8 @@ def frame_dragging_rate(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
 def geodetic_rate(spec: RotatingFieldSpec, x: np.ndarray,
                   velocity: np.ndarray) -> np.ndarray:
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope."""
-    return -np.cross(np.asarray(velocity, dtype=float) / 2.0 - spec.Gi(x),
-                     spec.grad_G0(x))
-
-
-def precession_rates(spec: RotatingFieldSpec, x: np.ndarray,
-                     velocity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(frame-dragging, geodetic) angular-velocity vectors at one point."""
-    return frame_dragging_rate(spec, x), geodetic_rate(spec, x, velocity)
+    return -np.cross(np.asarray(velocity, dtype=float) / 2.0 - spec.gi(x),
+                     spec.dg0(x))
 
 
 def de_sitter_rate(r_o: float, x: np.ndarray,
@@ -312,13 +212,6 @@ def de_sitter_rate(r_o: float, x: np.ndarray,
     if r <= 0.0:
         raise NonPositiveRadius("rate evaluated at the center")
     return 1.5 * r_o / r**3 * np.cross(x, velocity)
-
-
-def spin_rhs_linearized(spec: RotatingFieldSpec, x: np.ndarray,
-                        velocity: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Leading-order transport dS/dt = (Omega_fd + Omega_geo) x S."""
-    omega_fd, omega_geo = precession_rates(spec, x, velocity)
-    return np.cross(omega_fd + omega_geo, s)
 
 
 def circular_polar_orbit(radius: float, r_o: float

@@ -8,9 +8,11 @@ from flatgrav.errors import (
     PotentialOutOfRange,
 )
 from flatgrav.metric import (
+    CentralField,
     FourPotential,
     build_metric,
     central_potential,
+    christoffels,
     christoffels_central,
     christoffels_numeric,
     dg00_dr_central,
@@ -19,6 +21,7 @@ from flatgrav.metric import (
     proper_time_rate,
     rotating_central_potential,
 )
+from flatgrav.presets import earth_spin_parameters
 
 RNG = np.random.default_rng(20260823)
 
@@ -122,6 +125,71 @@ class TestChristoffels:
         x = np.array([1.0, 0.5, -0.2])
         m = build_metric(pot, x)
         assert np.max(np.abs(m.gamma - np.eye(3))) < 1e-13
+
+
+class TestCentralField:
+    def test_constructors_build_the_one_field(self):
+        static = central_potential(0.5)
+        rot = rotating_central_potential(0.5, 0.1, [0.0, 0.0, 0.2])
+        assert isinstance(static, CentralField)
+        assert (static.r_o, static.inertia) == (0.5, 0.0)
+        assert np.array_equal(static.omega, np.zeros(3))
+        assert (rot.r_o, rot.inertia) == (0.5, 0.1)
+        assert np.array_equal(rot.omega, [0.0, 0.0, 0.2])
+        assert (static.name, rot.name) == ("central", "rotating-central")
+
+    def test_guards(self):
+        for r_o, inertia in ((-1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(NonPositiveRadius):
+                CentralField(r_o, inertia)
+        field = CentralField(1.0, 0.1, [0.0, 0.0, 1.0])
+        for method in (field.g0, field.gi, field.dg0, field.dgi):
+            with pytest.raises(NonPositiveRadius):
+                method(np.zeros(3))
+
+    def test_static_exact_against_finite_difference(self):
+        field = CentralField(0.01)
+        for _ in range(5):
+            x = RNG.normal(0.0, 1.0, 3) + np.array([2.0, 0.0, 0.0])
+            exact = christoffels(field, x)
+            fd = christoffels_numeric(field, x, h=1e-6)
+            assert np.max(np.abs(exact - fd)) < 1e-7 * np.max(np.abs(exact))
+
+    def test_earth_scale_exact_against_finite_difference(self):
+        # g00 sits ~1e-9 below 1, so a central difference of g loses digits
+        # to rounding as eps/h: h = 1e4 m keeps both that and the O(h^2)
+        # truncation near 1e-5 of the largest component of each block
+        p = earth_spin_parameters()
+        field = CentralField(p["r_o"], p["inertia"], p["omega"])
+        x = np.array([4.1e6, -3.3e6, 4.6e6])
+        exact = christoffels(field, x)
+        fd = christoffels_numeric(field, x, h=1e4)
+        static = np.zeros(exact.shape, dtype=bool)
+        static[1:, 0, 0] = static[0, 0, 1:] = static[0, 1:, 0] = True
+        for block, rtol in ((static, 1e-4), (~static, 1e-5)):
+            scale = np.max(np.abs(exact[block]))
+            assert scale > 0.0
+            assert np.max(np.abs(exact - fd)[block]) < rtol * scale
+
+    def test_radial_closed_forms_on_the_x_axis(self):
+        r_o, r = 100.0, 1.0e4
+        gamma = christoffels(CentralField(r_o), np.array([r, 0.0, 0.0]))
+        cs = christoffels_central(r_o, r)
+        assert gamma[1, 0, 0] == pytest.approx(cs.gamma_r_tt, rel=1e-14)
+        assert gamma[0, 0, 1] == pytest.approx(cs.gamma_t_tr, rel=1e-14)
+
+    def test_gauge_shifted_field_is_flat_and_refused(self):
+        field = CentralField(0.5, 0.1, [0.0, 0.3, 0.2])
+        shifted = gauge_shift(field, lambda x: x[0] * x[1] - 0.2 * x[2] ** 2)
+        assert type(shifted) is FourPotential
+        x = np.array([2.0, 1.0, -1.0])
+        m = build_metric(shifted, x)
+        assert np.max(np.abs(m.gamma - np.eye(3))) < 1e-12
+        assert m.g00 == build_metric(field, x).g00
+        # its gi moved, but no exact gradient came along: refuse rather
+        # than return the unshifted field's connection
+        with pytest.raises(TypeError):
+            christoffels(shifted, x)
 
 
 class TestProperTimeRate:

@@ -11,7 +11,6 @@ from flatgrav.errors import (
     DenominatorVanishes,
     InsufficientOrbits,
     NonPositiveRadius,
-    TurningPointNotFound,
     UnboundOrbit,
 )
 from flatgrav import orbits
@@ -19,7 +18,6 @@ from flatgrav.quadrature import gauss_legendre
 from flatgrav.orbits import (
     energy_integral,
     geodesic_force,
-    integrals_from_turning_points,
     integrate_orbit,
     kepler_period_seconds,
     orbit_from_elements,
@@ -28,7 +26,6 @@ from flatgrav.orbits import (
     precession_analytic,
     precession_numeric,
     precession_quadrature,
-    resonant_forcing_amplitude,
     rosette_rhs,
     turning_points,
     turning_points_from_elements,
@@ -59,11 +56,6 @@ class TestDynamicsConsistency:
         with pytest.raises(DenominatorVanishes):
             rosette_rhs(1.0, 0.0, 1.0, 10.0)
 
-    def test_resonant_amplitude(self):
-        assert resonant_forcing_amplitude(2.0, 3.0) == pytest.approx(
-            6.0 * 2.0**3 / 3.0**4, rel=1e-15
-        )
-
     def test_newtonian_limit_circular(self):
         # r_o -> 0: u'' + u = r_o/L^2, circular orbit at u = r_o/L^2
         r_o, L = 1e-9, 5.0
@@ -78,14 +70,6 @@ class TestElementsAndTurningPoints:
         assert r_min == pytest.approx(A * (1 - ECC), rel=1e-6)
         assert r_max == pytest.approx(A * (1 + ECC), rel=1e-6)
         assert state.r == pytest.approx(A * (1 - ECC), rel=1e-15)
-
-    def test_integrals_roundtrip(self):
-        _, integrals = orbit_from_elements(R_O, A, ECC)
-        r_min, r_max = turning_points(R_O, integrals)
-        back = integrals_from_turning_points(R_O, r_min, r_max)
-        assert back.L == pytest.approx(integrals.L, rel=1e-12)
-        assert back.energy_ratio == pytest.approx(integrals.energy_ratio,
-                                                  rel=1e-12)
 
     def test_orbit_from_integrals_starts_at_perihelion(self):
         _, integrals = orbit_from_elements(R_O, A, ECC)
@@ -163,11 +147,6 @@ class TestElementsAndTurningPoints:
         value = precession_quadrature(R_O, r, r)
         closed = precession_analytic(R_O, r, 0.0).delta_phi_per_orbit
         assert value == pytest.approx(closed, rel=20.0 * R_O / r)
-
-    def test_circular_orbit_has_no_radial_range(self):
-        # matched turning points collapse the bracket
-        with pytest.raises(TurningPointNotFound):
-            integrals_from_turning_points(R_O, 1e10, 1e10)
 
 
 class TestIntegration:
