@@ -4,50 +4,42 @@ Builds spacetime metrics from gravitational four-potentials with an exactly
 Euclidean spatial section, integrates bound orbits and light rays, transports
 gyroscope spins around a rotating body, and evaluates the nonlocal r^-4
 energy/charge carrier fields — with a CLI for the classic solar-system tests.
+
+``import flatgrav`` loads no submodule: each exported name is read from its
+home module on access (PEP 562), and that module is imported the first time.
 """
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-from .errors import FlatgravError
-from .metric import (
-    CentralField,
-    FourPotential,
-    SpacetimeMetric,
-    build_metric,
-    central_potential,
-    christoffels_central,
-    proper_time_rate,
-    rotating_central_potential,
-)
-from .orbits import (
-    GeodesicState,
-    OrbitIntegrals,
-    integrate_orbit,
-    orbit_from_elements,
-    precession_analytic,
-    precession_numeric,
-    precession_quadrature,
-)
-from .photons import (
-    EchoGeometry,
-    deflection_integral,
-    fermat_ray_integrate,
-    shapiro_delay,
-    wave_vector,
-)
-from .spin import RotatingFieldSpec, transport_spin
-from .carriers import ElectricCarrier, RadialCarrier
+# exported name -> the submodule that defines it
+_HOME = {
+    "FlatgravError": "errors",
+    **dict.fromkeys((
+        "CentralField", "FourPotential", "SpacetimeMetric", "build_metric",
+        "central_potential", "christoffels_central", "proper_time_rate",
+        "rotating_central_potential"), "metric"),
+    **dict.fromkeys((
+        "GeodesicState", "OrbitIntegrals", "integrate_orbit",
+        "orbit_from_elements", "precession_analytic", "precession_numeric",
+        "precession_quadrature"), "orbits"),
+    **dict.fromkeys((
+        "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
+        "shapiro_delay", "wave_vector"), "photons"),
+    **dict.fromkeys(("RotatingFieldSpec", "transport_spin"), "spin"),
+    **dict.fromkeys(("ElectricCarrier", "RadialCarrier"), "carriers"),
+}
 
-__all__ = [
-    "__version__",
-    "FlatgravError",
-    "CentralField", "FourPotential", "SpacetimeMetric", "build_metric",
-    "central_potential", "christoffels_central", "proper_time_rate",
-    "rotating_central_potential",
-    "GeodesicState", "OrbitIntegrals", "integrate_orbit", "orbit_from_elements",
-    "precession_analytic", "precession_numeric", "precession_quadrature",
-    "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
-    "shapiro_delay", "wave_vector",
-    "RotatingFieldSpec", "transport_spin",
-    "ElectricCarrier", "RadialCarrier",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    # not cached here: the name always reads the home module's binding
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -16,54 +16,47 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .baseline import (
-    newtonian_baseline,
-    schwarzschild_baseline,
-    schwarzschild_precession_quadrature,
-)
-from .carriers import (
-    ElectricCarrier,
-    RadialCarrier,
-    electric_profile,
-    enclosed_energy,
-    energy_density,
-    field_intensity,
-    log_potential,
-    self_energy_quadrature,
-    total_charge_quadrature,
-)
 from .constants import ARCSEC_PER_RAD, C_SI
 from .errors import ConfigInvalid, FlatgravError, NumericalFailure
-from .orbits import (
-    integrate_orbit,
-    kepler_period_seconds,
-    orbit_from_elements,
-    precession_analytic,
-    precession_numeric,
-    precession_quadrature,
-    turning_points_from_elements,
-)
-from .photons import (
-    EchoGeometry,
-    deflection_integral,
-    fermat_ray_integrate,
-    ray_launch,
-    shapiro_delay,
-)
 from .presets import FLAT_MODEL, Scenario, preset_scenario
-from .spin import (
-    RotatingFieldSpec,
-    circular_polar_orbit,
-    de_sitter_rate,
-    frame_dragging_rate,
-    geodetic_rate,
-)
+
+# The physics names the subcommands run -> their home module.  A ``cmd_*``
+# imports its names when it runs, so a process loads only the modules of its
+# subcommand; ``cli.<name>`` reads the home module's current binding.
+_HOME = {
+    **dict.fromkeys((
+        "newtonian_baseline", "schwarzschild_baseline",
+        "schwarzschild_precession_quadrature"), "baseline"),
+    **dict.fromkeys((
+        "ElectricCarrier", "RadialCarrier", "electric_profile",
+        "enclosed_energy", "energy_density", "field_intensity",
+        "log_potential", "self_energy_quadrature",
+        "total_charge_quadrature"), "carriers"),
+    **dict.fromkeys((
+        "integrate_orbit", "kepler_period_seconds", "orbit_from_elements",
+        "precession_analytic", "precession_numeric", "precession_quadrature",
+        "turning_points_from_elements"), "orbits"),
+    **dict.fromkeys((
+        "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
+        "ray_launch", "shapiro_delay"), "photons"),
+    **dict.fromkeys((
+        "RotatingFieldSpec", "circular_polar_orbit", "de_sitter_rate",
+        "frame_dragging_rate", "geodetic_rate"), "spin"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _HOME:
+        return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 ROW_FIELDS = ("scenario", "model", "quantity", "value", "unit",
               "tolerance", "provenance")
@@ -233,6 +226,8 @@ def _count(flag: str, value: int, least: int) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
+    from .orbits import (integrate_orbit, orbit_from_elements,
+                         precession_analytic, precession_numeric)
     sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
     if args.orbits is not None:
         sc = replace(sc, n_orbits=args.orbits)
@@ -266,6 +261,8 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_precession(args: argparse.Namespace) -> RunReport:
+    from .orbits import (kepler_period_seconds, precession_analytic,
+                         precession_quadrature, turning_points_from_elements)
     sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
     p = sc.params
     if not p["r_o"] > 0:
@@ -287,6 +284,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
+    from .photons import deflection_integral, fermat_ray_integrate, ray_launch
     sc = _load_scenario(args, "solar", ("r_o", "R_s"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
@@ -303,6 +301,7 @@ def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
+    from .photons import EchoGeometry, shapiro_delay
     sc = _load_scenario(args, "solar", ("r_o", "R_s", "r_es", "r_ms"))
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
@@ -319,6 +318,8 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
+    from .spin import (RotatingFieldSpec, circular_polar_orbit,
+                       de_sitter_rate, frame_dragging_rate, geodetic_rate)
     _positive("orbit-radius", args.orbit_radius)
     sc = _load_scenario(args, "earth", ("r_o", "inertia", "omega"))
     p = sc.params
@@ -351,6 +352,8 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_density(args: argparse.Namespace) -> RunReport:
+    from .carriers import (RadialCarrier, enclosed_energy, energy_density,
+                           field_intensity, log_potential)
     r = _positive("r-over-ro", args.r_over_ro)
     _count("samples", args.samples, 1)
     carrier = RadialCarrier(r_o=1.0)
@@ -378,6 +381,8 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_electric(args: argparse.Namespace) -> RunReport:
+    from .carriers import (ElectricCarrier, electric_profile,
+                           self_energy_quadrature, total_charge_quadrature)
     _count("samples", args.samples, 1)
     carrier = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
     report = RunReport(scenario="electric-carrier", model="flatspace-weber",
@@ -398,6 +403,10 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> RunReport:
+    from .baseline import (newtonian_baseline, schwarzschild_baseline,
+                           schwarzschild_precession_quadrature)
+    from .orbits import precession_analytic, precession_quadrature
+    from .photons import EchoGeometry, deflection_integral, shapiro_delay
     _positive("strong-rmin", args.strong_rmin)
     mercury = _load_scenario(args, "mercury", ("r_o", "a", "ecc"),
                              flat_only=False)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidSpeed, NoConvergence, NonPositiveRadius, PotentialOutOfRange
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+EPS = float(np.finfo(float).eps)
 
 Vec3 = np.ndarray
 
@@ -40,7 +41,8 @@ class FourPotential:
     name: str = "custom"
 
 
-@dataclass(frozen=True)
+# omega is an array, so == and hash go by identity
+@dataclass(frozen=True, eq=False)
 class CentralField:
     """Field of a (rotating) central body with its exact first derivatives.
 
@@ -250,11 +252,18 @@ def christoffels_numeric(pot: FourPotential, at: Vec3,
     Spatial metric derivatives come from central finite differences of the
     potential-built metric; the field is static, so time derivatives vanish.
     Serves as the independent oracle for closed-form connection components.
+
+    The default step h = r*(eps/|g - eta|)^(1/3), at most r/100, balances
+    the differences' rounding (eps/h against metric entries of size 1) with
+    their truncation ((h/r)^2 against the field's part |g - eta|).
     """
     x = np.asarray(at, dtype=float)
-    step = h if h is not None else 1e-6 * max(float(np.linalg.norm(x)), 1.0)
     m = build_metric(pot, x)
-    dg3 = metric_gradient_numeric(pot, x, step)
+    if h is None:
+        r = max(float(np.linalg.norm(x)), 1.0)
+        departure = max(float(np.max(np.abs(m.g - ETA))), EPS)
+        h = r * min((EPS / departure) ** (1.0 / 3.0), 1e-2)
+    dg3 = metric_gradient_numeric(pot, x, h)
     dg = np.zeros((4, 4, 4))
     dg[1:] = dg3
     return _christoffel(m.ginv, dg)

@@ -470,10 +470,21 @@ def precession_numeric(traj: Trajectory) -> PrecessionResult:
 
 
 def kepler_period_seconds(r_o: float, a: float) -> float:
-    """Keplerian orbital period 2*pi*sqrt(a^3/r_o), converted to seconds."""
+    """Keplerian orbital period 2*pi*sqrt(a^3/r_o), converted to seconds.
+
+    Where a^3/r_o overflows (a weak field: r_o below ~1e-276 for Mercury's
+    a), the root is taken as a*sqrt(a/r_o), which stays finite as long as
+    the period does; elsewhere that form would move the last digit.
+    """
     if r_o <= 0 or a <= 0:
         raise NonPositiveRadius("need r_o > 0 and a > 0")
-    return 2.0 * np.pi * np.sqrt(a**3 / r_o) / C_SI
+    a, r_o = float(a), float(r_o)
+    try:
+        ratio = a**3 / r_o
+    except OverflowError:               # a**3 alone: a above ~5.6e102
+        ratio = math.inf
+    root = np.sqrt(ratio) if ratio < math.inf else a * np.sqrt(a / r_o)
+    return 2.0 * np.pi * root / C_SI
 
 
 def precession_analytic(r_o: float, a: float, ecc: float

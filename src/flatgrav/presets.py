@@ -9,13 +9,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
 from .constants import C_SI, G_SI
 from .errors import ConfigInvalid
-from .photons import EchoGeometry
+
+if TYPE_CHECKING:
+    from .photons import EchoGeometry
 
 FLAT_MODEL = "flatspace-weber"
 MODELS = (FLAT_MODEL, "schwarzschild", "newtonian")
@@ -57,6 +59,7 @@ def energy_radius(mass_kg: float) -> float:
 
 def solar_echo_geometry() -> EchoGeometry:
     """Earth-Sun-Mercury radar geometry grazing the solar limb."""
+    from .photons import EchoGeometry
     return EchoGeometry(r_es=EARTH_SUN_DISTANCE, r_ms=MERCURY_SUN_DISTANCE,
                        R_s=SOLAR_RADIUS, r_o=SOLAR_R_O)
 

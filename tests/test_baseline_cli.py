@@ -15,7 +15,7 @@ from flatgrav.baseline import (
     schwarzschild_baseline,
     schwarzschild_precession_quadrature,
 )
-from flatgrav import cli
+from flatgrav import carriers, cli
 from flatgrav.cli import RunReport, build_parser, main
 from flatgrav.errors import ConfigInvalid, NumericalFailure, UnsupportedQuantity
 from flatgrav.orbits import (
@@ -350,9 +350,10 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
 
-    @pytest.mark.parametrize("r_o", [1e-155, 1e-200])
+    @pytest.mark.parametrize("r_o", [1e-155, 1e-200, 1e-290])
     def test_weak_field_precession(self, tmp_path, r_o):
-        # s*s of the deflated turning quadratic overflows at these r_o
+        # s*s of the deflated turning quadratic overflows at these r_o, and
+        # a**3/r_o of the Keplerian period at 1e-290
         cfg = self.config(tmp_path, {"preset": "mercury",
                                      "params": {"r_o": r_o}})
         out = tmp_path / "prec.json"
@@ -410,7 +411,7 @@ class TestCliContract:
                                        ["--format", "csv", "--out"]])
     def test_non_finite_result_exits_3(self, tmp_path, monkeypatch, capsys,
                                        flags):
-        monkeypatch.setattr(cli, "enclosed_energy",
+        monkeypatch.setattr(carriers, "enclosed_energy",
                             lambda carrier, r: float("nan"))
         if flags[-1:] == ["--out"]:
             flags = flags + [str(tmp_path / "density.csv")]

@@ -171,6 +171,26 @@ class TestCentralField:
             assert scale > 0.0
             assert np.max(np.abs(exact - fd)[block]) < rtol * scale
 
+    def test_default_step_at_earth_scale(self):
+        # h = 1e-6*r lost the static block to rounding (6.9% off here)
+        p = earth_spin_parameters()
+        field = CentralField(p["r_o"], p["inertia"], p["omega"])
+        x = np.array([4.1e6, -3.3e6, 4.6e6])
+        exact = christoffels(field, x)
+        fd = christoffels_numeric(field, x)
+        static = np.zeros(exact.shape, dtype=bool)
+        static[1:, 0, 0] = static[0, 0, 1:] = static[0, 1:, 0] = True
+        for block in (static, ~static):
+            scale = np.max(np.abs(exact[block]))
+            assert np.max(np.abs(exact - fd)[block]) < 1e-4 * scale
+
+    def test_equality_is_identity_and_hashable(self):
+        field = CentralField(0.5, 0.1, [0.0, 0.0, 0.2])
+        assert field == field and field != CentralField(0.5, 0.1,
+                                                        [0.0, 0.0, 0.2])
+        assert central_potential(0.5) != CentralField(0.5)
+        assert {field: 1}[field] == 1
+
     def test_radial_closed_forms_on_the_x_axis(self):
         r_o, r = 100.0, 1.0e4
         gamma = christoffels(CentralField(r_o), np.array([r, 0.0, 0.0]))

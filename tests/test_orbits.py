@@ -1,5 +1,6 @@
 """Bound-orbit dynamics, turning points, and perihelion advance."""
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from flatgrav.errors import (
     UnboundOrbit,
 )
 from flatgrav import orbits
+from flatgrav.constants import C_SI
 from flatgrav.quadrature import gauss_legendre
 from flatgrav.orbits import (
     energy_integral,
@@ -479,6 +481,17 @@ class TestPrecession:
         # Mercury: about 88 days
         period = kepler_period_seconds(R_O, A)
         assert period == pytest.approx(88 * 86400, rel=0.01)
+
+    @pytest.mark.parametrize("r_o, a", [(1e-290, A), (1e-100, 3e150)])
+    def test_kepler_period_of_a_weak_field_is_finite(self, r_o, a):
+        # a**3/r_o overflows (and a**3 alone raises for the larger a)
+        period = kepler_period_seconds(r_o, a)
+        assert period == pytest.approx(
+            2.0 * math.pi * a * math.sqrt(a / r_o) / C_SI, rel=4e-16)
+
+    def test_kepler_period_keeps_its_digits(self):
+        # the root of a**3/r_o, not a*sqrt(a/r_o) (which ends in ...89)
+        assert kepler_period_seconds(R_O, A) == 7589885.561223888
 
     def test_zero_field_no_precession(self):
         res = precession_analytic(0.0, A, ECC)

@@ -1,5 +1,7 @@
-"""Gauss-Legendre helper, the quadrature routes built on it, and the
-scipy-free import of the closed-form and quadrature paths."""
+"""Gauss-Legendre helper, the quadrature routes built on it, the
+scipy-free import of the closed-form and quadrature paths, and the modules
+each subcommand loads."""
+import importlib
 import json
 import os
 import subprocess
@@ -276,3 +278,91 @@ def test_closed_form_paths_do_not_import_scipy():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0] * 6
     assert result["scipy"] == []
+
+
+# flatgrav modules that `python -m flatgrav.cli <subcommand>` imports (the
+# CLI itself runs as __main__); nothing else may load.
+CLI_BASE = {"flatgrav", "flatgrav.constants", "flatgrav.errors",
+            "flatgrav.presets"}
+SUBCOMMAND_MODULES = {
+    "orbit": {"orbits", "quadrature", "ode"},
+    "precession": {"orbits", "quadrature"},
+    "light-deflect": {"photons", "quadrature", "ode"},
+    "echo-delay": {"photons", "quadrature"},
+    "gyro": {"spin", "metric"},
+    "density": {"carriers", "quadrature"},
+    "electric": {"carriers", "quadrature"},
+    "compare": {"baseline", "orbits", "photons", "quadrature"},
+}
+# What `flatgrav` exports, by home module.
+PACKAGE_EXPORTS = {
+    "errors": ("FlatgravError",),
+    "metric": ("CentralField", "FourPotential", "SpacetimeMetric",
+               "build_metric", "central_potential", "christoffels_central",
+               "proper_time_rate", "rotating_central_potential"),
+    "orbits": ("GeodesicState", "OrbitIntegrals", "integrate_orbit",
+               "orbit_from_elements", "precession_analytic",
+               "precession_numeric", "precession_quadrature"),
+    "photons": ("EchoGeometry", "deflection_integral", "fermat_ray_integrate",
+                "shapiro_delay", "wave_vector"),
+    "spin": ("RotatingFieldSpec", "transport_spin"),
+    "carriers": ("ElectricCarrier", "RadialCarrier"),
+}
+
+
+def _flatgrav_imports(*args):
+    """Exit code and the flatgrav modules a fresh ``python -X importtime
+    <args>`` imports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, {n for n in names if n.split(".")[0] == "flatgrav"}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_modules(sub):
+    code, loaded = _flatgrav_imports("-m", "flatgrav.cli", sub)
+    assert code == 0
+    assert loaded == CLI_BASE | {f"flatgrav.{m}"
+                                 for m in SUBCOMMAND_MODULES[sub]}
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _flatgrav_imports("-c", "import flatgrav") == (0, {"flatgrav"})
+
+
+class TestLazyExports:
+    def test_names_are_the_home_modules_objects(self):
+        import flatgrav
+        names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+        assert sorted(flatgrav.__all__) == sorted(["__version__", *names])
+        for home, names in PACKAGE_EXPORTS.items():
+            module = importlib.import_module(f"flatgrav.{home}")
+            for name in names:
+                assert getattr(flatgrav, name) is getattr(module, name)
+
+    def test_star_import_and_dir(self):
+        import flatgrav
+        namespace = {}
+        exec("from flatgrav import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(flatgrav.__all__)
+        assert set(flatgrav.__all__) <= set(dir(flatgrav))
+
+    def test_unknown_name_raises_attribute_error(self):
+        import flatgrav
+        from flatgrav import cli
+        for module in (flatgrav, cli):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
+            assert not hasattr(module, "no_such_name")
+
+    def test_cli_names_read_the_home_module(self, monkeypatch):
+        from flatgrav import carriers, cli, orbits
+        assert cli.integrate_orbit is orbits.integrate_orbit
+        monkeypatch.setattr(carriers, "enclosed_energy", len)
+        assert cli.enclosed_energy is len
