@@ -60,7 +60,14 @@ class CentralField:
     omega: Vec3 = 0           # angular velocity vector (1/m)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", np.full(3, self.omega, dtype=float))
+        omega = np.array(self.omega, dtype=float)
+        if omega.shape != (3,):
+            # only "no rotation" may be written as a scalar
+            if omega.shape or omega != 0.0:
+                raise ValueError(f"omega must be a 3-vector or the scalar 0, "
+                                 f"got {self.omega!r}")
+            omega = np.zeros(3)
+        object.__setattr__(self, "omega", omega)
         if self.r_o < 0.0 or self.inertia < 0.0:
             raise NonPositiveRadius("r_o and inertia must be >= 0")
 

@@ -330,12 +330,18 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol,
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _error_norm(K, h, scale) -> float:
-    """RMS norm of the error estimate, E5 damped by E3 as in dop853."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT, h, scale) -> float:
+    """RMS norm of the error estimate, E5 damped by E3 as in dop853.
+
+    ``KT`` is the transposed stage array; a norm is sqrt(x . x), the sum
+    ``np.linalg.norm`` takes for a 1-D array.
+    """
+    err5 = np.dot(KT, E5)
+    err5 /= scale
+    err3 = np.dot(KT, E3)
+    err3 /= scale
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -373,6 +379,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
                           atol)
     K_ext = np.empty((16, y.size))
     K = K_ext[:N_STAGES + 1]
+    KT = [K_ext[:s].T for s in range(16)]   # KT[s]: stages 0..s-1, transposed
     g = [ev(t, y) for ev, _ in events]
     ts, steps = [t], ([], [], [], [])   # DenseOutput's per-step lists
     event = None
@@ -400,13 +407,18 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             K[0] = fy
             for s in range(1, N_STAGES):
                 c, a = _STAGES[s]
-                dy = np.dot(K[:s].T, a) * h
-                K[s] = f(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = f(t + h, y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+                ys = np.dot(KT[s], a)
+                ys *= h
+                ys += y
+                K[s] = fun(t + c * h, ys)
+            y_new = y + h * np.dot(KT[N_STAGES], B)
+            K[-1] = fun(t + h, y_new)
+            f_new = K[-1].copy()
+            scale = np.abs(y)
+            np.maximum(scale, np.abs(y_new), out=scale)
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR,
@@ -419,8 +431,10 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
         # the extra stages and coefficients of the step's interpolant
         for s in range(N_STAGES + 1, 16):
             c, a = _STAGES[s]
-            dy = np.dot(K_ext[:s].T, a) * h
-            K_ext[s] = f(t + c * h, y + dy)
+            ys = np.dot(KT[s], a)
+            ys *= h
+            ys += y
+            K_ext[s] = fun(t + c * h, ys)
         F = np.empty((7, y.size))
         delta_y = y_new - y
         F[0] = delta_y

@@ -384,7 +384,7 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     Raises ToleranceNotMet if the energy-integral drift over the legs tops
     1000*tol*n_orbits, InsufficientOrbits if n_orbits is 0 or a leg finds
     no turning point within 2*max(n_orbits, 1) revolutions, and
-    NumericalFailure if the forcing at launch is subnormal.
+    NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
     """
     from .ode import DenseOutput, dop853
 
@@ -398,9 +398,12 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     up0 = -state.drdp / integrals.J_phi
     c = r_o / integrals.L**2
     f0 = _forcing(u0, up0, r_o, c)
-    if 0.0 < f0 < np.finfo(float).tiny:
+    # a weak field's forcing can underflow to a subnormal or to 0.0; a
+    # negative one (3*r_o*u0 > 1) is left to _element_rhs to refuse
+    if r_o > 0.0 and not abs(f0) >= np.finfo(float).tiny:
         raise NumericalFailure(
-            f"field forcing {f0:.3g} is subnormal: the elements lose digits")
+            f"field forcing {f0:.3g} at launch is below the smallest normal "
+            f"float: the elements lose digits")
     sign = -1.0 if backward else 1.0
     phi0, phi1 = state.phi, state.phi + sign * 2.0 * np.pi * n_orbits
     cos0, sin0 = np.cos(phi0), np.sin(phi0)

@@ -74,6 +74,12 @@ def earth_spin_parameters() -> Dict[str, Any]:
     }
 
 
+def _finite_number(value: Any) -> bool:
+    """A finite float, or an int that a float can hold."""
+    return (isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One named run: a model choice plus physical and run parameters."""
@@ -99,9 +105,7 @@ class Scenario:
             raise ConfigInvalid(
                 f"n_orbits must be an integer >= 1, got {self.n_orbits!r}")
         for key, value in self.params.items():
-            # a finite float, or an int that a float can hold
-            finite = (isinstance(value, (int, float))
-                      and abs(value) <= sys.float_info.max)
+            finite = _finite_number(value)
             if key in ("a", "R_s", "r_es", "r_ms", "radius"):
                 if not (finite and value > 0):
                     raise ConfigInvalid(f"length {key!r} must be finite "
@@ -113,6 +117,19 @@ class Scenario:
                 if not (isinstance(value, (int, float)) and 0 <= value < 1):
                     raise ConfigInvalid(
                         f"eccentricity must be in [0, 1), got {value!r}")
+            elif key == "inertia":
+                if not (finite and value >= 0):
+                    raise ConfigInvalid(
+                        f"'inertia' must be a finite number >= 0, "
+                        f"got {value!r}")
+            elif key == "omega":
+                # a JSON list, or the preset's array
+                axis = (value.tolist() if isinstance(value, np.ndarray)
+                        else value)
+                if not (isinstance(axis, list) and len(axis) == 3
+                        and all(map(_finite_number, axis))):
+                    raise ConfigInvalid(
+                        f"'omega' must be 3 finite numbers, got {value!r}")
 
 
 def preset_scenario(name: str, model: str = "flatspace-weber") -> Scenario:

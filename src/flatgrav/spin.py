@@ -12,6 +12,7 @@ moment of inertia in m^3.
 """
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
@@ -58,30 +59,6 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
             + 2.0 * s0 * float(Gi @ s) - float(s @ s))
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _directional_G(k3, k5, w, x, wx, y):
-    """(y . grad) G = 2I [(w x y)/r^3 - 3 (x . y)(w x x)/r^5]."""
-    a, b = _cross(w, y), 3.0 * k5 * _dot(x, y)
-    return (k3 * a[0] - b * wx[0], k3 * a[1] - b * wx[1],
-            k3 * a[2] - b * wx[2])
-
-
-def _gradient_G_dot(k3, k5, w, x, wx, y):
-    """grad(G . y) at fixed y = 2I [(y x w)/r^3 - 3 x ((w x x) . y)/r^5]."""
-    a, b = _cross(y, w), 3.0 * k5 * _dot(wx, y)
-    return (k3 * a[0] - b * x[0], k3 * a[1] - b * x[1],
-            k3 * a[2] - b * x[2])
-
-
 def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
                   velocity: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Parallel-transport rate dS_i/dt = Gamma^lam_{i nu} S_lam xdot^nu.
@@ -91,48 +68,69 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
     directly, dS_i/dt = 1/2 S^s xdot^n (d_i g_sn + d_n g_si - d_s g_in),
     with g_mn = phi T_m T_n - P_mn, phi = (1 - G0)^-2, T = (1, G) and
     P = diag(0, 1, 1, 1).  Every term then needs only phi, grad(phi), G
-    and the two first-derivative forms of G, evaluated in float arithmetic
-    on 3-tuples (numpy's per-call cost dominates at length 3).
+    and the two first-derivative forms of G.  The rate is one float kernel
+    per solver stage: plain float arithmetic on the components of the float
+    arrays ``x``, ``velocity`` and ``s`` (numpy's per-call cost dominates at
+    length 3), with numpy only for the returned array.
     """
-    x = np.asarray(x, dtype=float).tolist()
-    v = np.asarray(velocity, dtype=float).tolist()
-    s_low = np.asarray(s, dtype=float).tolist()
-    w = spec.omega.tolist()
-    r2 = _dot(x, x)
+    x0, x1, x2 = x.tolist()
+    v0, v1, v2 = velocity.tolist()
+    s0, s1, s2 = s.tolist()
+    w0, w1, w2 = spec.omega.tolist()
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
     r = r2 ** 0.5
     if r <= 0.0:
         raise NonPositiveRadius("field evaluated at the center")
     r_o = float(spec.r_o)
     k3 = 2.0 * float(spec.inertia) / (r * r2)
-    k5 = k3 / r2
+    k5_3 = 3.0 * (k3 / r2)
     lapse = 1.0 + r_o / r                       # 1 - G0
     phi = 1.0 / (lapse * lapse)
     dphi = 2.0 * phi * r_o / (lapse * r * r2)   # grad(phi) = dphi * x
-    wx = _cross(w, x)
-    G = (k3 * wx[0], k3 * wx[1], k3 * wx[2])
+    wx0, wx1, wx2 = w1 * x2 - w2 * x1, w2 * x0 - w0 * x2, w0 * x1 - w1 * x0
+    G0, G1, G2 = k3 * wx0, k3 * wx1, k3 * wx2   # G = k3 (w x x)
 
     # raised spin S^s = g^{s l} S_l
-    s_time = -_dot(v, s_low)
-    u_time = (lapse * lapse - _dot(G, G)) * s_time + _dot(G, s_low)
-    u = (G[0] * s_time - s_low[0], G[1] * s_time - s_low[1],
-         G[2] * s_time - s_low[2])
-    Tu = u_time + _dot(G, u)
-    Tw = 1.0 + _dot(G, v)
+    s_time = -(v0 * s0 + v1 * s1 + v2 * s2)
+    u_time = ((lapse * lapse - (G0 * G0 + G1 * G1 + G2 * G2)) * s_time
+              + (G0 * s0 + G1 * s1 + G2 * s2))
+    u0, u1, u2 = G0 * s_time - s0, G1 * s_time - s1, G2 * s_time - s2
+    Tu = u_time + (G0 * u0 + G1 * u1 + G2 * u2)
+    Tw = 1.0 + (G0 * v0 + G1 * v1 + G2 * v2)
 
-    dv_G = _directional_G(k3, k5, w, x, wx, v)
-    du_G = _directional_G(k3, k5, w, x, wx, u)
-    grad_Gv = _gradient_G_dot(k3, k5, w, x, wx, v)
-    grad_Gu = _gradient_G_dot(k3, k5, w, x, wx, u)
+    # (y . grad) G = k3 (w x y) - 3 k5 (x . y) (w x x), for y = v and u
+    b = k5_3 * (x0 * v0 + x1 * v1 + x2 * v2)
+    dvG0 = k3 * (w1 * v2 - w2 * v1) - b * wx0
+    dvG1 = k3 * (w2 * v0 - w0 * v2) - b * wx1
+    dvG2 = k3 * (w0 * v1 - w1 * v0) - b * wx2
+    b = k5_3 * (x0 * u0 + x1 * u1 + x2 * u2)
+    duG0 = k3 * (w1 * u2 - w2 * u1) - b * wx0
+    duG1 = k3 * (w2 * u0 - w0 * u2) - b * wx1
+    duG2 = k3 * (w0 * u1 - w1 * u0) - b * wx2
+    # grad(G . y) at fixed y = k3 (y x w) - 3 k5 ((w x x) . y) x
+    b = k5_3 * (wx0 * v0 + wx1 * v1 + wx2 * v2)
+    gvG0 = k3 * (v1 * w2 - v2 * w1) - b * x0
+    gvG1 = k3 * (v2 * w0 - v0 * w2) - b * x1
+    gvG2 = k3 * (v0 * w1 - v1 * w0) - b * x2
+    b = k5_3 * (wx0 * u0 + wx1 * u1 + wx2 * u2)
+    guG0 = k3 * (u1 * w2 - u2 * w1) - b * x0
+    guG1 = k3 * (u2 * w0 - u0 * w2) - b * x1
+    guG2 = k3 * (u0 * w1 - u1 * w0) - b * x2
+
     # the three derivative terms of the bracket, grouped by the factors
     # Tu = T.u, Tw = T.xdot and G_i they share
-    xv, xu = dphi * _dot(x, v), dphi * _dot(x, u)
-    c = phi * (_dot(dv_G, u) - _dot(du_G, v))
+    Twd = Tw * dphi
+    xv = dphi * (x0 * v0 + x1 * v1 + x2 * v2)
+    xu = dphi * (x0 * u0 + x1 * u1 + x2 * u2)
+    c = phi * ((dvG0 * u0 + dvG1 * u1 + dvG2 * u2)
+               - (duG0 * v0 + duG1 * v1 + duG2 * v2))
     return np.array([
-        0.5 * (Tu * (Tw * dphi * x[i] + xv * G[i]
-                     + phi * (grad_Gv[i] + dv_G[i]))
-               + Tw * (phi * (grad_Gu[i] - du_G[i]) - xu * G[i])
-               + c * G[i])
-        for i in range(3)])
+        0.5 * (Tu * (Twd * x0 + xv * G0 + phi * (gvG0 + dvG0))
+               + Tw * (phi * (guG0 - duG0) - xu * G0) + c * G0),
+        0.5 * (Tu * (Twd * x1 + xv * G1 + phi * (gvG1 + dvG1))
+               + Tw * (phi * (guG1 - duG1) - xu * G1) + c * G1),
+        0.5 * (Tu * (Twd * x2 + xv * G2 + phi * (gvG2 + dvG2))
+               + Tw * (phi * (guG2 - duG2) - xu * G2) + c * G2)])
 
 
 def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
@@ -219,18 +217,25 @@ def circular_polar_orbit(radius: float, r_o: float
     """Circular orbit in the x-z plane (through the poles of a z-aligned spin).
 
     Returns (position, velocity, orbital rate nu, period) with
-    nu = sqrt(r_o/r^3) and x(t) = r*(cos(nu t), 0, sin(nu t)).  This is a
+    nu = sqrt(r_o/r^3) and x(t) = r*(cos(nu t), 0, sin(nu t)).  The closures
+    take a scalar t and build their arrays from float ``math`` cos and sin,
+    as cheap as the per-stage transport rate they feed.  This is a
     Newtonian circle, not a geodesic of the metric, so ``spin_norm_invariant``
     drifts along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
     """
     if radius <= 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
     nu = np.sqrt(r_o / radius**3)
+    rate, speed = float(nu), float(radius * nu)
 
     def position(t: float) -> np.ndarray:
-        return radius * np.array([np.cos(nu * t), 0.0, np.sin(nu * t)])
+        angle = rate * t
+        return np.array([radius * math.cos(angle), 0.0,
+                         radius * math.sin(angle)])
 
     def velocity(t: float) -> np.ndarray:
-        return radius * nu * np.array([-np.sin(nu * t), 0.0, np.cos(nu * t)])
+        angle = rate * t
+        return np.array([-speed * math.sin(angle), 0.0,
+                         speed * math.cos(angle)])
 
     return position, velocity, nu, 2.0 * np.pi / nu

@@ -99,6 +99,14 @@ class TestScenarioValidation:
         with pytest.raises(ConfigInvalid):
             preset_scenario("vulcan")
 
+    def test_rotation_parameters(self):
+        earth = preset_scenario("earth").params
+        for omega in (earth["omega"], [0, 0, 1e-13], [0.0, 0.0, 0.0]):
+            Scenario(name="x", params={"inertia": 0, "omega": omega})
+        for omega in (np.zeros(2), np.zeros((1, 3)), np.array([0, 0, np.inf])):
+            with pytest.raises(ConfigInvalid):
+                Scenario(name="x", params={"omega": omega})
+
 
 class TestCli:
     def run_json(self, argv, tmp_path):
@@ -285,6 +293,23 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("params, key", [
+        ({"inertia": "x"}, "inertia"),
+        ({"inertia": -1}, "inertia"),
+        ({"inertia": 1e400}, "inertia"),
+        ({"omega": [0, 0]}, "omega"),
+        ({"omega": None}, "omega"),
+        ({"omega": [0, 0, 1e400]}, "omega"),
+        ({"omega": 7.29e-5}, "omega"),      # not a tilted axis (w, w, w)
+        ({"omega": [[0, 0, 1]]}, "omega"),
+    ])
+    def test_gyro_rotation_parameters(self, tmp_path, capsys, params, key):
+        cfg = self.config(tmp_path, {"preset": "earth", "params": params})
+        assert main(["gyro", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and key in captured.err
+
     @pytest.mark.parametrize("argv, missing", [
         (["orbit", "--preset", "solar"], "a, ecc"),
         (["gyro", "--preset", "mercury"], "inertia, omega"),
@@ -340,6 +365,7 @@ class TestCliContract:
     @pytest.mark.parametrize("command, params", [
         ("precession", {"r_o": 1e-300}),
         ("orbit", {"r_o": 1e-300}),
+        ("orbit", {"r_o": 1e-305}),     # the launch forcing underflows to 0
         ("orbit", {"a": 1e-300}),
         ("precession", {"a": 1e-300}),
     ])

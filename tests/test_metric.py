@@ -147,6 +147,12 @@ class TestCentralField:
             with pytest.raises(NonPositiveRadius):
                 method(np.zeros(3))
 
+    def test_omega_is_a_vector_or_zero(self):
+        assert np.array_equal(CentralField(1.0, 0.1, 0).omega, np.zeros(3))
+        for omega in (7.29e-5, [0.0, 1.0], [[0.0, 0.0, 1.0]], None):
+            with pytest.raises(ValueError):
+                CentralField(1.0, 0.1, omega)
+
     def test_static_exact_against_finite_difference(self):
         field = CentralField(0.01)
         for _ in range(5):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from flatgrav import spin
+from flatgrav import ode, spin
 from flatgrav.errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
 from flatgrav.metric import christoffels_numeric
 from flatgrav.presets import earth_spin_parameters
@@ -117,6 +117,36 @@ class TestTransport:
         n0 = spin_norm_invariant(spec, pos(0.0), vel(0.0), s0)
         nT = spin_norm_invariant(spec, pos(period), vel(period), sol(period))
         assert nT == pytest.approx(n0, rel=1e-12)
+
+    @pytest.mark.parametrize("earth", [False, True])
+    def test_integrates_exactly_transport_rhs(self, earth, monkeypatch):
+        # one kernel: the solver sees transport_rhs, read at call time
+        if earth:
+            p = earth_spin_parameters()
+            spec = RotatingFieldSpec(r_o=p["r_o"], inertia=p["inertia"],
+                                     omega=p["omega"])
+            pos, vel, _, period = circular_polar_orbit(7.02e6, p["r_o"])
+        else:
+            spec = RotatingFieldSpec(r_o=1e-6, inertia=3e-3,
+                                     omega=np.array([0.0, 0.0, 1e-7]))
+            pos, vel, _, period = circular_polar_orbit(1.0, 1e-6)
+        s0, tol = np.array([0.6, -0.2, 0.5]), 1e-12
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transport_rhs(*args)
+
+        monkeypatch.setattr(spin, "transport_rhs", counted)
+        dense = transport_spin(spec, pos, vel, s0, (0.0, period), tol=tol)
+        assert len(calls) > 1
+        ref = ode.dop853(lambda t, s: transport_rhs(spec, pos(t), vel(t), s),
+                         (0.0, period), s0, rtol=tol,
+                         atol=tol * np.linalg.norm(s0)).dense
+        for name in ("ts", "F", "y_old"):
+            a, b = np.asarray(getattr(dense, name)), \
+                np.asarray(getattr(ref, name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_linearized_matches_exact_short_time(self):
         r, r_o = 1.0, 1e-8
