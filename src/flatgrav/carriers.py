@@ -9,8 +9,8 @@ carrier is the same profile normalized to a total charge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -22,10 +22,8 @@ __all__ = [
     "energy_density", "field_intensity", "field_divergence", "log_potential",
     "density_identities", "ricci_density", "enclosed_energy",
     "enclosed_energy_quadrature", "total_energy_quadrature",
-    "attraction_law_check", "gauss_flux", "electric_profile",
-    "displacement_divergence_residual", "enclosed_charge",
+    "electric_profile", "displacement_divergence_residual", "enclosed_charge",
     "total_charge_quadrature", "self_energy_quadrature",
-    "superpose_density",
 ]
 
 TAIL_SPLIT = 1.0e3            # switch to the analytic tail at r = 1e3 * r_o
@@ -41,11 +39,8 @@ class RadialCarrier:
 
     r_o: float
     newton_constant: float = 1.0
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=float))
         if self.r_o <= 0.0 or self.newton_constant <= 0.0:
             raise NonPositiveRadius("r_o and newton_constant must be > 0")
 
@@ -210,32 +205,6 @@ def total_energy_quadrature(c: RadialCarrier) -> float:
     return _total_quadrature(c.total_energy, c.r_o)
 
 
-def attraction_law_check(c: RadialCarrier, E_m: float, r: float
-                         ) -> Tuple[float, float]:
-    """Potential energy of a test carrier and its clock-rate consistency.
-
-    Returns (U0, residual) with U0 = -G*E_M*E_m/r and residual the mismatch
-    |1/sqrt(g00) - (1 - U0/E_m)| against the central metric's time warp
-    1 + r_o/r.
-    """
-    _check_radius(r)
-    u0 = -c.newton_constant * c.total_energy * E_m / r
-    inv_sqrt_g00 = 1.0 + c.r_o / r
-    residual = abs(inv_sqrt_g00 - (1.0 - u0 / E_m))
-    return u0, residual
-
-
-def gauss_flux(c: RadialCarrier, r: float) -> float:
-    """Surface integral of the specific force -grad(U0/E_m) over radius r.
-
-    Equals 4*pi*G*E_M = 4*pi*r_o for every radius: the inverse-square far
-    field keeps the full flux of the distributed source.
-    """
-    _check_radius(r)
-    specific_force = c.newton_constant * c.total_energy / r**2
-    return 4.0 * np.pi * r**2 * specific_force
-
-
 @dataclass(frozen=True)
 class ElectricCarrier:
     """Radially distributed elementary charge with energy radius ``r_e``."""
@@ -292,17 +261,3 @@ def self_energy_quadrature(c: ElectricCarrier) -> float:
     """
     return total_charge_quadrature(c) * c.e / c.r_e
 
-
-def superpose_density(carriers: Iterable[RadialCarrier],
-                      point: np.ndarray) -> float:
-    """Total energy density of several carriers at one spatial point.
-
-    Densities superpose as a plain sum; no carrier-carrier interaction
-    energy is modeled.
-    """
-    x = np.asarray(point, dtype=float)
-    total = 0.0
-    for c in carriers:
-        r = float(np.linalg.norm(x - c.center))
-        total += float(energy_density(c, r))
-    return total

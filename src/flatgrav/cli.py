@@ -18,14 +18,15 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
 from .constants import ARCSEC_PER_RAD, C_SI
 from .errors import ConfigInvalid, FlatgravError, NumericalFailure
-from .presets import FLAT_MODEL, Scenario, preset_scenario
+from .presets import (CONFIG_KEYS, DOMAIN, FLAT_MODEL, Scenario, check,
+                      preset_scenario)
 
 # The physics names the subcommands run -> their home module.  A ``cmd_*``
 # imports its names when it runs, so a process loads only the modules of its
@@ -163,63 +164,85 @@ def _emit(report: RunReport, fmt: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _load_scenario(args: argparse.Namespace, default_preset: str,
-                   needs: Tuple[str, ...], flat_only: bool = True) -> Scenario:
-    """Preset or --config scenario, checked for the parameters ``needs``.
+# A rule narrows an input's domain for one subcommand: (test(value, params),
+# description).  A flag is (key in DOMAIN, type, default, help, rule or
+# None).  ``_load_scenario`` checks the rules, so only a subcommand with a
+# preset has any.
+Rule = Tuple[Callable[[Any, Dict[str, Any]], bool], str]
+Flag = Tuple[str, Callable[[str], Any], Any, str, Optional[Rule]]
+_FIELD: Rule = (lambda r_o, p: r_o > 0, "> 0: no field, no orbit")
+_TOL: Flag = ("tol", float, None, "integration tolerance", None)
+_SAMPLES: Flag = ("samples", int, 64, "profile table rows", None)
 
-    A subcommand that computes only the flat model (``flat_only``) rejects
-    any other ``model``, so no row carries a label it was not computed by.
+# subcommand -> (help, default preset, needed params -> rule, own flags)
+COMMANDS: Dict[str, Tuple[str, Optional[str], Dict[str, Optional[Rule]],
+                          Tuple[Flag, ...]]] = {
+    "orbit": ("integrate a bound orbit", "mercury",
+              {"r_o": _FIELD, "a": None, "ecc": None},
+              (("n_orbits", int, None, "orbits to integrate", None), _TOL,
+               ("samples", int, 512, "trajectory table rows",
+                (lambda n, p: n >= 2, ">= 2")))),
+    "precession": ("perihelion advance (closed form + quadrature)",
+                   "mercury", {"r_o": _FIELD, "a": None, "ecc": None}, ()),
+    "light-deflect": ("grazing light deflection", "solar",
+                      {"r_o": None, "R_s": None}, (_TOL,)),
+    "echo-delay": ("round-trip radar echo delay", "solar",
+                   dict.fromkeys(("r_o", "R_s", "r_es", "r_ms")), ()),
+    "gyro": ("gyroscope precession rates", "earth",
+             {"r_o": _FIELD, "inertia": None, "omega": None, "radius": None},
+             (("orbit_radius", float, 7.02e6, "circular orbit radius in m",
+               (lambda r, p: r > p["radius"], "> the body's 'radius'")),)),
+    "density": ("radial carrier profile", None, {},
+                (("r_over_ro", float, 1.0, "radius of the point values in "
+                  "units of r_o", None), _SAMPLES)),
+    "electric": ("electric carrier analog", None, {}, (_SAMPLES,)),
+    "compare": ("flat-space model vs baselines", "mercury",
+                {"r_o": _FIELD, "a": None, "ecc": None},
+                (("strong_rmin", float, 20.0, "strong-field probe perihelion "
+                  "in units of r_o", None),)),
+}
+
+
+def _load_scenario(args: argparse.Namespace) -> Scenario:
+    """The subcommand's scenario: preset < config file < flag.
+
+    Every input lies in its domain, the scenario holds the parameters the
+    subcommand needs, and those and the flags keep its narrower rules.
+    Only ``compare`` labels rows by model, so only it may carry another
+    ``model``.
     """
-    if getattr(args, "config", None):
+    _, preset, needed, flags = COMMANDS[args.command]
+    raw: Dict[str, Any] = {}
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigInvalid(f"cannot read config {args.config}: {exc}")
         if not isinstance(raw, dict):
             raise ConfigInvalid("config root must be a JSON object")
-        base = preset_scenario(raw.get("preset", default_preset))
-        overrides = raw.get("params", {})
-        if not isinstance(overrides, dict):
-            raise ConfigInvalid(
-                f"config 'params' must be a JSON object, got {overrides!r}")
-        params = dict(base.params)
-        params.update(overrides)
-        scenario = Scenario(
-            name=raw.get("name", base.name),
-            model=raw.get("model", base.model),
-            params=params,
-            n_orbits=raw.get("n_orbits", base.n_orbits),
-            tol=raw.get("tol", getattr(args, "tol", None) or 1e-12),
-        )
-    else:
-        scenario = preset_scenario(getattr(args, "preset", None)
-                                   or default_preset)
-        if getattr(args, "tol", None):
-            scenario = Scenario(name=scenario.name, model=scenario.model,
-                                params=scenario.params,
-                                n_orbits=scenario.n_orbits, tol=args.tol)
-    missing = [key for key in needs if key not in scenario.params]
+        for key, value in raw.items():
+            check(key, value, CONFIG_KEYS)
+    base = preset_scenario(args.preset if args.preset is not None
+                           else raw.get("preset", preset))
+    overrides = {key: value for key, value in raw.items()
+                 if key not in ("preset", "params")}
+    overrides.update((key, getattr(args, key)) for key, *_ in flags
+                     if key in CONFIG_KEYS and getattr(args, key) is not None)
+    scenario = replace(base, params={**base.params, **raw.get("params", {})},
+                       **overrides)
+    p = scenario.params
+    missing = [key for key in needed if key not in p]
     if missing:
         raise ConfigInvalid(f"scenario {scenario.name!r} lacks parameter(s) "
                             f"{', '.join(missing)}")
-    if flat_only and scenario.model != FLAT_MODEL:
+    if scenario.model != FLAT_MODEL and args.command != "compare":
         raise ConfigInvalid(f"{args.command} computes only the {FLAT_MODEL} "
                             f"model, got model {scenario.model!r}")
+    for key, rule in [*needed.items(), *((k, rule) for k, *_, rule in flags)]:
+        value = p[key] if key in p else getattr(args, key)
+        if rule and not rule[0](value, p):
+            raise ConfigInvalid(f"{key!r} must be {rule[1]}, got {value!r}")
     return scenario
-
-
-def _positive(flag: str, value: float) -> float:
-    """A length or ratio flag: finite and > 0, else a config error."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigInvalid(f"{flag} must be a finite number > 0, "
-                            f"got {value!r}")
-    return value
-
-
-def _count(flag: str, value: int, least: int) -> int:
-    if value < least:
-        raise ConfigInvalid(f"{flag} must be >= {least}, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------- subcommands
@@ -228,10 +251,7 @@ def _count(flag: str, value: int, least: int) -> int:
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
     from .orbits import (integrate_orbit, orbit_from_elements,
                          precession_analytic, precession_numeric)
-    sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
-    if args.orbits is not None:
-        sc = replace(sc, n_orbits=args.orbits)
-    _count("samples", args.samples, 2)
+    sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p, "n_orbits": sc.n_orbits,
@@ -263,10 +283,8 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
 def cmd_precession(args: argparse.Namespace) -> RunReport:
     from .orbits import (kepler_period_seconds, precession_analytic,
                          precession_quadrature, turning_points_from_elements)
-    sc = _load_scenario(args, "mercury", ("r_o", "a", "ecc"))
+    sc = _load_scenario(args)
     p = sc.params
-    if not p["r_o"] > 0:
-        raise ConfigInvalid("precession needs r_o > 0: no field, no advance")
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
@@ -285,7 +303,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
 
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
     from .photons import deflection_integral, fermat_ray_integrate, ray_launch
-    sc = _load_scenario(args, "solar", ("r_o", "R_s"))
+    sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
@@ -302,7 +320,7 @@ def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
 
 def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
     from .photons import EchoGeometry, shapiro_delay
-    sc = _load_scenario(args, "solar", ("r_o", "R_s", "r_es", "r_ms"))
+    sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": p})
@@ -320,8 +338,7 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
     from .spin import (RotatingFieldSpec, circular_polar_orbit,
                        de_sitter_rate, frame_dragging_rate, geodetic_rate)
-    _positive("orbit-radius", args.orbit_radius)
-    sc = _load_scenario(args, "earth", ("r_o", "inertia", "omega"))
+    sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name, model=sc.model,
                        config={"params": {k: (list(v) if isinstance(v, np.ndarray)
@@ -354,8 +371,7 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
 def cmd_density(args: argparse.Namespace) -> RunReport:
     from .carriers import (RadialCarrier, enclosed_energy, energy_density,
                            field_intensity, log_potential)
-    r = _positive("r-over-ro", args.r_over_ro)
-    _count("samples", args.samples, 1)
+    r = args.r_over_ro
     carrier = RadialCarrier(r_o=1.0)
     report = RunReport(scenario="radial-carrier", model="flatspace-weber",
                        config={"r_over_ro": args.r_over_ro,
@@ -383,7 +399,6 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
 def cmd_electric(args: argparse.Namespace) -> RunReport:
     from .carriers import (ElectricCarrier, electric_profile,
                            self_energy_quadrature, total_charge_quadrature)
-    _count("samples", args.samples, 1)
     carrier = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
     report = RunReport(scenario="electric-carrier", model="flatspace-weber",
                        config={"samples": args.samples})
@@ -407,9 +422,7 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
                            schwarzschild_precession_quadrature)
     from .orbits import precession_analytic, precession_quadrature
     from .photons import EchoGeometry, deflection_integral, shapiro_delay
-    _positive("strong-rmin", args.strong_rmin)
-    mercury = _load_scenario(args, "mercury", ("r_o", "a", "ecc"),
-                             flat_only=False)
+    mercury = _load_scenario(args)
     solar = preset_scenario("solar")
     report = RunReport(scenario="compare", model="flatspace-weber",
                        config={"mercury": mercury.params,
@@ -469,9 +482,18 @@ def _command(name: str):
     return lambda args: globals()[name](args)
 
 
+def _flag_type(key: str, kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``kind`` of a flag's text, checked against ``key``'s domain: a
+    ConfigInvalid passes through argparse to ``main``."""
+    def parse(text: str) -> Any:
+        return check(key, kind(text))
+    parse.__name__ = kind.__name__      # argparse: "invalid int value: 'x'"
+    return parse
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (8 subparsers)."""
+    """The argument parser, built once per process from ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="flatgrav",
         description="Flat-space warped-time gravitation: orbits, light, "
@@ -479,70 +501,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, preset: Optional[str]) -> None:
+    for name, (help_, preset, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         if preset:
-            p.add_argument("--preset", default=preset,
+            p.add_argument("--preset",
                            help=f"named scenario preset (default {preset})")
-            p.add_argument("--config", help="JSON config file overriding the preset")
+            p.add_argument("--config",
+                           help="JSON config file overriding the preset")
         p.add_argument("--out", help="output file path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--tol", type=float, default=None,
-                       help="integration tolerance override")
-
-    p = sub.add_parser("orbit", help="integrate a bound orbit")
-    common(p, "mercury")
-    p.add_argument("--orbits", type=int, default=None)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(func=_command("cmd_orbit"))
-
-    p = sub.add_parser("precession", help="perihelion advance (closed form + quadrature)")
-    common(p, "mercury")
-    p.set_defaults(func=_command("cmd_precession"))
-
-    p = sub.add_parser("light-deflect", help="grazing light deflection")
-    common(p, "solar")
-    p.set_defaults(func=_command("cmd_light_deflect"))
-
-    p = sub.add_parser("echo-delay", help="round-trip radar echo delay")
-    common(p, "solar")
-    p.set_defaults(func=_command("cmd_echo_delay"))
-
-    p = sub.add_parser("gyro", help="gyroscope precession rates")
-    common(p, "earth")
-    p.add_argument("--orbit-radius", type=float, default=7.02e6,
-                   help="circular orbit radius in meters")
-    p.set_defaults(func=_command("cmd_gyro"))
-
-    p = sub.add_parser("density", help="radial carrier profile")
-    common(p, None)
-    p.add_argument("--r-over-ro", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=_command("cmd_density"))
-
-    p = sub.add_parser("electric", help="electric carrier analog")
-    common(p, None)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=_command("cmd_electric"))
-
-    p = sub.add_parser("compare", help="flat-space model vs baselines")
-    common(p, "mercury")
-    p.add_argument("--strong-rmin", type=float, default=20.0,
-                   help="strong-field probe perihelion in units of r_o")
-    p.set_defaults(func=_command("cmd_compare"))
-
+        for key, kind, default, text, rule in flags:
+            option = {"n_orbits": "orbits"}.get(key, key.replace("_", "-"))
+            text += ": " + DOMAIN[key][1] + (f", {rule[1]}" if rule else "")
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument(f"--{option}", dest=key, default=default,
+                           type=_flag_type(key, kind), help=text)
+        p.set_defaults(func=_command("cmd_" + name.replace("-", "_")))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _emit(args.func(args), args.format, args.out)
+        args = build_parser().parse_args(argv)
+        # numpy overflow and 0/0 end as one error line, as float ones do
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = args.func(args)
+        _emit(report, args.format, args.out)
         sys.stdout.flush()
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FlatgravError as exc:
+    except (FlatgravError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

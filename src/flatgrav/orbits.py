@@ -228,17 +228,6 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     return 1.0 / u, 1.0 / _second_turning_point(r_o, u, L)
 
 
-def orbit_from_integrals(r_o: float, energy_ratio: float, L: float
-                         ) -> Tuple[GeodesicState, OrbitIntegrals]:
-    """Perihelion state for directly specified (E_m/m, L); strong-field entry."""
-    integrals = OrbitIntegrals(energy_ratio=energy_ratio, L=L)
-    r_min, _ = turning_points(r_o, integrals)
-    u_p = 1.0 / r_min
-    state = GeodesicState(p=0.0, t=0.0, r=r_min, phi=0.0, drdp=0.0,
-                          dphidp=integrals.J_phi * u_p**2)
-    return state, integrals
-
-
 @dataclass
 class Trajectory:
     """Orbit over a span of polar angle, tiled from one integrated period.

@@ -21,8 +21,7 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
 __all__ = [
     "RayState", "EchoGeometry", "EchoDelayResult", "DeflectionResult",
     "RayTrajectory", "coordinate_speed", "light_slowness", "shapiro_delay",
-    "deflection_integral", "wave_vector", "null_norm", "redshift_ratio",
-    "ray_launch",
+    "deflection_integral", "wave_vector", "null_norm", "ray_launch",
     "closed_form_ray", "fermat_ray_integrate",
 ]
 
@@ -147,11 +146,6 @@ def null_norm(r_o: float, r: float, k: np.ndarray) -> float:
     """g^{mu nu} K_mu K_nu for the central static metric."""
     g00 = coordinate_speed(r_o, r)
     return float(k[0] ** 2 / g00 - k[1:] @ k[1:])
-
-
-def redshift_ratio(r_o: float, r1: float, r2: float) -> float:
-    """Observed frequency ratio omega(r1)/omega(r2) = sqrt(g00(r2)/g00(r1))."""
-    return np.sqrt(coordinate_speed(r_o, r2) / coordinate_speed(r_o, r1))
 
 
 @dataclass(frozen=True)

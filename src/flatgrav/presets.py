@@ -5,11 +5,9 @@ the library takes plain numbers in geometric units (c = 1, meters).
 """
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field
-from numbers import Integral, Real
-from typing import TYPE_CHECKING, Any, Dict
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, Container, Dict, Tuple
 
 import numpy as np
 
@@ -74,10 +72,72 @@ def earth_spin_parameters() -> Dict[str, Any]:
     }
 
 
-def _finite_number(value: Any) -> bool:
-    """A finite float, or an int that a float can hold."""
-    return (isinstance(value, (int, float))
+# The named presets: name -> its physical parameters.
+PRESETS: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "mercury": lambda: {"r_o": SOLAR_R_O, "a": MERCURY_SEMI_MAJOR,
+                        "ecc": MERCURY_ECCENTRICITY},
+    "solar": lambda: {"r_o": SOLAR_R_O, "R_s": SOLAR_RADIUS,
+                      "r_es": EARTH_SUN_DISTANCE, "r_ms": MERCURY_SUN_DISTANCE},
+    "earth": earth_spin_parameters,
+}
+
+
+def _number(value: Any) -> bool:
+    """A finite real that a float can hold; a bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _count(value: Any) -> bool:
+    """An int; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _axis(value: Any) -> bool:
+    """Three finite numbers: a JSON list, or the preset's array."""
+    axis = value.tolist() if isinstance(value, np.ndarray) else value
+    return (isinstance(axis, list) and len(axis) == 3
+            and all(map(_number, axis)))
+
+
+# Every input -> (test, description): the config keys, the physical
+# parameters (meters, radians, geometrized inertia and rate) and the flags.
+DOMAIN: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "preset": (lambda v: isinstance(v, str) and v in PRESETS,
+               f"one of {tuple(PRESETS)}"),
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "model": (lambda v: isinstance(v, str) and v in MODELS,
+              f"one of {MODELS}"),
+    "params": (lambda v: isinstance(v, dict), "a JSON object"),
+    "n_orbits": (lambda v: _count(v) and v >= 2, "an integer >= 2"),
+    "samples": (lambda v: _count(v) and v >= 1, "an integer >= 1"),
+    "ecc": (lambda v: _number(v) and 0 <= v < 1,
+            "an eccentricity in [0, 1)"),
+    "omega": (_axis, "3 finite numbers"),
+    **dict.fromkeys(("r_o", "inertia"),
+                    (lambda v: _number(v) and v >= 0, "finite and >= 0")),
+    **dict.fromkeys(("tol", "a", "R_s", "r_es", "r_ms", "radius",
+                     "orbit_radius", "r_over_ro", "strong_rmin"),
+                    (lambda v: _number(v) and v > 0, "finite and > 0")),
+}
+# The keys a config file may hold at its top level, and in its "params".
+CONFIG_KEYS = ("preset", "name", "model", "params", "n_orbits", "tol")
+PARAM_KEYS = ("a", "ecc", "r_o", "R_s", "r_es", "r_ms", "inertia", "omega",
+              "radius")
+
+
+def check(key: str, value: Any, known: Container[str] = DOMAIN) -> Any:
+    """``value``, if it lies in the domain of ``key``; else ConfigInvalid.
+
+    A key outside ``known`` (every key, or those of one part of a config)
+    is refused.
+    """
+    if key not in known:
+        raise ConfigInvalid(f"unknown key {key!r}")
+    test, description = DOMAIN[key]
+    if not test(value):
+        raise ConfigInvalid(f"{key!r} must be {description}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,69 +145,18 @@ class Scenario:
     """One named run: a model choice plus physical and run parameters."""
 
     name: str
-    model: str = "flatspace-weber"
+    model: str = FLAT_MODEL
     params: Dict[str, Any] = field(default_factory=dict)
     n_orbits: int = 10
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigInvalid(
-                f"model must be one of {MODELS}, got {self.model!r}"
-            )
-        if not (isinstance(self.tol, Real) and not isinstance(self.tol, bool)
-                and math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigInvalid(
-                f"tol must be a finite number > 0, got {self.tol!r}")
-        if not (isinstance(self.n_orbits, Integral)
-                and not isinstance(self.n_orbits, bool)
-                and self.n_orbits >= 1):
-            raise ConfigInvalid(
-                f"n_orbits must be an integer >= 1, got {self.n_orbits!r}")
+        for f in fields(self):
+            check(f.name, getattr(self, f.name))
         for key, value in self.params.items():
-            finite = _finite_number(value)
-            if key in ("a", "R_s", "r_es", "r_ms", "radius"):
-                if not (finite and value > 0):
-                    raise ConfigInvalid(f"length {key!r} must be finite "
-                                        f"and > 0")
-            elif key == "r_o":
-                if not (finite and value >= 0):
-                    raise ConfigInvalid("length 'r_o' must be finite and >= 0")
-            elif key == "ecc":
-                if not (isinstance(value, (int, float)) and 0 <= value < 1):
-                    raise ConfigInvalid(
-                        f"eccentricity must be in [0, 1), got {value!r}")
-            elif key == "inertia":
-                if not (finite and value >= 0):
-                    raise ConfigInvalid(
-                        f"'inertia' must be a finite number >= 0, "
-                        f"got {value!r}")
-            elif key == "omega":
-                # a JSON list, or the preset's array
-                axis = (value.tolist() if isinstance(value, np.ndarray)
-                        else value)
-                if not (isinstance(axis, list) and len(axis) == 3
-                        and all(map(_finite_number, axis))):
-                    raise ConfigInvalid(
-                        f"'omega' must be 3 finite numbers, got {value!r}")
+            check(key, value, PARAM_KEYS)
 
 
-def preset_scenario(name: str, model: str = "flatspace-weber") -> Scenario:
+def preset_scenario(name: str) -> Scenario:
     """Build one of the named scenarios: mercury | solar | earth."""
-    if name == "mercury":
-        return Scenario(name="mercury", model=model, params={
-            "r_o": SOLAR_R_O,
-            "a": MERCURY_SEMI_MAJOR,
-            "ecc": MERCURY_ECCENTRICITY,
-        })
-    if name == "solar":
-        return Scenario(name="solar", model=model, params={
-            "r_o": SOLAR_R_O,
-            "R_s": SOLAR_RADIUS,
-            "r_es": EARTH_SUN_DISTANCE,
-            "r_ms": MERCURY_SUN_DISTANCE,
-        })
-    if name == "earth":
-        return Scenario(name="earth", model=model,
-                        params=earth_spin_parameters())
-    raise ConfigInvalid(f"unknown preset {name!r}")
+    return Scenario(name=check("preset", name), params=PRESETS[name]())

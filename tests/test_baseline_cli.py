@@ -28,6 +28,7 @@ from flatgrav.presets import (
     MERCURY_SEMI_MAJOR,
     SOLAR_R_O,
     Scenario,
+    check,
     preset_scenario,
 )
 
@@ -98,6 +99,19 @@ class TestScenarioValidation:
     def test_unknown_preset(self):
         with pytest.raises(ConfigInvalid):
             preset_scenario("vulcan")
+
+    @pytest.mark.parametrize("key, value", [
+        ("a", True), ("n_orbits", True), ("n_orbits", 1), ("n_orbits", 2.0),
+        ("tol", 0.0), ("r_o", float("inf")), ("name", 5), ("zzz", 1),
+    ])
+    def test_check_refuses_out_of_domain_values(self, key, value):
+        with pytest.raises(ConfigInvalid, match=repr(key)):
+            check(key, value)
+
+    def test_check_refuses_a_key_outside_its_part(self):
+        assert check("tol", 1e-9) == 1e-9
+        with pytest.raises(ConfigInvalid, match="unknown key 'tol'"):
+            Scenario(name="x", params={"tol": 1e-9})
 
     def test_rotation_parameters(self):
         earth = preset_scenario("earth").params
@@ -424,6 +438,75 @@ class TestCliContract:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "config error" in captured.err
+
+    @pytest.mark.parametrize("argv, raw, key", [
+        (["gyro"], {"preset": "earth", "params": {"r_o": 0}}, "'r_o'"),
+        (["gyro", "--orbit-radius", "1e-105"], None, "'orbit_radius'"),
+        (["gyro", "--orbit-radius", "1e-3"], None, "'orbit_radius'"),
+        (["orbit"], {"params": {"r_o": 0}}, "'r_o'"),
+        (["compare"], {"params": {"r_o": 0}}, "'r_o'"),
+        (["orbit", "--orbits", "1"], None, "'n_orbits'"),
+        (["orbit"], {"n_orbits": 1}, "'n_orbits'"),
+        (["orbit"], {"params": {"a": True}}, "'a'"),
+        (["orbit", "--tol", "0"], None, "'tol'"),
+        (["orbit"], {"nam": "x"}, "'nam'"),
+        (["orbit"], {"params": {"zzz": 1}}, "'zzz'"),
+        (["orbit"], {"name": 5}, "'name'"),
+    ])
+    def test_input_outside_its_domain(self, tmp_path, capsys, argv, raw, key):
+        if raw is not None:
+            argv = argv + ["--config", self.config(tmp_path, raw)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: ") and key in captured.err
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], ["solar", 1e-9, 3]),
+        (["--preset", "mercury", "--tol", "1e-10", "--orbits", "2"],
+         ["mercury", 1e-10, 2]),
+    ])
+    def test_flag_over_config_over_preset(self, tmp_path, flags, expected):
+        cfg = self.config(tmp_path, {"preset": "solar", "tol": 1e-9,
+                                     "n_orbits": 3, "params": {
+                                         "a": MERCURY_SEMI_MAJOR,
+                                         "ecc": MERCURY_ECCENTRICITY}})
+        out = tmp_path / "orbit.json"
+        assert main(["orbit", "--config", cfg, *flags, "--samples", "2",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [report["scenario"], report["config"]["tol"],
+                report["config"]["n_orbits"]] == expected
+
+    @pytest.mark.parametrize("command", ["precession", "echo-delay", "gyro",
+                                         "density", "electric", "compare"])
+    def test_tol_only_where_it_is_read(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol", "1e-9"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, params", [
+        ("echo-delay", {"r_ms": 1e300}),        # OverflowError in math.log
+        ("light-deflect", {"R_s": 1e-300}),     # numpy overflow in u0**2
+        ("orbit", {"r_o": 1e-320}),             # ZeroDivisionError
+    ])
+    def test_arithmetic_failure_exits_3(self, tmp_path, capsys, command,
+                                        params):
+        preset = "mercury" if command == "orbit" else "solar"
+        cfg = self.config(tmp_path, {"preset": preset, "params": params})
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: ")
+
+    @pytest.mark.parametrize("text", [
+        b"\xff{}", b"[" * 100_000, b'{"tol": ' + b"1" * 5000 + b"}",
+    ], ids=["not-utf-8", "too-deep", "too-many-digits"])
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["precession", "--config", str(cfg)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_report_refuses_non_finite_values(self):
         report = RunReport(scenario="s", model="m")

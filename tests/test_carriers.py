@@ -5,7 +5,6 @@ import pytest
 from flatgrav.carriers import (
     ElectricCarrier,
     RadialCarrier,
-    attraction_law_check,
     density_identities,
     displacement_divergence_residual,
     electric_profile,
@@ -15,11 +14,9 @@ from flatgrav.carriers import (
     energy_density,
     field_divergence,
     field_intensity,
-    gauss_flux,
     log_potential,
     ricci_density,
     self_energy_quadrature,
-    superpose_density,
     total_charge_quadrature,
     total_energy_quadrature,
 )
@@ -143,26 +140,6 @@ class TestEnclosedEnergy:
         assert enclosed_energy_quadrature(c, 0.0) == 0.0
 
 
-class TestAttractionLaw:
-    def test_potential_energy_value(self):
-        c = RadialCarrier(r_o=1.0)
-        u0, _ = attraction_law_check(c, c.total_energy, c.r_o)
-        assert u0 == pytest.approx(-c.total_energy, rel=1e-14)
-
-    def test_clock_rate_consistency(self):
-        c = RadialCarrier(r_o=1.0)
-        for r in (0.1, 1.0, 100.0):
-            _, residual = attraction_law_check(c, 3.7, r)
-            assert residual < 1e-14
-
-    def test_gauss_flux_constant(self):
-        c = RadialCarrier(r_o=1.0)
-        radii = np.geomspace(c.r_o, 1e6 * c.r_o, 50)
-        fluxes = np.array([gauss_flux(c, r) for r in radii])
-        assert np.max(np.abs(fluxes / fluxes[0] - 1.0)) < 1e-10
-        assert fluxes[0] == pytest.approx(4.0 * np.pi * c.r_o, rel=1e-14)
-
-
 class TestElectricAnalog:
     def test_total_charge(self):
         c = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
@@ -197,12 +174,3 @@ class TestElectricAnalog:
     def test_preset_radius(self):
         assert ElectricCarrier(e=1.0).r_e == pytest.approx(7e-58)
 
-
-class TestSuperposition:
-    def test_two_carriers_sum(self):
-        a = RadialCarrier(r_o=1.0, center=np.array([0.0, 0.0, 0.0]))
-        b = RadialCarrier(r_o=2.0, center=np.array([5.0, 0.0, 0.0]))
-        p = np.array([2.0, 0.0, 0.0])
-        expected = float(energy_density(a, 2.0)) + float(energy_density(b, 3.0))
-        assert superpose_density([a, b], p) == pytest.approx(expected,
-                                                             rel=1e-14)

@@ -23,7 +23,6 @@ from flatgrav.orbits import (
     integrate_orbit,
     kepler_period_seconds,
     orbit_from_elements,
-    orbit_from_integrals,
     perihelion_angles,
     precession_analytic,
     precession_numeric,
@@ -72,13 +71,6 @@ class TestElementsAndTurningPoints:
         assert r_min == pytest.approx(A * (1 - ECC), rel=1e-6)
         assert r_max == pytest.approx(A * (1 + ECC), rel=1e-6)
         assert state.r == pytest.approx(A * (1 - ECC), rel=1e-15)
-
-    def test_orbit_from_integrals_starts_at_perihelion(self):
-        _, integrals = orbit_from_elements(R_O, A, ECC)
-        state, _ = orbit_from_integrals(R_O, integrals.energy_ratio,
-                                        integrals.L)
-        assert state.drdp == 0.0
-        assert state.r == pytest.approx(A * (1 - ECC), rel=1e-6)
 
     def test_outer_root_start_moves_to_perihelion(self):
         # strong field, small ecc: a*(1 - ecc) is the apocentre
