@@ -18,8 +18,7 @@ _HOME = {
     "FlatgravError": "errors",
     **dict.fromkeys((
         "CentralField", "FourPotential", "SpacetimeMetric", "build_metric",
-        "central_potential", "christoffels_central", "proper_time_rate",
-        "rotating_central_potential"), "metric"),
+        "proper_time_rate"), "metric"),
     **dict.fromkeys((
         "GeodesicState", "OrbitIntegrals", "integrate_orbit",
         "orbit_from_elements", "precession_analytic", "precession_numeric",

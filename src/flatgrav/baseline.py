@@ -1,4 +1,4 @@
-"""Schwarzschild and Newtonian baselines for model comparison.
+"""Schwarzschild baselines for model comparison.
 
 These closed forms and quadratures use the standard vacuum solution
 (g00 = 1 - 2*r_o/r, curved spatial part) so the comparison harness can show
@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DenominatorVanishes, TurningPointNotFound, UnsupportedQuantity
+from .errors import DenominatorVanishes, TurningPointNotFound
 from .orbits import _cosine_map_advance
 from .presets import Scenario
 
-__all__ = [
-    "schwarzschild_baseline", "newtonian_baseline",
-    "schwarzschild_precession_quadrature",
-]
+__all__ = ["schwarzschild_baseline", "schwarzschild_precession_quadrature"]
 
 
 def schwarzschild_precession(r_o: float, a: float, ecc: float) -> float:
@@ -38,8 +35,9 @@ def schwarzschild_delay(r_o: float, r_es: float, r_ms: float,
 def schwarzschild_baseline(quantity: str, scenario: Scenario) -> float:
     """Evaluate a classic observable with the standard vacuum closed forms.
 
-    ``quantity`` is one of precession | deflection | delay; parameters come
-    from ``scenario.params``.  All quantities vanish at r_o = 0.
+    ``quantity`` is one of precession | deflection | delay (ValueError
+    otherwise); parameters come from ``scenario.params``.  All quantities
+    vanish at r_o = 0.
     """
     p = scenario.params
     if quantity == "precession":
@@ -48,18 +46,9 @@ def schwarzschild_baseline(quantity: str, scenario: Scenario) -> float:
         return schwarzschild_deflection(p["r_o"], p["R_s"])
     if quantity == "delay":
         return schwarzschild_delay(p["r_o"], p["r_es"], p["r_ms"], p["R_s"])
-    raise UnsupportedQuantity(
+    raise ValueError(
         f"quantity must be precession|deflection|delay, got {quantity!r}"
     )
-
-
-def newtonian_baseline(quantity: str, scenario: Scenario) -> float:
-    """Newtonian values of the classic observables: all zero."""
-    if quantity not in ("precession", "deflection", "delay"):
-        raise UnsupportedQuantity(
-            f"quantity must be precession|deflection|delay, got {quantity!r}"
-        )
-    return 0.0
 
 
 def schwarzschild_precession_quadrature(r_o: float, r_min: float,

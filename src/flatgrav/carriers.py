@@ -50,19 +50,24 @@ class RadialCarrier:
         return self.r_o / self.newton_constant
 
 
-def _check_radius(r: float) -> None:
-    if r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
+def _radii(r) -> np.ndarray:
+    """``r`` as a float array; NonPositiveRadius unless every radius is > 0."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise NonPositiveRadius("r must be > 0")
+    return r
 
 
 # -- the radial profile both carriers share, normalized to ``scale`` --------
 
 def _profile(scale: float, r_o: float, r) -> np.ndarray:
-    """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise NonPositiveRadius("r must be > 0")
-    return scale * r_o / (4.0 * np.pi * r**2 * (r + r_o) ** 2)
+    """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
+
+    Divided out one factor at a time, so that no intermediate overflows
+    where the density is finite or underflows (r^2 would above ~1e154).
+    """
+    r = _radii(r)
+    return scale * r_o / (4.0 * np.pi) / r / (r + r_o) / r / (r + r_o)
 
 
 def _enclosed(scale: float, r_o: float, R: float) -> float:
@@ -105,19 +110,18 @@ def energy_density(c: RadialCarrier, r) -> np.ndarray:
 
 
 def field_intensity(c: RadialCarrier, r) -> np.ndarray:
-    """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise NonPositiveRadius("r must be > 0")
-    return -c.r_o / (r * (r + c.r_o))
+    """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length.
+
+    Written -(r_o/(r+r_o))/r: the quotient in parentheses is at most 1, so
+    nothing overflows where w_r is finite.
+    """
+    r = _radii(r)
+    return -(c.r_o / (r + c.r_o)) / r
 
 
 def log_potential(c: RadialCarrier, r) -> np.ndarray:
     """Logarithmic potential W(r) = -ln((r+r_o)/r), with w = -grad W."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise NonPositiveRadius("r must be > 0")
-    return -np.log1p(c.r_o / r)
+    return -np.log1p(c.r_o / _radii(r))
 
 
 def field_divergence(c: RadialCarrier, r) -> np.ndarray:
@@ -145,7 +149,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     recomputed by central differences at steps h and h/2 so callers can
     verify O(h^2) convergence.
     """
-    _check_radius(r)
+    _radii(r)
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * np.pi * c.newton_constant
@@ -235,7 +239,7 @@ def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
     """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    _check_radius(r)
+    _radii(r)
     rho, _, _ = electric_profile(c, r)
     # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
     div_d = c.e * c.r_o / (r**2 * (r + c.r_o) ** 2)

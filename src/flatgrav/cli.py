@@ -33,8 +33,8 @@ from .presets import (CONFIG_KEYS, DOMAIN, FLAT_MODEL, Scenario, check,
 # subcommand; ``cli.<name>`` reads the home module's current binding.
 _HOME = {
     **dict.fromkeys((
-        "newtonian_baseline", "schwarzschild_baseline",
-        "schwarzschild_precession_quadrature"), "baseline"),
+        "schwarzschild_baseline", "schwarzschild_precession_quadrature"),
+        "baseline"),
     **dict.fromkeys((
         "ElectricCarrier", "RadialCarrier", "electric_profile",
         "enclosed_energy", "energy_density", "field_intensity",
@@ -418,7 +418,7 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> RunReport:
-    from .baseline import (newtonian_baseline, schwarzschild_baseline,
+    from .baseline import (schwarzschild_baseline,
                            schwarzschild_precession_quadrature)
     from .orbits import precession_analytic, precession_quadrature
     from .photons import EchoGeometry, deflection_integral, shapiro_delay
@@ -453,8 +453,8 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
                 "deflection": "deflection",
                 "delay": "echo_delay"}[quantity]
         report.add(name, value, unit, "closed-form", model="schwarzschild")
-        report.add(name, newtonian_baseline(quantity, sc_for), unit,
-                   "closed-form", model="newtonian")
+        # the Newtonian baseline of each observable is 0
+        report.add(name, 0.0, unit, "closed-form", model="newtonian")
 
     # strong-field divergence probe at r_min = strong_rmin * r_o
     r_o = mp["r_o"]
@@ -534,6 +534,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (FlatgravError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a table too large to allocate (a huge --samples, say)
+        print(f"numerical error: out of memory ({exc})", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # the reader closed stdout (``flatgrav orbit | head -c 1``): point it

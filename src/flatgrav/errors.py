@@ -49,10 +49,6 @@ class RayCaptured(FlatgravError):
     """Photon path left the weak-field validity region (u > 1/(4*r_o))."""
 
 
-class UnsupportedQuantity(FlatgravError):
-    """Baseline comparison asked for a quantity it does not provide."""
-
-
 class ConfigInvalid(FlatgravError):
     """Scenario configuration failed validation."""
 

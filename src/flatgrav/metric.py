@@ -38,7 +38,6 @@ class FourPotential:
 
     g0: Callable[[Vec3], float]
     gi: Callable[[Vec3], Vec3] = _zero_vector
-    name: str = "custom"
 
 
 # omega is an array, so == and hash go by identity
@@ -71,11 +70,6 @@ class CentralField:
         if self.r_o < 0.0 or self.inertia < 0.0:
             raise NonPositiveRadius("r_o and inertia must be >= 0")
 
-    @property
-    def name(self) -> str:
-        return ("rotating-central" if self.inertia and np.any(self.omega)
-                else "central")
-
     def g0(self, x: Vec3) -> float:
         return -self.r_o / _radius(x)
 
@@ -103,17 +97,6 @@ def _radius(x: Vec3) -> float:
     if r <= 0.0:
         raise NonPositiveRadius("field evaluated at the center")
     return r
-
-
-def central_potential(r_o: float) -> CentralField:
-    """Static attractive potential g0(r) = -r_o/r of a central energy-charge."""
-    return CentralField(r_o)
-
-
-def rotating_central_potential(r_o: float, inertia: float,
-                               omega: Vec3) -> CentralField:
-    """Central potential plus the weak-rotation vector part 2*I*[w x r]/r^3."""
-    return CentralField(r_o, inertia, omega)
 
 
 @dataclass(frozen=True)
@@ -180,63 +163,7 @@ def gauge_shift(pot: FourPotential, phi: Callable[[Vec3], float],
             grad[k] = (phi(x + dx) - phi(x - dx)) / (2.0 * step)
         return np.asarray(pot.gi(x), dtype=float) + grad
 
-    return FourPotential(g0=pot.g0, gi=gi, name=pot.name + "+gauge")
-
-
-def g00_central(r_o: float, r: float) -> float:
-    """Central-field time-time component g00 = (1 + r_o/r)^-2."""
-    if r <= 0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
-    return (1.0 + r_o / r) ** -2
-
-
-def dg00_dr_central(r_o: float, r: float) -> float:
-    """Radial derivative of the central g00."""
-    if r <= 0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
-    return 2.0 * r_o / r**2 * (1.0 + r_o / r) ** -3
-
-
-@dataclass(frozen=True)
-class ChristoffelSet:
-    """Nonzero affine connections of the central metric in (t, r, theta, phi).
-
-    Components carry units 1/length where applicable; angular entries are
-    evaluated at polar angle ``theta``.
-    """
-
-    r_o: float
-    r: float
-    theta: float
-    gamma_r_tt: float
-    gamma_t_tr: float
-    gamma_r_thth: float
-    gamma_r_phph: float
-    gamma_th_rth: float
-    gamma_ph_rph: float
-    gamma_th_phph: float
-    gamma_ph_phth: float
-
-
-def christoffels_central(r_o: float, r: float, theta: float = np.pi / 2) -> ChristoffelSet:
-    """Central-field connection components for g00 = (1 + r_o/r)^-2."""
-    if r <= 0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
-    g00 = g00_central(r_o, r)
-    dg00 = dg00_dr_central(r_o, r)
-    return ChristoffelSet(
-        r_o=r_o,
-        r=r,
-        theta=theta,
-        gamma_r_tt=dg00 / 2.0,
-        gamma_t_tr=dg00 / (2.0 * g00),
-        gamma_r_thth=-r,
-        gamma_r_phph=-r * np.sin(theta) ** 2,
-        gamma_th_rth=1.0 / r,
-        gamma_ph_rph=1.0 / r,
-        gamma_th_phph=-np.sin(theta) * np.cos(theta),
-        gamma_ph_phth=1.0 / np.tan(theta),
-    )
+    return FourPotential(g0=pot.g0, gi=gi)
 
 
 def metric_gradient_numeric(pot: FourPotential, at: Vec3, h: float) -> np.ndarray:

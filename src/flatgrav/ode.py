@@ -261,8 +261,6 @@ class DenseOutput:
         # state-major, so that a gather over segments is contiguous
         self.F = F
         self.y_old = y_old
-        self.ascending = bool(self.ts[-1] >= self.ts[0])
-        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
 
     @classmethod
     def join(cls, parts: Sequence["DenseOutput"]) -> "DenseOutput":
@@ -275,10 +273,8 @@ class DenseOutput:
 
     def segments(self, t) -> np.ndarray:
         """Index of the interpolant ``OdeSolution`` would use at each ``t``."""
-        side = "left" if self.ascending else "right"
-        seg = np.searchsorted(self.ts_sorted, t, side=side) - 1
-        seg = np.clip(seg, 0, self.n_segments - 1)
-        return seg if self.ascending else self.n_segments - 1 - seg
+        seg = np.searchsorted(self.ts, t, side="left") - 1
+        return np.clip(seg, 0, self.n_segments - 1)
 
     def __call__(self, t, seg=None) -> np.ndarray:
         """State at ``t`` (any shape), with the state axis first.
@@ -311,17 +307,16 @@ def _rms(x) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol,
-                  atol) -> float:
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), for an error
     estimator of order 7."""
-    interval_length = abs(t_bound - t0)
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -345,7 +340,7 @@ def _error_norm(KT, h, scale) -> float:
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return h * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
@@ -353,6 +348,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
            max_step: float = math.inf) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` with dense output.
 
+    The span must increase: t_span[1] > t_span[0], else ValueError.
     ``rtol`` is floored at 100*eps.  ``events`` are (g, direction) pairs:
     the run stops at the first zero of any g(t, y) crossed in its direction
     (+1 rising, -1 falling), located on the step's interpolant by
@@ -361,8 +357,9 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     float spacings of t ends the run with ``failure`` set.
     """
     t, t_bound = map(float, t_span)
-    if t == t_bound:
-        raise ValueError("empty integration span")
+    if not t_bound > t:
+        raise ValueError(f"integration span ({t}, {t_bound}) does not "
+                         f"increase")
     y = np.asarray(y0).astype(float, copy=False)
     if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("initial state must be a finite 1-D array")
@@ -373,10 +370,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     def f(t, y):
         return np.asarray(fun(t, y), dtype=float)
 
-    direction = 1.0 if t_bound > t else -1.0
     fy = f(t, y)
-    h_abs = _initial_step(f, t, y, t_bound, max_step, fy, direction, rtol,
-                          atol)
+    h_abs = _initial_step(f, t, y, t_bound, max_step, fy, rtol, atol)
     K_ext = np.empty((16, y.size))
     K = K_ext[:N_STAGES + 1]
     KT = [K_ext[:s].T for s in range(16)]   # KT[s]: stages 0..s-1, transposed
@@ -393,17 +388,14 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
         return Solution(dense, y, event, failure)
 
     while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 return solution(TOO_SMALL_STEP)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
             K[0] = fy
             for s in range(1, N_STAGES):
                 c, a = _STAGES[s]
@@ -459,11 +451,11 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
                 roots = np.asarray([
                     brentq(lambda s, ev=events[i][0]: ev(s, at(s)),
                            t_old, t) for i in active])
-                first = np.argsort(direction * roots)[0]
+                first = np.argmin(roots)
                 event, t_end = active[first], roots[first]
                 y = at(t_end)
         ts.append(t_end)
-        if event is not None or direction * (t - t_bound) >= 0:
+        if event is not None or t >= t_bound:
             return solution()
 
 

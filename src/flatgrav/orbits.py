@@ -92,7 +92,6 @@ class GeodesicState:
 class PrecessionResult:
     delta_phi_per_orbit: float        # radians
     arcsec_per_century: Optional[float]
-    method: str                       # "analytic" | "numeric"
 
 
 def energy_integral(u: float, uprime: float, r_o: float, L: float) -> float:
@@ -253,11 +252,11 @@ class Trajectory:
     @property
     def period(self) -> float:
         """Apsidal period Phi = 2*pi + advance in phi, perihelion to perihelion."""
-        return abs(self.sol.ts[-1] - self.sol.ts[self.period_start])
+        return self.sol.ts[-1] - self.sol.ts[self.period_start]
 
     @property
     def period_clocks(self) -> np.ndarray:
-        """T_r and P_r, the t and p that one period adds (signed with phi)."""
+        """T_r and P_r, the t and p that one period adds."""
         clocks = self._segment_clocks
         return clocks[:, -1] - clocks[:, self.period_start]
 
@@ -295,7 +294,7 @@ class Trajectory:
         """
         phis = np.asarray(phis, dtype=float)
         flat = phis.reshape(-1)
-        # whole periods (signed with the run) past the integrated perihelion
+        # whole periods past the integrated perihelion
         peri = self.sol.ts[self.period_start]
         k = np.maximum(np.floor((flat - peri) / (self.sol.ts[-1] - peri)), 0.0)
         flat = flat - k * (self.sol.ts[-1] - peri)
@@ -356,8 +355,7 @@ def _uprime(phi, y):
 
 
 def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
-                    n_orbits: float, tol: float = DEFAULT_TOL,
-                    backward: bool = False) -> Trajectory:
+                    n_orbits: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """The bound motion over ``n_orbits`` revolutions of phi, from one period.
 
     The rosette equation is integrated by variation of constants
@@ -371,14 +369,14 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     period tiles the span; its advance is the turn of the argument of
     perihelion atan2(beta, alpha) across it, so no 2*pi is subtracted.
     Raises ToleranceNotMet if the energy-integral drift over the legs tops
-    1000*tol*n_orbits, InsufficientOrbits if n_orbits is 0 or a leg finds
+    1000*tol*n_orbits, InsufficientOrbits if n_orbits <= 0 or a leg finds
     no turning point within 2*max(n_orbits, 1) revolutions, and
     NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
     """
     from .ode import DenseOutput, dop853
 
-    if n_orbits == 0:
-        raise InsufficientOrbits("cannot integrate over 0 orbits")
+    if not n_orbits > 0:
+        raise InsufficientOrbits(f"cannot integrate over {n_orbits} orbits")
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
     if state.r <= 0:
@@ -393,21 +391,20 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
         raise NumericalFailure(
             f"field forcing {f0:.3g} at launch is below the smallest normal "
             f"float: the elements lose digits")
-    sign = -1.0 if backward else 1.0
-    phi0, phi1 = state.phi, state.phi + sign * 2.0 * np.pi * n_orbits
+    phi0, phi1 = state.phi, state.phi + 2.0 * np.pi * n_orbits
     cos0, sin0 = np.cos(phi0), np.sin(phi0)
     y0 = np.array([(u0 - c) * cos0 - up0 * sin0,
                    (u0 - c) * sin0 + up0 * cos0])
     rtol = tol / PERIOD_RTOL_DIVISOR
     # alpha = beta = 0 only where u = r_o/L^2, an aphelion: u0 sets the scale
     atol = rtol * (math.hypot(*y0) or u0)
-    reach = sign * 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
-    # in run order u' falls through a perihelion going forward, rises going
-    # backward (an aphelion the reverse); a perihelion event would fire at
-    # a perihelion launch (u' = 0, u'' = F - (u - c) < 0): start there
-    to_peri = [] if up0 == 0.0 and f0 < u0 - c else [-sign]
+    reach = 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
+    # u' falls through a perihelion and rises through an aphelion; a
+    # perihelion event would fire at a perihelion launch (u' = 0,
+    # u'' = F - (u - c) < 0): start there
+    to_peri = [] if up0 == 0.0 and f0 < u0 - c else [-1.0]
     legs, ends = [], [(phi0, y0)]
-    for direction in to_peri + [sign, -sign]:
+    for direction in to_peri + [1.0, -1.0]:
         phi, y = ends[-1]
         run = dop853(lambda p, v: _element_rhs(p, v, r_o, c),
                      (phi, phi + reach), y, rtol=rtol, atol=atol,
@@ -416,16 +413,16 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
             raise ToleranceNotMet(run.failure)
         if run.event is None:
             raise InsufficientOrbits(
-                f"no radial turning point within {abs(reach):.6g} rad")
+                f"no radial turning point within {reach:.6g} rad")
         legs.append(run.dense)
         ends.append((run.dense.ts[-1], run.y))
     (phi_p, y_p), (phi, y) = ends[-3], ends[-1]
-    turned = sign * (math.atan2(y[1], y[0]) - math.atan2(y_p[1], y_p[0]))
+    turned = math.atan2(y[1], y[0]) - math.atan2(y_p[1], y_p[0])
     advance = turned + 2.0 * np.pi * round(
-        (abs(phi - phi_p) - 2.0 * np.pi - turned) / (2.0 * np.pi))
+        (phi - phi_p - 2.0 * np.pi - turned) / (2.0 * np.pi))
     traj = Trajectory(r_o=r_o, integrals=integrals,
-                      sol=DenseOutput.join(legs), phi_start=min(phi0, phi1),
-                      phi_end=max(phi0, phi1), t0=state.t, p0=state.p,
+                      sol=DenseOutput.join(legs), phi_start=phi0,
+                      phi_end=phi1, t0=state.t, p0=state.p,
                       period_start=sum(d.n_segments for d in legs[:-2]),
                       advance=advance)
     traj.drift = traj.integral_drift()
@@ -455,10 +452,10 @@ def precession_numeric(traj: Trajectory) -> PrecessionResult:
     if n_peri < 2:
         raise InsufficientOrbits(
             f"found {n_peri} perihelion passages, need at least 2")
-    period_s = abs(float(traj.period_clocks[0])) / C_SI
+    period_s = float(traj.period_clocks[0]) / C_SI
     arcsec = traj.advance * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
     return PrecessionResult(delta_phi_per_orbit=traj.advance,
-                            arcsec_per_century=arcsec, method="numeric")
+                            arcsec_per_century=arcsec)
 
 
 def kepler_period_seconds(r_o: float, a: float) -> float:
@@ -493,7 +490,7 @@ def precession_analytic(r_o: float, a: float, ecc: float
         arcsec = (dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY
                   / kepler_period_seconds(r_o, a))
     return PrecessionResult(delta_phi_per_orbit=float(dphi),
-                            arcsec_per_century=arcsec, method="analytic")
+                            arcsec_per_century=arcsec)
 
 
 def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
@@ -540,22 +537,3 @@ def _cosine_map_advance(u1: float, u2: float, u3: float, k: float) -> float:
             f"perihelion advance {advance:.3g} is subnormal: the quadrature "
             "loses digits")
     return advance
-
-
-def geodesic_force(r_o: float, E_m: float, x: np.ndarray, v: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Central-field 3-force on an energy charge and its acceleration.
-
-    f = E_m * grad(1/sqrt(g00)) = -r_o * E_m * rhat / r^2 and
-    dv/dt = [f - v (v . f)] / E_m.  The acceleration path cancels E_m
-    algebraically, so free fall at v = 0 is exactly charge-independent.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= 0.0:
-        raise NonPositiveRadius("force evaluated at the center")
-    accel_unit = -r_o * x / r**3          # f / E_m, closed form
-    force = E_m * accel_unit
-    accel = accel_unit - v * (v @ accel_unit)
-    return force, accel

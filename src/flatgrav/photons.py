@@ -64,8 +64,7 @@ class EchoDelayResult:
     closed_form: float
 
 
-def shapiro_delay(geom: EchoGeometry, observer_time: bool = False
-                  ) -> EchoDelayResult:
+def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     """Round-trip excess delay along the straight Euclidean ray.
 
     Integrates 2 * (1/ldot - 1) over x in [-x_E, x_M] at y = R_s, and
@@ -74,8 +73,7 @@ def shapiro_delay(geom: EchoGeometry, observer_time: bool = False
     excess into a smooth integrand over a short s-range for the
     Gauss-Legendre helper.  The excess is written r_o/r*(2 + r_o/r), not
     (1 + r_o/r)^2 - 1, which cancels; times dx/ds = r it is
-    r_o*(2 + r_o/r).  With ``observer_time`` the world delay is scaled by
-    sqrt(g00) at the Earth endpoint.
+    r_o*(2 + r_o/r).
     """
     x_e = np.sqrt(geom.r_es**2 - geom.R_s**2)
     x_m = np.sqrt(geom.r_ms**2 - geom.R_s**2)
@@ -87,13 +85,9 @@ def shapiro_delay(geom: EchoGeometry, observer_time: bool = False
 
     val = sum(gauss_legendre(excess_ds, 0.0, np.arcsinh(x / y))
               for x in (x_e, x_m))
-    delay = 2.0 * val
     closed = 4.0 * r_o * np.log(4.0 * geom.r_ms * geom.r_es / geom.R_s**2)
-    if observer_time:
-        scale = light_slowness(r_o, geom.r_es)
-        delay *= scale
-        closed *= scale
-    return EchoDelayResult(quadrature=float(delay), closed_form=float(closed))
+    return EchoDelayResult(quadrature=float(2.0 * val),
+                           closed_form=float(closed))
 
 
 @dataclass(frozen=True)

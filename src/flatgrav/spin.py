@@ -165,14 +165,16 @@ def transport_spin(spec: RotatingFieldSpec,
     Returns the dense output, a callable from coordinate time to the
     covariant spatial spin.  At the initial point the direct rate is checked
     once against the full connection (``rotating_connections``);
-    NumericalFailure if they differ.  GeometryInvalid for an empty span.
+    NumericalFailure if they differ.  GeometryInvalid for a span that does
+    not increase.
     """
     from .ode import dop853
 
     s0 = np.asarray(s_initial, dtype=float)
     t0, t1 = t_span
-    if t0 == t1:
-        raise GeometryInvalid(f"spin transport over an empty span ({t0}, {t1})")
+    if not t1 > t0:
+        raise GeometryInvalid(f"spin transport span ({t0}, {t1}) does not "
+                              f"increase")
     _check_against_connection(spec, np.asarray(position(t0), dtype=float),
                               np.asarray(velocity(t0), dtype=float), s0)
 

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from flatgrav.baseline import (
-    newtonian_baseline,
     schwarzschild_baseline,
     schwarzschild_precession_quadrature,
 )
 from flatgrav import carriers, cli
 from flatgrav.cli import RunReport, build_parser, main
-from flatgrav.errors import ConfigInvalid, NumericalFailure, UnsupportedQuantity
+from flatgrav.errors import ConfigInvalid, NumericalFailure
 from flatgrav.orbits import (
     orbit_from_elements,
     precession_quadrature,
@@ -63,14 +62,11 @@ class TestBaseline:
                                            "r_es": 1e11, "r_ms": 5e10})
         for q in ("precession", "deflection", "delay"):
             assert schwarzschild_baseline(q, sc) == 0.0
-            assert newtonian_baseline(q, sc) == 0.0
 
     def test_unsupported_quantity(self):
         sc = preset_scenario("solar")
-        with pytest.raises(UnsupportedQuantity):
+        with pytest.raises(ValueError):
             schwarzschild_baseline("redshift", sc)
-        with pytest.raises(UnsupportedQuantity):
-            newtonian_baseline("redshift", sc)
 
     def test_quadrature_weak_field_limit(self):
         r_min = MERCURY_SEMI_MAJOR * (1 - MERCURY_ECCENTRICITY)
@@ -229,6 +225,8 @@ class TestCli:
         assert div > 0.01
         models = {row["model"] for row in report["rows"]}
         assert {"flatspace-weber", "schwarzschild", "newtonian"} <= models
+        assert [row["value"] for row in report["rows"]
+                if row["model"] == "newtonian"] == [0.0, 0.0, 0.0]
 
     def test_gyro_rates(self, tmp_path):
         report = self.run_json(["gyro"], tmp_path)
@@ -529,3 +527,35 @@ class TestCliContract:
         assert captured.out == "" and "non-finite" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["density", "electric"])
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys, command):
+        # the table allocation fails as numpy's would, before any memory
+        # is taken
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.24 GiB for an array with "
+                              "shape (300000000,) and data type float64")
+
+        monkeypatch.setattr(np, "geomspace", refuse)
+        assert main([command, "--samples", "300000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: out of memory")
+
+    @pytest.mark.parametrize("r_over_ro", ["1e160", "1e200", "1e300"])
+    def test_far_density_underflows_without_error(self, capsys, r_over_ro):
+        # r**2 overflowed here, although the density only underflows
+        assert main(["density", "--r-over-ro", r_over_ro]) == 0
+        rows = {row["quantity"]: row["value"]
+                for row in json.loads(capsys.readouterr().out)["rows"]}
+        r = float(r_over_ro)
+        assert rows["energy_density"] == 0.0
+        assert rows["field_intensity"] == pytest.approx(-1.0 / r / r,
+                                                        rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("r_over_ro", ["1e-200", "1e-320"])
+    def test_near_density_overflow_exits_3(self, capsys, r_over_ro):
+        # the density itself, ~1/(4*pi*r^2), is beyond the largest float
+        assert main(["density", "--r-over-ro", r_over_ro]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: ")

@@ -77,19 +77,34 @@ CONFIGS = st.tuples(
 
 @st.composite
 def invocations(draw):
-    """(argv, config or None): a subcommand with drawn flags and config."""
+    """(argv, config or None): a subcommand with drawn flags and config.
+
+    One time in four, one input that the subcommand reads (a parameter it
+    needs or a float flag) is set to an edge value: an edge of a key that
+    it does not read tests nothing.
+    """
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    _, preset, _, flags = cli.COMMANDS[command]
+    _, preset, needed, flags = cli.COMMANDS[command]
     argv, config = [command], None
     if preset and draw(st.booleans()):
         config = draw(CONFIGS)
     if preset and draw(st.booleans()):
         argv += ["--preset", draw(st.sampled_from([*PRESETS, "vulcan"]))]
-    for key, *_ in flags:
-        if draw(st.booleans()):
-            option = "--orbits" if key == "n_orbits" else \
-                "--" + key.replace("_", "-")
-            argv += [option, draw(mostly(FLAG_TEXT[key], FLAG_JUNK))]
+    texts = {key: draw(mostly(FLAG_TEXT[key], FLAG_JUNK))
+             for key, *_ in flags if draw(st.booleans())}
+    reads = [*needed, *(key for key, kind, *_ in flags if kind is float)]
+    if reads and draw(st.integers(0, 3)) == 0:
+        key, edge = draw(st.sampled_from(reads)), draw(EDGES)
+        if key in needed:
+            params = (config or {}).get("params")
+            params = params if isinstance(params, dict) else {}
+            config = {**(config or {}), "params": {**params, key: edge}}
+        else:
+            texts[key] = repr(edge)
+    for key, text in texts.items():
+        option = "--orbits" if key == "n_orbits" else \
+            "--" + key.replace("_", "-")
+        argv += [option, text]
     return argv, config
 
 

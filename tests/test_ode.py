@@ -59,22 +59,20 @@ def assert_same_run(fun, t_span, y0, rtol, atol, events=(),
     return run
 
 
-@pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("ecc", [0.05, 0.6])
 @pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
-def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc, backward):
+def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc):
     # the perihelion-to-aphelion leg of integrate_orbit, with its event
     r_o = SOLAR_R_O
     state, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
     alpha0 = 1.0 / state.r - c
-    sign = -1.0 if backward else 1.0
     tol = 1e-12 / orbits.PERIOD_RTOL_DIVISOR
     run = assert_same_run(
         lambda phi, y: orbits._element_rhs(phi, y, r_o, c),
-        (0.0, sign * 4.0 * np.pi), [alpha0, 0.0], rtol=max(tol, 100 * EPS),
-        atol=tol * alpha0, events=[(orbits._uprime, sign)],
+        (0.0, 4.0 * np.pi), [alpha0, 0.0], rtol=max(tol, 100 * EPS),
+        atol=tol * alpha0, events=[(orbits._uprime, 1.0)],
         max_step=orbits.LEG_MAX_STEP)
     assert run.event == 0
 
@@ -139,6 +137,7 @@ def test_rtol_floor_and_step_failure_are_scipys():
 
 @pytest.mark.parametrize("t_span, events", [
     ((1.0, 1.0), ()),
+    ((1.0, 0.0), ()),
     ((0.0, 1.0), [(lambda t, y: y[0], 0)]),
 ])
 def test_bad_span_or_event_direction_rejected(t_span, events):

@@ -59,15 +59,6 @@ class TestEchoDelay:
         assert res.quadrature == pytest.approx(0.0, abs=1e-12)
         assert res.closed_form == 0.0
 
-    def test_observer_time_scaling(self):
-        geom = solar_echo_geometry()
-        world = shapiro_delay(geom)
-        observed = shapiro_delay(geom, observer_time=True)
-        scale = light_slowness(geom.r_o, geom.r_es)
-        assert observed.quadrature == pytest.approx(
-            world.quadrature * scale, rel=1e-14
-        )
-
     def test_geometry_validation(self):
         with pytest.raises(GeometryInvalid):
             EchoGeometry(r_es=1.0, r_ms=1.0, R_s=2.0, r_o=0.1)

@@ -298,8 +298,7 @@ SUBCOMMAND_MODULES = {
 PACKAGE_EXPORTS = {
     "errors": ("FlatgravError",),
     "metric": ("CentralField", "FourPotential", "SpacetimeMetric",
-               "build_metric", "central_potential", "christoffels_central",
-               "proper_time_rate", "rotating_central_potential"),
+               "build_metric", "proper_time_rate"),
     "orbits": ("GeodesicState", "OrbitIntegrals", "integrate_orbit",
                "orbit_from_elements", "precession_analytic",
                "precession_numeric", "precession_quadrature"),
@@ -334,6 +333,22 @@ def test_subcommand_loads_only_its_modules(sub):
 
 def test_bare_package_import_loads_no_submodule():
     assert _flatgrav_imports("-c", "import flatgrav") == (0, {"flatgrav"})
+
+
+def _export_tables():
+    """(table module, name, home module) for each entry of ``flatgrav._HOME``
+    and ``flatgrav.cli._HOME``."""
+    return [(table, name, home) for table in ("flatgrav", "flatgrav.cli")
+            for name, home in importlib.import_module(table)._HOME.items()]
+
+
+@pytest.mark.parametrize("table, name, home", _export_tables())
+def test_export_table_entry_is_its_home_modules_object(table, name, home):
+    # a stale entry (a name its home module no longer defines) fails here
+    module = importlib.import_module(f"flatgrav.{home}")
+    assert hasattr(module, name)
+    assert getattr(importlib.import_module(table), name) \
+        is getattr(module, name)
 
 
 class TestLazyExports:

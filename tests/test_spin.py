@@ -248,9 +248,10 @@ class TestDirectContraction:
         spec = RotatingFieldSpec(r_o=1e-8, inertia=1e-2,
                                  omega=np.array([0.0, 0.0, 1e-7]))
         pos, vel, _, _ = circular_polar_orbit(1.0, 1e-8)
-        with pytest.raises(GeometryInvalid):
-            transport_spin(spec, pos, vel, np.array([1.0, 0.0, 0.0]),
-                           (2.0, 2.0))
+        for t_span in ((2.0, 2.0), (2.0, 1.0)):
+            with pytest.raises(GeometryInvalid):
+                transport_spin(spec, pos, vel, np.array([1.0, 0.0, 0.0]),
+                               t_span)
 
 
 class TestPolarOrbit:
