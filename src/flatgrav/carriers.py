@@ -70,6 +70,18 @@ def _profile(scale: float, r_o: float, r) -> np.ndarray:
     return scale * r_o / (4.0 * np.pi) / r / (r + r_o) / r / (r + r_o)
 
 
+def _in_units_of_r(r, r_o):
+    """``r`` and ``r_o`` divided by 2^k, with r/2^k in [0.5, 1), and k.
+
+    Dividing by a power of two is exact, so a closed form of length
+    dimension -n, evaluated in these lengths and multiplied by 2^(-n*k),
+    rounds as the same form in the original lengths wherever that stays in
+    range; and its r^2 is near 1, where r^2 overflows above ~1e154.
+    """
+    k = np.frexp(r)[1]
+    return np.ldexp(r, -k), np.ldexp(r_o, -k), k
+
+
 def _enclosed(scale: float, r_o: float, R: float) -> float:
     """Analytic integral of the profile over the ball of radius R."""
     if R < 0.0:
@@ -126,8 +138,9 @@ def log_potential(c: RadialCarrier, r) -> np.ndarray:
 
 def field_divergence(c: RadialCarrier, r) -> np.ndarray:
     """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2)."""
-    r = np.asarray(r, dtype=float)
-    return -c.r_o**2 / (r**2 * (r + c.r_o) ** 2)
+    x, r_o, k = _in_units_of_r(np.asarray(r, dtype=float), c.r_o)
+    return np.ldexp(-np.square(r_o) / (np.square(x) * np.square(x + r_o)),
+                    -2 * k)
 
 
 @dataclass(frozen=True)
@@ -153,16 +166,19 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * np.pi * c.newton_constant
-    eps_common = c.r_o**2 / (four_pi_g * r**2 * (r + c.r_o) ** 2)
+    x, r_o, k = _in_units_of_r(r, c.r_o)
+    eps_common = float(np.ldexp(np.square(r_o) / (
+        four_pi_g * np.square(x) * np.square(x + r_o)), -2 * k))
     eps_active = -field_divergence(c, r) / four_pi_g
     w = float(field_intensity(c, r))
     eps_passive = w**2 / four_pi_g
 
     def div_fd(step: float) -> float:
-        # div w = (1/r^2) d(r^2 w_r)/dr for a radial field
-        fp = (r + step) ** 2 * field_intensity(c, r + step)
-        fm = (r - step) ** 2 * field_intensity(c, r - step)
-        return float(fp - fm) / (2.0 * step * r**2)
+        # div w = (1/r^2) d(r^2 w_r)/dr for a radial field; both r^2 in
+        # units of 2^(2k), which cancel
+        fp = np.square(np.ldexp(r + step, -k)) * field_intensity(c, r + step)
+        fm = np.square(np.ldexp(r - step, -k)) * field_intensity(c, r - step)
+        return float(fp - fm) / (2.0 * step * np.square(x))
 
     analytic = float(field_divergence(c, r))
     return DensityResiduals(
@@ -180,9 +196,10 @@ def ricci_density(c: RadialCarrier, r) -> np.ndarray:
     Returns eps_a + eps_p = 2 * r_o^2 / (4*pi*G*r^2*(r+r_o)^2), the quantity
     whose 8*pi*G multiple is the curvature scalar of the carrier field.
     """
-    r = np.asarray(r, dtype=float)
-    return 2.0 * c.r_o**2 / (4.0 * np.pi * c.newton_constant
-                             * r**2 * (r + c.r_o) ** 2)
+    x, r_o, k = _in_units_of_r(np.asarray(r, dtype=float), c.r_o)
+    return np.ldexp(2.0 * np.square(r_o) / (
+        4.0 * np.pi * c.newton_constant * np.square(x) * np.square(x + r_o)),
+        -2 * k)
 
 
 def enclosed_energy(c: RadialCarrier, R: float) -> float:
@@ -239,10 +256,11 @@ def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
     """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    _radii(r)
-    rho, _, _ = electric_profile(c, r)
+    rho = _profile(c.e, c.r_o, r)
     # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
-    div_d = c.e * c.r_o / (r**2 * (r + c.r_o) ** 2)
+    x, r_o, k = _in_units_of_r(r, c.r_o)
+    div_d = float(np.ldexp(c.e * r_o / (np.square(x) * np.square(x + r_o)),
+                           -3 * k))
     return abs(div_d - 4.0 * np.pi * float(rho))
 
 

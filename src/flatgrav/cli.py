@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -533,7 +534,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FlatgravError, ArithmeticError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OverflowError) and len(exc.args) == 2:
+            # a float ``**`` overflow reads "(34, 'Numerical result out of
+            # range')": errno and text
+            message = f"overflow ({exc.args[1]})"
+        print(f"numerical error: {message}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         # a table too large to allocate (a huge --samples, say)
@@ -548,5 +554,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry point (the ``flatgrav`` script and ``python -m
+    flatgrav.cli``): ``main``'s exit code, for ``sys.exit``."""
+    code = main()
+    # The interpreter's exit runs full cyclic collections over the ~23k
+    # objects numpy and flatgrav hold: ~17 ms, to free memory the OS takes
+    # back anyway.  Frozen objects are still freed by reference counting;
+    # only cycle detection skips them, and ``main`` has closed its files
+    # and flushed stdout.  ``main`` itself never freezes, so an in-process
+    # caller keeps its collector.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

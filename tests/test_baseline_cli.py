@@ -1,5 +1,6 @@
 """Baseline observables and end-to-end CLI behavior."""
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -483,19 +484,21 @@ class TestCliContract:
             main([command, "--tol", "1e-9"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command, params", [
-        ("echo-delay", {"r_ms": 1e300}),        # OverflowError in math.log
-        ("light-deflect", {"R_s": 1e-300}),     # numpy overflow in u0**2
-        ("orbit", {"r_o": 1e-320}),             # ZeroDivisionError
+    @pytest.mark.parametrize("command, params, reason", [
+        # OverflowError(34, 'Numerical result out of range') of a float **
+        ("echo-delay", {"r_ms": 1e300}, "overflow"),
+        ("light-deflect", {"R_s": 1e-300}, "overflow"),   # numpy, u0**2
+        ("orbit", {"r_o": 1e-320}, "division by zero"),
     ])
     def test_arithmetic_failure_exits_3(self, tmp_path, capsys, command,
-                                        params):
+                                        params, reason):
         preset = "mercury" if command == "orbit" else "solar"
         cfg = self.config(tmp_path, {"preset": preset, "params": params})
         assert main([command, "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: ")
+        assert reason in captured.err and "(34," not in captured.err
 
     @pytest.mark.parametrize("text", [
         b"\xff{}", b"[" * 100_000, b'{"tol": ' + b"1" * 5000 + b"}",
@@ -559,3 +562,41 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: ")
+
+
+class TestEntryPoint:
+    """``flatgrav`` and ``python -m flatgrav.cli`` run ``cli.run``: ``main``,
+    then a frozen collector for the interpreter's exit.  ``run`` is only
+    ever called in a child process: in this one it would freeze pytest's
+    heap."""
+
+    @pytest.mark.parametrize("argv, params, code", [
+        (["orbit"], None, 0),
+        (["orbit", "--orbits", "1"], None, 2),
+        (["orbit"], {"r_o": 1e-305}, 3),    # the launch forcing underflows
+    ])
+    def test_process_matches_main(self, tmp_path, capsys, argv, params,
+                                  code):
+        if params is not None:
+            argv = argv + ["--config", TestCliContract.config(
+                tmp_path, {"preset": "mercury", "params": params})]
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "flatgrav.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, captured.out, captured.err)
+
+    def test_run_freezes_after_main(self):
+        script = ("import gc, sys\n"
+                  "from flatgrav.cli import run\n"
+                  "code = run()\n"
+                  "print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script, "precession"],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.stderr == "0 True\n"
+        assert '"precession_per_orbit"' in proc.stdout

@@ -1,4 +1,6 @@
 """Radial carrier fields: densities, potentials, integrals, electric analog."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ class TestDensityIdentities:
     def test_step_guard(self):
         with pytest.raises(NonPositiveRadius):
             density_identities(RadialCarrier(r_o=1.0), 1.0, 2.0)
+
+
+class TestFarField:
+    """At r = 1e200 the closed forms only underflow to 0; none may overflow,
+    as r**2 does above ~1e154."""
+
+    R = 1e200
+
+    @pytest.fixture(autouse=True)
+    def raise_on_float_errors(self):
+        # underflow is the true result here, so it alone passes
+        with np.errstate(all="raise", under="ignore"):
+            yield
+
+    def test_field_divergence(self):
+        assert field_divergence(RadialCarrier(r_o=1.0), self.R) == 0.0
+
+    def test_ricci_density(self):
+        assert ricci_density(RadialCarrier(r_o=1.0), self.R) == 0.0
+
+    def test_density_identities(self):
+        res = density_identities(RadialCarrier(r_o=1.0), self.R, 1e-2 * self.R)
+        assert astuple(res) == (0.0,) * 5
+
+    def test_displacement_divergence_residual(self):
+        c = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
+        assert displacement_divergence_residual(c, self.R) == 0.0
 
 
 class TestEnclosedEnergy:
