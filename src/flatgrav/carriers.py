@@ -89,19 +89,18 @@ def _enclosed(scale: float, r_o: float, R: float) -> float:
     return scale * R / (R + r_o)
 
 
-def _shell_quadrature(scale: float, r_o: float, R: float,
-                      epsrel: float) -> float:
+def _shell_quadrature(scale: float, r_o: float, R: float) -> float:
     """Quadrature of the shell integrand scale*r_o/(r + r_o)^2 over [0, R].
 
     Substituting r = r_o*(e^s - 1) over [0, ln(1 + R/r_o)] maps the long
     1/r^2 tail onto a short range with a smooth integrand for the
-    Gauss-Legendre helper.
+    Gauss-Legendre helper, whose successive rules must agree to 1e-12.
     """
     def shell_ds(s):
         r = r_o * np.expm1(s)
         return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
 
-    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), epsrel)
+    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), 1e-12)
 
 
 def _total_quadrature(scale: float, r_o: float) -> float:
@@ -111,7 +110,7 @@ def _total_quadrature(scale: float, r_o: float) -> float:
     scale*r_o/(r+r_o)^2 integrates to scale*r_o/(split+r_o) in closed form.
     """
     split = TAIL_SPLIT * r_o
-    head = _shell_quadrature(scale, r_o, split, 1e-12)
+    head = _shell_quadrature(scale, r_o, split)
     tail = scale * r_o / (split + r_o)
     return head + tail
 
@@ -207,18 +206,13 @@ def enclosed_energy(c: RadialCarrier, R: float) -> float:
     return _enclosed(c.total_energy, c.r_o, R)
 
 
-def enclosed_energy_quadrature(c: RadialCarrier, R: float,
-                               epsrel: float = 1e-12) -> float:
-    """Quadrature of 4*pi*r^2*eps over [0, R].
-
-    ``epsrel`` is the agreement required of two successive Gauss-Legendre
-    rules.
-    """
+def enclosed_energy_quadrature(c: RadialCarrier, R: float) -> float:
+    """Quadrature of 4*pi*r^2*eps over [0, R]."""
     if R < 0.0:
         raise NonPositiveRadius(f"R must be >= 0, got {R}")
     if R == 0.0:
         return 0.0
-    return _shell_quadrature(c.total_energy, c.r_o, R, epsrel)
+    return _shell_quadrature(c.total_energy, c.r_o, R)
 
 
 def total_energy_quadrature(c: RadialCarrier) -> float:

@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -26,40 +25,19 @@ import numpy as np
 from . import __version__
 from .constants import ARCSEC_PER_RAD, C_SI
 from .errors import ConfigInvalid, FlatgravError, NumericalFailure
-from .presets import (CONFIG_KEYS, DOMAIN, FLAT_MODEL, Scenario, check,
-                      preset_scenario)
-
-# The physics names the subcommands run -> their home module.  A ``cmd_*``
-# imports its names when it runs, so a process loads only the modules of its
-# subcommand; ``cli.<name>`` reads the home module's current binding.
-_HOME = {
-    **dict.fromkeys((
-        "schwarzschild_baseline", "schwarzschild_precession_quadrature"),
-        "baseline"),
-    **dict.fromkeys((
-        "ElectricCarrier", "RadialCarrier", "electric_profile",
-        "enclosed_energy", "energy_density", "field_intensity",
-        "log_potential", "self_energy_quadrature",
-        "total_charge_quadrature"), "carriers"),
-    **dict.fromkeys((
-        "integrate_orbit", "kepler_period_seconds", "orbit_from_elements",
-        "precession_analytic", "precession_numeric", "precession_quadrature",
-        "turning_points_from_elements"), "orbits"),
-    **dict.fromkeys((
-        "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
-        "ray_launch", "shapiro_delay"), "photons"),
-    **dict.fromkeys((
-        "RotatingFieldSpec", "circular_polar_orbit", "de_sitter_rate",
-        "frame_dragging_rate", "geodetic_rate"), "spin"),
-}
+from .presets import CONFIG_KEYS, DOMAIN, Scenario, check, preset_scenario
 
 
 def __getattr__(name: str) -> Any:
-    if name in _HOME:
-        return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+    # ``cli.<name>`` reads flatgrav's lazy export ``name``: the home module's
+    # current binding, which perfbench's tracer wraps and checks through cli
+    if name in sys.modules[__package__].__all__:
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# the paper's model, which computes every row but compare's baselines
+FLAT_MODEL = "flatspace-weber"
 ROW_FIELDS = ("scenario", "model", "quantity", "value", "unit",
               "tolerance", "provenance")
 
@@ -69,7 +47,7 @@ class RunReport:
     """Results of one CLI run: scalar rows plus optional named tables."""
 
     scenario: str
-    model: str
+    model: str = FLAT_MODEL
     version: str = __version__
     config: Dict[str, Any] = field(default_factory=dict)
     rows: List[Dict[str, Any]] = field(default_factory=list)
@@ -209,8 +187,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
     Every input lies in its domain, the scenario holds the parameters the
     subcommand needs, and those and the flags keep its narrower rules.
-    Only ``compare`` labels rows by model, so only it may carry another
-    ``model``.
     """
     _, preset, needed, flags = COMMANDS[args.command]
     raw: Dict[str, Any] = {}
@@ -236,9 +212,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if missing:
         raise ConfigInvalid(f"scenario {scenario.name!r} lacks parameter(s) "
                             f"{', '.join(missing)}")
-    if scenario.model != FLAT_MODEL and args.command != "compare":
-        raise ConfigInvalid(f"{args.command} computes only the {FLAT_MODEL} "
-                            f"model, got model {scenario.model!r}")
     for key, rule in [*needed.items(), *((k, rule) for k, *_, rule in flags)]:
         value = p[key] if key in p else getattr(args, key)
         if rule and not rule[0](value, p):
@@ -254,7 +227,7 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
                          precession_analytic, precession_numeric)
     sc = _load_scenario(args)
     p = sc.params
-    report = RunReport(scenario=sc.name, model=sc.model,
+    report = RunReport(scenario=sc.name,
                        config={"params": p, "n_orbits": sc.n_orbits,
                                "tol": sc.tol})
     state, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
@@ -286,8 +259,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
                          precession_quadrature, turning_points_from_elements)
     sc = _load_scenario(args)
     p = sc.params
-    report = RunReport(scenario=sc.name, model=sc.model,
-                       config={"params": p})
+    report = RunReport(scenario=sc.name, config={"params": p})
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", analytic.delta_phi_per_orbit, "rad",
                "closed-form")
@@ -306,8 +278,8 @@ def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
     from .photons import deflection_integral, fermat_ray_integrate, ray_launch
     sc = _load_scenario(args)
     p = sc.params
-    report = RunReport(scenario=sc.name, model=sc.model,
-                       config={"params": p})
+    report = RunReport(scenario=sc.name,
+                       config={"params": p, "tol": sc.tol})
     res = deflection_integral(p["r_o"], p["R_s"])
     _, ray_angle = fermat_ray_integrate(ray_launch(1.0 / p["R_s"]), p["r_o"],
                                         tol=sc.tol)
@@ -323,8 +295,7 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
     from .photons import EchoGeometry, shapiro_delay
     sc = _load_scenario(args)
     p = sc.params
-    report = RunReport(scenario=sc.name, model=sc.model,
-                       config={"params": p})
+    report = RunReport(scenario=sc.name, config={"params": p})
     geom = EchoGeometry(r_es=p["r_es"], r_ms=p["r_ms"], R_s=p["R_s"],
                         r_o=p["r_o"])
     res = shapiro_delay(geom)
@@ -341,12 +312,10 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
                        de_sitter_rate, frame_dragging_rate, geodetic_rate)
     sc = _load_scenario(args)
     p = sc.params
-    report = RunReport(scenario=sc.name, model=sc.model,
-                       config={"params": {k: (list(v) if isinstance(v, np.ndarray)
-                                              else v) for k, v in p.items()},
-                               "orbit_radius": args.orbit_radius})
+    report = RunReport(scenario=sc.name,
+                       config={"params": p, "orbit_radius": args.orbit_radius})
     spec = RotatingFieldSpec(r_o=p["r_o"], inertia=p["inertia"],
-                             omega=np.asarray(p["omega"]))
+                             omega=p["omega"])
     radius = args.orbit_radius
     pole = np.array([0.0, 0.0, radius])
     equator = np.array([radius, 0.0, 0.0])
@@ -374,7 +343,7 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
                            field_intensity, log_potential)
     r = args.r_over_ro
     carrier = RadialCarrier(r_o=1.0)
-    report = RunReport(scenario="radial-carrier", model="flatspace-weber",
+    report = RunReport(scenario="radial-carrier",
                        config={"r_over_ro": args.r_over_ro,
                                "samples": args.samples})
     report.add("enclosed_fraction", enclosed_energy(carrier, r), "dimensionless",
@@ -401,7 +370,7 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
     from .carriers import (ElectricCarrier, electric_profile,
                            self_energy_quadrature, total_charge_quadrature)
     carrier = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
-    report = RunReport(scenario="electric-carrier", model="flatspace-weber",
+    report = RunReport(scenario="electric-carrier",
                        config={"samples": args.samples})
     report.add("total_charge", total_charge_quadrature(carrier), "e",
                "quadrature-plus-tail", tolerance=1e-8)
@@ -425,7 +394,7 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     from .photons import EchoGeometry, deflection_integral, shapiro_delay
     mercury = _load_scenario(args)
     solar = preset_scenario("solar")
-    report = RunReport(scenario="compare", model="flatspace-weber",
+    report = RunReport(scenario="compare",
                        config={"mercury": mercury.params,
                                "solar": solar.params,
                                "strong_r_min_over_ro": args.strong_rmin})
@@ -439,11 +408,11 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     to_us = 1e6 / C_SI
 
     report.add("precession_per_orbit", flat_prec.delta_phi_per_orbit, "rad",
-               "closed-form", model="flatspace-weber")
+               "closed-form", model=FLAT_MODEL)
     report.add("deflection", flat_defl.quadrature, "rad",
-               "bending-quadrature", model="flatspace-weber")
+               "bending-quadrature", model=FLAT_MODEL)
     report.add("echo_delay", flat_delay.quadrature * to_us, "us",
-               "path-quadrature", model="flatspace-weber")
+               "path-quadrature", model=FLAT_MODEL)
     for quantity, unit in (("precession", "rad"), ("deflection", "rad"),
                            ("delay", "us")):
         sc_for = mercury if quantity == "precession" else solar
@@ -464,7 +433,7 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     flat_strong = precession_quadrature(r_o, r_min, r_max)
     schw_strong = schwarzschild_precession_quadrature(r_o, r_min, r_max)
     report.add("strong_field_precession", flat_strong, "rad",
-               "turning-point-quadrature", model="flatspace-weber")
+               "turning-point-quadrature", model=FLAT_MODEL)
     report.add("strong_field_precession", schw_strong, "rad",
                "turning-point-quadrature", model="schwarzschild")
     report.add("strong_field_divergence",

@@ -145,17 +145,17 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     return SpacetimeMetric(tetrad=tetrad, g=g, ginv=ginv, gamma=gamma)
 
 
-def gauge_shift(pot: FourPotential, phi: Callable[[Vec3], float],
-                h: Optional[float] = None) -> FourPotential:
+def gauge_shift(pot: FourPotential,
+                phi: Callable[[Vec3], float]) -> FourPotential:
     """Shift the potential by the gauge gradient: G_mu -> G_mu + d_mu(phi).
 
     ``phi`` is a static scalar field, so only the spatial components move.
-    The gradient is taken by central finite differences with step ``h``
-    (default 1e-6 times the evaluation radius).  The result is a plain
+    The gradient is taken by central finite differences with a step of
+    1e-6 times the evaluation radius (at least 1e-6).  The result is a plain
     FourPotential: the exact derivatives of a CentralField do not carry over.
     """
     def gi(x: Vec3) -> Vec3:
-        step = h if h is not None else 1e-6 * max(float(np.linalg.norm(x)), 1.0)
+        step = 1e-6 * max(float(np.linalg.norm(x)), 1.0)
         grad = np.empty(3)
         for k in range(3):
             dx = np.zeros(3)
@@ -254,10 +254,11 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def proper_time_rate(ldot: float, r_o_over_r: float, energy_ratio: float,
-                     tol: float = 1e-14, max_iter: int = 200) -> float:
+                     max_iter: int = 200) -> float:
     """Solve the nonlinear proper-time relation for dtau/dt by fixed point.
 
-    Iterates X <- 1 - (r_o/r)*(E_m/m)*sqrt(1 - ldot^2/X^2) from X = 1.
+    Iterates X <- 1 - (r_o/r)*(E_m/m)*sqrt(1 - ldot^2/X^2) from X = 1 until
+    a step moves X by less than 1e-14.
     ``ldot`` is the coordinate speed dl/dt (c = 1).  For mutually consistent
     ``ldot`` and ``energy_ratio`` the fixed point is 1/(1 + r_o/r).
     """
@@ -271,7 +272,7 @@ def proper_time_rate(ldot: float, r_o_over_r: float, energy_ratio: float,
                 f"implied physical speed exceeds 1 (ldot={ldot}, dtau/dt={x})"
             )
         x_next = 1.0 - r_o_over_r * energy_ratio * np.sqrt(arg)
-        if abs(x_next - x) < tol:
+        if abs(x_next - x) < 1e-14:
             return x_next
         x = x_next
     raise NoConvergence(f"no fixed point after {max_iter} iterations")

@@ -318,9 +318,10 @@ class Trajectory:
         return GeodesicState(p=p, t=t, r=1.0 / u, phi=float(phi),
                              drdp=-j * up, dphidp=j * u**2)
 
-    def integral_drift(self, n: int = 512) -> float:
-        """Max relative drift of the energy integral over the legs."""
-        phis = np.linspace(self.sol.ts[0], self.sol.ts[-1], n)
+    def integral_drift(self) -> float:
+        """Max relative drift of the energy integral at 512 points of the
+        legs."""
+        phis = np.linspace(self.sol.ts[0], self.sol.ts[-1], 512)
         u, up = self._u(phis)
         c = energy_integral(u, up, self.r_o, self.integrals.L)
         c0 = (self.integrals.energy_ratio / self.integrals.L) ** 2
@@ -362,10 +363,10 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     (Brouwer & Clemence 1961): the slowly varying elements alpha, beta of
     u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi) obey alpha' = -F*sin(phi),
     beta' = F*cos(phi) with F = ``_forcing``, by DOP853 with dense output at
-    rtol = tol/100, atol = rtol*hypot(alpha, beta) at launch.  Legs run from
-    turning point to turning point, each ended by an event on u': to the
-    first perihelion (unless the launch is one), then to the aphelion and
-    the next perihelion.  The equation is autonomous in phi, so that radial
+    rtol = tol/100, atol = rtol*(hypot(alpha, beta) or u) at launch.  Legs
+    run from turning point to turning point, each ended by an event on u':
+    to the first perihelion (unless the launch is one), then to the aphelion
+    and the next perihelion.  The equation is autonomous in phi, so that radial
     period tiles the span; its advance is the turn of the argument of
     perihelion atan2(beta, alpha) across it, so no 2*pi is subtracted.
     Raises ToleranceNotMet if the energy-integral drift over the legs tops

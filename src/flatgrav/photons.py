@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
 
 __all__ = [
-    "RayState", "EchoGeometry", "EchoDelayResult", "DeflectionResult",
+    "EchoGeometry", "EchoDelayResult", "DeflectionResult",
     "RayTrajectory", "coordinate_speed", "light_slowness", "shapiro_delay",
     "deflection_integral", "wave_vector", "null_norm", "ray_launch",
     "closed_form_ray", "fermat_ray_integrate",
@@ -142,26 +142,13 @@ def null_norm(r_o: float, r: float, k: np.ndarray) -> float:
     return float(k[0] ** 2 / g00 - k[1:] @ k[1:])
 
 
-@dataclass(frozen=True)
-class RayState:
-    """Photon path variables u = 1/r, u' = du/dphi at polar angle phi."""
-
-    u: float
-    uprime: float
-    phi: float
-    u0: float                  # inverse impact parameter
-
-    def first_integral_residual(self, r_o: float) -> float:
-        """(1 - 4*r_o*u)*(u'^2 + u^2) - u0^2, the weak-field ray invariant."""
-        return (1.0 - 4.0 * r_o * self.u) * (self.uprime**2 + self.u**2) \
-            - self.u0**2
-
-
-def ray_launch(u0: float) -> RayState:
-    """Incoming ray from infinity: phi = pi, u = 0, u' = -u0."""
-    if u0 <= 0.0:
-        raise GeometryInvalid(f"inverse impact parameter must be > 0, got {u0}")
-    return RayState(u=0.0, uprime=-u0, phi=np.pi, u0=u0)
+def ray_launch(u0: float) -> float:
+    """The inverse impact parameter ``u0`` of an incoming ray from infinity,
+    checked finite and > 0: the ray enters at phi = pi with u = 0, u' = -u0."""
+    if not 0.0 < u0 < np.inf:
+        raise GeometryInvalid(
+            f"inverse impact parameter must be finite and > 0, got {u0}")
+    return u0
 
 
 def closed_form_ray(u0: float, r_o: float, phi) -> np.ndarray:
@@ -186,35 +173,26 @@ class RayTrajectory:
     def u(self, phi):
         return self.sol(np.pi - np.asarray(phi))[0]
 
-    def uprime(self, phi):
-        return -self.sol(np.pi - np.asarray(phi))[1]
-
-    def state(self, phi: float) -> RayState:
-        return RayState(u=float(self.u(phi)), uprime=float(self.uprime(phi)),
-                        phi=float(phi), u0=self.u0)
-
-    def max_invariant_residual(self, n: int = 2001) -> float:
-        """Largest |first integral residual| over the traversed arc."""
-        s = np.linspace(0.0, self.s_exit, n)
-        u, dus = self.sol(s)
-        up = -dus
-        res = (1.0 - 4.0 * self.r_o * u) * (up**2 + u**2) - self.u0**2
+    def max_invariant_residual(self) -> float:
+        """Largest |(1 - 4*r_o*u)*(u'^2 + u^2) - u0^2|, the weak-field ray
+        invariant, at 2001 points of the traversed arc."""
+        s = np.linspace(0.0, self.s_exit, 2001)
+        u, dus = self.sol(s)                # u' = -du/ds
+        res = (1.0 - 4.0 * self.r_o * u) * (dus**2 + u**2) - self.u0**2
         return float(np.max(np.abs(res)))
 
 
-def fermat_ray_integrate(state: RayState, r_o: float,
+def fermat_ray_integrate(u0: float, r_o: float,
                          tol: float = 1e-12) -> Tuple[RayTrajectory, float]:
     """Integrate the ray equation u'' + u = 2*r_o*u0^2 from entry to exit.
 
-    Marches in s = pi - phi from the incoming asymptote until u crosses zero
-    on the far side; returns the trajectory and the deflection angle.
-    Raises RayCaptured if u climbs past 1/(4*r_o).
+    Marches in s = pi - phi from the incoming asymptote (``ray_launch``)
+    until u crosses zero on the far side; returns the trajectory and the
+    deflection angle.  Raises RayCaptured if u climbs past 1/(4*r_o).
     """
     from .ode import dop853
 
-    if abs(state.phi - np.pi) > 1e-12 or state.u != 0.0:
-        raise GeometryInvalid("ray must be launched at phi = pi, u = 0")
-    u0 = state.u0
+    u0 = ray_launch(u0)
     forcing = 2.0 * r_o * u0**2
 
     # March in s = pi - phi so the independent variable increases;

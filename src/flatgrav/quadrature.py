@@ -93,8 +93,7 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b,
 
 
 def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
-                            x, which, epsrel: float = DEFAULT_EPSREL
-                            ) -> np.ndarray:
+                            x, which) -> np.ndarray:
     """Integrals of the vectorized ``f`` from ``a[which]`` to ``x``.
 
     ``a`` and ``b`` are 1-D arrays of intervals and each point ``x[j]``
@@ -107,7 +106,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
     evaluated at each point, so the cost grows with the intervals, not the
     points.  At the interval's end the series gives the n-point rule.
     Starts with SERIES_START_NODES nodes and doubles the count until two
-    successive series agree at every point to ``epsrel`` of their
+    successive series agree at every point to DEFAULT_EPSREL of their
     interval's whole integral; returns the finer of the two.  Raises
     NoConvergence as ``gauss_legendre`` does.  A point at its interval's
     start gets exactly 0.
@@ -134,8 +133,8 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
         g = np.einsum("...jl,jl->...j", (vals @ _series(n))[..., which, :],
                       vander[:, :n - 1])
         val = from_lo * (0.5 * rule + below_hi * g)
-        if prev is not None and (abs(val - prev)
-                                 <= epsrel * abs(half[which] * rule)).all():
+        if prev is not None and (abs(val - prev) <= DEFAULT_EPSREL
+                                 * abs(half[which] * rule)).all():
             return val
         prev = val
         n *= 2

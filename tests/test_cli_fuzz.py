@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import event, given, settings, strategies as st
 
 from flatgrav import cli
-from flatgrav.presets import CONFIG_KEYS, MODELS, PARAM_KEYS, PRESETS
+from flatgrav.presets import CONFIG_KEYS, PARAM_KEYS, PRESETS
 
 # Zero, a negative, non-finite values, bools, strings, null and lists:
 # outside the domain of most inputs.
@@ -33,7 +33,6 @@ def log_uniform(lo, hi):
 IN_DOMAIN = {
     "preset": st.sampled_from(sorted(PRESETS)),
     "name": st.text(max_size=4),
-    "model": mostly(st.just(MODELS[0]), st.sampled_from(MODELS)),
     "n_orbits": st.integers(2, 5),      # the run time grows with the orbits
     "tol": log_uniform(1e-14, 1e-3),
     "a": log_uniform(1e3, 1e13),
@@ -59,12 +58,14 @@ FLAG_JUNK = st.sampled_from(["0", "-1", "1e-320", "1e300", "1e400", "nan",
 
 
 def optional_keys(keys):
-    """An object holding any of ``keys``, now and then an unknown one."""
+    """An object holding any of ``keys``, now and then an unknown one: a
+    made-up key, or ``model``, which no config may set."""
     return st.tuples(
         st.fixed_dictionaries({}, optional={key: mostly(IN_DOMAIN[key], JUNK,
                                                         EDGES)
                                             for key in keys}),
-        mostly(st.just({}), st.just({"zzz": 1}))).map(
+        mostly(st.just({}), st.just({"zzz": 1}),
+               st.just({"model": "flatspace-weber"}))).map(
             lambda both: {**both[0], **both[1]})
 
 

@@ -127,6 +127,12 @@ class TestFermatRay:
     def test_launch_validation(self):
         with pytest.raises(GeometryInvalid):
             ray_launch(0.0)
+        assert ray_launch(2e-9) == 2e-9
+
+    @pytest.mark.parametrize("u0", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_integration_refuses_a_bad_launch(self, u0):
+        with pytest.raises(GeometryInvalid, match="inverse impact parameter"):
+            fermat_ray_integrate(u0, SOLAR_R_O)
 
 
 class TestWaveVector:
