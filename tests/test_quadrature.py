@@ -336,10 +336,11 @@ def test_bare_package_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("table, name, home", [
-    ("flatgrav", name, home)
+    (table, name, home) for table in ("flatgrav", "flatgrav.cli")
     for name, home in importlib.import_module("flatgrav")._HOME.items()])
 def test_export_table_entry_is_its_home_modules_object(table, name, home):
-    # a stale entry (a name its home module no longer defines) fails here
+    # a stale entry (a name its home module no longer defines) fails here;
+    # cli forwards every one of the package's lazy exports
     module = importlib.import_module(f"flatgrav.{home}")
     assert hasattr(module, name)
     assert getattr(importlib.import_module(table), name) \
