@@ -20,9 +20,9 @@ _HOME = {
         "CentralField", "FourPotential", "SpacetimeMetric", "build_metric",
         "proper_time_rate"), "metric"),
     **dict.fromkeys((
-        "GeodesicState", "OrbitIntegrals", "integrate_orbit",
-        "orbit_from_elements", "precession_analytic", "precession_numeric",
-        "precession_quadrature"), "orbits"),
+        "OrbitIntegrals", "integrate_orbit", "orbit_from_elements",
+        "precession_analytic", "precession_numeric", "precession_quadrature"),
+        "orbits"),
     **dict.fromkeys((
         "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
         "shapiro_delay", "wave_vector"), "photons"),

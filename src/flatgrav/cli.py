@@ -197,8 +197,11 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
             raise ConfigInvalid(f"cannot read config {args.config}: {exc}")
         if not isinstance(raw, dict):
             raise ConfigInvalid("config root must be a JSON object")
+        # a run key (n_orbits, tol) only where the subcommand has its flag
+        known = {"preset", "name", "params",
+                 *(key for key, *_ in flags)}.intersection(CONFIG_KEYS)
         for key, value in raw.items():
-            check(key, value, CONFIG_KEYS)
+            check(key, value, known)
     base = preset_scenario(args.preset if args.preset is not None
                            else raw.get("preset", preset))
     overrides = {key: value for key, value in raw.items()
@@ -230,9 +233,8 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
     report = RunReport(scenario=sc.name,
                        config={"params": p, "n_orbits": sc.n_orbits,
                                "tol": sc.tol})
-    state, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
-    traj = integrate_orbit(p["r_o"], state, integrals, sc.n_orbits,
-                           tol=sc.tol)
+    r_p, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
+    traj = integrate_orbit(p["r_o"], r_p, integrals, sc.n_orbits, tol=sc.tol)
     numeric = precession_numeric(traj)
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", numeric.delta_phi_per_orbit, "rad",

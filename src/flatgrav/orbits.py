@@ -53,40 +53,6 @@ class OrbitIntegrals:
     energy_ratio: float  # E_m/m
     L: float             # specific angular momentum r^2 dphi/ds (length)
 
-    @property
-    def J_phi(self) -> float:
-        """Angular momentum r^2 dphi/dp of the parametric form."""
-        return self.L / self.energy_ratio
-
-
-@dataclass(frozen=True)
-class GeodesicState:
-    """Snapshot of the planar motion against the affine-like parameter p."""
-
-    p: float
-    t: float
-    r: float
-    phi: float
-    drdp: float
-    dphidp: float
-
-    def constraint_residual(self, r_o: float, integrals: OrbitIntegrals) -> float:
-        """Residual of the radial constraint
-
-        (dr/dp)^2 + (J_phi/r)^2 - (1 + r_o/r)^2 + (m/E_m)^2,
-
-        which vanishes along the trajectory up to terms quadratic in the
-        field strength and the orbital speed.
-        """
-        j = integrals.J_phi
-        inv_e = 1.0 / integrals.energy_ratio
-        return (
-            self.drdp**2
-            + (j / self.r) ** 2
-            - (1.0 + r_o / self.r) ** 2
-            + inv_e**2
-        )
-
 
 @dataclass(frozen=True)
 class PrecessionResult:
@@ -113,13 +79,15 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
 
 
 def orbit_from_elements(r_o: float, a: float, ecc: float
-                        ) -> Tuple[GeodesicState, OrbitIntegrals]:
-    """Initial perihelion state and integrals from Keplerian elements.
+                        ) -> Tuple[float, OrbitIntegrals]:
+    """Perihelion radius r_p and integrals from Keplerian elements.
 
     Uses the Newtonian closure L^2 = r_o*a*(1 - ecc^2); the energy ratio
     then follows from the orbit energy integral at the turning point
     r = a*(1 - ecc).  In strong fields at small ecc that point is the outer
-    turning point (u'' > 0 there); the state then starts at the inner one.
+    turning point (u'' > 0 there); r_p is then the inner one.  Raises
+    NumericalFailure where the energy integral is not finite: a subnormal
+    L^2 (r_o below ~1e-319 for Mercury's a) overflows 1/L^2.
     """
     if ecc < 0.0:
         raise ValueError(f"eccentricity must be >= 0, got {ecc}")
@@ -138,6 +106,10 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
             f"r = {r_p} is not outside 3*r_o: the field is too strong")
     if L > 0.0:
         e2 = L**2 * energy_integral(u_p, 0.0, r_o, L)
+        if not math.isfinite(e2):
+            raise NumericalFailure(
+                f"the energy integral at r = {r_p} is not finite: "
+                f"L^2 = {L**2:.3g} is subnormal")
         if not e2 > 0.0:
             raise TurningPointNotFound(
                 f"no bound orbit turns at r = {r_p}: the field is too strong")
@@ -150,11 +122,8 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
         if u_peri < u_p:
             raise TurningPointNotFound(
                 f"no inner turning point inside u = {u_p}")
-        u_p = u_peri
-        r_p = 1.0 / u_p
-    dphidp = integrals.J_phi * u_p**2 if L > 0.0 else 0.0
-    state = GeodesicState(p=0.0, t=0.0, r=r_p, phi=0.0, drdp=0.0, dphidp=dphidp)
-    return state, integrals
+        r_p = 1.0 / u_peri
+    return r_p, integrals
 
 
 def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
@@ -233,32 +202,28 @@ class Trajectory:
 
     The solver carries the osculating elements alpha, beta of
     u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi), u' = beta*cos(phi) -
-    alpha*sin(phi), from the launch ``sol.ts[0]`` (where t, p = t0, p0) to
-    the first perihelion ``sol.ts[period_start]`` and one radial period on,
-    which ``sample`` tiles: whole periods of phi, t and p.
+    alpha*sin(phi), over one radial period from the launch perihelion at
+    phi = 0 (where t = p = 0) to the next, which ``sample`` tiles: whole
+    periods of phi, t and p.
     """
 
     r_o: float
     integrals: OrbitIntegrals
     sol: DenseOutput                 # (alpha, beta) over phi
-    phi_start: float
     phi_end: float
-    t0: float = 0.0
-    p0: float = 0.0
-    period_start: int = 0            # index in sol.ts of the perihelion
     advance: float = 0.0             # Delta(phi) per period, set by integrate_orbit
     drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
+    phi_start = 0.0                  # every run starts at its perihelion
 
     @property
     def period(self) -> float:
         """Apsidal period Phi = 2*pi + advance in phi, perihelion to perihelion."""
-        return self.sol.ts[-1] - self.sol.ts[self.period_start]
+        return self.sol.ts[-1]
 
     @property
     def period_clocks(self) -> np.ndarray:
         """T_r and P_r, the t and p that one period adds."""
-        clocks = self._segment_clocks
-        return clocks[:, -1] - clocks[:, self.period_start]
+        return self._segment_clocks[:, -1]
 
     def _u(self, phi, seg=None) -> Tuple[np.ndarray, np.ndarray]:
         """u and u' at ``phi`` from the interpolated elements."""
@@ -281,8 +246,7 @@ class Trajectory:
         seg = np.arange(n)[:, None]
         whole = gauss_legendre(lambda x: self._clock_rates(x, seg),
                                ts[:-1], ts[1:])
-        start = np.array([[self.t0], [self.p0]])
-        return np.concatenate([start, start + np.cumsum(whole, axis=1)],
+        return np.concatenate([np.zeros((2, 1)), np.cumsum(whole, axis=1)],
                               axis=1)
 
     def sample(self, phis):
@@ -294,10 +258,9 @@ class Trajectory:
         """
         phis = np.asarray(phis, dtype=float)
         flat = phis.reshape(-1)
-        # whole periods past the integrated perihelion
-        peri = self.sol.ts[self.period_start]
-        k = np.maximum(np.floor((flat - peri) / (self.sol.ts[-1] - peri)), 0.0)
-        flat = flat - k * (self.sol.ts[-1] - peri)
+        # whole periods past the integrated one
+        k = np.maximum(np.floor(flat / self.period), 0.0)
+        flat = flat - k * self.period
         seg = self.sol.segments(flat)
         u, up = self._u(flat, seg)
         # one Legendre series per step that holds a sample
@@ -312,16 +275,10 @@ class Trajectory:
                 + k * self.period_clocks[:, None])
         return tuple(v.reshape(phis.shape) for v in (u, up, t, p))
 
-    def state(self, phi: float) -> GeodesicState:
-        u, up, t, p = (float(v) for v in self.sample(phi))
-        j = self.integrals.J_phi
-        return GeodesicState(p=p, t=t, r=1.0 / u, phi=float(phi),
-                             drdp=-j * up, dphidp=j * u**2)
-
     def integral_drift(self) -> float:
         """Max relative drift of the energy integral at 512 points of the
-        legs."""
-        phis = np.linspace(self.sol.ts[0], self.sol.ts[-1], 512)
+        period."""
+        phis = np.linspace(0.0, self.period, 512)
         u, up = self._u(phis)
         c = energy_integral(u, up, self.r_o, self.integrals.L)
         c0 = (self.integrals.energy_ratio / self.integrals.L) ** 2
@@ -355,7 +312,7 @@ def _uprime(phi, y):
     return y[1] * math.cos(phi) - y[0] * math.sin(phi)
 
 
-def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
+def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
                     n_orbits: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """The bound motion over ``n_orbits`` revolutions of phi, from one period.
 
@@ -363,16 +320,19 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
     (Brouwer & Clemence 1961): the slowly varying elements alpha, beta of
     u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi) obey alpha' = -F*sin(phi),
     beta' = F*cos(phi) with F = ``_forcing``, by DOP853 with dense output at
-    rtol = tol/100, atol = rtol*(hypot(alpha, beta) or u) at launch.  Legs
-    run from turning point to turning point, each ended by an event on u':
-    to the first perihelion (unless the launch is one), then to the aphelion
-    and the next perihelion.  The equation is autonomous in phi, so that radial
-    period tiles the span; its advance is the turn of the argument of
-    perihelion atan2(beta, alpha) across it, so no 2*pi is subtracted.
-    Raises ToleranceNotMet if the energy-integral drift over the legs tops
-    1000*tol*n_orbits, InsufficientOrbits if n_orbits <= 0 or a leg finds
-    no turning point within 2*max(n_orbits, 1) revolutions, and
-    NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
+    rtol = tol/100, atol = rtol*alpha0.  The run starts at the perihelion
+    r_p at phi = 0, with t = p = u' = 0, so (alpha, beta) = (alpha0, 0)
+    there with alpha0 = 1/r_p - r_o/L^2.  Two legs, each ended by an event
+    on u', run to the aphelion and on to the next perihelion.  The equation
+    is autonomous in phi, so that radial period tiles the span; its advance
+    is the turn of the argument of perihelion atan2(beta, alpha) across it,
+    so no 2*pi is subtracted.  Raises ToleranceNotMet if the
+    energy-integral drift over the period tops 1000*tol*n_orbits,
+    InsufficientOrbits if n_orbits <= 0 or a leg finds no turning point
+    within 2*max(n_orbits, 1) revolutions, NonPositiveRadius unless r_p is
+    finite and > 0, NumericalFailure if r_o > 0 but the forcing at launch
+    is subnormal or 0, and TurningPointNotFound if r_p is no perihelion of
+    ``integrals``.
     """
     from .ode import DenseOutput, dop853
 
@@ -380,35 +340,29 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
         raise InsufficientOrbits(f"cannot integrate over {n_orbits} orbits")
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
-    if state.r <= 0:
-        raise NonPositiveRadius(f"r must be > 0, got {state.r}")
-    u0 = 1.0 / state.r
-    up0 = -state.drdp / integrals.J_phi
+    if not 0.0 < r_p < math.inf:
+        raise NonPositiveRadius(f"r_p must be finite and > 0, got {r_p}")
+    u0 = 1.0 / r_p
     c = r_o / integrals.L**2
-    f0 = _forcing(u0, up0, r_o, c)
+    f0 = _forcing(u0, 0.0, r_o, c)
     # a weak field's forcing can underflow to a subnormal or to 0.0; a
     # negative one (3*r_o*u0 > 1) is left to _element_rhs to refuse
     if r_o > 0.0 and not abs(f0) >= np.finfo(float).tiny:
         raise NumericalFailure(
             f"field forcing {f0:.3g} at launch is below the smallest normal "
             f"float: the elements lose digits")
-    phi0, phi1 = state.phi, state.phi + 2.0 * np.pi * n_orbits
-    cos0, sin0 = np.cos(phi0), np.sin(phi0)
-    y0 = np.array([(u0 - c) * cos0 - up0 * sin0,
-                   (u0 - c) * sin0 + up0 * cos0])
+    # u'' = F - (u - c) < 0 at a perihelion; at an aphelion the first event
+    # would fire at once
+    if not f0 < u0 - c:
+        raise TurningPointNotFound(
+            f"r = {r_p} is not a perihelion of the orbit: u'' >= 0 there")
     rtol = tol / PERIOD_RTOL_DIVISOR
-    # alpha = beta = 0 only where u = r_o/L^2, an aphelion: u0 sets the scale
-    atol = rtol * (math.hypot(*y0) or u0)
     reach = 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
-    # u' falls through a perihelion and rises through an aphelion; a
-    # perihelion event would fire at a perihelion launch (u' = 0,
-    # u'' = F - (u - c) < 0): start there
-    to_peri = [] if up0 == 0.0 and f0 < u0 - c else [-1.0]
-    legs, ends = [], [(phi0, y0)]
-    for direction in to_peri + [1.0, -1.0]:
-        phi, y = ends[-1]
+    legs, phi, y = [], 0.0, np.array([u0 - c, 0.0])
+    # u' rises through an aphelion and falls through a perihelion
+    for direction in (1.0, -1.0):
         run = dop853(lambda p, v: _element_rhs(p, v, r_o, c),
-                     (phi, phi + reach), y, rtol=rtol, atol=atol,
+                     (phi, phi + reach), y, rtol=rtol, atol=rtol * (u0 - c),
                      events=[(_uprime, direction)], max_step=LEG_MAX_STEP)
         if run.failure:
             raise ToleranceNotMet(run.failure)
@@ -416,16 +370,13 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
             raise InsufficientOrbits(
                 f"no radial turning point within {reach:.6g} rad")
         legs.append(run.dense)
-        ends.append((run.dense.ts[-1], run.y))
-    (phi_p, y_p), (phi, y) = ends[-3], ends[-1]
-    turned = math.atan2(y[1], y[0]) - math.atan2(y_p[1], y_p[0])
+        phi, y = run.dense.ts[-1], run.y
+    turned = math.atan2(y[1], y[0])
     advance = turned + 2.0 * np.pi * round(
-        (phi - phi_p - 2.0 * np.pi - turned) / (2.0 * np.pi))
+        (phi - 2.0 * np.pi - turned) / (2.0 * np.pi))
     traj = Trajectory(r_o=r_o, integrals=integrals,
-                      sol=DenseOutput.join(legs), phi_start=phi0,
-                      phi_end=phi1, t0=state.t, p0=state.p,
-                      period_start=sum(d.n_segments for d in legs[:-2]),
-                      advance=advance)
+                      sol=DenseOutput.join(legs),
+                      phi_end=2.0 * np.pi * n_orbits, advance=advance)
     traj.drift = traj.integral_drift()
     if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
         raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
@@ -434,11 +385,8 @@ def integrate_orbit(r_o: float, state: GeodesicState, integrals: OrbitIntegrals,
 
 def perihelion_angles(traj: Trajectory) -> np.ndarray:
     """Polar angles of the perihelion passages (maxima of u) inside the
-    span, ascending: the integrated perihelion plus whole periods."""
-    peri, period = traj.sol.ts[traj.period_start], traj.period
-    j = np.arange(math.ceil((traj.phi_start - peri) / period),
-                  math.floor((traj.phi_end - peri) / period) + 1)
-    return peri + j * period
+    span, ascending: the launch plus whole periods."""
+    return np.arange(math.floor(traj.phi_end / traj.period) + 1) * traj.period
 
 
 def precession_numeric(traj: Trajectory) -> PrecessionResult:

@@ -346,6 +346,22 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err == "config error: unknown key 'model'\n"
 
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in ("precession", "echo-delay", "gyro",
+                                       "compare")
+        for key in ("tol", "n_orbits")] + [("light-deflect", "n_orbits")])
+    def test_config_run_key_only_where_it_is_read(self, tmp_path, capsys,
+                                                  command, key):
+        # a run key the subcommand has no flag for would be ignored
+        preset = {"gyro": "earth", "echo-delay": "solar",
+                  "light-deflect": "solar"}.get(command, "mercury")
+        cfg = self.config(tmp_path, {"preset": preset,
+                                     key: {"tol": 1e-3, "n_orbits": 99}[key]})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: unknown key {key!r}\n"
+
     def test_zero_field_precession(self, tmp_path):
         cfg = self.config(tmp_path, {"preset": "mercury",
                                      "params": {"r_o": 0.0}})
@@ -496,17 +512,39 @@ class TestCliContract:
         # OverflowError(34, 'Numerical result out of range') of a float **
         ("echo-delay", {"r_ms": 1e300}, "overflow"),
         ("light-deflect", {"R_s": 1e-300}, "overflow"),   # numpy, u0**2
-        ("orbit", {"r_o": 1e-320}, "division by zero"),
     ])
     def test_arithmetic_failure_exits_3(self, tmp_path, capsys, command,
                                         params, reason):
-        preset = "mercury" if command == "orbit" else "solar"
-        cfg = self.config(tmp_path, {"preset": preset, "params": params})
+        cfg = self.config(tmp_path, {"preset": "solar", "params": params})
         assert main([command, "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: ")
         assert reason in captured.err and "(34," not in captured.err
+
+    def test_zero_division_exits_3(self, monkeypatch, capsys):
+        # a float ZeroDivisionError (no known input raises one) ends as one
+        # line and exit 3, as the other arithmetic errors do
+        def divide(args):
+            return 1.0 / 0.0
+        monkeypatch.setattr(cli, "cmd_orbit", divide)
+        assert main(["orbit"]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical error: float division by zero\n")
+
+    @pytest.mark.parametrize("command", ["orbit", "precession"])
+    def test_subnormal_angular_momentum_exits_3(self, tmp_path, capsys,
+                                                command):
+        # L^2 is subnormal at r_o = 1e-320 and 1/L^2 overflows: both
+        # subcommands stop in orbit_from_elements with one message
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"r_o": 1e-320}})
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: the energy integral at r = 45995760000.0 is "
+            "not finite: L^2 = 5.55e-310 is subnormal\n")
 
     @pytest.mark.parametrize("text", [
         b"\xff{}", b"[" * 100_000, b'{"tol": ' + b"1" * 5000 + b"}",

@@ -64,10 +64,10 @@ def assert_same_run(fun, t_span, y0, rtol, atol, events=(),
 def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc):
     # the perihelion-to-aphelion leg of integrate_orbit, with its event
     r_o = SOLAR_R_O
-    state, integrals = orbit_from_elements(
+    r_p, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
-    alpha0 = 1.0 / state.r - c
+    alpha0 = 1.0 / r_p - c
     tol = 1e-12 / orbits.PERIOD_RTOL_DIVISOR
     run = assert_same_run(
         lambda phi, y: orbits._element_rhs(phi, y, r_o, c),

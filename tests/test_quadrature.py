@@ -299,9 +299,9 @@ PACKAGE_EXPORTS = {
     "errors": ("FlatgravError",),
     "metric": ("CentralField", "FourPotential", "SpacetimeMetric",
                "build_metric", "proper_time_rate"),
-    "orbits": ("GeodesicState", "OrbitIntegrals", "integrate_orbit",
-               "orbit_from_elements", "precession_analytic",
-               "precession_numeric", "precession_quadrature"),
+    "orbits": ("OrbitIntegrals", "integrate_orbit", "orbit_from_elements",
+               "precession_analytic", "precession_numeric",
+               "precession_quadrature"),
     "photons": ("EchoGeometry", "deflection_integral", "fermat_ray_integrate",
                 "shapiro_delay", "wave_vector"),
     "spin": ("RotatingFieldSpec", "transport_spin"),
