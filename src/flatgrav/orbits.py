@@ -85,7 +85,9 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     Uses the Newtonian closure L^2 = r_o*a*(1 - ecc^2); the energy ratio
     then follows from the orbit energy integral at the turning point
     r = a*(1 - ecc).  In strong fields at small ecc that point is the outer
-    turning point (u'' > 0 there); r_p is then the inner one.  Raises
+    turning point (u'' > 0 there); r_p is then the inner one.  Where the two
+    round to within an ulp (ecc ~ 0, r_o/a below ~1e-17), r_p is the
+    nearest float inside them with u'' < 0.  Raises
     NumericalFailure where the energy integral is not finite: a subnormal
     L^2 (r_o below ~1e-319 for Mercury's a) overflows 1/L^2.
     """
@@ -123,6 +125,15 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
             raise TurningPointNotFound(
                 f"no inner turning point inside u = {u_p}")
         r_p = 1.0 / u_peri
+    if L > 0.0:
+        # near a circle in a weak field the turning points fall within an
+        # ulp of each other, and rounding can leave u'' >= 0 at r_p: step
+        # inward to the first float where u'' < 0, as integrate_orbit needs
+        c = r_o / L**2
+        for _ in range(8):
+            if _forcing(1.0 / r_p, 0.0, r_o, c) < 1.0 / r_p - c:
+                break
+            r_p = math.nextafter(r_p, 0.0)
     return r_p, integrals
 
 
@@ -331,8 +342,9 @@ def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
     InsufficientOrbits if n_orbits <= 0 or a leg finds no turning point
     within 2*max(n_orbits, 1) revolutions, NonPositiveRadius unless r_p is
     finite and > 0, NumericalFailure if r_o > 0 but the forcing at launch
-    is subnormal or 0, and TurningPointNotFound if r_p is no perihelion of
-    ``integrals``.
+    is subnormal or 0, and TurningPointNotFound where u'' >= 0 at r_p (an
+    aphelion).  An r_p between the turning points is not refused: it is
+    launched with u' = 0, off shell.
     """
     from .ode import DenseOutput, dop853
 

@@ -546,6 +546,13 @@ class TestCliContract:
             "numerical error: the energy integral at r = 45995760000.0 is "
             "not finite: L^2 = 5.55e-310 is subnormal\n")
 
+    def test_sub_ulp_circle_runs(self, tmp_path, capsys):
+        # ecc 0 in a field so weak that both turning points round onto a
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"r_o": 1e-12, "ecc": 0.0}})
+        assert main(["orbit", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("text", [
         b"\xff{}", b"[" * 100_000, b'{"tol": ' + b"1" * 5000 + b"}",
     ], ids=["not-utf-8", "too-deep", "too-many-digits"])

@@ -91,6 +91,17 @@ class TestElementsAndTurningPoints:
                                   rel=1e-14)
         assert rosette_rhs(1.0 / r_p, 0.0, R_O, integrals.L) < 0.0
 
+    @pytest.mark.parametrize("r_o", [1e-6, 1e-12, 1e-20, 1e-100, 1e-200])
+    def test_sub_ulp_circle_launches_at_a_perihelion(self, r_o):
+        # at ecc 0 the turning points lie ~9*r_o/a apart, within an ulp
+        # here; at r_o 1e-12 and 1e-200 both rounded onto a, the aphelion
+        r_p, integrals = orbit_from_elements(r_o, A, 0.0)
+        assert A * (1 - 4 * EPS) <= r_p <= A
+        c = r_o / integrals.L**2
+        assert orbits._forcing(1.0 / r_p, 0.0, r_o, c) < 1.0 / r_p - c
+        traj = integrate_orbit(r_o, r_p, integrals, 3)
+        assert traj.drift <= 1e-15
+
     def test_unbound_rejected(self):
         with pytest.raises(UnboundOrbit):
             orbit_from_elements(R_O, A, 1.0)
@@ -445,7 +456,7 @@ class TestPrecession:
         num = precession_numeric(traj).delta_phi_per_orbit
         ref = precession_quadrature(r_o,
                                     *turning_points_from_elements(r_o, A, ECC))
-        # the floor atol = (tol/100)*hypot(alpha, beta) puts on an advance
+        # the floor atol = (tol/100)*alpha0 puts on an advance
         # of ~1e-13 rad or less
         assert num == pytest.approx(ref, rel=1e-4, abs=0.0)
 
