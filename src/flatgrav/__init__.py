@@ -25,7 +25,7 @@ _HOME = {
         "orbits"),
     **dict.fromkeys((
         "EchoGeometry", "deflection_integral", "fermat_ray_integrate",
-        "shapiro_delay", "wave_vector"), "photons"),
+        "shapiro_delay"), "photons"),
     **dict.fromkeys(("RotatingFieldSpec", "transport_spin"), "spin"),
     **dict.fromkeys(("ElectricCarrier", "RadialCarrier"), "carriers"),
 }

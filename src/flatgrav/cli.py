@@ -233,8 +233,9 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
     report = RunReport(scenario=sc.name,
                        config={"params": p, "n_orbits": sc.n_orbits,
                                "tol": sc.tol})
-    r_p, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
-    traj = integrate_orbit(p["r_o"], r_p, integrals, sc.n_orbits, tol=sc.tol)
+    alpha0, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
+    traj = integrate_orbit(p["r_o"], alpha0, integrals, sc.n_orbits,
+                           tol=sc.tol)
     numeric = precession_numeric(traj)
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", numeric.delta_phi_per_orbit, "rad",

@@ -34,7 +34,7 @@ class ToleranceNotMet(FlatgravError):
 
 
 class InsufficientOrbits(FlatgravError):
-    """Trajectory does not span enough perihelion passages."""
+    """Trajectory does not span a whole radial period."""
 
 
 class DenominatorVanishes(FlatgravError):

@@ -5,11 +5,12 @@ equation, the exact derivative of the weak-field energy integral
 
     (1 - 2*r_o*u)/L^2 + (1 - 3*r_o*u)*(u'^2 + u^2) = (E_m/m)^2/L^2,
 
-with u = 1/r, integrated as the slowly varying osculating elements of
-u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi).  Perihelion advance is
+with u = 1/r, integrated as the slowly varying unit elements of an epicycle
+about the circular orbit u_c of the same L:
+u = u_c + alpha0*(alpha*cos(phi) + beta*sin(phi)).  Perihelion advance is
 extracted three independent ways: the closed form 6*pi*r_o/(a*(1-e^2)),
-the perihelion passages of the integrated trajectory, and quadrature of
-d(phi)/du between turning points.
+the turn of the integrated epicycle over one radial period, and quadrature
+of d(phi)/du between turning points.
 
 Geometric units throughout (c = 1, lengths in meters).
 """
@@ -38,9 +39,6 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
 
 DEFAULT_TOL = 1e-12
-# One radial period is integrated at rtol = tol/100: each tiled revolution
-# repeats its error, which a run through n revolutions averaged over n.
-PERIOD_RTOL_DIVISOR = 100.0
 # Turning points fall Phi/2 > pi apart and the event test compares the signs
 # of u' at step ends only, so no leg step may be longer than this.
 LEG_MAX_STEP = 0.5 * np.pi
@@ -80,16 +78,19 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
 
 def orbit_from_elements(r_o: float, a: float, ecc: float
                         ) -> Tuple[float, OrbitIntegrals]:
-    """Perihelion radius r_p and integrals from Keplerian elements.
+    """Epicycle amplitude alpha0 and integrals from Keplerian elements.
 
     Uses the Newtonian closure L^2 = r_o*a*(1 - ecc^2); the energy ratio
     then follows from the orbit energy integral at the turning point
-    r = a*(1 - ecc).  In strong fields at small ecc that point is the outer
-    turning point (u'' > 0 there); r_p is then the inner one.  Where the two
-    round to within an ulp (ecc ~ 0, r_o/a below ~1e-17), r_p is the
-    nearest float inside them with u'' < 0.  Raises
-    NumericalFailure where the energy integral is not finite: a subnormal
-    L^2 (r_o below ~1e-319 for Mercury's a) overflows 1/L^2.
+    r = a*(1 - ecc), which is u = c*(1 + ecc) with c = r_o/L^2.  The
+    launch is alpha0 = ecc*c - delta, that point's offset from the circular
+    orbit u_c = c + delta of the same L (``_circle_offset``).  alpha0 < 0
+    where the point is the outer turning point: in strong fields at small
+    ecc, and in weak fields at ecc below ~4.5*r_o/a.  Without a field
+    (L = 0) alpha0 is 0, which ``integrate_orbit`` refuses.  Raises
+    TurningPointNotFound where the orbit plunges (no second turning point)
+    and NumericalFailure where the energy integral is not finite: a
+    subnormal L^2 (r_o below ~1e-319 for Mercury's a) overflows 1/L^2.
     """
     if ecc < 0.0:
         raise ValueError(f"eccentricity must be >= 0, got {ecc}")
@@ -106,35 +107,37 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     if 3.0 * r_o * u_p >= 1.0:
         raise TurningPointNotFound(
             f"r = {r_p} is not outside 3*r_o: the field is too strong")
-    if L > 0.0:
-        e2 = L**2 * energy_integral(u_p, 0.0, r_o, L)
-        if not math.isfinite(e2):
-            raise NumericalFailure(
-                f"the energy integral at r = {r_p} is not finite: "
-                f"L^2 = {L**2:.3g} is subnormal")
-        if not e2 > 0.0:
-            raise TurningPointNotFound(
-                f"no bound orbit turns at r = {r_p}: the field is too strong")
-        energy_ratio = float(np.sqrt(e2))
-    else:
-        energy_ratio = 1.0
-    integrals = OrbitIntegrals(energy_ratio=energy_ratio, L=L)
-    if L > 0.0 and rosette_rhs(u_p, 0.0, r_o, L) > 0.0:
-        u_peri = _second_turning_point(r_o, u_p, L)
-        if u_peri < u_p:
-            raise TurningPointNotFound(
-                f"no inner turning point inside u = {u_p}")
-        r_p = 1.0 / u_peri
-    if L > 0.0:
-        # near a circle in a weak field the turning points fall within an
-        # ulp of each other, and rounding can leave u'' >= 0 at r_p: step
-        # inward to the first float where u'' < 0, as integrate_orbit needs
-        c = r_o / L**2
-        for _ in range(8):
-            if _forcing(1.0 / r_p, 0.0, r_o, c) < 1.0 / r_p - c:
-                break
-            r_p = math.nextafter(r_p, 0.0)
-    return r_p, integrals
+    if not L > 0.0:
+        return 0.0, OrbitIntegrals(energy_ratio=1.0, L=L)
+    e2 = L**2 * energy_integral(u_p, 0.0, r_o, L)
+    if not math.isfinite(e2):
+        raise NumericalFailure(
+            f"the energy integral at r = {r_p} is not finite: "
+            f"L^2 = {L**2:.3g} is subnormal")
+    if not e2 > 0.0:
+        raise TurningPointNotFound(
+            f"no bound orbit turns at r = {r_p}: the field is too strong")
+    if rosette_rhs(u_p, 0.0, r_o, L) > 0.0:
+        # r_p is the outer turning point: the inner one must exist
+        _second_turning_point(r_o, u_p, L)
+    c = r_o / L**2
+    return (ecc * c - _circle_offset(r_o, c),
+            OrbitIntegrals(energy_ratio=float(np.sqrt(e2)), L=L))
+
+
+def _circle_offset(r_o: float, c: float) -> float:
+    """delta = u_c - c of the circular orbit u_c of the same L, c = r_o/L^2.
+
+    u'' = u' = 0 leaves 4.5*r_o*u^2 - u + c = 0, whose smaller root is
+    u_c = c + 18*r_o*c^2/(1 + s)^2 with s = sqrt(1 - 18*r_o*c): no
+    cancellation.  Without a circular orbit (18*r_o*c > 1) no orbit is
+    bound: TurningPointNotFound.
+    """
+    x = 18.0 * r_o * c
+    if x > 1.0:
+        raise TurningPointNotFound(
+            f"no circular orbit at r_o/L^2 = {c}: the field is too strong")
+    return x * c / (1.0 + math.sqrt(1.0 - x)) ** 2
 
 
 def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
@@ -211,24 +214,26 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
 class Trajectory:
     """Orbit over a span of polar angle, tiled from one integrated period.
 
-    The solver carries the osculating elements alpha, beta of
-    u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi), u' = beta*cos(phi) -
-    alpha*sin(phi), over one radial period from the launch perihelion at
-    phi = 0 (where t = p = 0) to the next, which ``sample`` tiles: whole
-    periods of phi, t and p.
+    The solver carries the unit elements alpha, beta of the epicycle
+    u = u_c + alpha0*(alpha*cos(phi) + beta*sin(phi)) about the circular
+    orbit u_c, over one radial period from the launch turning point at
+    phi = 0 (where t = p = 0) to the next of its kind, which ``sample``
+    tiles: whole periods of phi, t and p.
     """
 
     r_o: float
     integrals: OrbitIntegrals
+    u_c: float                       # the circular orbit of the same L
+    alpha0: float                    # the epicycle amplitude at launch
     sol: DenseOutput                 # (alpha, beta) over phi
     phi_end: float
     advance: float = 0.0             # Delta(phi) per period, set by integrate_orbit
     drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
-    phi_start = 0.0                  # every run starts at its perihelion
+    phi_start = 0.0                  # every run starts at its launch
 
     @property
     def period(self) -> float:
-        """Apsidal period Phi = 2*pi + advance in phi, perihelion to perihelion."""
+        """Apsidal period Phi = 2*pi + advance in phi, turn to like turn."""
         return self.sol.ts[-1]
 
     @property
@@ -240,8 +245,8 @@ class Trajectory:
         """u and u' at ``phi`` from the interpolated elements."""
         alpha, beta = self.sol(phi, seg)
         cos, sin = np.cos(phi), np.sin(phi)
-        return (self.r_o / self.integrals.L**2 + alpha * cos + beta * sin,
-                beta * cos - alpha * sin)
+        return (self.u_c + self.alpha0 * (alpha * cos + beta * sin),
+                self.alpha0 * (beta * cos - alpha * sin))
 
     def _clock_rates(self, phi, seg) -> np.ndarray:
         """dt/dphi and dp/dphi, stacked on a new first axis."""
@@ -296,55 +301,52 @@ class Trajectory:
         return float(np.max(np.abs(c - c0)) / c0)
 
 
-def _forcing(u, uprime, r_o: float, c: float):
-    """F = u'' + u - r_o/L^2 of the rosette equation, with c = r_o/L^2.
+def _element_rhs(phi, y, r_o, u_c, alpha0):
+    """alpha' = -g*sin(phi), beta' = g*cos(phi) (variation of constants).
 
-    Solving the rosette equation for u'' and subtracting u - c leaves
-    F*(1 - 3*r_o*u) = r_o*(3*c*u + 1.5*u^2 + 1.5*u'^2), which has no
-    cancellation: F is small where the field is weak.
+    With d = alpha*cos(phi) + beta*sin(phi) and its derivative d',
+    g = r_o*(6*u_c*d + 1.5*alpha0*(d^2 + d'^2))/(1 - 3*r_o*u) is the
+    rosette forcing about the circular orbit, (F(u, u') - F(u_c, 0))/alpha0
+    for F = u'' + u - r_o/L^2, written without cancellation.
     """
-    return r_o * (3.0 * c * u + 1.5 * (u * u + uprime * uprime)) \
-        / (1.0 - 3.0 * r_o * u)
-
-
-def _element_rhs(phi, y, r_o, c):
-    """alpha' = -F*sin(phi), beta' = F*cos(phi) (variation of constants)."""
     alpha, beta = y.tolist()
     cos, sin = math.cos(phi), math.sin(phi)
-    u = c + alpha * cos + beta * sin
+    d, dprime = alpha * cos + beta * sin, beta * cos - alpha * sin
+    u = u_c + alpha0 * d
     if 3.0 * r_o * u >= 1.0:
         raise DenominatorVanishes(f"3*r_o*u = {3.0 * r_o * u} >= 1")
-    f = _forcing(u, beta * cos - alpha * sin, r_o, c)
-    return [-f * sin, f * cos]
+    g = r_o * (6.0 * u_c * d + 1.5 * alpha0 * (d * d + dprime * dprime)) \
+        / (1.0 - 3.0 * r_o * u)
+    return [-g * sin, g * cos]
 
 
-def _uprime(phi, y):
-    """u' = beta*cos(phi) - alpha*sin(phi): zero at the turning points."""
+def _dprime(phi, y):
+    """d' = beta*cos(phi) - alpha*sin(phi), u'/alpha0: zero at the turning
+    points."""
     return y[1] * math.cos(phi) - y[0] * math.sin(phi)
 
 
-def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
+def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
                     n_orbits: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """The bound motion over ``n_orbits`` revolutions of phi, from one period.
 
     The rosette equation is integrated by variation of constants
-    (Brouwer & Clemence 1961): the slowly varying elements alpha, beta of
-    u = r_o/L^2 + alpha*cos(phi) + beta*sin(phi) obey alpha' = -F*sin(phi),
-    beta' = F*cos(phi) with F = ``_forcing``, by DOP853 with dense output at
-    rtol = tol/100, atol = rtol*alpha0.  The run starts at the perihelion
-    r_p at phi = 0, with t = p = u' = 0, so (alpha, beta) = (alpha0, 0)
-    there with alpha0 = 1/r_p - r_o/L^2.  Two legs, each ended by an event
-    on u', run to the aphelion and on to the next perihelion.  The equation
-    is autonomous in phi, so that radial period tiles the span; its advance
-    is the turn of the argument of perihelion atan2(beta, alpha) across it,
-    so no 2*pi is subtracted.  Raises ToleranceNotMet if the
-    energy-integral drift over the period tops 1000*tol*n_orbits,
-    InsufficientOrbits if n_orbits <= 0 or a leg finds no turning point
-    within 2*max(n_orbits, 1) revolutions, NonPositiveRadius unless r_p is
-    finite and > 0, NumericalFailure if r_o > 0 but the forcing at launch
-    is subnormal or 0, and TurningPointNotFound where u'' >= 0 at r_p (an
-    aphelion).  An r_p between the turning points is not refused: it is
-    launched with u' = 0, off shell.
+    (Brouwer & Clemence 1961) as an epicycle about the circular orbit u_c
+    of the same L: the unit elements alpha, beta of
+    u = u_c + alpha0*(alpha*cos(phi) + beta*sin(phi)) obey
+    alpha' = -g*sin(phi), beta' = g*cos(phi) (``_element_rhs``), by DOP853
+    with dense output at rtol = tol/2, atol = rtol*2*pi*|g0|, g0 the
+    forcing at launch.  The run starts at phi = 0 with t = p = u' = 0 and
+    (alpha, beta) = (1, 0): a turning point, the outer one where
+    alpha0 < 0, and the circular limit where alpha0 = 0.  Two legs, each
+    ended by an event on d' = u'/alpha0, run to the other turning point and
+    back to the launch's kind.  The equation is autonomous in phi, so that
+    radial period tiles the span; its advance is the turn of atan2(beta,
+    alpha) across it, so no 2*pi is subtracted.  Raises ValueError unless
+    alpha0 is finite, ToleranceNotMet if the energy-integral drift over the
+    period tops 1000*tol*n_orbits, InsufficientOrbits if n_orbits <= 0 or
+    a leg finds no turning point within 2*max(n_orbits, 1) revolutions, and
+    NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
     """
     from .ode import DenseOutput, dop853
 
@@ -352,30 +354,29 @@ def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
         raise InsufficientOrbits(f"cannot integrate over {n_orbits} orbits")
     if integrals.L <= 0:
         raise TurningPointNotFound("degenerate orbit: need L > 0")
-    if not 0.0 < r_p < math.inf:
-        raise NonPositiveRadius(f"r_p must be finite and > 0, got {r_p}")
-    u0 = 1.0 / r_p
+    if not math.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0}")
     c = r_o / integrals.L**2
-    f0 = _forcing(u0, 0.0, r_o, c)
-    # a weak field's forcing can underflow to a subnormal or to 0.0; a
-    # negative one (3*r_o*u0 > 1) is left to _element_rhs to refuse
-    if r_o > 0.0 and not abs(f0) >= np.finfo(float).tiny:
+    u_c = c + _circle_offset(r_o, c)
+    y = np.array([1.0, 0.0])
+    g0 = _element_rhs(0.0, y, r_o, u_c, alpha0)[1]
+    # a weak field's forcing can underflow to a subnormal or to 0.0
+    if r_o > 0.0 and not abs(g0) >= np.finfo(float).tiny:
         raise NumericalFailure(
-            f"field forcing {f0:.3g} at launch is below the smallest normal "
+            f"field forcing {g0:.3g} at launch is below the smallest normal "
             f"float: the elements lose digits")
-    # u'' = F - (u - c) < 0 at a perihelion; at an aphelion the first event
-    # would fire at once
-    if not f0 < u0 - c:
-        raise TurningPointNotFound(
-            f"r = {r_p} is not a perihelion of the orbit: u'' >= 0 there")
-    rtol = tol / PERIOD_RTOL_DIVISOR
+    # each tiled period repeats this one's phase error: at rtol = tol, u of
+    # 30 orbits at r_min = 20*r_o departs ~2e-10 from a run through them
+    rtol = 0.5 * tol
+    atol = rtol * 2.0 * np.pi * abs(g0)
     reach = 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
-    legs, phi, y = [], 0.0, np.array([u0 - c, 0.0])
-    # u' rises through an aphelion and falls through a perihelion
+    legs, phi = [], 0.0
+    # d' rises through the other turning point and falls through the next
+    # of the launch's kind
     for direction in (1.0, -1.0):
-        run = dop853(lambda p, v: _element_rhs(p, v, r_o, c),
-                     (phi, phi + reach), y, rtol=rtol, atol=rtol * (u0 - c),
-                     events=[(_uprime, direction)], max_step=LEG_MAX_STEP)
+        run = dop853(lambda p, v: _element_rhs(p, v, r_o, u_c, alpha0),
+                     (phi, phi + reach), y, rtol=rtol, atol=atol,
+                     events=[(_dprime, direction)], max_step=LEG_MAX_STEP)
         if run.failure:
             raise ToleranceNotMet(run.failure)
         if run.event is None:
@@ -386,7 +387,7 @@ def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
     turned = math.atan2(y[1], y[0])
     advance = turned + 2.0 * np.pi * round(
         (phi - 2.0 * np.pi - turned) / (2.0 * np.pi))
-    traj = Trajectory(r_o=r_o, integrals=integrals,
+    traj = Trajectory(r_o=r_o, integrals=integrals, u_c=u_c, alpha0=alpha0,
                       sol=DenseOutput.join(legs),
                       phi_end=2.0 * np.pi * n_orbits, advance=advance)
     traj.drift = traj.integral_drift()
@@ -395,24 +396,18 @@ def integrate_orbit(r_o: float, r_p: float, integrals: OrbitIntegrals,
     return traj
 
 
-def perihelion_angles(traj: Trajectory) -> np.ndarray:
-    """Polar angles of the perihelion passages (maxima of u) inside the
-    span, ascending: the launch plus whole periods."""
-    return np.arange(math.floor(traj.phi_end / traj.period) + 1) * traj.period
-
-
 def precession_numeric(traj: Trajectory) -> PrecessionResult:
     """Perihelion advance from the integrated radial period of a trajectory.
 
     Delta(phi) is the period's ``advance``, the turn of the argument of
     perihelion across it; the orbital period in coordinate time (for the
-    century conversion) is the t the period adds.  The span must hold at
-    least two perihelion passages.
+    century conversion) is the t the period adds.  The span must hold one
+    whole radial period.
     """
-    n_peri = len(perihelion_angles(traj))
-    if n_peri < 2:
+    if traj.phi_end < traj.period:
         raise InsufficientOrbits(
-            f"found {n_peri} perihelion passages, need at least 2")
+            f"the span of {traj.phi_end:.6g} rad holds no whole radial "
+            f"period of {traj.period:.6g} rad")
     period_s = float(traj.period_clocks[0]) / C_SI
     arcsec = traj.advance * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period_s
     return PrecessionResult(delta_phi_per_orbit=traj.advance,

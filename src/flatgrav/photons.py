@@ -20,8 +20,8 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
 
 __all__ = [
     "EchoGeometry", "EchoDelayResult", "DeflectionResult",
-    "RayTrajectory", "coordinate_speed", "light_slowness", "shapiro_delay",
-    "deflection_integral", "wave_vector", "null_norm", "ray_launch",
+    "RayTrajectory", "coordinate_speed", "shapiro_delay",
+    "deflection_integral", "ray_launch",
     "closed_form_ray", "fermat_ray_integrate",
 ]
 
@@ -31,13 +31,6 @@ def coordinate_speed(r_o: float, r: float) -> float:
     if r <= 0.0:
         raise NonPositiveRadius(f"r must be > 0, got {r}")
     return (1.0 + r_o / r) ** -2
-
-
-def light_slowness(r_o: float, r: float) -> float:
-    """Physical slowness 1/n = sqrt(g00), the locally measured speed."""
-    if r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
-    return (1.0 + r_o / r) ** -1
 
 
 @dataclass(frozen=True)
@@ -117,29 +110,6 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
     val = gauss_legendre(integrand, 0.0, np.pi / 2.0)
     return DeflectionResult(quadrature=float(-4.0 * r_o / R_s * val),
                             closed_form=-4.0 * r_o / R_s)
-
-
-def wave_vector(r_o: float, r: float, direction: np.ndarray,
-                omega0: float) -> np.ndarray:
-    """Covariant wave four-vector K_mu of a photon in the static field.
-
-    K_0 is the conserved energy scaled by the observer clock rate,
-    K_i = -n_i * K_0 / sqrt(g00); the null norm g^{mu nu} K_mu K_nu
-    vanishes identically by construction.
-    """
-    if r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
-    n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
-    sqrt_g00 = light_slowness(r_o, r)
-    energy = omega0 / sqrt_g00
-    return np.concatenate(([energy], -energy * n / sqrt_g00))
-
-
-def null_norm(r_o: float, r: float, k: np.ndarray) -> float:
-    """g^{mu nu} K_mu K_nu for the central static metric."""
-    g00 = coordinate_speed(r_o, r)
-    return float(k[0] ** 2 / g00 - k[1:] @ k[1:])
 
 
 def ray_launch(u0: float) -> float:

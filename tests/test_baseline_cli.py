@@ -548,10 +548,11 @@ class TestCliContract:
 
     def test_sub_ulp_circle_runs(self, tmp_path, capsys):
         # ecc 0 in a field so weak that both turning points round onto a
-        cfg = self.config(tmp_path, {"preset": "mercury",
-                                     "params": {"r_o": 1e-12, "ecc": 0.0}})
-        assert main(["orbit", "--config", cfg]) == 0
-        assert capsys.readouterr().err == ""
+        for r_o in (1e-12, 1e-60, 1e-200, 1e-290):
+            cfg = self.config(tmp_path, {"preset": "mercury",
+                                         "params": {"r_o": r_o, "ecc": 0.0}})
+            assert main(["orbit", "--config", cfg]) == 0
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("text", [
         b"\xff{}", b"[" * 100_000, b'{"tol": ' + b"1" * 5000 + b"}",

@@ -62,17 +62,18 @@ def assert_same_run(fun, t_span, y0, rtol, atol, events=(),
 @pytest.mark.parametrize("ecc", [0.05, 0.6])
 @pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
 def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc):
-    # the perihelion-to-aphelion leg of integrate_orbit, with its event
+    # the first leg of integrate_orbit, with its event, at the default tol
     r_o = SOLAR_R_O
-    r_p, integrals = orbit_from_elements(
+    alpha0, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
-    alpha0 = 1.0 / r_p - c
-    tol = 1e-12 / orbits.PERIOD_RTOL_DIVISOR
+    u_c = c + orbits._circle_offset(r_o, c)
+    rtol = 0.5e-12
+    g0 = orbits._element_rhs(0.0, np.array([1.0, 0.0]), r_o, u_c, alpha0)[1]
     run = assert_same_run(
-        lambda phi, y: orbits._element_rhs(phi, y, r_o, c),
-        (0.0, 4.0 * np.pi), [alpha0, 0.0], rtol=max(tol, 100 * EPS),
-        atol=tol * alpha0, events=[(orbits._uprime, 1.0)],
+        lambda phi, y: orbits._element_rhs(phi, y, r_o, u_c, alpha0),
+        (0.0, 4.0 * np.pi), [1.0, 0.0], rtol=rtol,
+        atol=rtol * 2.0 * np.pi * abs(g0), events=[(orbits._dprime, 1.0)],
         max_step=orbits.LEG_MAX_STEP)
     assert run.event == 0
 

@@ -303,7 +303,7 @@ PACKAGE_EXPORTS = {
                "precession_analytic", "precession_numeric",
                "precession_quadrature"),
     "photons": ("EchoGeometry", "deflection_integral", "fermat_ray_integrate",
-                "shapiro_delay", "wave_vector"),
+                "shapiro_delay"),
     "spin": ("RotatingFieldSpec", "transport_spin"),
     "carriers": ("ElectricCarrier", "RadialCarrier"),
 }
