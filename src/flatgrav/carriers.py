@@ -136,10 +136,11 @@ def log_potential(c: RadialCarrier, r) -> np.ndarray:
 
 
 def field_divergence(c: RadialCarrier, r) -> np.ndarray:
-    """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2)."""
+    """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2) = -w_r^2, with w_r formed
+    as ``field_intensity`` forms it (r_o/(r + r_o) <= 1 first) in units of r:
+    nothing overflows where div(w) is finite, ~ -1/r^2 deep inside r_o."""
     x, r_o, k = _in_units_of_r(np.asarray(r, dtype=float), c.r_o)
-    return np.ldexp(-np.square(r_o) / (np.square(x) * np.square(x + r_o)),
-                    -2 * k)
+    return np.ldexp(-np.square(r_o / (x + r_o) / x), -2 * k)
 
 
 @dataclass(frozen=True)
@@ -190,15 +191,10 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
 
 
 def ricci_density(c: RadialCarrier, r) -> np.ndarray:
-    """Curvature-scalar density: (eps_a + eps_p) = 2*eps(r)*G/... in model units.
-
-    Returns eps_a + eps_p = 2 * r_o^2 / (4*pi*G*r^2*(r+r_o)^2), the quantity
-    whose 8*pi*G multiple is the curvature scalar of the carrier field.
-    """
-    x, r_o, k = _in_units_of_r(np.asarray(r, dtype=float), c.r_o)
-    return np.ldexp(2.0 * np.square(r_o) / (
-        4.0 * np.pi * c.newton_constant * np.square(x) * np.square(x + r_o)),
-        -2 * k)
+    """Curvature-scalar density eps_a + eps_p = -div(w)/(2*pi*G), that is
+    2*r_o^2/(4*pi*G*r^2*(r+r_o)^2), whose 8*pi*G multiple is the curvature
+    scalar of the carrier field."""
+    return -field_divergence(c, r) / (2.0 * np.pi * c.newton_constant)
 
 
 def enclosed_energy(c: RadialCarrier, R: float) -> float:

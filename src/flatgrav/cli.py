@@ -278,14 +278,13 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
-    from .photons import deflection_integral, fermat_ray_integrate, ray_launch
+    from .photons import deflection_integral, fermat_ray_integrate
     sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name,
                        config={"params": p, "tol": sc.tol})
     res = deflection_integral(p["r_o"], p["R_s"])
-    _, ray_angle = fermat_ray_integrate(ray_launch(1.0 / p["R_s"]), p["r_o"],
-                                        tol=sc.tol)
+    _, ray_angle = fermat_ray_integrate(1.0 / p["R_s"], p["r_o"], tol=sc.tol)
     for value, prov in ((res.quadrature, "bending-quadrature"),
                         (res.closed_form, "closed-form"),
                         (ray_angle, "ray-integration")):

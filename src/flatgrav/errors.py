@@ -46,7 +46,7 @@ class GeometryInvalid(FlatgravError):
 
 
 class RayCaptured(FlatgravError):
-    """Photon path left the weak-field validity region (u > 1/(4*r_o))."""
+    """Photon path never turns back: 4*r_o*u0 >= 1, min of r*n(r) = 4*r_o."""
 
 
 class ConfigInvalid(FlatgravError):

@@ -151,6 +151,8 @@ def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
     root near 1/(3*r_o).  Unlike ``turning_points`` this stays accurate for
     near-circular orbits, where the two turning points almost coincide.
     """
+    # Python floats: a numpy scalar's s*s warns where it overflows
+    r_o, u_known, L = float(r_o), float(u_known), float(L)
     s = 1.0 / (3.0 * r_o) - u_known
     p = ((2.0 * r_o / L**2 - u_known * (1.0 - 3.0 * r_o * u_known))
          / (3.0 * r_o))

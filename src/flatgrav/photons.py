@@ -1,18 +1,21 @@
 """Light propagation in the central field.
 
 Photons move on flat-space paths with the doubly slowed coordinate speed
-dl/dt = g00 = (1 + r_o/r)^-2.  That single ingredient drives the radar echo
-delay and the deflection integral; the Fermat ray equations give the same
-bending through an explicit trajectory.  Geometric units (c = 1).
+dl/dt = g00 = (1 + r_o/r)^-2, an index of refraction n = (1 + r_o/r)^2.
+That single ingredient drives the radar echo delay, the deflection integral
+and the Fermat ray, integrated through an explicit trajectory.  Geometric
+units (c = 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .errors import GeometryInvalid, NonPositiveRadius, RayCaptured
+from .errors import (GeometryInvalid, NonPositiveRadius, NumericalFailure,
+                     RayCaptured)
 from .quadrature import gauss_legendre
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
@@ -21,8 +24,7 @@ if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
 __all__ = [
     "EchoGeometry", "EchoDelayResult", "DeflectionResult",
     "RayTrajectory", "coordinate_speed", "shapiro_delay",
-    "deflection_integral", "ray_launch",
-    "closed_form_ray", "fermat_ray_integrate",
+    "deflection_integral", "fermat_ray_integrate",
 ]
 
 
@@ -60,13 +62,13 @@ class EchoDelayResult:
 def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     """Round-trip excess delay along the straight Euclidean ray.
 
-    Integrates 2 * (1/ldot - 1) over x in [-x_E, x_M] at y = R_s, and
-    evaluates the logarithmic estimate 4*r_o*ln(4*r_MS*r_ES/R_S^2).  On each
-    side of closest approach x = R_s*sinh(s) turns the slowly decaying
-    excess into a smooth integrand over a short s-range for the
-    Gauss-Legendre helper.  The excess is written r_o/r*(2 + r_o/r), not
-    (1 + r_o/r)^2 - 1, which cancels; times dx/ds = r it is
-    r_o*(2 + r_o/r).
+    Integrates 2 * (1/ldot - 1) over x in [-x_E, x_M] at y = R_s by
+    quadrature and by its exact antiderivative
+    2*r_o*asinh(x/R_s) + (r_o^2/R_s)*atan(x/R_s).  On each side of closest
+    approach x = R_s*sinh(s) turns the slowly decaying excess into a smooth
+    integrand over a short s-range for the Gauss-Legendre helper.  The
+    excess is written r_o/r*(2 + r_o/r), not (1 + r_o/r)^2 - 1, which
+    cancels; times dx/ds = r it is r_o*(2 + r_o/r).
     """
     x_e = np.sqrt(geom.r_es**2 - geom.R_s**2)
     x_m = np.sqrt(geom.r_ms**2 - geom.R_s**2)
@@ -76,11 +78,13 @@ def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
         r = y * np.cosh(s)                # hypot(x, R_s) = dx/ds
         return r_o * (2.0 + r_o / r)
 
-    val = sum(gauss_legendre(excess_ds, 0.0, np.arcsinh(x / y))
-              for x in (x_e, x_m))
-    closed = 4.0 * r_o * np.log(4.0 * geom.r_ms * geom.r_es / geom.R_s**2)
+    val = closed = 0.0
+    for x in (x_e, x_m):
+        s = np.arcsinh(x / y)
+        val += gauss_legendre(excess_ds, 0.0, s)
+        closed += 2.0 * r_o * s + r_o * (r_o / y) * np.arctan(x / y)
     return EchoDelayResult(quadrature=float(2.0 * val),
-                           closed_form=float(closed))
+                           closed_form=float(2.0 * closed))
 
 
 @dataclass(frozen=True)
@@ -112,80 +116,72 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
                             closed_form=-4.0 * r_o / R_s)
 
 
-def ray_launch(u0: float) -> float:
-    """The inverse impact parameter ``u0`` of an incoming ray from infinity,
-    checked finite and > 0: the ray enters at phi = pi with u = 0, u' = -u0."""
-    if not 0.0 < u0 < np.inf:
-        raise GeometryInvalid(
-            f"inverse impact parameter must be finite and > 0, got {u0}")
-    return u0
+def _ray_rhs(psi, y, k):
+    """p' = -w^3*sin(psi), q' = w^3*cos(psi), with w = 1 + r_o*u.
+
+    The elements of u = u0*(a*cos(psi) + b*sin(psi)) are a = 2*k*p and
+    b = 1 + 2*k*q with k = r_o*u0, so r_o*u = k*v, v = u/u0 (``_exit``).
+    """
+    p, q = y.tolist()
+    cos, sin = math.cos(psi), math.sin(psi)
+    w = 1.0 + k * (2.0 * k * p * cos + (1.0 + 2.0 * k * q) * sin)
+    w3 = w * w * w
+    return [-w3 * sin, w3 * cos]
 
 
-def closed_form_ray(u0: float, r_o: float, phi) -> np.ndarray:
-    """Weak-field ray solution u = u0*sin(phi) + 2*r_o*u0^2*(1 + cos(phi))."""
-    return u0 * np.sin(phi) + 2.0 * r_o * u0**2 * (1.0 + np.cos(phi))
+def _exit(psi, y, k):
+    """v = u/u0 = a*cos(psi) + b*sin(psi): it falls through 0 at the exit."""
+    return 2.0 * k * y[0] * math.cos(psi) \
+        + (1.0 + 2.0 * k * y[1]) * math.sin(psi)
 
 
 @dataclass
 class RayTrajectory:
-    """Integrated photon path and its exit deflection."""
+    """Integrated photon path (see ``fermat_ray_integrate``)."""
 
     r_o: float
     u0: float
-    sol: DenseOutput          # (u, du/ds) over s = pi - phi
-    s_exit: float
-
-    @property
-    def deflection(self) -> float:
-        """Exit angle phi where u returns to zero; approx -4*r_o*u0."""
-        return np.pi - self.s_exit
-
-    def u(self, phi):
-        return self.sol(np.pi - np.asarray(phi))[0]
-
-    def max_invariant_residual(self) -> float:
-        """Largest |(1 - 4*r_o*u)*(u'^2 + u^2) - u0^2|, the weak-field ray
-        invariant, at 2001 points of the traversed arc."""
-        s = np.linspace(0.0, self.s_exit, 2001)
-        u, dus = self.sol(s)                # u' = -du/ds
-        res = (1.0 - 4.0 * self.r_o * u) * (dus**2 + u**2) - self.u0**2
-        return float(np.max(np.abs(res)))
+    sol: DenseOutput          # (p, q) over psi, from 0 to the exit
 
 
 def fermat_ray_integrate(u0: float, r_o: float,
                          tol: float = 1e-12) -> Tuple[RayTrajectory, float]:
-    """Integrate the ray equation u'' + u = 2*r_o*u0^2 from entry to exit.
+    """The Fermat ray of ``coordinate_speed`` from entry to exit, and its
+    deflection (negative: toward the body).
 
-    Marches in s = pi - phi from the incoming asymptote (``ray_launch``)
-    until u crosses zero on the far side; returns the trajectory and the
-    deflection angle.  Raises RayCaptured if u climbs past 1/(4*r_o).
+    The index n = (1 + r_o/r)^2 keeps u'^2 + u^2 = u0^2*(1 + r_o*u)^4 along
+    the ray, so u'' + u = F = 2*r_o*u0^2*(1 + r_o*u)^3 at all orders.  It is
+    integrated by variation of constants, as ``orbits.integrate_orbit``
+    integrates the orbit: u = u0*(a*cos(psi) + b*sin(psi)) with
+    a' = -(F/u0)*sin(psi) and b' = (F/u0)*cos(psi), entering from infinity
+    at psi = 0 with (a, b) = (0, 1).  DOP853 carries the departures from
+    the straight line, a = g0*p and b = 1 + g0*q with g0 = 2*r_o*u0, at
+    rtol = tol and atol = rtol*2*pi (``_ray_rhs``), until u falls through 0
+    (``_exit``).  The deflection is atan2(a, b) there, unwrapped by the exit
+    psi, so no pi is subtracted.  r*n(r) has its minimum 4*r_o at r = r_o,
+    so a ray with 4*r_o*u0 >= 1 never turns back: RayCaptured.  Raises
+    GeometryInvalid unless u0 is finite and > 0 and r_o finite and >= 0,
+    and NumericalFailure if the integration stops short.
     """
     from .ode import dop853
 
-    u0 = ray_launch(u0)
-    forcing = 2.0 * r_o * u0**2
-
-    # March in s = pi - phi so the independent variable increases;
-    # du/ds = -u', and u'' is unchanged.
-    def rhs(s, y):
-        return [y[1], forcing - y[0]]
-
-    # u falls through zero at the exit; rises through 1/(4*r_o) on capture
-    events = [(lambda s, y: y[0], -1.0)]
-    if r_o > 0.0:
-        cap = 1.0 / (4.0 * r_o)
-        events.append((lambda s, y: y[0] - cap, 1.0))
-
-    run = dop853(rhs, (0.0, np.pi + 0.5), [0.0, u0], rtol=tol,
-                 atol=tol * max(u0, 1e-300), events=events)
-    if run.failure:
-        raise GeometryInvalid(f"ray integration failed: {run.failure}")
-    if run.event == 1:
+    if not 0.0 < u0 < math.inf:
+        raise GeometryInvalid(
+            f"inverse impact parameter must be finite and > 0, got {u0}")
+    if not 0.0 <= r_o < math.inf:
+        raise GeometryInvalid(f"r_o must be finite and >= 0, got {r_o}")
+    k = r_o * u0
+    if 4.0 * k >= 1.0:
         raise RayCaptured(
-            f"ray with u0={u0} exceeded the validity bound 1/(4*r_o)"
-        )
-    if run.event != 0:
-        raise GeometryInvalid("ray never returned to u = 0")
-    traj = RayTrajectory(r_o=r_o, u0=u0, sol=run.dense,
-                         s_exit=float(run.dense.ts[-1]))
-    return traj, traj.deflection
+            f"ray with u0={u0} is captured: 4*r_o*u0 = {4.0 * k} >= 1")
+    # a ray that is not captured turns back, so the exit ends the run
+    run = dop853(lambda psi, y: _ray_rhs(psi, y, k), (0.0, math.inf),
+                 [0.0, 0.0], rtol=tol, atol=tol * 2.0 * math.pi,
+                 events=[(lambda psi, y: _exit(psi, y, k), -1.0)])
+    if run.failure:
+        raise NumericalFailure(f"ray integration failed: {run.failure}")
+    psi, (p, q) = run.dense.ts[-1], run.y.tolist()
+    turned = math.atan2(2.0 * k * p, 1.0 + 2.0 * k * q)
+    deflection = turned + 2.0 * math.pi * round(
+        (math.pi - psi - turned) / (2.0 * math.pi))
+    return RayTrajectory(r_o=r_o, u0=u0, sol=run.dense), deflection

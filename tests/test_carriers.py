@@ -131,6 +131,27 @@ class TestFarField:
         assert displacement_divergence_residual(c, self.R) == 0.0
 
 
+class TestDeepInside:
+    """Deep inside the energy radius div(w) ~ -1/r^2 is finite; neither it
+    nor the curvature density may overflow on the way, as a squared r_o
+    (even in units of r) would above r_o/r ~ 1e154."""
+
+    @pytest.fixture(autouse=True)
+    def raise_on_float_errors(self):
+        with np.errstate(all="raise"):
+            yield
+
+    @pytest.mark.parametrize("r_o, r", [(1.0, 1e-100), (1e100, 1e-100),
+                                        (1e200, 1e-100), (1e150, 1e-150)])
+    def test_divergence_and_curvature(self, r_o, r):
+        c = RadialCarrier(r_o=r_o)
+        inner = (r_o / (r + r_o)) ** 2     # 1 to the last bits here
+        div = float(field_divergence(c, r))
+        assert div == pytest.approx(-inner / r**2, rel=1e-15)
+        assert float(ricci_density(c, r)) == pytest.approx(
+            -div / (2.0 * np.pi), rel=1e-15)
+
+
 class TestEnclosedEnergy:
     def test_half_at_energy_radius(self):
         c = RadialCarrier(r_o=1.0)

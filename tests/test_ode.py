@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq as scipy_brentq
 
-from flatgrav import ode, orbits
+from flatgrav import ode, orbits, photons
 from flatgrav.orbits import orbit_from_elements
 from flatgrav.presets import SOLAR_R_O, SOLAR_RADIUS, earth_spin_parameters
 from flatgrav.spin import RotatingFieldSpec, circular_polar_orbit, transport_rhs
@@ -78,13 +78,6 @@ def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc):
     assert run.event == 0
 
 
-def ray_events(r_o):
-    events = [(lambda s, y: y[0], -1.0)]
-    if r_o > 0.0:
-        events.append((lambda s, y: y[0] - 1.0 / (4.0 * r_o), 1.0))
-    return events
-
-
 @pytest.mark.parametrize("r_o, impact, captured", [
     (SOLAR_R_O, SOLAR_RADIUS, False),
     (SOLAR_R_O, 3.0 * SOLAR_RADIUS, False),
@@ -92,12 +85,20 @@ def ray_events(r_o):
     (1.0, 1.5, True),
 ])
 def test_ray_run_is_scipys(r_o, impact, captured):
-    u0 = 1.0 / impact
-    forcing = 2.0 * r_o * u0**2
-    run = assert_same_run(lambda s, y: [y[1], forcing - y[0]],
-                          (0.0, np.pi + 0.5), [0.0, u0], rtol=1e-12,
-                          atol=1e-12 * u0, events=ray_events(r_o))
+    # fermat_ray_integrate's run, at the default tol; a captured ray, which
+    # fermat_ray_integrate refuses, is run to r = r_o, where r*n(r) is least
+    k = r_o * (1.0 / impact)        # r_o*u0, as fermat_ray_integrate forms it
+    assert (4.0 * k >= 1.0) == captured
+    rtol = 1e-12
+    events = [(lambda psi, y: photons._exit(psi, y, k), -1.0),
+              (lambda psi, y: k * photons._exit(psi, y, k) - 1.0, 1.0)]
+    run = assert_same_run(lambda psi, y: photons._ray_rhs(psi, y, k),
+                          (0.0, 4.0 * np.pi), [0.0, 0.0], rtol=rtol,
+                          atol=rtol * 2.0 * np.pi, events=events)
     assert run.event == (1 if captured else 0)
+    if not captured:
+        traj, _ = photons.fermat_ray_integrate(1.0 / impact, r_o)
+        assert same_bits(traj.sol.ts, run.dense.ts)
 
 
 @pytest.mark.parametrize("r_o, inertia, radius", [

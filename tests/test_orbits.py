@@ -165,6 +165,14 @@ class TestElementsAndTurningPoints:
             u = 1.0 / r
             assert cubic(u * (1.0 - 1e-14)) * cubic(u * (1.0 + 1e-14)) < 0
 
+    @pytest.mark.parametrize("r_o", [1e-155, 1e-200, 1e-290])
+    def test_numpy_scalar_inputs(self, r_o):
+        # a numpy scalar's s*s would warn "overflow encountered in scalar
+        # multiply" below r_o ~ 2.5e-155, an error under this suite's
+        # error::RuntimeWarning; the turning points are a Python float's
+        want = turning_points_from_elements(r_o, A, ECC)
+        assert turning_points_from_elements(np.float64(r_o), A, ECC) == want
+
     def test_quadrature_accepts_circular_limit(self):
         r = 1e10
         value = precession_quadrature(R_O, r, r)
