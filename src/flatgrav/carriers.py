@@ -51,9 +51,10 @@ class RadialCarrier:
 
 
 def _radii(r) -> np.ndarray:
-    """``r`` as a float array; NonPositiveRadius unless every radius is > 0."""
+    """``r`` as a float array; NonPositiveRadius unless every radius is > 0
+    (a NaN is not)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise NonPositiveRadius("r must be > 0")
     return r
 
@@ -63,11 +64,13 @@ def _radii(r) -> np.ndarray:
 def _profile(scale: float, r_o: float, r) -> np.ndarray:
     """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
 
-    Divided out one factor at a time, so that no intermediate overflows
-    where the density is finite or underflows (r^2 would above ~1e154).
+    Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r: the quotient in
+    parentheses is at most 1 and each later factor is divided out on its
+    own, so nothing overflows where the density is finite: scale*r_o
+    would, deep inside a large r_o, and r^2 would above r ~ 1e154.
     """
     r = _radii(r)
-    return scale * r_o / (4.0 * np.pi) / r / (r + r_o) / r / (r + r_o)
+    return scale * (r_o / (r + r_o)) / (r + r_o) / (4.0 * np.pi) / r / r
 
 
 def _in_units_of_r(r, r_o):
@@ -94,13 +97,15 @@ def _shell_quadrature(scale: float, r_o: float, R: float) -> float:
 
     Substituting r = r_o*(e^s - 1) over [0, ln(1 + R/r_o)] maps the long
     1/r^2 tail onto a short range with a smooth integrand for the
-    Gauss-Legendre helper, whose successive rules must agree to 1e-12.
+    Gauss-Legendre helper.  The mapped integrand is scale*e^(-s), so the
+    rules agree to the last bits long before the helper's 1e-13; an empty
+    interval (R = 0) gives exactly 0.
     """
     def shell_ds(s):
         r = r_o * np.expm1(s)
         return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
 
-    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)), 1e-12)
+    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)))
 
 
 def _total_quadrature(scale: float, r_o: float) -> float:
@@ -124,7 +129,8 @@ def field_intensity(c: RadialCarrier, r) -> np.ndarray:
     """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length.
 
     Written -(r_o/(r+r_o))/r: the quotient in parentheses is at most 1, so
-    nothing overflows where w_r is finite.
+    nothing overflows where w_r is finite.  The divergence and the electric
+    field are read from it.
     """
     r = _radii(r)
     return -(c.r_o / (r + c.r_o)) / r
@@ -136,11 +142,9 @@ def log_potential(c: RadialCarrier, r) -> np.ndarray:
 
 
 def field_divergence(c: RadialCarrier, r) -> np.ndarray:
-    """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2) = -w_r^2, with w_r formed
-    as ``field_intensity`` forms it (r_o/(r + r_o) <= 1 first) in units of r:
-    nothing overflows where div(w) is finite, ~ -1/r^2 deep inside r_o."""
-    x, r_o, k = _in_units_of_r(np.asarray(r, dtype=float), c.r_o)
-    return np.ldexp(-np.square(r_o / (x + r_o) / x), -2 * k)
+    """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2) = -w_r^2: it overflows
+    only where div(w) does, ~ -1/r^2 deep inside r_o."""
+    return -np.square(field_intensity(c, r))
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,8 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * np.pi * c.newton_constant
-    x, r_o, k = _in_units_of_r(r, c.r_o)
-    eps_common = float(np.ldexp(np.square(r_o) / (
-        four_pi_g * np.square(x) * np.square(x + r_o)), -2 * k))
+    eps_common = float(energy_density(c, r))   # E_M*r_o = r_o^2/G
+    x, _, k = _in_units_of_r(r, c.r_o)
     eps_active = -field_divergence(c, r) / four_pi_g
     w = float(field_intensity(c, r))
     eps_passive = w**2 / four_pi_g
@@ -203,11 +206,9 @@ def enclosed_energy(c: RadialCarrier, R: float) -> float:
 
 
 def enclosed_energy_quadrature(c: RadialCarrier, R: float) -> float:
-    """Quadrature of 4*pi*r^2*eps over [0, R]."""
+    """Quadrature of 4*pi*r^2*eps over [0, R]; exactly 0 at R = 0."""
     if R < 0.0:
         raise NonPositiveRadius(f"R must be >= 0, got {R}")
-    if R == 0.0:
-        return 0.0
     return _shell_quadrature(c.total_energy, c.r_o, R)
 
 
@@ -235,13 +236,14 @@ def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
 
     rho = e*r_o/(4*pi*r^2*(r+r_o)^2); E_r = e*r_o/(r_e*r*(r+r_o));
     W_e = (e/r_e)*ln((r+r_o)/r).  The displacement field D = E*r_e/r_o
-    satisfies div(D) = 4*pi*rho exactly.
+    satisfies div(D) = 4*pi*rho exactly.  rho is the shared profile
+    normalized to e; E_r and W_e are the field and potential of the energy
+    carrier of the same r_o, scaled by -e/r_e.
     """
-    rho = _profile(c.e, c.r_o, r)
-    r = np.asarray(r, dtype=float)
-    e_field = c.e * c.r_o / (c.r_e * r * (r + c.r_o))
-    potential = (c.e / c.r_e) * np.log1p(c.r_o / r)
-    return rho, e_field, potential
+    field = RadialCarrier(c.r_o)
+    scale = -(c.e / c.r_e)
+    return (_profile(c.e, c.r_o, r), scale * field_intensity(field, r),
+            scale * log_potential(field, r))
 
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:

@@ -390,7 +390,8 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> RunReport:
-    from .baseline import (schwarzschild_baseline,
+    from .baseline import (schwarzschild_deflection, schwarzschild_delay,
+                           schwarzschild_precession,
                            schwarzschild_precession_quadrature)
     from .orbits import precession_analytic, precession_quadrature
     from .photons import EchoGeometry, deflection_integral, shapiro_delay
@@ -410,20 +411,17 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     to_us = 1e6 / C_SI
 
     report.add("precession_per_orbit", flat_prec.delta_phi_per_orbit, "rad",
-               "closed-form", model=FLAT_MODEL)
-    report.add("deflection", flat_defl.quadrature, "rad",
-               "bending-quadrature", model=FLAT_MODEL)
+               "closed-form")
+    report.add("deflection", flat_defl.quadrature, "rad", "bending-quadrature")
     report.add("echo_delay", flat_delay.quadrature * to_us, "us",
-               "path-quadrature", model=FLAT_MODEL)
-    for quantity, unit in (("precession", "rad"), ("deflection", "rad"),
-                           ("delay", "us")):
-        sc_for = mercury if quantity == "precession" else solar
-        value = schwarzschild_baseline(quantity, sc_for)
-        if quantity == "delay":
-            value *= to_us
-        name = {"precession": "precession_per_orbit",
-                "deflection": "deflection",
-                "delay": "echo_delay"}[quantity]
+               "path-quadrature")
+    sc_prec = schwarzschild_precession(mp["r_o"], mp["a"], mp["ecc"])
+    sc_defl = schwarzschild_deflection(sp["r_o"], sp["R_s"])
+    sc_delay = schwarzschild_delay(sp["r_o"], sp["r_es"], sp["r_ms"],
+                                   sp["R_s"])
+    for name, value, unit in (("precession_per_orbit", sc_prec, "rad"),
+                              ("deflection", sc_defl, "rad"),
+                              ("echo_delay", sc_delay * to_us, "us")):
         report.add(name, value, unit, "closed-form", model="schwarzschild")
         # the Newtonian baseline of each observable is 0
         report.add(name, 0.0, unit, "closed-form", model="newtonian")
@@ -435,7 +433,7 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     flat_strong = precession_quadrature(r_o, r_min, r_max)
     schw_strong = schwarzschild_precession_quadrature(r_o, r_min, r_max)
     report.add("strong_field_precession", flat_strong, "rad",
-               "turning-point-quadrature", model=FLAT_MODEL)
+               "turning-point-quadrature")
     report.add("strong_field_precession", schw_strong, "rad",
                "turning-point-quadrature", model="schwarzschild")
     report.add("strong_field_divergence",

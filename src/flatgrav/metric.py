@@ -131,14 +131,13 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     tetrad[0, 0] = 1.0 + G0 * warp  # = warp
     tetrad[0, 1:] = Gi * warp
 
-    g = ETA[0, 0] * np.outer(tetrad[0], tetrad[0])
-    for b in range(1, 4):
-        g += ETA[b, b] * np.outer(tetrad[b], tetrad[b])
+    # g = eta_ab e^a e^b, whose spatial legs are the Kronecker deltas
+    g = np.outer(tetrad[0], tetrad[0])
+    g[1:, 1:] -= np.eye(3)
 
     ginv = np.empty((4, 4))
     ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
-    ginv[0, 1:] = Gi
-    ginv[1:, 0] = Gi
+    ginv[0, 1:] = ginv[1:, 0] = Gi
     ginv[1:, 1:] = -np.eye(3)
 
     gamma = np.outer(g[0, 1:], g[0, 1:]) / g[0, 0] - g[1:, 1:]
@@ -207,10 +206,10 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     """Exact Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
 
     The metric g00 = (1 - g0)^-2, g0i = g00*gi, gij = g00*gi*gj - delta_ij
-    is differentiated in closed form from the field's exact gradients;
-    ``christoffels_numeric`` is its finite-difference oracle.  A plain
-    FourPotential (a gauge-shifted field, say) has no exact gradients and is
-    refused with TypeError.
+    is differentiated in closed form from the field's exact gradients and
+    raised with ``build_metric``'s inverse; ``christoffels_numeric`` is its
+    finite-difference oracle.  A plain FourPotential (a gauge-shifted field,
+    say) has no exact gradients and is refused with TypeError.
     """
     if not isinstance(field, CentralField):
         raise TypeError(f"christoffels needs a CentralField, got "
@@ -225,11 +224,6 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     g00 = warp**2
     dg00 = 2.0 * warp**3 * dG0        # dg00[k]
 
-    ginv = np.empty((4, 4))
-    ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
-    ginv[0, 1:] = ginv[1:, 0] = Gi
-    ginv[1:, 1:] = -np.eye(3)
-
     dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
     for k in range(3):
         s = k + 1
@@ -239,7 +233,7 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
         dg[s, 1:, 1:] = (dg00[k] * np.outer(Gi, Gi)
                          + g00 * (np.outer(dGi[k], Gi)
                                   + np.outer(Gi, dGi[k])))
-    return _christoffel(ginv, dg)
+    return _christoffel(build_metric(field, x).ginv, dg)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Adaptive DOP853 integration with dense output and terminal events.
+"""Adaptive DOP853 integration with dense output and a terminal event.
 
 The explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince with
 its 7th-degree continuous extension, as given by Hairer, Norsett & Wanner
@@ -6,8 +6,8 @@ its 7th-degree continuous extension, as given by Hairer, Norsett & Wanner
 their code dop853).  Initial step, error norm and step-size control are
 those of scipy's ``solve_ivp(method="DOP853", dense_output=True)``, done
 with the same numpy operations on arrays of the same shapes, so the
-accepted steps, every interpolant and every event time are bitwise
-scipy's; the tests hold the two against each other.  Terminal events are
+accepted steps, every interpolant and the event time are bitwise
+scipy's; the tests hold the two against each other.  The terminal event is
 located on the step's interpolant by Brent's method (``brentq``).
 """
 from __future__ import annotations
@@ -296,7 +296,7 @@ class Solution:
 
     dense: Optional[DenseOutput]    # None if not one step was accepted
     y: np.ndarray                   # state at dense.ts[-1]
-    event: Optional[int]            # index of the event that ended the run
+    event: bool                     # whether the event ended the run
     failure: Optional[str] = None   # why the run stopped short, if it did
 
 
@@ -344,16 +344,16 @@ def _error_norm(KT, h, scale) -> float:
 
 
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
-           atol: float, events: Sequence[Tuple[Callable, float]] = (),
+           atol: float, event: Optional[Tuple[Callable, float]] = None,
            max_step: float = math.inf) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` with dense output.
 
     The span must increase: t_span[1] > t_span[0], else ValueError.
-    ``rtol`` is floored at 100*eps.  ``events`` are (g, direction) pairs:
-    the run stops at the first zero of any g(t, y) crossed in its direction
+    ``rtol`` is floored at 100*eps.  ``event`` is a (g, direction) pair:
+    the run stops at the first zero of g(t, y) crossed in its direction
     (+1 rising, -1 falling), located on the step's interpolant by
     ``brentq``; only the signs at step ends are compared, so ``max_step``
-    must keep two zeros of a g out of one step.  A step size below ten
+    must keep two zeros of g out of one step.  A step size below ten
     float spacings of t ends the run with ``failure`` set.
     """
     t, t_bound = map(float, t_span)
@@ -363,8 +363,11 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     y = np.asarray(y0).astype(float, copy=False)
     if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("initial state must be a finite 1-D array")
-    if any(d not in (1, -1) for _, d in events):
-        raise ValueError("event directions must be +1 or -1")
+    if event is not None:
+        g_event, direction = event
+        if direction not in (1, -1):
+            raise ValueError("the event direction must be +1 or -1")
+        g = g_event(t, y)
     rtol = max(rtol, 100 * EPS)
 
     def f(t, y):
@@ -375,9 +378,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     K_ext = np.empty((16, y.size))
     K = K_ext[:N_STAGES + 1]
     KT = [K_ext[:s].T for s in range(16)]   # KT[s]: stages 0..s-1, transposed
-    g = [ev(t, y) for ev, _ in events]
     ts, steps = [t], ([], [], [], [])   # DenseOutput's per-step lists
-    event = None
+    ended = False
 
     def solution(failure=None) -> Solution:
         dense = None
@@ -385,7 +387,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             t_old, h, F_rev, y_old = steps
             dense = DenseOutput(ts, t_old, h, np.stack(F_rev, axis=-1),
                                 np.stack(y_old, axis=-1))
-        return Solution(dense, y, event, failure)
+        return Solution(dense, y, ended, failure)
 
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -439,23 +441,17 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
         t, y, fy = t_new, y_new, f_new
         t_end = t
 
-        if events:
-            g_new = [ev(t, y) for ev, _ in events]
-            active = [i for i, (old, new, (_, d))
-                      in enumerate(zip(g, g_new, events))
-                      if d * old <= 0 <= d * new]
-            g = g_new
-            if active:
+        if event is not None:
+            g_new = g_event(t, y)
+            if direction * g <= 0 <= direction * g_new:
                 def at(s):
                     return _horner(F_rev, (s - t_old) / h, y_old)
-                roots = np.asarray([
-                    brentq(lambda s, ev=events[i][0]: ev(s, at(s)),
-                           t_old, t) for i in active])
-                first = np.argmin(roots)
-                event, t_end = active[first], roots[first]
+                t_end = brentq(lambda s: g_event(s, at(s)), t_old, t)
                 y = at(t_end)
+                ended = True
+            g = g_new
         ts.append(t_end)
-        if event is not None or t >= t_bound:
+        if ended or t >= t_bound:
             return solution()
 
 

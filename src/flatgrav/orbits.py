@@ -378,10 +378,10 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     for direction in (1.0, -1.0):
         run = dop853(lambda p, v: _element_rhs(p, v, r_o, u_c, alpha0),
                      (phi, phi + reach), y, rtol=rtol, atol=atol,
-                     events=[(_dprime, direction)], max_step=LEG_MAX_STEP)
+                     event=(_dprime, direction), max_step=LEG_MAX_STEP)
         if run.failure:
             raise ToleranceNotMet(run.failure)
-        if run.event is None:
+        if not run.event:
             raise InsufficientOrbits(
                 f"no radial turning point within {reach:.6g} rad")
         legs.append(run.dense)

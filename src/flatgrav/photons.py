@@ -177,7 +177,7 @@ def fermat_ray_integrate(u0: float, r_o: float,
     # a ray that is not captured turns back, so the exit ends the run
     run = dop853(lambda psi, y: _ray_rhs(psi, y, k), (0.0, math.inf),
                  [0.0, 0.0], rtol=tol, atol=tol * 2.0 * math.pi,
-                 events=[(lambda psi, y: _exit(psi, y, k), -1.0)])
+                 event=(lambda psi, y: _exit(psi, y, k), -1.0))
     if run.failure:
         raise NumericalFailure(f"ray integration failed: {run.failure}")
     psi, (p, q) = run.dense.ts[-1], run.y.tolist()

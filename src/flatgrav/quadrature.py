@@ -56,8 +56,7 @@ def _series(n: int) -> np.ndarray:
     return g
 
 
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b,
-                   epsrel: float = DEFAULT_EPSREL):
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Integral of the vectorized ``f`` over [a, b].
 
     ``a`` and ``b`` may also be arrays of one shape, one interval per entry:
@@ -67,8 +66,8 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b,
     the result keeps in front.
 
     Starts with START_NODES nodes and doubles the count until two successive
-    rules agree to ``epsrel`` relative on every interval; returns the finer
-    of the two.  Raises NoConvergence if they still disagree at MAX_NODES
+    rules agree to DEFAULT_EPSREL relative on every interval; returns the
+    finer of the two.  Raises NoConvergence if they still disagree at MAX_NODES
     nodes, or at once if a rule sums to a non-finite value, so an
     unconverged value is never returned.
     """
@@ -82,7 +81,8 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b,
         val = half * (f(mid + scale * x) @ w)
         if not np.isfinite(val).all():
             raise NoConvergence(f"integrand is not finite on [{a!r}, {b!r}]")
-        if prev is not None and (abs(val - prev) <= epsrel * abs(val)).all():
+        if prev is not None and (abs(val - prev)
+                                 <= DEFAULT_EPSREL * abs(val)).all():
             return val if val.ndim else float(val)
         prev = val
         n *= 2

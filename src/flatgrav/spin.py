@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 import numpy as np
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
-from .metric import CentralField, _radius, christoffels
+from .metric import CentralField, _radius, build_metric, christoffels
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
@@ -52,11 +52,8 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
     ~3e-8 at r_o/r = 1e-4: that orbit is a Newtonian circle, not a geodesic,
     so the spin is transported along a path the metric does not follow.
     """
-    G0 = spec.g0(x)
-    Gi = spec.gi(x)
-    s0 = -float(np.dot(velocity, s))
-    return (((1.0 - G0) ** 2 - Gi @ Gi) * s0**2
-            + 2.0 * s0 * float(Gi @ s) - float(s @ s))
+    s4 = np.concatenate(([-float(np.dot(velocity, s))], s))
+    return float(s4 @ build_metric(spec, x).ginv @ s4)
 
 
 def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,

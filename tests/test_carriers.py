@@ -52,6 +52,17 @@ class TestEnergyDensity:
             energy_density(RadialCarrier(r_o=1.0), 0.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("form", [
+    energy_density, field_intensity, field_divergence, log_potential,
+    ricci_density, electric_profile])
+def test_closed_forms_refuse_a_radius_not_above_zero(form, r):
+    carrier = (ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
+               if form is electric_profile else RadialCarrier(r_o=1.0))
+    with pytest.raises(NonPositiveRadius):
+        form(carrier, r)
+
+
 class TestFieldAndPotential:
     def test_newtonian_far_field(self):
         c = RadialCarrier(r_o=1.0)
@@ -131,18 +142,34 @@ class TestFarField:
         assert displacement_divergence_residual(c, self.R) == 0.0
 
 
+DEEP_INSIDE = [(1.0, 1e-100), (1e100, 1e-100), (1e200, 1e-100),
+               (1e150, 1e-150), (1e100, 1e-120)]
+
+
 class TestDeepInside:
-    """Deep inside the energy radius div(w) ~ -1/r^2 is finite; neither it
-    nor the curvature density may overflow on the way, as a squared r_o
-    (even in units of r) would above r_o/r ~ 1e154."""
+    """Deep inside the energy radius div(w) ~ -1/r^2, the density ~ 1/r^2
+    and the field ~ 1/r are finite; none may overflow on the way, as a
+    squared r_o (even in units of r) would above r_o/r ~ 1e154, or
+    E_M*r_o and e*r_o would where r_o is large."""
 
     @pytest.fixture(autouse=True)
     def raise_on_float_errors(self):
         with np.errstate(all="raise"):
             yield
 
-    @pytest.mark.parametrize("r_o, r", [(1.0, 1e-100), (1e100, 1e-100),
-                                        (1e200, 1e-100), (1e150, 1e-150)])
+    @pytest.mark.parametrize("r_o, r", DEEP_INSIDE)
+    def test_density_and_field(self, r_o, r):
+        # r + r_o rounds to r_o, so eps = E_M/(4*pi*r_o*r^2), E_M = r_o;
+        # the electric carrier with e = r_e = r_o has rho = eps, E = -w
+        eps = 1.0 / (4.0 * np.pi * r * r)
+        assert float(energy_density(RadialCarrier(r_o=r_o), r)) == \
+            pytest.approx(eps, rel=1e-15)
+        rho, e_field, _ = electric_profile(
+            ElectricCarrier(e=r_o, r_e=r_o, r_o=r_o), r)
+        assert float(rho) == pytest.approx(eps, rel=1e-15)
+        assert float(e_field) == pytest.approx(1.0 / r, rel=1e-15)
+
+    @pytest.mark.parametrize("r_o, r", DEEP_INSIDE)
     def test_divergence_and_curvature(self, r_o, r):
         c = RadialCarrier(r_o=r_o)
         inner = (r_o / (r + r_o)) ** 2     # 1 to the last bits here
@@ -220,6 +247,16 @@ class TestElectricAnalog:
         _, _, wm = electric_profile(c, r - h)
         assert -(wp - wm) / (2 * h) == pytest.approx(float(e_field),
                                                      rel=1e-8)
+
+    def test_field_deep_inside_a_small_carrier(self):
+        # r_e*r*(r + r_o) ~ 5e-315 is subnormal: a field formed through it
+        # loses digits
+        c = ElectricCarrier(e=1.0)
+        r = 1e-200
+        with np.errstate(over="ignore"):    # rho ~ 1e455 is not finite
+            _, e_field, _ = electric_profile(c, r)
+        assert float(e_field) == pytest.approx(
+            (c.e / c.r_e) * (c.r_o / (r + c.r_o)) / r, rel=1e-15)
 
     def test_preset_radius(self):
         assert ElectricCarrier(e=1.0).r_e == pytest.approx(7e-58)
