@@ -7,7 +7,7 @@ model.  Geometric units (c = 1).
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import DenominatorVanishes, TurningPointNotFound
 from .orbits import _cosine_map_advance
@@ -18,7 +18,7 @@ __all__ = ["schwarzschild_baseline", "schwarzschild_precession_quadrature"]
 
 def schwarzschild_precession(r_o: float, a: float, ecc: float) -> float:
     """Weak-field perihelion advance 6*pi*r_o/(a*(1-ecc^2)) per orbit."""
-    return 6.0 * np.pi * r_o / (a * (1.0 - ecc**2))
+    return 6.0 * math.pi * r_o / (a * (1.0 - ecc**2))
 
 
 def schwarzschild_deflection(r_o: float, R_s: float) -> float:
@@ -29,7 +29,7 @@ def schwarzschild_deflection(r_o: float, R_s: float) -> float:
 def schwarzschild_delay(r_o: float, r_es: float, r_ms: float,
                         R_s: float) -> float:
     """Round-trip radar excess delay 4*r_o*ln(4*r_ms*r_es/R_s^2) (meters)."""
-    return 4.0 * r_o * np.log(4.0 * r_ms * r_es / R_s**2)
+    return 4.0 * r_o * math.log(4.0 * r_ms * r_es / R_s**2)
 
 
 def schwarzschild_baseline(quantity: str, scenario: Scenario) -> float:

@@ -9,6 +9,7 @@ carrier is the same profile normalized to a total charge.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -102,10 +103,10 @@ def _shell_quadrature(scale: float, r_o: float, R: float) -> float:
     interval (R = 0) gives exactly 0.
     """
     def shell_ds(s):
-        r = r_o * np.expm1(s)
+        r = r_o * math.expm1(s)
         return scale * r_o / (r + r_o) ** 2 * (r + r_o)    # dr/ds = r + r_o
 
-    return gauss_legendre(shell_ds, 0.0, float(np.log1p(R / r_o)))
+    return gauss_legendre(shell_ds, 0.0, math.log1p(R / r_o))
 
 
 def _total_quadrature(scale: float, r_o: float) -> float:

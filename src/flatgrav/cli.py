@@ -16,11 +16,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import __version__
 from .constants import ARCSEC_PER_RAD, C_SI
@@ -225,7 +223,24 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 # ---------------------------------------------------------------- subcommands
 
 
+def _numpy_raises(command: Callable[[argparse.Namespace], RunReport]
+                  ) -> Callable[[argparse.Namespace], RunReport]:
+    """``command`` run with numpy set to raise on overflow, division by zero
+    and invalid operations, so that they end as one error line, as float
+    ones do.  Only the subcommands that run numpy take it: the others never
+    import numpy."""
+    @wraps(command)
+    def guarded(args: argparse.Namespace) -> RunReport:
+        import numpy as np
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return command(args)
+    return guarded
+
+
+@_numpy_raises
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
+    import numpy as np
+
     from .orbits import (integrate_orbit, orbit_from_elements,
                          precession_analytic, precession_numeric)
     sc = _load_scenario(args)
@@ -277,6 +292,7 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
     return report
 
 
+@_numpy_raises
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
     from .photons import deflection_integral, fermat_ray_integrate
     sc = _load_scenario(args)
@@ -309,7 +325,10 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
     return report
 
 
+@_numpy_raises
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
+    import numpy as np
+
     from .spin import (RotatingFieldSpec, circular_polar_orbit,
                        de_sitter_rate, frame_dragging_rate, geodetic_rate)
     sc = _load_scenario(args)
@@ -340,7 +359,10 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
     return report
 
 
+@_numpy_raises
 def cmd_density(args: argparse.Namespace) -> RunReport:
+    import numpy as np
+
     from .carriers import (RadialCarrier, enclosed_energy, energy_density,
                            field_intensity, log_potential)
     r = args.r_over_ro
@@ -368,7 +390,10 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
     return report
 
 
+@_numpy_raises
 def cmd_electric(args: argparse.Namespace) -> RunReport:
+    import numpy as np
+
     from .carriers import (ElectricCarrier, electric_profile,
                            self_energy_quadrature, total_charge_quadrature)
     carrier = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
@@ -494,9 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # numpy overflow and 0/0 end as one error line, as float ones do
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report = args.func(args)
+        report = args.func(args)
         _emit(report, args.format, args.out)
         sys.stdout.flush()
     except ConfigInvalid as exc:
@@ -504,11 +527,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (FlatgravError, ArithmeticError) as exc:
         message = str(exc)
-        if isinstance(exc, OverflowError) and len(exc.args) == 2:
+        if isinstance(exc, OverflowError) and exc.args:
             # a float ``**`` overflow reads "(34, 'Numerical result out of
-            # range')": errno and text
-            message = f"overflow ({exc.args[1]})"
+            # range')", errno and text; a ``math`` one "math range error"
+            message = f"overflow ({exc.args[-1]})"
         print(f"numerical error: {message}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # ``math``'s domain error is the float form of numpy's invalid
+        # operation; any other ValueError is a fault, with its traceback
+        if exc.args != ("math domain error",):
+            raise
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         # a table too large to allocate (a huge --samples, say)
@@ -527,12 +557,13 @@ def run() -> int:
     """The process entry point (the ``flatgrav`` script and ``python -m
     flatgrav.cli``): ``main``'s exit code, for ``sys.exit``."""
     code = main()
-    # The interpreter's exit runs full cyclic collections over the ~23k
-    # objects numpy and flatgrav hold: ~17 ms, to free memory the OS takes
-    # back anyway.  Frozen objects are still freed by reference counting;
-    # only cycle detection skips them, and ``main`` has closed its files
-    # and flushed stdout.  ``main`` itself never freezes, so an in-process
-    # caller keeps its collector.
+    # The interpreter's exit runs full cyclic collections over the objects
+    # flatgrav and the standard library hold (~14k), and numpy's where the
+    # subcommand imports it (~22k in all): ~6 and ~14 ms on a 2-core VM, to
+    # free memory the OS takes back anyway.  Frozen objects are still freed
+    # by reference counting; only cycle detection skips them, and ``main``
+    # has closed its files and flushed stdout.  ``main`` itself never
+    # freezes, so an in-process caller keeps its collector.
     gc.freeze()
     return code
 

@@ -135,13 +135,21 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     g = np.outer(tetrad[0], tetrad[0])
     g[1:, 1:] -= np.eye(3)
 
+    gamma = np.outer(g[0, 1:], g[0, 1:]) / g[0, 0] - g[1:, 1:]
+    return SpacetimeMetric(tetrad=tetrad, g=g, ginv=_inverse(G0, Gi),
+                           gamma=gamma)
+
+
+def _inverse(G0: float, Gi: Vec3) -> np.ndarray:
+    """g^{mu nu} from the potentials at a point: g^00 = (1 - G0)^2 - Gi.Gi,
+    g^0i = Gi, g^ij = -delta_ij.  ``build_metric``'s inverse, and the one
+    that ``christoffels`` and ``spin.spin_norm_invariant`` read without
+    building the rest of the metric."""
     ginv = np.empty((4, 4))
     ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
     ginv[0, 1:] = ginv[1:, 0] = Gi
     ginv[1:, 1:] = -np.eye(3)
-
-    gamma = np.outer(g[0, 1:], g[0, 1:]) / g[0, 0] - g[1:, 1:]
-    return SpacetimeMetric(tetrad=tetrad, g=g, ginv=ginv, gamma=gamma)
+    return ginv
 
 
 def gauge_shift(pot: FourPotential,
@@ -207,9 +215,10 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
 
     The metric g00 = (1 - g0)^-2, g0i = g00*gi, gij = g00*gi*gj - delta_ij
     is differentiated in closed form from the field's exact gradients and
-    raised with ``build_metric``'s inverse; ``christoffels_numeric`` is its
-    finite-difference oracle.  A plain FourPotential (a gauge-shifted field,
-    say) has no exact gradients and is refused with TypeError.
+    raised with ``build_metric``'s inverse of the same potentials
+    (``_inverse``); ``christoffels_numeric`` is its finite-difference
+    oracle.  A plain FourPotential (a gauge-shifted field, say) has no
+    exact gradients and is refused with TypeError.
     """
     if not isinstance(field, CentralField):
         raise TypeError(f"christoffels needs a CentralField, got "
@@ -233,7 +242,7 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
         dg[s, 1:, 1:] = (dg00[k] * np.outer(Gi, Gi)
                          + g00 * (np.outer(dGi[k], Gi)
                                   + np.outer(Gi, dGi[k])))
-    return _christoffel(build_metric(field, x).ginv, dg)
+    return _christoffel(_inverse(float(G0), Gi), dg)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -17,11 +17,10 @@ Geometric units throughout (c = 1, lengths in meters).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple
-
-import numpy as np
 
 from .constants import ARCSEC_PER_RAD, C_SI, SECONDS_PER_CENTURY
 from .errors import (
@@ -35,13 +34,15 @@ from .errors import (
 )
 from .quadrature import gauss_legendre, legendre_antiderivative
 
-if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
+if TYPE_CHECKING:  # the array and ODE routes import them where they run
+    import numpy as np
+
     from .ode import DenseOutput
 
 DEFAULT_TOL = 1e-12
 # Turning points fall Phi/2 > pi apart and the event test compares the signs
 # of u' at step ends only, so no leg step may be longer than this.
-LEG_MAX_STEP = 0.5 * np.pi
+LEG_MAX_STEP = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     if r_o < 0.0:
         raise NonPositiveRadius(f"r_o must be >= 0, got {r_o}")
 
-    L = float(np.sqrt(r_o * a * (1.0 - ecc**2)))
+    L = math.sqrt(r_o * a * (1.0 - ecc**2))
     r_p = a * (1.0 - ecc)
     u_p = 1.0 / r_p
     if 3.0 * r_o * u_p >= 1.0:
@@ -113,7 +114,7 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     if not math.isfinite(e2):
         raise NumericalFailure(
             f"the energy integral at r = {r_p} is not finite: "
-            f"L^2 = {L**2:.3g} is subnormal")
+            f"L^2 = {L**2:.3g} {'is subnormal' if L < 1.0 else 'overflows'}")
     if not e2 > 0.0:
         raise TurningPointNotFound(
             f"no bound orbit turns at r = {r_p}: the field is too strong")
@@ -122,7 +123,7 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
         _second_turning_point(r_o, u_p, L)
     c = r_o / L**2
     return (ecc * c - _circle_offset(r_o, c),
-            OrbitIntegrals(energy_ratio=float(np.sqrt(e2)), L=L))
+            OrbitIntegrals(energy_ratio=math.sqrt(e2), L=L))
 
 
 def _circle_offset(r_o: float, c: float) -> float:
@@ -161,10 +162,10 @@ def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
         disc, scale = 1.0 - 4.0 * (p / s) / s, s
     if disc < 0.0 or p <= 0.0:
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
-    u_other = p / (0.5 * (s + scale * np.sqrt(disc)))
+    u_other = p / (0.5 * (s + scale * math.sqrt(disc)))
     if not 0.0 < u_other < 1.0 / (3.0 * r_o):
         raise TurningPointNotFound(f"no second turning point for u = {u_known}")
-    return float(u_other)
+    return u_other
 
 
 def turning_points_from_elements(r_o: float, a: float, ecc: float
@@ -193,6 +194,7 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     with A - B = (E_m/m - 1)*(E_m/m + 1)*B free of cancellation, and the
     outer one follows by deflation at it (``_second_turning_point``).
     """
+    import numpy as np
     L = integrals.L
     if L <= 0 or r_o <= 0:
         raise TurningPointNotFound("need r_o > 0 and L > 0")
@@ -245,6 +247,7 @@ class Trajectory:
 
     def _u(self, phi, seg=None) -> Tuple[np.ndarray, np.ndarray]:
         """u and u' at ``phi`` from the interpolated elements."""
+        import numpy as np
         alpha, beta = self.sol(phi, seg)
         cos, sin = np.cos(phi), np.sin(phi)
         return (self.u_c + self.alpha0 * (alpha * cos + beta * sin),
@@ -252,6 +255,7 @@ class Trajectory:
 
     def _clock_rates(self, phi, seg) -> np.ndarray:
         """dt/dphi and dp/dphi, stacked on a new first axis."""
+        import numpy as np
         e, L = self.integrals.energy_ratio, self.integrals.L
         u = self._u(phi, seg)[0]
         inv = 1.0 / (L * u**2)
@@ -260,6 +264,7 @@ class Trajectory:
     @cached_property
     def _segment_clocks(self) -> np.ndarray:
         """t and p at each solver breakpoint ``sol.ts``, shape (2, n + 1)."""
+        import numpy as np
         ts, n = self.sol.ts, self.sol.n_segments
         seg = np.arange(n)[:, None]
         whole = gauss_legendre(lambda x: self._clock_rates(x, seg),
@@ -274,6 +279,7 @@ class Trajectory:
         the integral of dt/dphi, dp/dphi from there, read off one Legendre
         series per step (``legendre_antiderivative``).
         """
+        import numpy as np
         phis = np.asarray(phis, dtype=float)
         flat = phis.reshape(-1)
         # whole periods past the integrated one
@@ -296,6 +302,7 @@ class Trajectory:
     def integral_drift(self) -> float:
         """Max relative drift of the energy integral at 512 points of the
         period."""
+        import numpy as np
         phis = np.linspace(0.0, self.period, 512)
         u, up = self._u(phis)
         c = energy_integral(u, up, self.r_o, self.integrals.L)
@@ -350,6 +357,8 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     a leg finds no turning point within 2*max(n_orbits, 1) revolutions, and
     NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
     """
+    import numpy as np
+
     from .ode import DenseOutput, dop853
 
     if not n_orbits > 0:
@@ -363,15 +372,15 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     y = np.array([1.0, 0.0])
     g0 = _element_rhs(0.0, y, r_o, u_c, alpha0)[1]
     # a weak field's forcing can underflow to a subnormal or to 0.0
-    if r_o > 0.0 and not abs(g0) >= np.finfo(float).tiny:
+    if r_o > 0.0 and not abs(g0) >= sys.float_info.min:
         raise NumericalFailure(
             f"field forcing {g0:.3g} at launch is below the smallest normal "
             f"float: the elements lose digits")
     # each tiled period repeats this one's phase error: at rtol = tol, u of
     # 30 orbits at r_min = 20*r_o departs ~2e-10 from a run through them
     rtol = 0.5 * tol
-    atol = rtol * 2.0 * np.pi * abs(g0)
-    reach = 4.0 * np.pi * max(n_orbits, 1.0)   # the longest leg
+    atol = rtol * 2.0 * math.pi * abs(g0)
+    reach = 4.0 * math.pi * max(n_orbits, 1.0)  # the longest leg
     legs, phi = [], 0.0
     # d' rises through the other turning point and falls through the next
     # of the launch's kind
@@ -387,11 +396,11 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
         legs.append(run.dense)
         phi, y = run.dense.ts[-1], run.y
     turned = math.atan2(y[1], y[0])
-    advance = turned + 2.0 * np.pi * round(
-        (phi - 2.0 * np.pi - turned) / (2.0 * np.pi))
+    advance = turned + 2.0 * math.pi * round(
+        (phi - 2.0 * math.pi - turned) / (2.0 * math.pi))
     traj = Trajectory(r_o=r_o, integrals=integrals, u_c=u_c, alpha0=alpha0,
                       sol=DenseOutput.join(legs),
-                      phi_end=2.0 * np.pi * n_orbits, advance=advance)
+                      phi_end=2.0 * math.pi * n_orbits, advance=advance)
     traj.drift = traj.integral_drift()
     if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
         raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
@@ -430,8 +439,8 @@ def kepler_period_seconds(r_o: float, a: float) -> float:
         ratio = a**3 / r_o
     except OverflowError:               # a**3 alone: a above ~5.6e102
         ratio = math.inf
-    root = np.sqrt(ratio) if ratio < math.inf else a * np.sqrt(a / r_o)
-    return 2.0 * np.pi * root / C_SI
+    root = math.sqrt(ratio) if ratio < math.inf else a * math.sqrt(a / r_o)
+    return 2.0 * math.pi * root / C_SI
 
 
 def precession_analytic(r_o: float, a: float, ecc: float
@@ -442,12 +451,15 @@ def precession_analytic(r_o: float, a: float, ecc: float
     """
     if a <= 0.0:
         raise NonPositiveRadius(f"semi-major axis must be > 0, got {a}")
-    dphi = 6.0 * np.pi * r_o / (a * (1.0 - ecc**2))
+    dphi = 6.0 * math.pi * r_o / (a * (1.0 - ecc**2))
     arcsec = None
     if r_o > 0.0:
-        arcsec = (dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY
-                  / kepler_period_seconds(r_o, a))
-    return PrecessionResult(delta_phi_per_orbit=float(dphi),
+        period = kepler_period_seconds(r_o, a)
+        # a period that underflows to 0 gives the infinite rate of IEEE
+        # division, not ZeroDivisionError
+        arcsec = (dphi * ARCSEC_PER_RAD * SECONDS_PER_CENTURY / period
+                  if period > 0.0 else math.inf)
+    return PrecessionResult(delta_phi_per_orbit=dphi,
                             arcsec_per_century=arcsec)
 
 
@@ -485,12 +497,12 @@ def _cosine_map_advance(u1: float, u2: float, u3: float, k: float) -> float:
     mid, half = 0.5 * (u1 + u2), 0.5 * (u1 - u2)
 
     def integrand(theta):
-        u = mid - half * np.cos(theta)
+        u = mid - half * math.cos(theta)
         g = (u1 + u2 + k * u) / (u3 - u)
-        return g / (np.sqrt(1.0 + g) + 1.0)
+        return g / (math.sqrt(1.0 + g) + 1.0)
 
-    advance = 2.0 * gauss_legendre(integrand, 0.0, np.pi)
-    if not advance >= np.finfo(float).tiny:
+    advance = 2.0 * gauss_legendre(integrand, 0.0, math.pi)
+    if not advance >= sys.float_info.min:
         raise NumericalFailure(
             f"perihelion advance {advance:.3g} is subnormal: the quadrature "
             "loses digits")

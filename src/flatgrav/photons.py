@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
-
 from .errors import (GeometryInvalid, NonPositiveRadius, NumericalFailure,
                      RayCaptured)
 from .quadrature import gauss_legendre
@@ -70,21 +68,20 @@ def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     excess is written r_o/r*(2 + r_o/r), not (1 + r_o/r)^2 - 1, which
     cancels; times dx/ds = r it is r_o*(2 + r_o/r).
     """
-    x_e = np.sqrt(geom.r_es**2 - geom.R_s**2)
-    x_m = np.sqrt(geom.r_ms**2 - geom.R_s**2)
+    x_e = math.sqrt(geom.r_es**2 - geom.R_s**2)
+    x_m = math.sqrt(geom.r_ms**2 - geom.R_s**2)
     r_o, y = geom.r_o, geom.R_s
 
     def excess_ds(s):
-        r = y * np.cosh(s)                # hypot(x, R_s) = dx/ds
+        r = y * math.cosh(s)              # hypot(x, R_s) = dx/ds
         return r_o * (2.0 + r_o / r)
 
     val = closed = 0.0
     for x in (x_e, x_m):
-        s = np.arcsinh(x / y)
+        s = math.asinh(x / y)
         val += gauss_legendre(excess_ds, 0.0, s)
-        closed += 2.0 * r_o * s + r_o * (r_o / y) * np.arctan(x / y)
-    return EchoDelayResult(quadrature=float(2.0 * val),
-                           closed_form=float(2.0 * closed))
+        closed += 2.0 * r_o * s + r_o * (r_o / y) * math.atan(x / y)
+    return EchoDelayResult(quadrature=2.0 * val, closed_form=2.0 * closed)
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,11 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
         raise GeometryInvalid(f"r_o must be >= 0, got {r_o}")
 
     def integrand(theta):
-        c = np.cos(theta)
+        c = math.cos(theta)
         return c / (1.0 + r_o * c / R_s) ** 3
 
-    val = gauss_legendre(integrand, 0.0, np.pi / 2.0)
-    return DeflectionResult(quadrature=float(-4.0 * r_o / R_s * val),
+    val = gauss_legendre(integrand, 0.0, math.pi / 2.0)
+    return DeflectionResult(quadrature=-4.0 * r_o / R_s * val,
                             closed_form=-4.0 * r_o / R_s)
 
 

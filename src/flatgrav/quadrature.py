@@ -7,18 +7,29 @@ converges geometrically in n, so doubling n until two successive rules agree
 gives a cheap, checked result without an adaptive integrator.  Integrals up
 to many points of one interval come from the Legendre series the same nodes
 define, integrated once and evaluated at each point.
+
+The rules n = 16, 32, ..., 1024 are read from ``legendre_rules.f64``, which
+``tests/reference/make_legendre_rules.py`` writes from numpy's ``leggauss``:
+an integral of floats runs without numpy, and no process solves for its
+nodes.
 """
 from __future__ import annotations
 
+import math
+import os
+import sys
+from array import array
 from functools import lru_cache
-from typing import Callable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from .errors import NoConvergence
 
+if TYPE_CHECKING:  # the array routes import it where they run
+    import numpy as np
+
 __all__ = ["gauss_legendre", "legendre_antiderivative"]
 
+RULES_FILE = os.path.join(os.path.dirname(__file__), "legendre_rules.f64")
 START_NODES = 32
 SERIES_START_NODES = 16
 MAX_NODES = 1024
@@ -26,9 +37,33 @@ DEFAULT_EPSREL = 1e-13
 
 
 @lru_cache(maxsize=None)
+def _table() -> array:
+    """Every stored rule, as little-endian doubles read into one array: for
+    n = 16, 32, ..., 1024 the n nodes, then the n weights."""
+    table = array("d")
+    with open(RULES_FILE, "rb") as fh:
+        table.frombytes(fh.read())
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+@lru_cache(maxsize=None)
+def _floats(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Nodes and weights of the stored n-point rule on [-1, 1], as floats."""
+    if n & (n - 1) or not 16 <= n <= 1024:
+        raise ValueError(f"no stored {n}-point Gauss-Legendre rule")
+    start = 2 * (n - 16)                # the rules 16, ..., n/2 come first
+    table = _table()
+    return (tuple(table[start:start + n]),
+            tuple(table[start + n:start + 2 * n]))
+
+
+@lru_cache(maxsize=None)
 def _rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the stored n-point rule as arrays, read-only."""
+    import numpy as np
+    x, w = (np.array(values) for values in _floats(n))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -45,6 +80,7 @@ def _series(n: int) -> np.ndarray:
     int_{-1}^x P_l = (x^2 - 1)*P_l'(x)/(l*(l + 1)) for l >= 1.  The factored
     form is exactly 0 at x = -1 and keeps relative digits near it.
     """
+    import numpy as np
     legendre = np.polynomial.legendre       # loaded on first use
     x, w = _rule(n)
     degree = np.arange(n)
@@ -56,14 +92,16 @@ def _series(n: int) -> np.ndarray:
     return g
 
 
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
-    """Integral of the vectorized ``f`` over [a, b].
+def gauss_legendre(f: Callable, a, b):
+    """Integral of ``f`` over [a, b].
 
-    ``a`` and ``b`` may also be arrays of one shape, one interval per entry:
-    ``f`` then gets the nodes of every interval at once, shape
-    ``a.shape + (n,)``, and the result has the shape of ``a``.  ``f`` may
-    return extra leading axes (several integrands on the same nodes), which
-    the result keeps in front.
+    Where ``a`` and ``b`` are numbers, ``f`` maps a float to a float: it is
+    called at each node, and the rule's terms are summed by ``math.fsum``.
+    Otherwise ``a`` and ``b`` are arrays of one shape, one interval per
+    entry: the vectorized ``f`` then gets the nodes of every interval at
+    once, shape ``a.shape + (n,)``, and the result has the shape of ``a``.
+    ``f`` may return extra leading axes (several integrands on the same
+    nodes), which the result keeps in front.
 
     Starts with START_NODES nodes and doubles the count until two successive
     rules agree to DEFAULT_EPSREL relative on every interval; returns the
@@ -71,19 +109,49 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a, b):
     nodes, or at once if a rule sums to a non-finite value, so an
     unconverged value is never returned.
     """
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        lo, hi = float(a), float(b)
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if not (math.isfinite(half) and math.isfinite(mid)):
+            raise NoConvergence(f"the interval [{a!r}, {b!r}] is not finite")
+
+        def total(n):
+            x, w = _floats(n)
+            terms = [wk * f(mid + half * xk) for xk, wk in zip(x, w)]
+            try:
+                return half * math.fsum(terms)
+            except ValueError:          # terms of +inf and -inf
+                return math.nan
+
+        return _converge(total, math.isfinite, bool, a, b)
+
+    import numpy as np
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (hi - lo)
     mid, scale = (0.5 * (lo + hi))[..., None], half[..., None]
+
+    def total(n):
+        x, w = _rule(n)
+        return half * (f(mid + scale * x) @ w)
+
+    val = _converge(total, np.isfinite, np.all, a, b)
+    return val if val.ndim else float(val)
+
+
+def _converge(total: Callable, isfinite: Callable, every: Callable, a, b):
+    """The first ``total(n)``, n = START_NODES, 2*START_NODES, ... up to
+    MAX_NODES, that agrees with the one before to DEFAULT_EPSREL relative
+    wherever ``every`` looks: ``gauss_legendre``'s loop, for a float or an
+    array of sums."""
     prev = None
     n = START_NODES
     while n <= MAX_NODES:
-        x, w = _rule(n)
-        val = half * (f(mid + scale * x) @ w)
-        if not np.isfinite(val).all():
+        val = total(n)
+        if not every(isfinite(val)):
             raise NoConvergence(f"integrand is not finite on [{a!r}, {b!r}]")
-        if prev is not None and (abs(val - prev)
-                                 <= DEFAULT_EPSREL * abs(val)).all():
-            return val if val.ndim else float(val)
+        if prev is not None and every(abs(val - prev)
+                                      <= DEFAULT_EPSREL * abs(val)):
+            return val
         prev = val
         n *= 2
     raise NoConvergence(
@@ -111,6 +179,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
     NoConvergence as ``gauss_legendre`` does.  A point at its interval's
     start gets exactly 0.
     """
+    import numpy as np
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x, which = np.asarray(x, dtype=float), np.asarray(which)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

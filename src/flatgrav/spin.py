@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 import numpy as np
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
-from .metric import CentralField, _radius, build_metric, christoffels
+from .metric import CentralField, _inverse, _radius, christoffels
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
@@ -52,8 +52,9 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
     ~3e-8 at r_o/r = 1e-4: that orbit is a Newtonian circle, not a geodesic,
     so the spin is transported along a path the metric does not follow.
     """
+    x = np.asarray(x, dtype=float)
     s4 = np.concatenate(([-float(np.dot(velocity, s))], s))
-    return float(s4 @ build_metric(spec, x).ginv @ s4)
+    return float(s4 @ _inverse(float(spec.g0(x)), spec.gi(x)) @ s4)
 
 
 def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,

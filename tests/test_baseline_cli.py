@@ -2,6 +2,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -531,6 +532,29 @@ class TestCliContract:
         assert main(["orbit"]) == 3
         assert capsys.readouterr() == (
             "", "numerical error: float division by zero\n")
+
+    def test_math_domain_error_exits_3(self, monkeypatch, capsys):
+        # math's domain error is the float form of numpy's invalid
+        # operation, which the numpy-free subcommands no longer guard
+        monkeypatch.setattr(cli, "cmd_precession",
+                            lambda args: math.sqrt(-1.0))
+        assert main(["precession"]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical error: math domain error\n")
+
+    def test_other_value_errors_are_not_numerical(self, monkeypatch):
+        def fault(args):
+            raise ValueError("a fault in flatgrav")
+        monkeypatch.setattr(cli, "cmd_precession", fault)
+        with pytest.raises(ValueError, match="a fault"):
+            main(["precession"])
+
+    def test_math_overflow_names_itself(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_echo_delay",
+                            lambda args: math.cosh(1e3))
+        assert main(["echo-delay"]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical error: overflow (math range error)\n")
 
     @pytest.mark.parametrize("command", ["orbit", "precession"])
     def test_subnormal_angular_momentum_exits_3(self, tmp_path, capsys,

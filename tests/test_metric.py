@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from flatgrav import metric
 from flatgrav.errors import (
     InvalidSpeed,
     NonPositiveRadius,
@@ -168,6 +169,27 @@ class TestCentralField:
         for block in (static, ~static):
             scale = np.max(np.abs(exact[block]))
             assert np.max(np.abs(exact - fd)[block]) < 1e-4 * scale
+
+    def test_raised_with_build_metrics_inverse(self, monkeypatch):
+        # christoffels reads the inverse alone: bit for bit the ginv that
+        # build_metric gives at the same point, over random rotating fields
+        raised = []
+        contract = metric._christoffel
+
+        def recording(ginv, dg):
+            raised.append(ginv)
+            return contract(ginv, dg)
+
+        monkeypatch.setattr(metric, "_christoffel", recording)
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            field = CentralField(
+                10.0 ** rng.uniform(-8.0, 2.0), 10.0 ** rng.uniform(-8.0, 3.0),
+                rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-9.0, 0.0))
+            x = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-1.0, 8.0)
+            christoffels(field, x)
+            assert raised.pop().tobytes() == \
+                build_metric(field, x).ginv.tobytes()
 
     def test_equality_is_identity_and_hashable(self):
         field = CentralField(0.5, 0.1, [0.0, 0.0, 0.2])

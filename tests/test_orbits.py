@@ -130,6 +130,11 @@ class TestElementsAndTurningPoints:
         with pytest.raises(NumericalFailure, match="L\\^2 = .* subnormal"):
             orbit_from_elements(1e-320, A, ECC)
 
+    def test_overflowing_angular_momentum_refused(self):
+        # r_o*a overflows, so L^2 = inf: the same refusal, named as such
+        with pytest.raises(NumericalFailure, match="L\\^2 = inf overflows"):
+            orbit_from_elements(R_O, 1.7e308, ECC)
+
     @pytest.mark.parametrize("a, ecc", [(A, ECC), (33835.0, 0.0517),
                                         (1e5, 0.3), (A, 0.0), (A, 1e-9),
                                         (A, 1e-7)])

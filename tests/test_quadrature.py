@@ -3,6 +3,7 @@ scipy-free import of the closed-form and quadrature paths, and the modules
 each subcommand loads."""
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,26 @@ class TestGaussLegendre:
     def test_non_finite_raises(self):
         with pytest.raises(NoConvergence):
             gauss_legendre(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_float_route_needs_no_numpy(self):
+        val = gauss_legendre(math.exp, 0.0, 3.0)
+        assert type(val) is float
+        assert val == pytest.approx(math.expm1(3.0), rel=1e-15)
+        assert gauss_legendre(lambda x: x * x, -1, 2) == \
+            pytest.approx(3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (0.0, math.nan),
+                                      (-1.7e308, 1.7e308)])
+    def test_float_route_refuses_a_non_finite_interval(self, a, b):
+        # math.cos(inf) would raise ValueError at the nodes
+        with pytest.raises(NoConvergence, match="not finite"):
+            gauss_legendre(math.cos, a, b)
+
+    def test_float_route_refuses_opposite_infinities(self):
+        # fsum raises ValueError on +inf and -inf terms
+        with pytest.raises(NoConvergence, match="not finite"):
+            gauss_legendre(lambda x: math.copysign(math.inf, x), -1.0, 1.0)
 
     def test_array_endpoints_match_scalar_calls(self):
         a = np.array([0.0, 0.5, 2.0, 1.0])
