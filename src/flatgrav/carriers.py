@@ -6,17 +6,22 @@ equals E_M = r_o/G.  The field intensity w = -grad(W) of the logarithmic
 potential W = -ln(1 + r_o/r) reproduces the inverse-square attraction outside
 the energy radius while staying integrable at the center.  The electric
 carrier is the same profile normalized to a total charge.
+
+A radius is a number or an array.  A number is computed with ``math``, so
+that a profile table built row by row rounds as the C library does and
+needs no numpy; an array takes the same expressions through numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import NonPositiveRadius
 from .quadrature import gauss_legendre
+
+if TYPE_CHECKING:  # the array routes import it: a float radius needs none
+    import numpy as np
 
 __all__ = [
     "RadialCarrier", "ElectricCarrier", "DensityResiduals",
@@ -51,18 +56,23 @@ class RadialCarrier:
         return self.r_o / self.newton_constant
 
 
-def _radii(r) -> np.ndarray:
-    """``r`` as a float array; NonPositiveRadius unless every radius is > 0
-    (a NaN is not)."""
+def _radii(r) -> float | np.ndarray:
+    """``r`` as it is where it is a number, else as a float array;
+    NonPositiveRadius unless every radius is > 0 (a NaN is not)."""
+    if isinstance(r, (float, int)):     # float first: each table row is one
+        if r > 0.0:
+            return r
+        raise NonPositiveRadius("r must be > 0")
+    import numpy as np
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):
         raise NonPositiveRadius("r must be > 0")
     return r
 
 
-# -- the radial profile both carriers share, normalized to ``scale`` --------
+# -- the closed forms both carriers share, at radii ``_radii`` has checked --
 
-def _profile(scale: float, r_o: float, r) -> np.ndarray:
+def _profile(scale: float, r_o: float, r) -> float | np.ndarray:
     """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
 
     Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r: the quotient in
@@ -70,8 +80,24 @@ def _profile(scale: float, r_o: float, r) -> np.ndarray:
     own, so nothing overflows where the density is finite: scale*r_o
     would, deep inside a large r_o, and r^2 would above r ~ 1e154.
     """
-    r = _radii(r)
-    return scale * (r_o / (r + r_o)) / (r + r_o) / (4.0 * np.pi) / r / r
+    return scale * (r_o / (r + r_o)) / (r + r_o) / (4.0 * math.pi) / r / r
+
+
+def _intensity(r_o: float, r) -> float | np.ndarray:
+    """Radial field -r_o/(r*(r+r_o)) of the carrier of energy radius r_o.
+
+    Written -(r_o/(r+r_o))/r: the quotient in parentheses is at most 1, so
+    nothing overflows where the field is finite.
+    """
+    return -(r_o / (r + r_o)) / r
+
+
+def _potential(r_o: float, r) -> float | np.ndarray:
+    """Logarithmic potential -ln(1 + r_o/r) of the same carrier."""
+    if isinstance(r, (float, int)):
+        return -math.log1p(r_o / r)
+    import numpy as np
+    return -np.log1p(r_o / r)
 
 
 def _in_units_of_r(r, r_o):
@@ -82,6 +108,7 @@ def _in_units_of_r(r, r_o):
     rounds as the same form in the original lengths wherever that stays in
     range; and its r^2 is near 1, where r^2 overflows above ~1e154.
     """
+    import numpy as np
     k = np.frexp(r)[1]
     return np.ldexp(r, -k), np.ldexp(r_o, -k), k
 
@@ -121,31 +148,27 @@ def _total_quadrature(scale: float, r_o: float) -> float:
     return head + tail
 
 
-def energy_density(c: RadialCarrier, r) -> np.ndarray:
+def energy_density(c: RadialCarrier, r) -> float | np.ndarray:
     """eps(r) = E_M * r_o / (4*pi*r^2*(r+r_o)^2)."""
-    return _profile(c.total_energy, c.r_o, r)
+    return _profile(c.total_energy, c.r_o, _radii(r))
 
 
-def field_intensity(c: RadialCarrier, r) -> np.ndarray:
-    """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length.
-
-    Written -(r_o/(r+r_o))/r: the quotient in parentheses is at most 1, so
-    nothing overflows where w_r is finite.  The divergence and the electric
-    field are read from it.
-    """
-    r = _radii(r)
-    return -(c.r_o / (r + c.r_o)) / r
+def field_intensity(c: RadialCarrier, r) -> float | np.ndarray:
+    """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length; the
+    divergence is read from it."""
+    return _intensity(c.r_o, _radii(r))
 
 
-def log_potential(c: RadialCarrier, r) -> np.ndarray:
+def log_potential(c: RadialCarrier, r) -> float | np.ndarray:
     """Logarithmic potential W(r) = -ln((r+r_o)/r), with w = -grad W."""
-    return -np.log1p(c.r_o / _radii(r))
+    return _potential(c.r_o, _radii(r))
 
 
-def field_divergence(c: RadialCarrier, r) -> np.ndarray:
+def field_divergence(c: RadialCarrier, r) -> float | np.ndarray:
     """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2) = -w_r^2: it overflows
     only where div(w) does, ~ -1/r^2 deep inside r_o."""
-    return -np.square(field_intensity(c, r))
+    w = field_intensity(c, r)
+    return -(w * w)
 
 
 @dataclass(frozen=True)
@@ -167,6 +190,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     recomputed by central differences at steps h and h/2 so callers can
     verify O(h^2) convergence.
     """
+    import numpy as np
     _radii(r)
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
@@ -194,11 +218,11 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     )
 
 
-def ricci_density(c: RadialCarrier, r) -> np.ndarray:
+def ricci_density(c: RadialCarrier, r) -> float | np.ndarray:
     """Curvature-scalar density eps_a + eps_p = -div(w)/(2*pi*G), that is
     2*r_o^2/(4*pi*G*r^2*(r+r_o)^2), whose 8*pi*G multiple is the curvature
     scalar of the carrier field."""
-    return -field_divergence(c, r) / (2.0 * np.pi * c.newton_constant)
+    return -field_divergence(c, r) / (2.0 * math.pi * c.newton_constant)
 
 
 def enclosed_energy(c: RadialCarrier, R: float) -> float:
@@ -231,8 +255,8 @@ class ElectricCarrier:
             raise NonPositiveRadius("r_e and r_o must be > 0")
 
 
-def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
+def electric_profile(c: ElectricCarrier,
+                     r) -> Tuple[float | np.ndarray, ...]:
     """Charge density, radial field, and potential of the spread charge.
 
     rho = e*r_o/(4*pi*r^2*(r+r_o)^2); E_r = e*r_o/(r_e*r*(r+r_o));
@@ -241,15 +265,16 @@ def electric_profile(c: ElectricCarrier, r) -> Tuple[np.ndarray, np.ndarray,
     normalized to e; E_r and W_e are the field and potential of the energy
     carrier of the same r_o, scaled by -e/r_e.
     """
-    field = RadialCarrier(c.r_o)
+    r = _radii(r)
     scale = -(c.e / c.r_e)
-    return (_profile(c.e, c.r_o, r), scale * field_intensity(field, r),
-            scale * log_potential(field, r))
+    return (_profile(c.e, c.r_o, r), scale * _intensity(c.r_o, r),
+            scale * _potential(c.r_o, r))
 
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
     """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    rho = _profile(c.e, c.r_o, r)
+    import numpy as np
+    rho = _profile(c.e, c.r_o, _radii(r))
     # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
     x, r_o, k = _in_units_of_r(r, c.r_o)
     div_d = float(np.ldexp(c.e * r_o / (np.square(x) * np.square(x + r_o)),

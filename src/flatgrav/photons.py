@@ -97,12 +97,16 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
 
     The improper x-integral is mapped onto theta in [0, pi/2) by
     x = R_s*tan(theta), leaving a bounded smooth integrand for the
-    Gauss-Legendre helper; the closed form is -4*r_o/R_s.
+    Gauss-Legendre helper; the closed form is -4*r_o/R_s.  NumericalFailure
+    where r_o/R_s overflows, as it does for a subnormal R_s: the integrand
+    would be 0 and its product with r_o/R_s NaN.
     """
     if R_s <= 0.0:
         raise GeometryInvalid(f"R_s must be > 0, got {R_s}")
     if r_o < 0.0:
         raise GeometryInvalid(f"r_o must be >= 0, got {r_o}")
+    if not math.isfinite(r_o / R_s):
+        raise NumericalFailure(f"r_o/R_s = {r_o!r}/{R_s!r} overflows")
 
     def integrand(theta):
         c = math.cos(theta)

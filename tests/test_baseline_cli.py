@@ -610,17 +610,25 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command", ["density", "electric"])
     def test_out_of_memory_exits_3(self, monkeypatch, capsys, command):
-        # the table allocation fails as numpy's would, before any memory
-        # is taken
+        # the radius grid, the table's first list, cannot be allocated
         def refuse(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.63 MiB for an array with "
-                              "shape (1000000,) and data type float64")
+            raise MemoryError()
 
-        monkeypatch.setattr(np, "geomspace", refuse)
+        monkeypatch.setattr(cli, "_geomspace", refuse)
         assert main([command, "--samples", "1000000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: out of memory")
+        assert captured.err == "numerical error: out of memory\n"
+
+    def test_out_of_memory_names_a_message_it_has(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError("cannot allocate 1000000 radii")
+
+        monkeypatch.setattr(cli, "_geomspace", refuse)
+        assert main(["density"]) == 3
+        assert capsys.readouterr().err == ("numerical error: out of memory "
+                                           "(cannot allocate 1000000 radii)\n")
 
     @pytest.mark.parametrize("r_over_ro", ["1e160", "1e200", "1e300"])
     def test_far_density_underflows_without_error(self, capsys, r_over_ro):

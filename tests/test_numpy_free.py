@@ -1,6 +1,7 @@
-"""``precession``, ``echo-delay`` and ``compare`` run without numpy: their
-modules import none, and with numpy blocked each prints what it prints
-with numpy importable, and keeps its exit code on edge input."""
+"""``precession``, ``echo-delay``, ``compare``, ``density`` and ``electric``
+run without numpy: their modules import none, and with numpy blocked each
+prints what it prints with numpy importable, and keeps its exit code on
+edge input."""
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from flatgrav.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NUMPY_FREE = ("precession", "echo-delay", "compare")
+NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric")
 # ``import numpy`` raises in the child: a None entry halts the import
 BLOCKED = "import sys; sys.modules['numpy'] = None; "
 
@@ -37,8 +38,9 @@ def _blocked_cli(args, cwd):
 def test_modules_and_subcommands_leave_numpy_unloaded():
     code = (
         "import contextlib, io, json, sys\n"
-        "import flatgrav.baseline, flatgrav.cli, flatgrav.orbits\n"
-        "import flatgrav.photons, flatgrav.presets, flatgrav.quadrature\n"
+        "import flatgrav.baseline, flatgrav.carriers, flatgrav.cli\n"
+        "import flatgrav.orbits, flatgrav.photons, flatgrav.presets\n"
+        "import flatgrav.quadrature\n"
         "imported = 'numpy' in sys.modules\n"
         "codes = []\n"
         f"for sub in {NUMPY_FREE!r}:\n"
@@ -47,7 +49,7 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "print(json.dumps([imported, 'numpy' in sys.modules, codes]))\n")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, [0, 0, 0]]
+    assert json.loads(proc.stdout) == [False, False, [0] * len(NUMPY_FREE)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -95,6 +97,12 @@ ROWS = [
     (2, ["compare"], '{"preset": "mercury", "params": {"a": 1e400}}'),
     (2, ["compare"], {"preset": "mercury", "params": {"r_o": 0}}),
     (2, ["compare"], {"model": "flatspace-weber"}),
+    (3, ["density", "--r-over-ro", "1e-200"], None),
+    (0, ["density", "--r-over-ro", "1e160"], None),
+    (0, ["density", "--r-over-ro", "1e300"], None),
+    (0, ["density", "--samples", "1"], None),
+    (2, ["density", "--samples", "0"], None),
+    (0, ["electric", "--samples", "1000"], None),
 ]
 
 

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from flatgrav.constants import ARCSEC_PER_RAD, C_SI
-from flatgrav.errors import GeometryInvalid, NonPositiveRadius, RayCaptured
+from flatgrav.errors import (GeometryInvalid, NonPositiveRadius,
+                             NumericalFailure, RayCaptured)
 from flatgrav.photons import (
     EchoGeometry,
     coordinate_speed,
@@ -85,6 +86,12 @@ class TestDeflection:
         two = deflection_integral(SOLAR_R_O, 2 * SOLAR_RADIUS).quadrature
         # exact only to the O(r_o/R_s) correction of the grazing integral
         assert two == pytest.approx(one / 2.0, rel=1e-5)
+
+    @pytest.mark.parametrize("R_s", [5e-324, 1e-320])
+    def test_overflowing_ratio_raises(self, R_s):
+        # r_o/R_s is inf: the integrand falls to 0 and -4*r_o/R_s*0 is NaN
+        with pytest.raises(NumericalFailure, match="overflows"):
+            deflection_integral(1480.0, R_s)
 
 
 class TestFermatRay:
