@@ -75,12 +75,21 @@ def _radii(r) -> float | np.ndarray:
 def _profile(scale: float, r_o: float, r) -> float | np.ndarray:
     """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
 
-    Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r: the quotient in
-    parentheses is at most 1 and each later factor is divided out on its
-    own, so nothing overflows where the density is finite: scale*r_o
-    would, deep inside a large r_o, and r^2 would above r ~ 1e154.
+    Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r in the mantissas of
+    ``scale``, r_o, r+r_o and r, each of magnitude in [0.5, 1), times the
+    power of two of their exponents.  No step on the mantissas leaves (0.01, 4), and
+    scaling by a power of two is exact, so the form rounds as it does in
+    the original numbers wherever they stay in range, and only the final
+    power of two can under- or overflow: scale*(r_o/(r+r_o)) would
+    underflow deep inside a small r_o, where the density is large, and r^2
+    would overflow above r ~ 1e154.
     """
-    return scale * (r_o / (r + r_o)) / (r + r_o) / (4.0 * math.pi) / r / r
+    m_scale, e_scale = math.frexp(scale)
+    m_o, e_o = math.frexp(r_o)
+    m_s, e_s = _frexp(r + r_o)
+    m_r, e_r = _frexp(r)
+    value = m_scale * (m_o / m_s) / m_s / (4.0 * math.pi) / m_r / m_r
+    return _ldexp(value, e_scale + e_o - 2 * (e_s + e_r))
 
 
 def _intensity(r_o: float, r) -> float | np.ndarray:
@@ -100,6 +109,27 @@ def _potential(r_o: float, r) -> float | np.ndarray:
     return -np.log1p(r_o / r)
 
 
+def _frexp(x) -> Tuple[float, int] | Tuple[np.ndarray, np.ndarray]:
+    """Mantissa in [0.5, 1) and exponent of ``x``, by ``math`` for a
+    number and by numpy for an array."""
+    if isinstance(x, (float, int)):
+        return math.frexp(x)
+    import numpy as np
+    return np.frexp(x)
+
+
+def _ldexp(m, k) -> float | np.ndarray:
+    """``m`` times 2^k; beyond the largest float it is infinite, as a
+    float product is, where ``math.ldexp`` raises."""
+    if isinstance(m, (float, int)):
+        try:
+            return math.ldexp(m, k)
+        except OverflowError:
+            return math.copysign(math.inf, m)
+    import numpy as np
+    return np.ldexp(m, k)
+
+
 def _in_units_of_r(r, r_o):
     """``r`` and ``r_o`` divided by 2^k, with r/2^k in [0.5, 1), and k.
 
@@ -108,9 +138,8 @@ def _in_units_of_r(r, r_o):
     rounds as the same form in the original lengths wherever that stays in
     range; and its r^2 is near 1, where r^2 overflows above ~1e154.
     """
-    import numpy as np
-    k = np.frexp(r)[1]
-    return np.ldexp(r, -k), np.ldexp(r_o, -k), k
+    x, k = _frexp(r)
+    return x, _ldexp(r_o, -k), k
 
 
 def _enclosed(scale: float, r_o: float, R: float) -> float:
@@ -190,11 +219,10 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     recomputed by central differences at steps h and h/2 so callers can
     verify O(h^2) convergence.
     """
-    import numpy as np
     _radii(r)
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
-    four_pi_g = 4.0 * np.pi * c.newton_constant
+    four_pi_g = 4.0 * math.pi * c.newton_constant
     eps_common = float(energy_density(c, r))   # E_M*r_o = r_o^2/G
     x, _, k = _in_units_of_r(r, c.r_o)
     eps_active = -field_divergence(c, r) / four_pi_g
@@ -204,9 +232,10 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     def div_fd(step: float) -> float:
         # div w = (1/r^2) d(r^2 w_r)/dr for a radial field; both r^2 in
         # units of 2^(2k), which cancel
-        fp = np.square(np.ldexp(r + step, -k)) * field_intensity(c, r + step)
-        fm = np.square(np.ldexp(r - step, -k)) * field_intensity(c, r - step)
-        return float(fp - fm) / (2.0 * step * np.square(x))
+        xp, xm = _ldexp(r + step, -k), _ldexp(r - step, -k)
+        fp = xp * xp * field_intensity(c, r + step)
+        fm = xm * xm * field_intensity(c, r - step)
+        return float(fp - fm) / (2.0 * step * (x * x))
 
     analytic = float(field_divergence(c, r))
     return DensityResiduals(
@@ -273,13 +302,12 @@ def electric_profile(c: ElectricCarrier,
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
     """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    import numpy as np
     rho = _profile(c.e, c.r_o, _radii(r))
     # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
     x, r_o, k = _in_units_of_r(r, c.r_o)
-    div_d = float(np.ldexp(c.e * r_o / (np.square(x) * np.square(x + r_o)),
-                           -3 * k))
-    return abs(div_d - 4.0 * np.pi * float(rho))
+    s = x + r_o
+    div_d = float(_ldexp(c.e * r_o / ((x * x) * (s * s)), -3 * k))
+    return abs(div_d - 4.0 * math.pi * float(rho))
 
 
 def enclosed_charge(c: ElectricCarrier, R: float) -> float:

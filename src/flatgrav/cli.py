@@ -54,31 +54,47 @@ class RunReport:
     def add(self, quantity: str, value: float, unit: str,
             provenance: str, tolerance: Optional[float] = None,
             model: Optional[str] = None) -> None:
+        """Add a row; a NaN or infinite value fails, named by the row."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise NumericalFailure(f"non-finite result: {quantity} "
+                                   f"({provenance}) = {value!r}")
         self.rows.append({
             "scenario": self.scenario,
             "model": model if model is not None else self.model,
             "quantity": quantity,
-            "value": float(value),
+            "value": value,
             "unit": unit,
             "tolerance": tolerance,
             "provenance": provenance,
         })
 
+    def table(self, name: str, **columns: Any) -> None:
+        """Add table ``name``, each column a list of floats (an array's
+        ``tolist``); a NaN or infinite value fails, named by its place."""
+        table = {}
+        for column, values in columns.items():
+            values = (values.tolist() if hasattr(values, "tolist")
+                      else list(map(float, values)))
+            if not all(map(math.isfinite, values)):
+                row = next(i for i, v in enumerate(values)
+                           if not math.isfinite(v))
+                raise NumericalFailure(
+                    f"non-finite result: {name} table, column {column}, "
+                    f"row {row} = {values[row]!r}")
+            table[column] = values
+        self.tables[name] = table
+
     def to_json(self) -> str:
         # the fields as they are: ``asdict`` would deep-copy every table
         report = {f.name: getattr(self, f.name) for f in fields(self)}
-        try:
-            return "".join(_json(report, 0))
-        except ValueError as exc:       # NaN or infinity: not JSON
-            raise NumericalFailure(f"non-finite result: {exc}") from None
+        return "".join(_json(report, 0))
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
         writer.writeheader()
-        for row in self.rows:
-            _finite(row["value"])
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 
@@ -86,7 +102,9 @@ def _json(value: Any, level: int) -> Iterator[str]:
     """The pieces of ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` as it reads ``level`` objects deep.
 
-    A list of floats, such as a table column, is written by joining
+    A report holds only finite floats: ``RunReport.add`` and
+    ``RunReport.table`` refuse the others where they enter.  So a list of
+    floats, such as a table column, is written by joining
     ``float.__repr__`` values, which is what the encoder writes for each;
     the encoder's pure-Python path (taken for ``indent``) would spend
     several milliseconds on the tables of one ``orbit`` report.  The
@@ -110,37 +128,24 @@ def _json(value: Any, level: int) -> Iterator[str]:
         except TypeError:               # not all floats: the encoder's list
             pass
         else:
-            if "n" in text:             # nan or inf: no finite repr has an n
-                raise ValueError("Out of range float values are not JSON "
-                                 "compliant")
             yield from ("[" + pad, text, pad[:-2] + "]")
             return
     yield json.dumps(value, indent=2, sort_keys=True,
                      allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
-def _finite(value: float) -> float:
-    """``value`` as a float; a NaN or infinity is a numerical failure."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise NumericalFailure(f"non-finite result: {value!r}")
-    return value
-
-
 def _emit(report: RunReport, fmt: str, out: Optional[str]) -> None:
     text = report.to_json() if fmt == "json" else report.rows_csv()
     if out:
-        # every table value is checked before the first file is written
-        tables = {name: [list(table)] + [[repr(_finite(v)) for v in vals]
-                                         for vals in zip(*table.values())]
-                  for name, table in report.tables.items()}
         stem = Path(out)
         try:
             stem.write_text(text, encoding="utf-8")
-            for name, lines in tables.items():
+            for name, table in report.tables.items():
                 tpath = stem.with_name(f"{stem.stem}_{name}.csv")
                 with tpath.open("w", newline="", encoding="utf-8") as fh:
-                    csv.writer(fh).writerows(lines)
+                    writer = csv.writer(fh)
+                    writer.writerow(table)
+                    writer.writerows(zip(*table.values()))
         except OSError as exc:
             raise ConfigInvalid(f"cannot write --out {out}: {exc}")
     else:
@@ -271,12 +276,7 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
                "orbit-integration")
     phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
     u, _, t, par = traj.sample(phis)
-    report.tables["trajectory"] = {
-        "phi_rad": list(map(float, phis)),
-        "r_m": list(map(float, 1.0 / u)),
-        "t_m": list(map(float, t)),
-        "p_m": list(map(float, par)),
-    }
+    report.table("trajectory", phi_rad=phis, r_m=1.0 / u, t_m=t, p_m=par)
     return report
 
 
@@ -286,12 +286,13 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
     sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name, config={"params": p})
+    # first: elements with no bound orbit fail here, not as infinite rows
+    r_min, r_max = turning_points_from_elements(p["r_o"], p["a"], p["ecc"])
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", analytic.delta_phi_per_orbit, "rad",
                "closed-form")
     report.add("precession_century", analytic.arcsec_per_century,
                "arcsec/century", "closed-form")
-    r_min, r_max = turning_points_from_elements(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit",
                precession_quadrature(p["r_o"], r_min, r_max), "rad",
                "turning-point-quadrature")
@@ -400,13 +401,12 @@ def cmd_density(args: argparse.Namespace) -> RunReport:
     report.add("log_potential", log_potential(carrier, r),
                "dimensionless", "closed-form")
     radii = _geomspace(1e-2, 1e2, args.samples)
-    report.tables["profile"] = {
-        "r_over_ro": radii,
-        "energy_density": [energy_density(carrier, x) for x in radii],
-        "field_intensity": [field_intensity(carrier, x) for x in radii],
-        "log_potential": [log_potential(carrier, x) for x in radii],
-        "enclosed_fraction": [enclosed_energy(carrier, x) for x in radii],
-    }
+    report.table(
+        "profile", r_over_ro=radii,
+        energy_density=[energy_density(carrier, x) for x in radii],
+        field_intensity=[field_intensity(carrier, x) for x in radii],
+        log_potential=[log_potential(carrier, x) for x in radii],
+        enclosed_fraction=[enclosed_energy(carrier, x) for x in radii])
     return report
 
 
@@ -422,12 +422,10 @@ def cmd_electric(args: argparse.Namespace) -> RunReport:
                "quadrature-plus-tail", tolerance=1e-8)
     radii = _geomspace(1e-2, 1e2, args.samples)
     profile = [electric_profile(carrier, x) for x in radii]
-    report.tables["profile"] = {
-        "r_over_ro": radii,
-        "charge_density": [rho for rho, _, _ in profile],
-        "field": [e_field for _, e_field, _ in profile],
-        "potential": [potential for _, _, potential in profile],
-    }
+    report.table("profile", r_over_ro=radii,
+                 charge_density=[rho for rho, _, _ in profile],
+                 field=[e_field for _, e_field, _ in profile],
+                 potential=[potential for _, _, potential in profile])
     return report
 
 

@@ -18,7 +18,9 @@ class InvalidSpeed(FlatgravError):
 
 
 class NoConvergence(FlatgravError):
-    """Fixed-point iteration exhausted its step budget."""
+    """An iteration or a quadrature did not converge: a fixed point ran
+    out of steps, or a Gauss-Legendre rule met a non-finite interval or
+    integrand, or no rule agreed with the next within tolerance."""
 
 
 class UnboundOrbit(FlatgravError):

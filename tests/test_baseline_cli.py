@@ -588,12 +588,14 @@ class TestCliContract:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_report_refuses_non_finite_values(self):
+        # each number is checked where it enters, and the error names it
         report = RunReport(scenario="s", model="m")
-        report.add("q", float("inf"), "1", "closed-form")
-        with pytest.raises(NumericalFailure):
-            report.to_json()
-        with pytest.raises(NumericalFailure):
-            report.rows_csv()
+        with pytest.raises(NumericalFailure, match=r"q \(closed-form\)"):
+            report.add("q", float("inf"), "1", "closed-form")
+        with pytest.raises(NumericalFailure, match=r"t table, column b, "
+                                                   r"row 1 = nan"):
+            report.table("t", a=[1.0, 2.0], b=np.array([0.5, np.nan]))
+        assert report.rows == [] and report.tables == {}
 
     @pytest.mark.parametrize("flags", [[], ["--format", "csv"],
                                        ["--format", "csv", "--out"]])
@@ -606,6 +608,21 @@ class TestCliContract:
         assert main(["density", *flags]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite" in captured.err
+        assert "enclosed_fraction" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_table_value_exits_3(self, tmp_path, monkeypatch,
+                                            capsys):
+        # finite at the row's r = 1, infinite at the table's radii below it
+        monkeypatch.setattr(carriers, "field_intensity",
+                            lambda carrier, r: float("inf") if r < 1.0
+                            else -0.5)
+        out = str(tmp_path / "density.json")
+        assert main(["density", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "numerical error: non-finite result: profile table, column "
+            "field_intensity, row 0 = inf\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["density", "electric"])
@@ -648,6 +665,7 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: ")
+        assert "energy_density" in captured.err
 
 
 class TestEntryPoint:

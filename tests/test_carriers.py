@@ -142,15 +142,18 @@ class TestFarField:
         assert displacement_divergence_residual(c, self.R) == 0.0
 
 
+# (r_o, r): deep inside r_o, and (1e-300, 1e-200) far outside a tiny r_o,
+# where the density ~ 8e198 is large although r_o^2/(r + r_o) underflows
 DEEP_INSIDE = [(1.0, 1e-100), (1e100, 1e-100), (1e200, 1e-100),
-               (1e150, 1e-150), (1e100, 1e-120)]
+               (1e150, 1e-150), (1e100, 1e-120), (1e-300, 1e-200)]
 
 
 class TestDeepInside:
     """Deep inside the energy radius div(w) ~ -1/r^2, the density ~ 1/r^2
     and the field ~ 1/r are finite; none may overflow on the way, as a
     squared r_o (even in units of r) would above r_o/r ~ 1e154, or
-    E_M*r_o and e*r_o would where r_o is large."""
+    E_M*r_o and e*r_o would where r_o is large; nor may the density
+    underflow on the way, as E_M*r_o/(r + r_o) would where r_o is tiny."""
 
     @pytest.fixture(autouse=True)
     def raise_on_float_errors(self):
@@ -159,22 +162,24 @@ class TestDeepInside:
 
     @pytest.mark.parametrize("r_o, r", DEEP_INSIDE)
     def test_density_and_field(self, r_o, r):
-        # r + r_o rounds to r_o, so eps = E_M/(4*pi*r_o*r^2), E_M = r_o;
-        # the electric carrier with e = r_e = r_o has rho = eps, E = -w
-        eps = 1.0 / (4.0 * np.pi * r * r)
+        # eps = inner^2/(4*pi*r^2), E_M = r_o, where inner = r_o/(r + r_o)
+        # rounds to 1 deep inside; the electric carrier with e = r_e = r_o
+        # has rho = eps, E = -w
+        inner = r_o / (r + r_o)
+        eps = inner * inner / (4.0 * np.pi) / r / r
         assert float(energy_density(RadialCarrier(r_o=r_o), r)) == \
             pytest.approx(eps, rel=1e-15)
         rho, e_field, _ = electric_profile(
             ElectricCarrier(e=r_o, r_e=r_o, r_o=r_o), r)
         assert float(rho) == pytest.approx(eps, rel=1e-15)
-        assert float(e_field) == pytest.approx(1.0 / r, rel=1e-15)
+        assert float(e_field) == pytest.approx(inner / r, rel=1e-15)
 
     @pytest.mark.parametrize("r_o, r", DEEP_INSIDE)
     def test_divergence_and_curvature(self, r_o, r):
         c = RadialCarrier(r_o=r_o)
-        inner = (r_o / (r + r_o)) ** 2     # 1 to the last bits here
+        inner = (r_o / (r + r_o)) ** 2     # 1 to the last bits inside
         div = float(field_divergence(c, r))
-        assert div == pytest.approx(-inner / r**2, rel=1e-15)
+        assert div == pytest.approx(-inner / r / r, rel=1e-15)
         assert float(ricci_density(c, r)) == pytest.approx(
             -div / (2.0 * np.pi), rel=1e-15)
 

@@ -1,7 +1,7 @@
 """``precession``, ``echo-delay``, ``compare``, ``density`` and ``electric``
 run without numpy: their modules import none, and with numpy blocked each
 prints what it prints with numpy importable, and keeps its exit code on
-edge input."""
+edge input.  So do the carriers' residuals at a float radius."""
 import json
 import os
 import subprocess
@@ -41,11 +41,16 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "import flatgrav.baseline, flatgrav.carriers, flatgrav.cli\n"
         "import flatgrav.orbits, flatgrav.photons, flatgrav.presets\n"
         "import flatgrav.quadrature\n"
+        "from flatgrav.carriers import (ElectricCarrier, RadialCarrier,\n"
+        "    density_identities, displacement_divergence_residual)\n"
         "imported = 'numpy' in sys.modules\n"
         "codes = []\n"
         f"for sub in {NUMPY_FREE!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(flatgrav.cli.main([sub]))\n"
+        "density_identities(RadialCarrier(r_o=1.0), 3.0, 1e-2)\n"
+        "displacement_divergence_residual(\n"
+        "    ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0), 3.0)\n"
         "print(json.dumps([imported, 'numpy' in sys.modules, codes]))\n")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
@@ -77,7 +82,8 @@ def test_output_without_numpy_is_the_in_process_output(tmp_path, capsys,
         assert (child / path.name).read_bytes() == path.read_bytes()
 
 
-# The CI rows of these subcommands: exit code, argv, config (or None)
+# Edge rows of these subcommands: exit code, argv, config (or None).  The
+# defaults, in json and csv, are the byte-equality test's above.
 ROWS = [
     (0, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-200}}),
     (0, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-290}}),
@@ -107,7 +113,8 @@ ROWS = [
 
 
 @pytest.mark.parametrize("code, args, config", ROWS)
-def test_exit_codes_without_numpy(tmp_path, code, args, config):
+def test_exit_codes_without_numpy(tmp_path, monkeypatch, capsys, code, args,
+                                  config):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)
         (tmp_path / "cfg.json").write_text(text)
@@ -118,3 +125,7 @@ def test_exit_codes_without_numpy(tmp_path, code, args, config):
     if code:
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(("config error: ", "numerical error: "))
+    else:
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out
