@@ -301,7 +301,6 @@ def cmd_precession(args: argparse.Namespace) -> RunReport:
     return report
 
 
-@_numpy_raises
 def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
     from .photons import deflection_integral, fermat_ray_integrate
     sc = _load_scenario(args)
@@ -433,7 +432,8 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
     from .baseline import (schwarzschild_deflection, schwarzschild_delay,
                            schwarzschild_precession,
                            schwarzschild_precession_quadrature)
-    from .orbits import precession_analytic, precession_quadrature
+    from .orbits import (precession_analytic, precession_quadrature,
+                         turning_points_from_elements)
     from .photons import EchoGeometry, deflection_integral, shapiro_delay
     mercury = _load_scenario(args)
     solar = preset_scenario("solar")
@@ -443,6 +443,9 @@ def cmd_compare(args: argparse.Namespace) -> RunReport:
                                "strong_r_min_over_ro": args.strong_rmin})
     mp, sp = mercury.params, solar.params
 
+    # first, as in precession: elements with no bound orbit fail here, not
+    # as finite rows of a precession that has no orbit
+    turning_points_from_elements(mp["r_o"], mp["a"], mp["ecc"])
     flat_prec = precession_analytic(mp["r_o"], mp["a"], mp["ecc"])
     flat_defl = deflection_integral(sp["r_o"], sp["R_s"])
     geom = EchoGeometry(r_es=sp["r_es"], r_ms=sp["r_ms"], R_s=sp["R_s"],

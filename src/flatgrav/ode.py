@@ -4,23 +4,36 @@ The explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince with
 its 7th-degree continuous extension, as given by Hairer, Norsett & Wanner
 (*Solving Ordinary Differential Equations I*, 2nd ed. 1993, Sec. II.5, and
 their code dop853).  Initial step, error norm and step-size control are
-those of scipy's ``solve_ivp(method="DOP853", dense_output=True)``, done
-with the same numpy operations on arrays of the same shapes, so the
-accepted steps, every interpolant and the event time are bitwise
-scipy's; the tests hold the two against each other.  The terminal event is
-located on the step's interpolant by Brent's method (``brentq``).
+those of scipy's ``solve_ivp(method="DOP853", dense_output=True)``.
+
+A step is plain float arithmetic in scipy's order of operations: a stage
+state is (sum of a_j*k_j)*h + y, an RMS norm sqrt(ss)/n**0.5.  Each sum
+adds its terms as OpenBLAS's generic kernel (``OPENBLAS_CORETYPE=Prescott``)
+adds scipy's numpy products: left to right over the nonzero coefficients
+for the stage sums, error estimates and dense-output coefficients of a
+state of two or more components, and in ``ddot``'s lanes for the norms'
+sums of squares and for every sum of a one-component state (``_PLANS``).
+So under that kernel the accepted steps, every interpolant and the event
+time are bitwise scipy's; the tests hold the two against each other.
+Kernels with fused multiply-adds (Haswell, SkylakeX) move scipy's bits but
+not these, which do not depend on the CPU.  No ``sum()``: from Python 3.12
+it compensates float sums.  The terminal event is located on the step's
+interpolant by Brent's method (``brentq``).
+
+numpy is imported only where a ``DenseOutput`` is evaluated on arrays; a
+run, and the ``Solution`` it returns, needs none.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["DenseOutput", "Solution", "brentq", "dop853"]
 
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 SAFETY = 0.9                # step-size control
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
@@ -31,11 +44,12 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 XTOL = RTOL = 4 * EPS
 MAX_ITER = 100
 
+
 # ----------------------------------------------------- coefficient tables
 # Hairer's dop853 coefficients to 30 digits.  Stages 13-15 are the extra
 # stages of the dense output; row 12 of A holds the weights B.
 
-C = np.array([
+C = (
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -52,7 +66,7 @@ C = np.array([
     0.1,
     0.2,
     0.777777777777777777777777777778,
-])
+)
 
 _A_ROWS = {
     1: {0: 5.26001519587677318785587544488e-2},
@@ -205,38 +219,109 @@ _D_ROWS = (
 )
 
 
-def _table(rows, shape) -> np.ndarray:
-    """Zeros of ``shape`` with the entries rows[i][j] filled in."""
-    out = np.zeros(shape)
-    for i, row in rows.items():
-        for j, value in row.items():
-            out[i, j] = value
+
+def _pairs(row) -> Tuple[Tuple[int, float], ...]:
+    """The (j, coefficient) pairs of a row, in the order of j."""
+    return tuple(sorted(row.items()))
+
+
+# the weights (j, a_sj) of each stage s >= 1 on the stages before it
+_A = [None] + [_pairs(_A_ROWS[s]) for s in range(1, 16)]
+B = _A[N_STAGES]
+E5 = _pairs(_E5)
+E3 = tuple((j, b - _B3.get(j, 0.0)) for j, b in B)
+D = tuple(_pairs(row) for row in _D_ROWS)
+
+# ------------------------------------------------------------------ sums
+# scipy's sums are numpy products, which OpenBLAS forms.  For a state of
+# two or more components they are gemv and gemm, which add each sum left
+# to right; for one component, ddot, and gemv_t for the dense output, which
+# add in lanes.  A plan holds one sum of a_j*k_j in that order (``_dot``).
+
+
+def _dot(plan, K) -> List[float]:
+    """For each component's stages k in ``K``, the sum of a*k[j] over
+    ``plan``, left to right from 0.0: a tuple holds (j, a) pairs, a list
+    holds plans whose sums add the same way."""
+    out = []
+    if type(plan) is tuple:
+        for k in K:
+            acc = 0.0
+            for j, a in plan:
+                acc += a * k[j]
+            out.append(acc)
+        return out
+    parts = [_dot(part, K) for part in plan]
+    for i in range(len(K)):
+        acc = 0.0
+        for part in parts:
+            acc += part[i]
+        out.append(acc)
     return out
 
 
-A = _table(_A_ROWS, (16, 16))
-B = A[N_STAGES, :N_STAGES]
-E5 = _table({0: _E5}, (1, N_STAGES + 1))[0]
-E3 = np.append(B, 0.0)
-E3[list(_B3)] -= list(_B3.values())
-D = _table(dict(enumerate(_D_ROWS)), (4, 16))
-# node c_s and weights a_s[:s] of each stage s, on the stages before it
-_STAGES = [(C[s], A[s, :s]) for s in range(16)]
+@lru_cache(maxsize=None)
+def _ddot_slots(n: int) -> Tuple[int, ...]:
+    """The lane of each of n terms in OpenBLAS's generic ``ddot``: four
+    accumulators of two lanes, lane 2*k + l.  Blocks of eight fill lanes
+    0-7, a remaining four lanes 0-3, a remaining pair lanes 0-1, and a last
+    odd term lane 0.  The lanes add as (acc0 + acc1) + (acc2 + acc3), lane
+    by lane, and then lane 0 + lane 1."""
+    whole = n - n % 8
+    return tuple(0 if n % 2 and i == n - 1 else i % 8 if i < whole else i % 4
+                 for i in range(n))
+
+
+def _ddot_plan(row, n: int) -> list:
+    """The plan of ``row``'s sum over n terms (zeros included) in ``ddot``."""
+    slots = _ddot_slots(n)
+    lane = [tuple((j, a) for j, a in row if slots[j] == k) for k in range(8)]
+    return [[[lane[0], lane[2]], [lane[4], lane[6]]],
+            [[lane[1], lane[3]], [lane[5], lane[7]]]]
+
+
+def _sum_of_squares(values: List[float]) -> float:
+    """The sum of v*v that ``np.linalg.norm`` forms with ``ddot``: up to
+    four terms, (v0^2 + v2^2) + (v1^2 + v3^2), so three add as
+    (v0^2 + v2^2) + v1^2."""
+    acc = [0.0] * 8
+    for slot, v in zip(_ddot_slots(len(values)), values):
+        acc[slot] += v * v
+    return (((acc[0] + acc[2]) + (acc[4] + acc[6]))
+            + ((acc[1] + acc[3]) + (acc[5] + acc[7])))
+
+
+# The plans of the stage sums (A[s] for s = 1, ..., 15, where A[12] is B),
+# of E5 and E3 (13 terms) and of D's rows (16 terms, in gemv_t's chunks of
+# four), for a state of one component (True) or more (False).
+_PLANS = {
+    False: (_A, E5, E3, D),
+    True: ([None] + [_ddot_plan(_A[s], s) for s in range(1, 16)],
+           _ddot_plan(E5, N_STAGES + 1), _ddot_plan(E3, N_STAGES + 1),
+           tuple([tuple((j, a) for j, a in row if j // 4 == chunk)
+                  for chunk in range(4)] for row in D)),
+}
 
 # ------------------------------------------------------------ solution
 
 
-def _horner(F_rev, x, y_old) -> np.ndarray:
-    """The dense-output polynomial at ``x`` in [0, 1] of the step, with
-    ``F_rev`` the coefficients F[6], ..., F[0]: scipy's nested scheme,
-    alternating factors x and 1 - x."""
-    y = np.zeros(np.shape(y_old)[:1] + np.shape(x))
+def _horner(F_rev, x, y_old) -> list:
+    """The dense-output polynomial at ``x`` in [0, 1] of a step, one entry
+    per component, with ``F_rev`` the coefficients F[6], ..., F[0]: scipy's
+    nested scheme, alternating factors x and 1 - x.
+
+    ``x``, the entries F_rev[r][i] and y_old[i] are floats (one point) or
+    numpy arrays (many points); either way each point gets the same
+    operations.
+    """
     one_minus_x = 1 - x
-    for i, coeff in enumerate(F_rev):
-        y += coeff
-        y *= x if i % 2 == 0 else one_minus_x
-    y += y_old
-    return y
+    out = []
+    for i, y_i in enumerate(y_old):
+        acc = 0.0
+        for r, row in enumerate(F_rev):
+            acc = (acc + row[i]) * (x if r % 2 == 0 else one_minus_x)
+        out.append(acc + y_i)
+    return out
 
 
 class DenseOutput:
@@ -247,47 +332,74 @@ class DenseOutput:
     values are bitwise ``OdeSolution``'s; the interpolants are stacked, so
     any number of points is evaluated in one numpy pass.  Points may come
     with their segment indices, which skips the search.
+
+    It holds the stepper's float lists and makes its arrays on first use.
     """
 
-    def __init__(self, ts, t_old, h, F, y_old):
-        """Breakpoints ``ts`` (the last one may be an event time), and per
-        step, on the last axis: its start, full length, coefficients
-        F[6], ..., F[0] (shape (7, n, n_segments)) and initial state
-        (shape (n, n_segments))."""
-        self.ts = np.asarray(ts)
-        self.t_old = np.asarray(t_old)
-        self.n_segments = len(self.t_old)
-        self.h = np.asarray(h)
-        # state-major, so that a gather over segments is contiguous
-        self.F = F
-        self.y_old = y_old
+    def __init__(self, ts: List[float], h: List[float],
+                 F_rev: List[List[List[float]]], y_old: List[List[float]]):
+        """Breakpoints ``ts`` (the last one may be an event time; the others
+        start the steps), and per step its full length, its coefficients
+        F[6], ..., F[0] (7 rows of n) and its initial state (n)."""
+        self._ts, self._h, self._F_rev, self._y_old = ts, h, F_rev, y_old
+        self.n_segments = len(h)
 
     @classmethod
     def join(cls, parts: Sequence["DenseOutput"]) -> "DenseOutput":
         """The runs ``parts`` back to back, each starting where the one
         before it ended; every interpolant is kept as it is."""
-        ts = np.concatenate([parts[0].ts] + [p.ts[1:] for p in parts[1:]])
-        return cls(ts, *(np.concatenate([getattr(p, name) for p in parts],
-                                        axis=-1)
-                         for name in ("t_old", "h", "F", "y_old")))
+        ts = list(parts[0]._ts)
+        for part in parts[1:]:
+            ts += part._ts[1:]
+        return cls(ts, [h for part in parts for h in part._h],
+                   [F for part in parts for F in part._F_rev],
+                   [y for part in parts for y in part._y_old])
 
-    def segments(self, t) -> np.ndarray:
+    @cached_property
+    def ts(self):
+        """The breakpoints, as an array."""
+        import numpy as np
+        return np.array(self._ts)
+
+    @cached_property
+    def h(self):
+        """Each step's full length, as an array."""
+        import numpy as np
+        return np.array(self._h)
+
+    @cached_property
+    def F(self):
+        """F[6], ..., F[0] of each step, shape (7, n, n_segments): the step
+        axis last, so that a gather over segments is contiguous."""
+        import numpy as np
+        return np.array(self._F_rev).transpose(1, 2, 0).copy()
+
+    @cached_property
+    def y_old(self):
+        """Each step's initial state, shape (n, n_segments)."""
+        import numpy as np
+        return np.array(self._y_old).T.copy()
+
+    def segments(self, t):
         """Index of the interpolant ``OdeSolution`` would use at each ``t``."""
+        import numpy as np
         seg = np.searchsorted(self.ts, t, side="left") - 1
         return np.clip(seg, 0, self.n_segments - 1)
 
-    def __call__(self, t, seg=None) -> np.ndarray:
+    def __call__(self, t, seg=None):
         """State at ``t`` (any shape), with the state axis first.
 
         ``seg`` must broadcast against ``t``; a segment index shared by a row
         of points (shape (m, 1)) gathers each coefficient once per row.
         """
+        import numpy as np
         t = np.asarray(t, dtype=float)
         if seg is None:
             seg = self.segments(t)
-        x = (t - self.t_old.take(seg)) / self.h.take(seg)
-        return _horner(self.F.take(seg, axis=-1), x,
-                       self.y_old.take(seg, axis=-1))
+        # a step starts at its breakpoint
+        x = (t - self.ts.take(seg)) / self.h.take(seg)
+        return np.array(_horner(self.F.take(seg, axis=-1), x,
+                                self.y_old.take(seg, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -295,7 +407,8 @@ class Solution:
     """One DOP853 run."""
 
     dense: Optional[DenseOutput]    # None if not one step was accepted
-    y: np.ndarray                   # state at dense.ts[-1]
+    t: float                        # where the run ended
+    y: List[float]                  # state at t
     event: bool                     # whether the event ended the run
     failure: Optional[str] = None   # why the run stopped short, if it did
 
@@ -303,21 +416,22 @@ class Solution:
 # ---------------------------------------------------------------- steps
 
 
-def _rms(x) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(values: List[float]) -> float:
+    """sqrt(ss)/n**0.5, as scipy's ``norm``."""
+    return math.sqrt(_sum_of_squares(values)) / len(values) ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), for an error
     estimator of order 7."""
     interval_length = t_bound - t0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -325,22 +439,19 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _error_norm(KT, h, scale) -> float:
-    """RMS norm of the error estimate, E5 damped by E3 as in dop853.
-
-    ``KT`` is the transposed stage array; a norm is sqrt(x . x), the sum
-    ``np.linalg.norm`` takes for a 1-D array.
-    """
-    err5 = np.dot(KT, E5)
-    err5 /= scale
-    err3 = np.dot(KT, E3)
-    err3 /= scale
-    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+def _error_norm(K, h, scale, e5, e3) -> float:
+    """RMS norm of the error estimate, E5 damped by E3 as in dop853, from
+    the stages ``K`` (K[i][s], component i of stage s) and the plans of E5
+    and E3."""
+    err5 = [e / scale_i for e, scale_i in zip(_dot(e5, K), scale)]
+    err3 = [e / scale_i for e, scale_i in zip(_dot(e3, K), scale)]
+    # squared norms as scipy squares np.linalg.norm
+    err5_norm_2 = math.sqrt(_sum_of_squares(err5)) ** 2
+    err3_norm_2 = math.sqrt(_sum_of_squares(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return h * err5_norm_2 / np.sqrt(denom * len(scale))
+    return h * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
@@ -348,21 +459,22 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
            max_step: float = math.inf) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` with dense output.
 
-    The span must increase: t_span[1] > t_span[0], else ValueError.
-    ``rtol`` is floored at 100*eps.  ``event`` is a (g, direction) pair:
-    the run stops at the first zero of g(t, y) crossed in its direction
-    (+1 rising, -1 falling), located on the step's interpolant by
-    ``brentq``; only the signs at step ends are compared, so ``max_step``
-    must keep two zeros of g out of one step.  A step size below ten
-    float spacings of t ends the run with ``failure`` set.
+    ``fun`` takes t and the state as a list of floats and returns a
+    sequence of floats.  The span must increase: t_span[1] > t_span[0],
+    else ValueError.  ``rtol`` is floored at 100*eps.  ``event`` is a
+    (g, direction) pair: the run stops at the first zero of g(t, y) crossed
+    in its direction (+1 rising, -1 falling), located on the step's
+    interpolant by ``brentq``; only the signs at step ends are compared, so
+    ``max_step`` must keep two zeros of g out of one step.  A step size
+    below ten float spacings of t ends the run with ``failure`` set.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
         raise ValueError(f"integration span ({t}, {t_bound}) does not "
                          f"increase")
-    y = np.asarray(y0).astype(float, copy=False)
-    if y.ndim != 1 or not np.isfinite(y).all():
-        raise ValueError("initial state must be a finite 1-D array")
+    y = [float(v) for v in y0]
+    if not y or not all(map(math.isfinite, y)):
+        raise ValueError("initial state must be a nonempty finite sequence")
     if event is not None:
         g_event, direction = event
         if direction not in (1, -1):
@@ -370,24 +482,34 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
         g = g_event(t, y)
     rtol = max(rtol, 100 * EPS)
 
-    def f(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
-    fy = f(t, y)
-    h_abs = _initial_step(f, t, y, t_bound, max_step, fy, rtol, atol)
-    K_ext = np.empty((16, y.size))
-    K = K_ext[:N_STAGES + 1]
-    KT = [K_ext[:s].T for s in range(16)]   # KT[s]: stages 0..s-1, transposed
-    ts, steps = [t], ([], [], [], [])   # DenseOutput's per-step lists
+    fy = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, max_step, fy, rtol, atol)
+    K = [[0.0] * 16 for _ in y]     # K[i][s]: component i of stage s
+    stage_plans, e5, e3, d_plans = _PLANS[len(y) == 1]
+    ts, steps = [t], ([], [], [])   # DenseOutput's per-step lists
     ended = False
 
     def solution(failure=None) -> Solution:
-        dense = None
-        if steps[0]:
-            t_old, h, F_rev, y_old = steps
-            dense = DenseOutput(ts, t_old, h, np.stack(F_rev, axis=-1),
-                                np.stack(y_old, axis=-1))
-        return Solution(dense, y, ended, failure)
+        dense = DenseOutput(ts, *steps) if steps[0] else None
+        return Solution(dense, ts[-1], y, ended, failure)
+
+    def stages(first, last, t, y, h):
+        """Stages first, ..., last - 1 of the step of ``h`` from (t, y),
+        into K; returns the state of the last of them."""
+        for s in range(first, last):
+            plan = stage_plans[s]
+            if type(plan) is tuple:     # _dot's loop, inline: the hot path
+                ys = []
+                for K_i, y_i in zip(K, y):
+                    acc = 0.0
+                    for j, a in plan:
+                        acc += a * K_i[j]
+                    ys.append(acc * h + y_i)
+            else:
+                ys = [v * h + y_i for v, y_i in zip(_dot(plan, K), y)]
+            for K_i, v in zip(K, fun(t + C[s] * h, ys)):
+                K_i[s] = v
+        return ys
 
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -398,21 +520,13 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
                 return solution(TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            K[0] = fy
-            for s in range(1, N_STAGES):
-                c, a = _STAGES[s]
-                ys = np.dot(KT[s], a)
-                ys *= h
-                ys += y
-                K[s] = fun(t + c * h, ys)
-            y_new = y + h * np.dot(KT[N_STAGES], B)
-            K[-1] = fun(t + h, y_new)
-            f_new = K[-1].copy()
-            scale = np.abs(y)
-            np.maximum(scale, np.abs(y_new), out=scale)
-            scale *= rtol
-            scale += atol
-            error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
+            for K_i, v in zip(K, fy):
+                K_i[0] = v
+            # stage 12 is f at (t + h, y_new), y_new = y + h*(B . K)
+            y_new = stages(1, N_STAGES + 1, t, y, h)
+            scale = [atol + max(abs(a), abs(b)) * rtol
+                     for a, b in zip(y, y_new)]
+            error_norm = _error_norm(K, h, scale, e5, e3)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR,
@@ -423,22 +537,17 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             rejected = True
 
         # the extra stages and coefficients of the step's interpolant
-        for s in range(N_STAGES + 1, 16):
-            c, a = _STAGES[s]
-            ys = np.dot(KT[s], a)
-            ys *= h
-            ys += y
-            K_ext[s] = fun(t + c * h, ys)
-        F = np.empty((7, y.size))
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * K_ext[0] - delta_y
-        F[2] = 2 * delta_y - h * (f_new + K_ext[0])
-        F[3:] = h * np.dot(D, K_ext)
+        stages(N_STAGES + 1, 16, t, y, h)
+        delta_y = [b - a for a, b in zip(y, y_new)]
+        F = [delta_y,
+             [h * K_i[0] - d for K_i, d in zip(K, delta_y)],
+             [2 * d - h * (K_i[N_STAGES] + K_i[0])
+              for K_i, d in zip(K, delta_y)]]
+        F += ([h * v for v in _dot(plan, K)] for plan in d_plans)
         F_rev, t_old, y_old = F[::-1], t, y
-        for stack, item in zip(steps, (t_old, h, F_rev, y_old)):
+        for stack, item in zip(steps, (h, F_rev, y_old)):
             stack.append(item)
-        t, y, fy = t_new, y_new, f_new
+        t, y, fy = t_new, y_new, [K_i[N_STAGES] for K_i in K]
         t_end = t
 
         if event is not None:

@@ -318,7 +318,7 @@ def _element_rhs(phi, y, r_o, u_c, alpha0):
     rosette forcing about the circular orbit, (F(u, u') - F(u_c, 0))/alpha0
     for F = u'' + u - r_o/L^2, written without cancellation.
     """
-    alpha, beta = y.tolist()
+    alpha, beta = y
     cos, sin = math.cos(phi), math.sin(phi)
     d, dprime = alpha * cos + beta * sin, beta * cos - alpha * sin
     u = u_c + alpha0 * d
@@ -357,8 +357,6 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     a leg finds no turning point within 2*max(n_orbits, 1) revolutions, and
     NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
     """
-    import numpy as np
-
     from .ode import DenseOutput, dop853
 
     if not n_orbits > 0:
@@ -369,7 +367,7 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
         raise ValueError(f"alpha0 must be finite, got {alpha0}")
     c = r_o / integrals.L**2
     u_c = c + _circle_offset(r_o, c)
-    y = np.array([1.0, 0.0])
+    y = [1.0, 0.0]
     g0 = _element_rhs(0.0, y, r_o, u_c, alpha0)[1]
     # a weak field's forcing can underflow to a subnormal or to 0.0
     if r_o > 0.0 and not abs(g0) >= sys.float_info.min:
@@ -394,7 +392,7 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
             raise InsufficientOrbits(
                 f"no radial turning point within {reach:.6g} rad")
         legs.append(run.dense)
-        phi, y = run.dense.ts[-1], run.y
+        phi, y = run.t, run.y
     turned = math.atan2(y[1], y[0])
     advance = turned + 2.0 * math.pi * round(
         (phi - 2.0 * math.pi - turned) / (2.0 * math.pi))

@@ -123,7 +123,7 @@ def _ray_rhs(psi, y, k):
     The elements of u = u0*(a*cos(psi) + b*sin(psi)) are a = 2*k*p and
     b = 1 + 2*k*q with k = r_o*u0, so r_o*u = k*v, v = u/u0 (``_exit``).
     """
-    p, q = y.tolist()
+    p, q = y
     cos, sin = math.cos(psi), math.sin(psi)
     w = 1.0 + k * (2.0 * k * p * cos + (1.0 + 2.0 * k * q) * sin)
     w3 = w * w * w
@@ -181,7 +181,7 @@ def fermat_ray_integrate(u0: float, r_o: float,
                  event=(lambda psi, y: _exit(psi, y, k), -1.0))
     if run.failure:
         raise NumericalFailure(f"ray integration failed: {run.failure}")
-    psi, (p, q) = run.dense.ts[-1], run.y.tolist()
+    psi, (p, q) = run.t, run.y
     turned = math.atan2(2.0 * k * p, 1.0 + 2.0 * k * q)
     deflection = turned + 2.0 * math.pi * round(
         (math.pi - psi - turned) / (2.0 * math.pi))

@@ -13,7 +13,7 @@ moment of inertia in m^3.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
 
 
 def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
-                  velocity: np.ndarray, s: np.ndarray) -> np.ndarray:
+                  velocity: np.ndarray, s: Sequence[float]) -> List[float]:
     """Parallel-transport rate dS_i/dt = Gamma^lam_{i nu} S_lam xdot^nu.
 
     ``velocity`` is the coordinate velocity dx/dt; the time component of the
@@ -68,12 +68,12 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
     P = diag(0, 1, 1, 1).  Every term then needs only phi, grad(phi), G
     and the two first-derivative forms of G.  The rate is one float kernel
     per solver stage: plain float arithmetic on the components of the float
-    arrays ``x``, ``velocity`` and ``s`` (numpy's per-call cost dominates at
-    length 3), with numpy only for the returned array.
+    arrays ``x`` and ``velocity`` and of the float sequence ``s`` (numpy's
+    per-call cost dominates at length 3), returned as a list.
     """
     x0, x1, x2 = x.tolist()
     v0, v1, v2 = velocity.tolist()
-    s0, s1, s2 = s.tolist()
+    s0, s1, s2 = s
     w0, w1, w2 = spec.omega.tolist()
     r2 = x0 * x0 + x1 * x1 + x2 * x2
     r = r2 ** 0.5
@@ -122,13 +122,13 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
     xu = dphi * (x0 * u0 + x1 * u1 + x2 * u2)
     c = phi * ((dvG0 * u0 + dvG1 * u1 + dvG2 * u2)
                - (duG0 * v0 + duG1 * v1 + duG2 * v2))
-    return np.array([
+    return [
         0.5 * (Tu * (Twd * x0 + xv * G0 + phi * (gvG0 + dvG0))
                + Tw * (phi * (guG0 - duG0) - xu * G0) + c * G0),
         0.5 * (Tu * (Twd * x1 + xv * G1 + phi * (gvG1 + dvG1))
                + Tw * (phi * (guG1 - duG1) - xu * G1) + c * G1),
         0.5 * (Tu * (Twd * x2 + xv * G2 + phi * (gvG2 + dvG2))
-               + Tw * (phi * (guG2 - duG2) - xu * G2) + c * G2)])
+               + Tw * (phi * (guG2 - duG2) - xu * G2) + c * G2)]
 
 
 def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
@@ -145,7 +145,8 @@ def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
     oracle = np.einsum("liv,l,v->i", gamma, s4, xdot)
     scale = np.max(np.einsum("liv,l,v->i", np.abs(gamma), np.abs(s4),
                              np.abs(xdot)))
-    gap = np.max(np.abs(transport_rhs(spec, x, velocity, s) - oracle))
+    gap = np.max(np.abs(transport_rhs(spec, x, velocity, s.tolist())
+                        - oracle))
     if not gap <= 1e-12 * scale:
         raise NumericalFailure(
             f"direct transport rate differs from the connection contraction "

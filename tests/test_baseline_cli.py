@@ -398,6 +398,22 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
 
+    def test_compare_refuses_elements_with_no_bound_orbit(self, tmp_path,
+                                                          capsys):
+        # a = 1e-300 puts the perihelion inside 3*r_o: compare fails as
+        # precession does, not with finite precession rows
+        cfg = self.config(tmp_path, {"preset": "mercury",
+                                     "params": {"a": 1e-300}})
+        errors = []
+        for command in ("precession", "compare"):
+            assert main([command, "--config", cfg]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[1].startswith("numerical error: r = 7.944e-301 is not "
+                                    "outside 3*r_o")
+
     @pytest.mark.parametrize("r_o", [1e-155, 1e-200, 1e-290])
     def test_weak_field_precession(self, tmp_path, r_o):
         # s*s of the deflated turning quadratic overflows at these r_o, and

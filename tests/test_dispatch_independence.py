@@ -1,12 +1,20 @@
-"""The ``density`` and ``electric`` tables do not depend on the CPU's SIMD
-level.
+"""Reports do not depend on the CPU: neither on numpy's SIMD level nor on
+the kernel OpenBLAS picks.
 
 numpy's vector ``log1p`` and ``power`` loops may differ from the C library
-by an ulp, and which loop runs depends on the CPU.  The tables are built
-from floats with ``math`` and ``**``, the C library's functions, which are
-what numpy's baseline loops call.  So in a child with every dispatch target
-of numpy disabled, the array routes must give the float routes' values bit
-for bit, and the subcommands must print the same bytes as without it."""
+by an ulp, and which loop runs depends on the CPU.  The ``density`` and
+``electric`` tables are built from floats with ``math`` and ``**``, the C
+library's functions, which are what numpy's baseline loops call.  So in a
+child with every dispatch target of numpy disabled, the array routes must
+give the float routes' values bit for bit, and the subcommands must print
+the same bytes as without it.
+
+OpenBLAS's kernels add a product's terms in different orders, with or
+without fused multiply-adds.  The DOP853 stepper adds in floats, so
+``light-deflect`` prints the same bytes, and ``orbit`` the same rows and
+radii, whichever kernel OpenBLAS runs: the default, Haswell (FMA) or
+Prescott (generic).  orbit's clock columns t_m and p_m still come from
+numpy products, and are not compared."""
 import json
 import os
 import subprocess
@@ -44,21 +52,33 @@ print(json.dumps(tables))
 """
 
 
-def _dispatch_targets():
+def _umath():
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:                 # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    return umath.__cpu_dispatch__
+    return umath
 
 
-def _child(args, baseline):
-    """``python args`` with flatgrav importable; with ``baseline``, numpy
-    runs only its baseline loops."""
+def _dispatch_targets():
+    return _umath().__cpu_dispatch__
+
+
+def _blas_kernels():
+    """The default kernel, and those forced by OPENBLAS_CORETYPE that this
+    CPU can run."""
+    features = _umath().__cpu_features__
+    fma = features.get("AVX2") and features.get("FMA3")
+    return [None, "Prescott"] + (["Haswell"] if fma else [])
+
+
+def _child(args, **variables):
+    """``python args`` with flatgrav importable, numpy's dispatch and
+    OpenBLAS's kernel left to the CPU unless ``variables`` set them."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if baseline:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_dispatch_targets())
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.update({k: v for k, v in variables.items() if v is not None})
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -66,9 +86,13 @@ def _child(args, baseline):
     return proc.stdout
 
 
+def _baseline(args):
+    """``_child`` with numpy running only its baseline loops."""
+    return _child(args, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatch_targets()))
+
+
 def test_array_routes_at_the_baseline_are_the_float_routes():
-    tables = json.loads(_child(["-c", COLUMNS, *map(str, SAMPLES)],
-                               baseline=True))
+    tables = json.loads(_baseline(["-c", COLUMNS, *map(str, SAMPLES)]))
     field = RadialCarrier(r_o=1.0)
     charge = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
     for n in SAMPLES:
@@ -88,4 +112,23 @@ def test_array_routes_at_the_baseline_are_the_float_routes():
                                   ["electric", "--samples", "1000"]])
 def test_report_bytes_do_not_depend_on_the_dispatch(args):
     argv = ["-m", "flatgrav.cli", *args]
-    assert _child(argv, baseline=True) == _child(argv, baseline=False)
+    assert _baseline(argv) == _child(argv)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_light_deflect_bytes_do_not_depend_on_the_blas_kernel(fmt):
+    argv = ["-m", "flatgrav.cli", "light-deflect", "--format", fmt]
+    reports = {_child(argv, OPENBLAS_CORETYPE=core)
+               for core in _blas_kernels()}
+    assert len(reports) == 1
+
+
+def test_orbit_rows_and_radii_do_not_depend_on_the_blas_kernel():
+    argv = ["-m", "flatgrav.cli", "orbit"]
+    parts = set()
+    for core in _blas_kernels():
+        report = json.loads(_child(argv, OPENBLAS_CORETYPE=core))
+        table = report["tables"]["trajectory"]
+        parts.add(json.dumps([report["rows"], table["phi_rad"],
+                              table["r_m"]]))
+    assert len(parts) == 1

@@ -1,7 +1,8 @@
-"""``precession``, ``echo-delay``, ``compare``, ``density`` and ``electric``
-run without numpy: their modules import none, and with numpy blocked each
-prints what it prints with numpy importable, and keeps its exit code on
-edge input.  So do the carriers' residuals at a float radius."""
+"""``precession``, ``echo-delay``, ``compare``, ``density``, ``electric`` and
+``light-deflect`` run without numpy: their modules import none, and with
+numpy blocked each prints what it prints with numpy importable, and keeps
+its exit code on edge input.  So do the carriers' residuals at a float
+radius, and the DOP853 stepper."""
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 from flatgrav.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric")
+NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric",
+              "light-deflect")
 # ``import numpy`` raises in the child: a None entry halts the import
 BLOCKED = "import sys; sys.modules['numpy'] = None; "
 
@@ -40,7 +42,7 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "import contextlib, io, json, sys\n"
         "import flatgrav.baseline, flatgrav.carriers, flatgrav.cli\n"
         "import flatgrav.orbits, flatgrav.photons, flatgrav.presets\n"
-        "import flatgrav.quadrature\n"
+        "import flatgrav.ode, flatgrav.quadrature\n"
         "from flatgrav.carriers import (ElectricCarrier, RadialCarrier,\n"
         "    density_identities, displacement_divergence_residual)\n"
         "imported = 'numpy' in sys.modules\n"
@@ -109,6 +111,15 @@ ROWS = [
     (0, ["density", "--samples", "1"], None),
     (2, ["density", "--samples", "0"], None),
     (0, ["electric", "--samples", "1000"], None),
+    (3, ["compare"], {"preset": "mercury", "params": {"a": 1e-300}}),
+    (3, ["light-deflect"], {"preset": "solar", "params": {"R_s": 1e-300}}),
+    (3, ["light-deflect"], {"preset": "solar", "params": {"R_s": 5e-324}}),
+    (2, ["light-deflect"], {"preset": "solar", "n_orbits": 3}),
+    (0, ["light-deflect"], {"preset": "solar",
+                            "params": {"r_o": 1.0, "R_s": 4.5}}),
+    (3, ["light-deflect"], {"preset": "solar",
+                            "params": {"r_o": 1.0, "R_s": 4.0}}),
+    (0, ["light-deflect", "--tol", "1e-9"], None),
 ]
 
 

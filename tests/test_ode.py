@@ -1,10 +1,15 @@
 """The DOP853 integrator against scipy's, bit for bit, and the library
-without scipy installed."""
+without scipy installed.
+
+scipy's runs, and its brentq, are made once in a child process on
+OpenBLAS's generic kernel (``generic_blas``: this file run as a script),
+and every run here must match them bit for bit.
+"""
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -16,99 +21,48 @@ from flatgrav import ode, orbits, photons
 from flatgrav.orbits import orbit_from_elements
 from flatgrav.presets import SOLAR_R_O, SOLAR_RADIUS, earth_spin_parameters
 from flatgrav.spin import RotatingFieldSpec, circular_polar_orbit, transport_rhs
+from generic_blas import SRC, generic_oracle, hexes
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 EPS = np.finfo(float).eps
 SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
                "density", "electric", "compare")
+N_BRACKETS = 1200
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype \
-        and a.tobytes() == b.tobytes()
-
-
-def assert_same_run(fun, t_span, y0, rtol, atol, event=None,
-                    max_step=np.inf):
-    """dop853 and solve_ivp(DOP853) agree bitwise on every output."""
-    run = ode.dop853(fun, t_span, y0, rtol=rtol, atol=atol, event=event,
-                     max_step=max_step)
-    scipy_event = None
-    if event is not None:
-        def scipy_event(t, y):
-            return event[0](t, y)
-        scipy_event.terminal = True
-        scipy_event.direction = event[1]
-    ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=scipy_event,
-                    max_step=max_step)
-    assert ref.success and run.failure is None
-    dense, parts = run.dense, ref.sol.interpolants
-    assert same_bits(dense.ts, ref.sol.ts)
-    assert dense.n_segments == len(parts)
-    assert same_bits(dense.t_old, np.array([p.t_old for p in parts]))
-    assert same_bits(dense.h, np.array([p.h for p in parts]))
-    assert same_bits(dense.F[::-1], np.stack([p.F for p in parts], axis=-1))
-    assert same_bits(dense.y_old, np.stack([p.y_old for p in parts], axis=-1))
-    assert same_bits(run.y, ref.y[:, -1])
-    if event is not None:
-        expected = dense.ts[-1:] if run.event else np.array([])
-        assert same_bits(ref.t_events[0], expected)
-    return run
-
-
-@pytest.mark.parametrize("ecc", [0.05, 0.6])
-@pytest.mark.parametrize("r_min_over_ro", [20.0, 1e3, 1e5, 3.1e7])
-def test_orbit_leg_run_is_scipys(r_min_over_ro, ecc):
-    # the first leg of integrate_orbit, with its event, at the default tol
+def orbit_leg(r_min_over_ro, ecc):
+    """The first leg of integrate_orbit, with its event, at the default
+    tol."""
     r_o = SOLAR_R_O
     alpha0, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
     u_c = c + orbits._circle_offset(r_o, c)
     rtol = 0.5e-12
-    g0 = orbits._element_rhs(0.0, np.array([1.0, 0.0]), r_o, u_c, alpha0)[1]
-    run = assert_same_run(
-        lambda phi, y: orbits._element_rhs(phi, y, r_o, u_c, alpha0),
-        (0.0, 4.0 * np.pi), [1.0, 0.0], rtol=rtol,
-        atol=rtol * 2.0 * np.pi * abs(g0), event=(orbits._dprime, 1.0),
-        max_step=orbits.LEG_MAX_STEP)
-    assert run.event
+    g0 = orbits._element_rhs(0.0, [1.0, 0.0], r_o, u_c, alpha0)[1]
+    return dict(fun=lambda phi, y: orbits._element_rhs(phi, y, r_o, u_c,
+                                                       alpha0),
+                t_span=(0.0, 4.0 * np.pi), y0=[1.0, 0.0], rtol=rtol,
+                atol=rtol * 2.0 * np.pi * abs(g0),
+                event=(orbits._dprime, 1.0), max_step=orbits.LEG_MAX_STEP)
 
 
-@pytest.mark.parametrize("r_o, impact, captured", [
-    (SOLAR_R_O, SOLAR_RADIUS, False),
-    (SOLAR_R_O, 3.0 * SOLAR_RADIUS, False),
-    (1.0, 10.0, False),
-    (1.0, 1.5, True),
-])
-def test_ray_run_is_scipys(r_o, impact, captured):
-    # fermat_ray_integrate's run to the exit, at the default tol; a captured
-    # ray, which fermat_ray_integrate refuses, is run to r = r_o, where
-    # r*n(r) is least
+def ray(r_o, impact, captured):
+    """fermat_ray_integrate's run to the exit, at the default tol; a
+    captured ray, which fermat_ray_integrate refuses, is run to r = r_o,
+    where r*n(r) is least."""
     k = r_o * (1.0 / impact)        # r_o*u0, as fermat_ray_integrate forms it
     assert (4.0 * k >= 1.0) == captured
-    rtol = 1e-12
     if captured:
         event = (lambda psi, y: k * photons._exit(psi, y, k) - 1.0, 1.0)
     else:
         event = (lambda psi, y: photons._exit(psi, y, k), -1.0)
-    run = assert_same_run(lambda psi, y: photons._ray_rhs(psi, y, k),
-                          (0.0, 4.0 * np.pi), [0.0, 0.0], rtol=rtol,
-                          atol=rtol * 2.0 * np.pi, event=event)
-    assert run.event
-    if not captured:
-        traj, _ = photons.fermat_ray_integrate(1.0 / impact, r_o)
-        assert same_bits(traj.sol.ts, run.dense.ts)
+    return dict(fun=lambda psi, y: photons._ray_rhs(psi, y, k),
+                t_span=(0.0, 4.0 * np.pi), y0=[0.0, 0.0], rtol=1e-12,
+                atol=1e-12 * 2.0 * np.pi, event=event)
 
 
-@pytest.mark.parametrize("r_o, inertia, radius", [
-    (1e-8, 1e-2, 1.0),
-    (1e-5, 3e-3, 1.0),
-    (None, None, 7.02e6),
-])
-def test_spin_transport_run_is_scipys(r_o, inertia, radius):
+def spin_run(r_o, inertia, radius):
+    """One period of spin transport along a polar circle."""
     if r_o is None:
         p = earth_spin_parameters()
         spec = RotatingFieldSpec(r_o=p["r_o"], inertia=p["inertia"],
@@ -119,24 +73,119 @@ def test_spin_transport_run_is_scipys(r_o, inertia, radius):
                                  omega=np.array([0.0, 0.0, 1e-7]))
     pos, vel, _, period = circular_polar_orbit(radius, r_o)
     s0 = np.array([0.6, -0.2, 0.5])
-    assert_same_run(lambda t, s: transport_rhs(spec, pos(t), vel(t), s),
-                    (0.0, period), s0, rtol=1e-12,
-                    atol=1e-12 * np.linalg.norm(s0))
+    return dict(fun=lambda t, s: transport_rhs(spec, pos(t), vel(t), s),
+                t_span=(0.0, period), y0=s0, rtol=1e-12,
+                atol=1e-12 * np.linalg.norm(s0))
 
 
-def test_rtol_floor_and_step_failure_are_scipys():
-    # rtol below 100*eps is floored, as scipy does (without its warning)
-    with pytest.warns(UserWarning):
-        assert_same_run(lambda t, y: [y[1], -y[0]], (0.0, 3.0), [1.0, 0.0],
-                        rtol=1e-16, atol=1e-16)
+ORBIT_LEGS = [(r, e) for r in (20.0, 1e3, 1e5, 3.1e7) for e in (0.05, 0.6)]
+RAYS = [(SOLAR_R_O, SOLAR_RADIUS, False), (SOLAR_R_O, 3.0 * SOLAR_RADIUS, False),
+        (1.0, 10.0, False), (1.0, 1.5, True)]
+SPINS = [(1e-8, 1e-2, 1.0), (1e-5, 3e-3, 1.0), (None, None, 7.02e6)]
+RUNS = {
+    **{f"orbit {r!r} {e!r}": (orbit_leg, (r, e)) for r, e in ORBIT_LEGS},
+    **{f"ray {c!r} {i!r}": (ray, (c, i, x)) for c, i, x in RAYS},
+    **{f"spin {c!r} {i!r} {r!r}": (spin_run, (c, i, r)) for c, i, r in SPINS},
+    # rtol below 100*eps is floored, as scipy does (with a warning)
+    "rtol floor": (lambda: dict(fun=lambda t, y: [y[1], -y[0]],
+                                t_span=(0.0, 3.0), y0=[1.0, 0.0],
+                                rtol=1e-16, atol=1e-16), ()),
     # a finite-time blow-up drives the step below the float spacing
-    run = ode.dop853(lambda t, y: [y[0] ** 2], (0.0, 2.0), [1.0],
-                     rtol=1e-12, atol=1e-12)
-    ref = solve_ivp(lambda t, y: [y[0] ** 2], (0.0, 2.0), [1.0],
-                    method="DOP853", rtol=1e-12, atol=1e-12,
-                    dense_output=True)
-    assert not ref.success and run.failure == ref.message
-    assert same_bits(run.dense.ts, ref.sol.ts)
+    "blow-up": (lambda: dict(fun=lambda t, y: [y[0] ** 2], t_span=(0.0, 2.0),
+                             y0=[1.0], rtol=1e-12, atol=1e-12), ()),
+}
+
+
+def scipy_record(fun, t_span, y0, rtol, atol, event=None, max_step=np.inf):
+    """solve_ivp(DOP853)'s run, every float as float.hex, and whether it
+    warned."""
+    scipy_event = None
+    if event is not None:
+        def scipy_event(t, y):
+            return event[0](t, y)
+        scipy_event.terminal = True
+        scipy_event.direction = event[1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+                        atol=atol, dense_output=True, events=scipy_event,
+                        max_step=max_step)
+    parts = ref.sol.interpolants
+    return {"failure": None if ref.success else ref.message,
+            "ts": hexes(ref.sol.ts),
+            "t_old": hexes([p.t_old for p in parts]),
+            "h": hexes([p.h for p in parts]),
+            "F": hexes([p.F for p in parts]),
+            "y_old": hexes([p.y_old for p in parts]),
+            "y": hexes(ref.y[:, -1]),
+            "t_events": hexes(ref.t_events[0]) if event else [],
+            }, any(issubclass(w.category, UserWarning) for w in caught)
+
+
+def record(fun, t_span, y0, rtol, atol, event=None, max_step=np.inf):
+    """dop853's run in the form of ``scipy_record``: a step starts at its
+    breakpoint, so scipy's t_old is ts[:-1]."""
+    run = ode.dop853(fun, t_span, y0, rtol=rtol, atol=atol, event=event,
+                     max_step=max_step)
+    dense = run.dense
+    assert run.t == dense.ts[-1]
+    return {"failure": run.failure,
+            "ts": hexes(dense.ts),
+            "t_old": hexes(dense.ts[:-1]),
+            "h": hexes(dense.h),
+            "F": hexes(dense.F[::-1].transpose(2, 0, 1)),
+            "y_old": hexes(dense.y_old.T),
+            "y": hexes(run.y),
+            "t_events": hexes([run.t]) if run.event else [],
+            }
+
+
+def scipy_oracle() -> dict:
+    """Every run of RUNS and every bracket's root, from scipy."""
+    runs, warned = {}, {}
+    for key, (build, args) in RUNS.items():
+        runs[key], warned[key] = scipy_record(**build(*args))
+    roots = [float(scipy_brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)).hex()
+             for f, a, b in seeded_brackets(N_BRACKETS)]
+    return {"runs": runs, "warned": warned, "brentq": roots}
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return generic_oracle(__file__)
+
+
+def assert_same_run(oracle, key):
+    build, args = RUNS[key]
+    assert record(**build(*args)) == oracle["runs"][key]
+
+
+@pytest.mark.parametrize("r_min_over_ro, ecc", ORBIT_LEGS)
+def test_orbit_leg_run_is_scipys(oracle, r_min_over_ro, ecc):
+    assert_same_run(oracle, f"orbit {r_min_over_ro!r} {ecc!r}")
+    assert oracle["runs"][f"orbit {r_min_over_ro!r} {ecc!r}"]["t_events"]
+
+
+@pytest.mark.parametrize("r_o, impact, captured", RAYS)
+def test_ray_run_is_scipys(oracle, r_o, impact, captured):
+    key = f"ray {r_o!r} {impact!r}"
+    assert_same_run(oracle, key)
+    assert oracle["runs"][key]["t_events"]
+    if not captured:
+        traj, _ = photons.fermat_ray_integrate(1.0 / impact, r_o)
+        assert hexes(traj.sol.ts) == oracle["runs"][key]["ts"]
+
+
+@pytest.mark.parametrize("r_o, inertia, radius", SPINS)
+def test_spin_transport_run_is_scipys(oracle, r_o, inertia, radius):
+    assert_same_run(oracle, f"spin {r_o!r} {inertia!r} {radius!r}")
+
+
+def test_rtol_floor_and_step_failure_are_scipys(oracle):
+    assert oracle["warned"]["rtol floor"]
+    assert_same_run(oracle, "rtol floor")
+    assert oracle["runs"]["blow-up"]["failure"] == ode.TOO_SMALL_STEP
+    assert_same_run(oracle, "blow-up")
 
 
 @pytest.mark.parametrize("t_span, event", [
@@ -151,14 +200,23 @@ def test_bad_span_or_event_direction_rejected(t_span, event):
 
 
 def test_tables_are_scipys():
+    def dense(rows, shape):
+        out = np.zeros(shape)
+        for i, row in enumerate(rows):
+            for j, value in row:
+                out[i, j] = value
+        return out
+
     n = dop853_coefficients.N_STAGES
-    assert same_bits(ode.A, dop853_coefficients.A)
-    assert same_bits(ode.C, dop853_coefficients.C)
-    assert same_bits(ode.B, dop853_coefficients.B)
-    assert same_bits(ode.E3, dop853_coefficients.E3)
-    assert same_bits(ode.E5, dop853_coefficients.E5)
-    assert same_bits(ode.D, dop853_coefficients.D)
     assert ode.N_STAGES == n
+    assert np.array(ode.C).tobytes() == dop853_coefficients.C.tobytes()
+    A = dense([()] + ode._A[1:], (16, 16))
+    for want, got in ((dop853_coefficients.A, A),
+                      (dop853_coefficients.B, dense([ode.B], (1, n))[0]),
+                      (dop853_coefficients.E3, dense([ode.E3], (1, n + 1))[0]),
+                      (dop853_coefficients.E5, dense([ode.E5], (1, n + 1))[0]),
+                      (dop853_coefficients.D, dense(ode.D, (4, 16)))):
+        assert got.tobytes() == want.tobytes()
 
 
 def seeded_brackets(n):
@@ -190,11 +248,10 @@ def seeded_brackets(n):
     return out
 
 
-def test_brentq_is_scipys():
-    for f, a, b in seeded_brackets(1200):
-        got = ode.brentq(f, a, b)
-        want = scipy_brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)
-        assert same_bits(got, want), (a, b)
+def test_brentq_is_scipys(oracle):
+    brackets = seeded_brackets(N_BRACKETS)
+    assert [float(ode.brentq(f, a, b)).hex() for f, a, b in brackets] \
+        == oracle["brentq"]
 
 
 def test_brentq_rejects_a_bracket_without_sign_change():
@@ -244,3 +301,7 @@ def test_runs_without_scipy():
     assert len(without) == 2 * len(SUBCOMMANDS) + 1
     assert all(code == 0 for code, _ in without.values())
     assert without == with_scipy
+
+
+if __name__ == "__main__":
+    print(json.dumps(scipy_oracle()))

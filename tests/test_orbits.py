@@ -1,5 +1,6 @@
 """Bound-orbit dynamics, turning points, and perihelion advance."""
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from flatgrav.orbits import (
     turning_points,
     turning_points_from_elements,
 )
+from generic_blas import generic_oracle, hexes
 
 R_O = 1480.0
 A = 5.79e10
@@ -323,34 +325,61 @@ def per_sample_clocks(traj, phis):
     return traj._segment_clocks[:, seg] + part + k * traj.period_clocks[:, None]
 
 
-class TestElementEngine:
-    @pytest.mark.parametrize("a, ecc", [(A, ECC), (1e5, 0.3)])
-    def test_evaluator_is_bitwise_the_legs(self, a, ecc):
+LEG_CASES = [(A, ECC), (1e5, 0.3)]
+
+
+def legs_oracle() -> dict:
+    """scipy's legs, from the child on OpenBLAS's generic kernel
+    (``generic_blas``): for each of LEG_CASES over 3 orbits, each probe as
+    (points, their shape, the legs' values, their shape); for A, ECC over 2
+    orbits, the breakpoints of both legs."""
+    probes = {}
+    for a, ecc in LEG_CASES:
         alpha0, integrals = orbit_from_elements(R_O, a, ecc)
         legs = element_legs(R_O, alpha0, integrals, 3)
-        dense = integrate_orbit(R_O, alpha0, integrals, 3).sol
         rng = np.random.default_rng(7)
+        pairs = []
         for i, sol in enumerate(legs):
             # a breakpoint two legs share belongs to the one before it
             ts = sol.ts if i == 0 else sol.ts[1:]
             inside = rng.uniform(sol.ts[0], sol.ts[-1], 100)
             mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
-            for phis in (inside, ts, mids, ts[::-1],
-                         np.concatenate([ts, inside])):
-                assert same_bits(dense(phis), sol(phis))
-            for phi in (ts[0], ts[-1], inside[0], mids[-1]):
-                assert same_bits(dense(phi), sol(phi))
-        before, beyond = legs[0].ts[0] - 0.1, legs[-1].ts[-1] + 0.1
-        assert same_bits(dense(before), legs[0](before))
-        assert same_bits(dense(beyond), legs[-1](beyond))
+            pairs += [(sol, phis) for phis in (
+                inside, ts, mids, ts[::-1], np.concatenate([ts, inside]),
+                ts[0], ts[-1], inside[0], mids[-1])]
+        pairs += [(legs[0], legs[0].ts[0] - 0.1),
+                  (legs[-1], legs[-1].ts[-1] + 0.1)]
+        probes[repr((a, ecc))] = [
+            (hexes(phis), np.shape(phis), hexes(sol(phis)),
+             np.shape(sol(phis))) for sol, phis in pairs]
+    alpha0, integrals = orbit_from_elements(R_O, A, ECC)
+    legs = element_legs(R_O, alpha0, integrals, 2)
+    return {"probes": probes, "ts": [hexes(sol.ts) for sol in legs]}
 
-    def test_trajectory_keeps_the_legs(self):
+
+@pytest.fixture(scope="module")
+def scipy_legs():
+    return generic_oracle(__file__)
+
+
+class TestElementEngine:
+    @pytest.mark.parametrize("a, ecc", LEG_CASES)
+    def test_evaluator_is_bitwise_the_legs(self, scipy_legs, a, ecc):
+        alpha0, integrals = orbit_from_elements(R_O, a, ecc)
+        dense = integrate_orbit(R_O, alpha0, integrals, 3).sol
+        for points, shape, values, values_shape in \
+                scipy_legs["probes"][repr((a, ecc))]:
+            phis = np.array([float.fromhex(x) for x in points]).reshape(shape)
+            got = dense(phis)
+            assert list(got.shape) == values_shape and hexes(got) == values
+
+    def test_trajectory_keeps_the_legs(self, scipy_legs):
         alpha0, integrals = orbit_from_elements(R_O, A, ECC)
         traj = integrate_orbit(R_O, alpha0, integrals, 2)
-        legs = element_legs(R_O, alpha0, integrals, 2)
-        assert same_bits(traj.sol.ts,
-                         np.concatenate([legs[0].ts, legs[1].ts[1:]]))
-        assert traj.period == legs[1].ts[-1] - legs[0].ts[0]
+        first, second = scipy_legs["ts"]
+        assert hexes(traj.sol.ts) == first + second[1:]
+        assert traj.period == \
+            float.fromhex(second[-1]) - float.fromhex(first[0])
 
     @pytest.mark.parametrize("a, ecc, n", [(A, ECC, 10), (1e5, 0.3, 6),
                                            (33835.0, 0.0517, 3)])
@@ -508,3 +537,6 @@ class TestPrecession:
         assert res.delta_phi_per_orbit == 0.0
         assert res.arcsec_per_century is None
 
+
+if __name__ == "__main__":
+    print(json.dumps(legs_oracle()))
