@@ -7,18 +7,19 @@ their code dop853).  Initial step, error norm and step-size control are
 those of scipy's ``solve_ivp(method="DOP853", dense_output=True)``.
 
 A step is plain float arithmetic in scipy's order of operations: a stage
-state is (sum of a_j*k_j)*h + y, an RMS norm sqrt(ss)/n**0.5.  Each sum
-adds its terms as OpenBLAS's generic kernel (``OPENBLAS_CORETYPE=Prescott``)
-adds scipy's numpy products: left to right over the nonzero coefficients
-for the stage sums, error estimates and dense-output coefficients of a
-state of two or more components, and in ``ddot``'s lanes for the norms'
-sums of squares and for every sum of a one-component state (``_PLANS``).
-So under that kernel the accepted steps, every interpolant and the event
-time are bitwise scipy's; the tests hold the two against each other.
-Kernels with fused multiply-adds (Haswell, SkylakeX) move scipy's bits but
-not these, which do not depend on the CPU.  No ``sum()``: from Python 3.12
-it compensates float sums.  The terminal event is located on the step's
-interpolant by Brent's method (``brentq``).
+state is (sum of a_j*k_j)*h + y, an RMS norm sqrt(ss)/n**0.5.  Each stage
+sum, error estimate and dense-output coefficient adds its terms left to
+right over the nonzero coefficients, and each norm's sum of squares in
+``ddot``'s lanes: the orders in which OpenBLAS's generic kernel
+(``OPENBLAS_CORETYPE=Prescott``) adds scipy's numpy products for a state of
+two or more components.  So under that kernel the accepted steps, every
+interpolant and the event time of such a state are bitwise scipy's; the
+tests hold the two against each other.  (For one component numpy adds
+every sum in lanes, so there the last bits may differ.)  Kernels with fused
+multiply-adds (Haswell, SkylakeX) move scipy's bits but not these, which do
+not depend on the CPU.  No ``sum()``: from Python 3.12 it compensates float
+sums.  The terminal event is located on the step's interpolant by Brent's
+method (``brentq``).
 
 numpy is imported only where a ``DenseOutput`` is evaluated on arrays; a
 run, and the ``Solution`` it returns, needs none.
@@ -219,7 +220,6 @@ _D_ROWS = (
 )
 
 
-
 def _pairs(row) -> Tuple[Tuple[int, float], ...]:
     """The (j, coefficient) pairs of a row, in the order of j."""
     return tuple(sorted(row.items()))
@@ -234,28 +234,19 @@ D = tuple(_pairs(row) for row in _D_ROWS)
 
 # ------------------------------------------------------------------ sums
 # scipy's sums are numpy products, which OpenBLAS forms.  For a state of
-# two or more components they are gemv and gemm, which add each sum left
-# to right; for one component, ddot, and gemv_t for the dense output, which
-# add in lanes.  A plan holds one sum of a_j*k_j in that order (``_dot``).
+# two or more components the stage sums, error estimates and dense-output
+# coefficients are gemv and gemm, which add each sum left to right; the
+# norms are ddot, which adds in lanes.
 
 
-def _dot(plan, K) -> List[float]:
-    """For each component's stages k in ``K``, the sum of a*k[j] over
-    ``plan``, left to right from 0.0: a tuple holds (j, a) pairs, a list
-    holds plans whose sums add the same way."""
+def _dot(pairs, K) -> List[float]:
+    """For each component's stages k in ``K``, the sum of a*k[j] over the
+    (j, a) ``pairs``, left to right from 0.0."""
     out = []
-    if type(plan) is tuple:
-        for k in K:
-            acc = 0.0
-            for j, a in plan:
-                acc += a * k[j]
-            out.append(acc)
-        return out
-    parts = [_dot(part, K) for part in plan]
-    for i in range(len(K)):
+    for k in K:
         acc = 0.0
-        for part in parts:
-            acc += part[i]
+        for j, a in pairs:
+            acc += a * k[j]
         out.append(acc)
     return out
 
@@ -272,14 +263,6 @@ def _ddot_slots(n: int) -> Tuple[int, ...]:
                  for i in range(n))
 
 
-def _ddot_plan(row, n: int) -> list:
-    """The plan of ``row``'s sum over n terms (zeros included) in ``ddot``."""
-    slots = _ddot_slots(n)
-    lane = [tuple((j, a) for j, a in row if slots[j] == k) for k in range(8)]
-    return [[[lane[0], lane[2]], [lane[4], lane[6]]],
-            [[lane[1], lane[3]], [lane[5], lane[7]]]]
-
-
 def _sum_of_squares(values: List[float]) -> float:
     """The sum of v*v that ``np.linalg.norm`` forms with ``ddot``: up to
     four terms, (v0^2 + v2^2) + (v1^2 + v3^2), so three add as
@@ -290,17 +273,6 @@ def _sum_of_squares(values: List[float]) -> float:
     return (((acc[0] + acc[2]) + (acc[4] + acc[6]))
             + ((acc[1] + acc[3]) + (acc[5] + acc[7])))
 
-
-# The plans of the stage sums (A[s] for s = 1, ..., 15, where A[12] is B),
-# of E5 and E3 (13 terms) and of D's rows (16 terms, in gemv_t's chunks of
-# four), for a state of one component (True) or more (False).
-_PLANS = {
-    False: (_A, E5, E3, D),
-    True: ([None] + [_ddot_plan(_A[s], s) for s in range(1, 16)],
-           _ddot_plan(E5, N_STAGES + 1), _ddot_plan(E3, N_STAGES + 1),
-           tuple([tuple((j, a) for j, a in row if j // 4 == chunk)
-                  for chunk in range(4)] for row in D)),
-}
 
 # ------------------------------------------------------------ solution
 
@@ -431,7 +403,8 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    # h0 is 0 where d1 overflows: divide as numpy does, to nan or inf
+    d2 = _div(_rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]), h0)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -439,12 +412,11 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _error_norm(K, h, scale, e5, e3) -> float:
+def _error_norm(K, h, scale) -> float:
     """RMS norm of the error estimate, E5 damped by E3 as in dop853, from
-    the stages ``K`` (K[i][s], component i of stage s) and the plans of E5
-    and E3."""
-    err5 = [e / scale_i for e, scale_i in zip(_dot(e5, K), scale)]
-    err3 = [e / scale_i for e, scale_i in zip(_dot(e3, K), scale)]
+    the stages ``K`` (K[i][s], component i of stage s)."""
+    err5 = [e / scale_i for e, scale_i in zip(_dot(E5, K), scale)]
+    err3 = [e / scale_i for e, scale_i in zip(_dot(E3, K), scale)]
     # squared norms as scipy squares np.linalg.norm
     err5_norm_2 = math.sqrt(_sum_of_squares(err5)) ** 2
     err3_norm_2 = math.sqrt(_sum_of_squares(err3)) ** 2
@@ -485,7 +457,6 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     fy = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, max_step, fy, rtol, atol)
     K = [[0.0] * 16 for _ in y]     # K[i][s]: component i of stage s
-    stage_plans, e5, e3, d_plans = _PLANS[len(y) == 1]
     ts, steps = [t], ([], [], [])   # DenseOutput's per-step lists
     ended = False
 
@@ -497,16 +468,13 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
         """Stages first, ..., last - 1 of the step of ``h`` from (t, y),
         into K; returns the state of the last of them."""
         for s in range(first, last):
-            plan = stage_plans[s]
-            if type(plan) is tuple:     # _dot's loop, inline: the hot path
-                ys = []
-                for K_i, y_i in zip(K, y):
-                    acc = 0.0
-                    for j, a in plan:
-                        acc += a * K_i[j]
-                    ys.append(acc * h + y_i)
-            else:
-                ys = [v * h + y_i for v, y_i in zip(_dot(plan, K), y)]
+            pairs = _A[s]
+            ys = []
+            for K_i, y_i in zip(K, y):  # _dot's loop, inline: the hot path
+                acc = 0.0
+                for j, a in pairs:
+                    acc += a * K_i[j]
+                ys.append(acc * h + y_i)
             for K_i, v in zip(K, fun(t + C[s] * h, ys)):
                 K_i[s] = v
         return ys
@@ -526,7 +494,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             y_new = stages(1, N_STAGES + 1, t, y, h)
             scale = [atol + max(abs(a), abs(b)) * rtol
                      for a, b in zip(y, y_new)]
-            error_norm = _error_norm(K, h, scale, e5, e3)
+            error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR,
@@ -543,7 +511,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
              [h * K_i[0] - d for K_i, d in zip(K, delta_y)],
              [2 * d - h * (K_i[N_STAGES] + K_i[0])
               for K_i, d in zip(K, delta_y)]]
-        F += ([h * v for v in _dot(plan, K)] for plan in d_plans)
+        F += ([h * v for v in _dot(row, K)] for row in D)
         F_rev, t_old, y_old = F[::-1], t, y
         for stack, item in zip(steps, (h, F_rev, y_old)):
             stack.append(item)

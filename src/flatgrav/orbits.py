@@ -352,7 +352,8 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     back to the launch's kind.  The equation is autonomous in phi, so that
     radial period tiles the span; its advance is the turn of atan2(beta,
     alpha) across it, so no 2*pi is subtracted.  Raises ValueError unless
-    alpha0 is finite, ToleranceNotMet if the energy-integral drift over the
+    alpha0 is finite, ToleranceNotMet if atol underflows to 0, if a step
+    falls below the float spacing or if the energy-integral drift over the
     period tops 1000*tol*n_orbits, InsufficientOrbits if n_orbits <= 0 or
     a leg finds no turning point within 2*max(n_orbits, 1) revolutions, and
     NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
@@ -378,6 +379,10 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     # 30 orbits at r_min = 20*r_o departs ~2e-10 from a run through them
     rtol = 0.5 * tol
     atol = rtol * 2.0 * math.pi * abs(g0)
+    # scipy's DOP853 steps on nan without end where atol is 0 and a
+    # component is 0
+    if not atol > 0.0:
+        raise ToleranceNotMet(f"tol = {tol!r} sets atol = tol*pi*|g0| to 0")
     reach = 4.0 * math.pi * max(n_orbits, 1.0)  # the longest leg
     legs, phi = [], 0.0
     # d' rises through the other turning point and falls through the next

@@ -9,9 +9,9 @@ to many points of one interval come from the Legendre series the same nodes
 define, integrated once and evaluated at each point.
 
 The rules n = 16, 32, ..., 1024 are read from ``legendre_rules.f64``, which
-``tests/reference/make_legendre_rules.py`` writes from numpy's ``leggauss``:
-an integral of floats runs without numpy, and no process solves for its
-nodes.
+``tests/reference/make_legendre_rules.py`` writes, each node and weight the
+double nearest to its 40-digit value: an integral of floats runs without
+numpy, and no process solves for its nodes.
 """
 from __future__ import annotations
 
@@ -132,7 +132,8 @@ def gauss_legendre(f: Callable, a, b):
 
     def total(n):
         x, w = _rule(n)
-        return half * (f(mid + scale * x) @ w)
+        # numpy's pairwise sum, not ``@``: BLAS kernels add in other orders
+        return half * (f(mid + scale * x) * w).sum(axis=-1)
 
     val = _converge(total, np.isfinite, np.all, a, b)
     return val if val.ndim else float(val)

@@ -414,6 +414,18 @@ class TestCliContract:
         assert errors[1].startswith("numerical error: r = 7.944e-301 is not "
                                     "outside 3*r_o")
 
+    @pytest.mark.parametrize("tol, err", [
+        # f0/scale overflows the first step's estimate, so h0 = 0: the run
+        # ends as scipy's does, with no step
+        ("1e-300", "Required step size is less than spacing between "
+                   "numbers."),
+        # atol = tol*pi*|g0| underflows to 0, where scipy never ends
+        ("5e-324", "tol = 5e-324 sets atol = tol*pi*|g0| to 0"),
+    ], ids=["step-failure", "atol-zero"])
+    def test_tiny_tol_exits_3(self, capsys, tol, err):
+        assert main(["orbit", "--tol", tol]) == 3
+        assert capsys.readouterr() == ("", f"numerical error: {err}\n")
+
     @pytest.mark.parametrize("r_o", [1e-155, 1e-200, 1e-290])
     def test_weak_field_precession(self, tmp_path, r_o):
         # s*s of the deflated turning quadratic overflows at these r_o, and

@@ -10,11 +10,12 @@ give the float routes' values bit for bit, and the subcommands must print
 the same bytes as without it.
 
 OpenBLAS's kernels add a product's terms in different orders, with or
-without fused multiply-adds.  The DOP853 stepper adds in floats, so
-``light-deflect`` prints the same bytes, and ``orbit`` the same rows and
-radii, whichever kernel OpenBLAS runs: the default, Haswell (FMA) or
-Prescott (generic).  orbit's clock columns t_m and p_m still come from
-numpy products, and are not compared."""
+without fused multiply-adds.  The DOP853 stepper adds in floats, and the
+orbit clocks' whole steps in numpy's pairwise sum, so ``light-deflect``
+prints the same bytes, and ``orbit`` the same rows and radii, whichever
+kernel OpenBLAS runs: the default, Haswell (FMA) or Prescott (generic).
+orbit's clock columns t_m and p_m still come from numpy products inside a
+step, and are not compared."""
 import json
 import os
 import subprocess

@@ -1,10 +1,10 @@
 """The stored Gauss-Legendre rules (``legendre_rules.f64``) against the
-rules numpy computes, and the properties every rule must have."""
+rules to 40 digits, and the properties every rule must have."""
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from flatgrav import quadrature
@@ -30,13 +30,36 @@ def test_rule_is_symmetric_bit_for_bit(n):
         assert w[k] == w[n - 1 - k] > 0.0
 
 
+def _rule_to_40_digits(n, guesses):
+    """The nodes near ``guesses`` of the n-point rule and their weights
+    2/((1 - x^2)*P_n'(x)^2), by Newton's method on P_n in 40-digit decimal
+    arithmetic, each rounded to the nearest double."""
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for guess in guesses:
+            x = Decimal(guess)
+            for _ in range(10):
+                p0, p1 = Decimal(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                step = p1 / dp
+                x -= step
+                if abs(step) < Decimal("1e-36"):
+                    break
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return nodes, weights
+
+
 @pytest.mark.parametrize("n", SIZES)
-def test_rule_is_numpys_to_2_ulp(n):
-    # LAPACK builds may round the eigenvalue solve differently
-    want_x, want_w = np.polynomial.legendre.leggauss(n)
-    x, w = map(np.array, quadrature._floats(n))
-    assert (np.abs(x - want_x) <= 2.0 * np.spacing(np.abs(want_x))).all()
-    assert (np.abs(w - want_w) <= 2.0 * np.spacing(want_w)).all()
+def test_rule_is_the_correctly_rounded_rule(n):
+    # the half x > 0 from the stored nodes, independently of the mpmath
+    # that wrote them; symmetry gives the other half
+    x, w = quadrature._floats(n)
+    assert _rule_to_40_digits(n, x[n // 2:]) == (list(x[n // 2:]),
+                                                 list(w[n // 2:]))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -64,11 +87,9 @@ def test_rule_has_degree_2n_minus_1(n):
     # P_{2n}; the rule of n/2 nodes misses P_{2n-2} by 5e-3 or more
     assert abs(_legendre_sum(x, w, 2 * n - 2)) <= 1e-14
     assert abs(_legendre_sum(x, w, 2 * n)) > 1e-2
-    # x^(2n-2) weighs the outermost nodes, where leggauss's weights are
-    # off by up to 1.2e-9 relative at n = 1024 (6e-14 at n = 32, against
-    # 40-digit Newton iterates): the stored rules reach 1.2e-11, not 1e-14
+    # x^(2n-2) weighs the outermost nodes, whose rounding it magnifies
     got = math.fsum(wk * xk ** (2 * n - 2) for xk, wk in zip(x, w))
-    assert got == pytest.approx(2.0 / (2 * n - 1), rel=2e-11, abs=0.0)
+    assert got == pytest.approx(2.0 / (2 * n - 1), rel=2e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -6,6 +6,7 @@ OpenBLAS's generic kernel (``generic_blas``: this file run as a script),
 and every run here must match them bit for bit.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from scipy.optimize import brentq as scipy_brentq
 
 from flatgrav import ode, orbits, photons
 from flatgrav.orbits import orbit_from_elements
-from flatgrav.presets import SOLAR_R_O, SOLAR_RADIUS, earth_spin_parameters
+from flatgrav.presets import (MERCURY_ECCENTRICITY, MERCURY_SEMI_MAJOR,
+                              SOLAR_R_O, SOLAR_RADIUS, earth_spin_parameters)
 from flatgrav.spin import RotatingFieldSpec, circular_polar_orbit, transport_rhs
 from generic_blas import SRC, generic_oracle, hexes
 
@@ -29,15 +31,14 @@ SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
 N_BRACKETS = 1200
 
 
-def orbit_leg(r_min_over_ro, ecc):
+def orbit_leg(r_min_over_ro, ecc, rtol=0.5e-12):
     """The first leg of integrate_orbit, with its event, at the default
-    tol."""
+    tol unless ``rtol`` is given."""
     r_o = SOLAR_R_O
     alpha0, integrals = orbit_from_elements(
         r_o, r_min_over_ro * r_o / (1.0 - ecc), ecc)
     c = r_o / integrals.L**2
     u_c = c + orbits._circle_offset(r_o, c)
-    rtol = 0.5e-12
     g0 = orbits._element_rhs(0.0, [1.0, 0.0], r_o, u_c, alpha0)[1]
     return dict(fun=lambda phi, y: orbits._element_rhs(phi, y, r_o, u_c,
                                                        alpha0),
@@ -78,7 +79,22 @@ def spin_run(r_o, inertia, radius):
                 atol=1e-12 * np.linalg.norm(s0))
 
 
+def chain(n):
+    """A nonlinear cyclic chain of n components, y_i' = y_{i+1} - 0.3*y_i^2
+    + sin(t)*y_{i-1}: its norms add past ddot's four and eight lanes."""
+    def fun(t, y):
+        s = math.sin(t)
+        return [y[(i + 1) % n] - 0.3 * (y[i] * y[i]) + s * y[i - 1]
+                for i in range(n)]
+    return dict(fun=fun, t_span=(0.0, 5.0),
+                y0=[0.1 * (i + 1) * (-1) ** i for i in range(n)],
+                rtol=1e-11, atol=1e-12)
+
+
 ORBIT_LEGS = [(r, e) for r in (20.0, 1e3, 1e5, 3.1e7) for e in (0.05, 0.6)]
+CHAINS = [4, 8, 9, 12, 16]
+MERCURY_R_MIN_OVER_RO = (MERCURY_SEMI_MAJOR * (1.0 - MERCURY_ECCENTRICITY)
+                         / SOLAR_R_O)
 RAYS = [(SOLAR_R_O, SOLAR_RADIUS, False), (SOLAR_R_O, 3.0 * SOLAR_RADIUS, False),
         (1.0, 10.0, False), (1.0, 1.5, True)]
 SPINS = [(1e-8, 1e-2, 1.0), (1e-5, 3e-3, 1.0), (None, None, 7.02e6)]
@@ -86,13 +102,19 @@ RUNS = {
     **{f"orbit {r!r} {e!r}": (orbit_leg, (r, e)) for r, e in ORBIT_LEGS},
     **{f"ray {c!r} {i!r}": (ray, (c, i, x)) for c, i, x in RAYS},
     **{f"spin {c!r} {i!r} {r!r}": (spin_run, (c, i, r)) for c, i, r in SPINS},
+    **{f"chain {n}": (chain, (n,)) for n in CHAINS},
     # rtol below 100*eps is floored, as scipy does (with a warning)
     "rtol floor": (lambda: dict(fun=lambda t, y: [y[1], -y[0]],
                                 t_span=(0.0, 3.0), y0=[1.0, 0.0],
                                 rtol=1e-16, atol=1e-16), ()),
     # a finite-time blow-up drives the step below the float spacing
-    "blow-up": (lambda: dict(fun=lambda t, y: [y[0] ** 2], t_span=(0.0, 2.0),
-                             y0=[1.0], rtol=1e-12, atol=1e-12), ()),
+    "blow-up": (lambda: dict(fun=lambda t, y: [y[0] ** 2, y[1] ** 2],
+                             t_span=(0.0, 2.0), y0=[1.0, 0.5], rtol=1e-12,
+                             atol=1e-12), ()),
+    # f0/scale overflows the initial step's norm: h0 = 0, and the run ends
+    # before its first step
+    "tiny atol": (orbit_leg, (MERCURY_R_MIN_OVER_RO, MERCURY_ECCENTRICITY,
+                              0.5e-300)),
 }
 
 
@@ -128,13 +150,18 @@ def record(fun, t_span, y0, rtol, atol, event=None, max_step=np.inf):
     run = ode.dop853(fun, t_span, y0, rtol=rtol, atol=atol, event=event,
                      max_step=max_step)
     dense = run.dense
-    assert run.t == dense.ts[-1]
+    if dense is None:               # not one step was accepted
+        ts, h, F, y_old = [run.t], [], [], []
+    else:
+        ts, h = dense.ts, dense.h
+        F, y_old = dense.F[::-1].transpose(2, 0, 1), dense.y_old.T
+    assert run.t == ts[-1]
     return {"failure": run.failure,
-            "ts": hexes(dense.ts),
-            "t_old": hexes(dense.ts[:-1]),
-            "h": hexes(dense.h),
-            "F": hexes(dense.F[::-1].transpose(2, 0, 1)),
-            "y_old": hexes(dense.y_old.T),
+            "ts": hexes(ts),
+            "t_old": hexes(ts[:-1]),
+            "h": hexes(h),
+            "F": hexes(F),
+            "y_old": hexes(y_old),
             "y": hexes(run.y),
             "t_events": hexes([run.t]) if run.event else [],
             }
@@ -181,11 +208,18 @@ def test_spin_transport_run_is_scipys(oracle, r_o, inertia, radius):
     assert_same_run(oracle, f"spin {r_o!r} {inertia!r} {radius!r}")
 
 
+@pytest.mark.parametrize("n", CHAINS)
+def test_chain_run_is_scipys(oracle, n):
+    assert_same_run(oracle, f"chain {n}")
+
+
 def test_rtol_floor_and_step_failure_are_scipys(oracle):
     assert oracle["warned"]["rtol floor"]
     assert_same_run(oracle, "rtol floor")
-    assert oracle["runs"]["blow-up"]["failure"] == ode.TOO_SMALL_STEP
-    assert_same_run(oracle, "blow-up")
+    for key in ("blow-up", "tiny atol"):
+        assert oracle["runs"][key]["failure"] == ode.TOO_SMALL_STEP
+        assert_same_run(oracle, key)
+    assert not oracle["runs"]["tiny atol"]["h"]     # no step was accepted
 
 
 @pytest.mark.parametrize("t_span, event", [
