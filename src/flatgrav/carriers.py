@@ -14,8 +14,7 @@ needs no numpy; an array takes the same expressions through numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import NonPositiveRadius
 from .quadrature import gauss_legendre
@@ -35,7 +34,6 @@ __all__ = [
 TAIL_SPLIT = 1.0e3            # switch to the analytic tail at r = 1e3 * r_o
 
 
-@dataclass(frozen=True)
 class RadialCarrier:
     """Radially distributed energy carrier with energy radius ``r_o``.
 
@@ -43,12 +41,12 @@ class RadialCarrier:
     used in fully geometric units or converted at the boundary.
     """
 
-    r_o: float
-    newton_constant: float = 1.0
+    __slots__ = ("r_o", "newton_constant")
 
-    def __post_init__(self):
-        if self.r_o <= 0.0 or self.newton_constant <= 0.0:
+    def __init__(self, r_o: float, newton_constant: float = 1.0):
+        if r_o <= 0.0 or newton_constant <= 0.0:
             raise NonPositiveRadius("r_o and newton_constant must be > 0")
+        self.r_o, self.newton_constant = r_o, newton_constant
 
     @property
     def total_energy(self) -> float:
@@ -200,8 +198,7 @@ def field_divergence(c: RadialCarrier, r) -> float | np.ndarray:
     return -(w * w)
 
 
-@dataclass(frozen=True)
-class DensityResiduals:
+class DensityResiduals(NamedTuple):
     """Residuals of the active/passive density identities at one radius."""
 
     active_residual: float    # |(-div w)/(4 pi G) - eps_a|
@@ -271,17 +268,15 @@ def total_energy_quadrature(c: RadialCarrier) -> float:
     return _total_quadrature(c.total_energy, c.r_o)
 
 
-@dataclass(frozen=True)
 class ElectricCarrier:
     """Radially distributed elementary charge with energy radius ``r_e``."""
 
-    e: float
-    r_e: float = 7e-58
-    r_o: float = 7e-58
+    __slots__ = ("e", "r_e", "r_o")
 
-    def __post_init__(self):
-        if self.r_e <= 0.0 or self.r_o <= 0.0:
+    def __init__(self, e: float, r_e: float = 7e-58, r_o: float = 7e-58):
+        if r_e <= 0.0 or r_o <= 0.0:
             raise NonPositiveRadius("r_e and r_o must be > 0")
+        self.e, self.r_e, self.r_o = e, r_e, r_o
 
 
 def electric_profile(c: ElectricCarrier,

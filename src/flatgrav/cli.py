@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, wraps
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -40,16 +39,20 @@ ROW_FIELDS = ("scenario", "model", "quantity", "value", "unit",
               "tolerance", "provenance")
 
 
-@dataclass
 class RunReport:
     """Results of one CLI run: scalar rows plus optional named tables."""
 
-    scenario: str
-    model: str = FLAT_MODEL
-    version: str = __version__
-    config: Dict[str, Any] = field(default_factory=dict)
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-    tables: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
+    __slots__ = ("scenario", "model", "version", "config", "rows", "tables")
+
+    def __init__(self, scenario: str, model: str = FLAT_MODEL,
+                 version: str = __version__,
+                 config: Optional[Dict[str, Any]] = None,
+                 rows: Optional[List[Dict[str, Any]]] = None,
+                 tables: Optional[Dict[str, Dict[str, List[float]]]] = None):
+        self.scenario, self.model, self.version = scenario, model, version
+        self.config = {} if config is None else config
+        self.rows = [] if rows is None else rows
+        self.tables = {} if tables is None else tables
 
     def add(self, quantity: str, value: float, unit: str,
             provenance: str, tolerance: Optional[float] = None,
@@ -86,8 +89,9 @@ class RunReport:
         self.tables[name] = table
 
     def to_json(self) -> str:
-        # the fields as they are: ``asdict`` would deep-copy every table
-        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        report = {"scenario": self.scenario, "model": self.model,
+                  "version": self.version, "config": self.config,
+                  "rows": self.rows, "tables": self.tables}
         return "".join(_json(report, 0))
 
     def rows_csv(self) -> str:
@@ -215,12 +219,14 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
             check(key, value, known)
     base = preset_scenario(args.preset if args.preset is not None
                            else raw.get("preset", preset))
-    overrides = {key: value for key, value in raw.items()
-                 if key not in ("preset", "params")}
-    overrides.update((key, getattr(args, key)) for key, *_ in flags
-                     if key in CONFIG_KEYS and getattr(args, key) is not None)
-    scenario = replace(base, params={**base.params, **raw.get("params", {})},
-                       **overrides)
+    settings = {"name": base.name, "n_orbits": base.n_orbits,
+                "tol": base.tol}
+    settings.update((key, value) for key, value in raw.items()
+                    if key not in ("preset", "params"))
+    settings.update((key, getattr(args, key)) for key, *_ in flags
+                    if key in CONFIG_KEYS and getattr(args, key) is not None)
+    scenario = Scenario(params={**base.params, **raw.get("params", {})},
+                        **settings)
     p = scenario.params
     missing = [key for key in needed if key not in p]
     if missing:
@@ -578,8 +584,8 @@ def run() -> int:
     flatgrav.cli``): ``main``'s exit code, for ``sys.exit``."""
     code = main()
     # The interpreter's exit runs full cyclic collections over the objects
-    # flatgrav and the standard library hold (~14k), and numpy's where the
-    # subcommand imports it (~22k in all): ~6 and ~14 ms on a 2-core VM, to
+    # flatgrav and the standard library hold (~13k), and numpy's where the
+    # subcommand imports it (~23k in all): ~4 and ~9 ms on a 2-core VM, to
     # free memory the OS takes back anyway.  Frozen objects are still freed
     # by reference counting; only cycle detection skips them, and ``main``
     # has closed its files and flushed stdout.  ``main`` itself never

@@ -10,8 +10,7 @@ Geometric units: c = 1, lengths in meters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +26,7 @@ def _zero_vector(x: Vec3) -> Vec3:
     return np.zeros(3)
 
 
-@dataclass(frozen=True)
-class FourPotential:
+class FourPotential(NamedTuple):
     """Gravitational four-potential: scalar part ``g0`` and vector part ``gi``.
 
     ``g0(x)`` is the ratio of potential energy to passive energy-charge and
@@ -40,8 +38,6 @@ class FourPotential:
     gi: Callable[[Vec3], Vec3] = _zero_vector
 
 
-# omega is an array, so == and hash go by identity
-@dataclass(frozen=True, eq=False)
 class CentralField:
     """Field of a (rotating) central body with its exact first derivatives.
 
@@ -51,23 +47,22 @@ class CentralField:
     cross-product order is fixed by requiring prograde dragging at the pole:
     a spin there precesses in the same sense as the body's rotation.  It
     serves wherever a FourPotential is read, and ``christoffels`` takes its
-    connection from ``dg0`` and ``dgi`` in closed form.
+    connection from ``dg0`` and ``dgi`` in closed form.  ``omega`` is an
+    array, so == and hash go by identity.
     """
 
-    r_o: float
-    inertia: float = 0.0      # geometrized moment of inertia (m^3)
-    omega: Vec3 = 0           # angular velocity vector (1/m)
+    __slots__ = ("r_o", "inertia", "omega")
 
-    def __post_init__(self):
-        omega = np.array(self.omega, dtype=float)
-        if omega.shape != (3,):
+    def __init__(self, r_o: float, inertia: float = 0.0, omega: Vec3 = 0):
+        self.r_o, self.inertia = r_o, inertia
+        self.omega = np.array(omega, dtype=float)
+        if self.omega.shape != (3,):
             # only "no rotation" may be written as a scalar
-            if omega.shape or omega != 0.0:
+            if self.omega.shape or self.omega != 0.0:
                 raise ValueError(f"omega must be a 3-vector or the scalar 0, "
-                                 f"got {self.omega!r}")
-            omega = np.zeros(3)
-        object.__setattr__(self, "omega", omega)
-        if self.r_o < 0.0 or self.inertia < 0.0:
+                                 f"got {omega!r}")
+            self.omega = np.zeros(3)
+        if r_o < 0.0 or inertia < 0.0:
             raise NonPositiveRadius("r_o and inertia must be >= 0")
 
     def g0(self, x: Vec3) -> float:
@@ -99,8 +94,7 @@ def _radius(x: Vec3) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class SpacetimeMetric:
+class SpacetimeMetric(NamedTuple):
     """Tetrad, covariant/contravariant metric, and the extracted 3-metric."""
 
     tetrad: np.ndarray  # e[alpha, mu], 4x4

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["DenseOutput", "Solution", "brentq", "dop853"]
 
@@ -374,8 +373,7 @@ class DenseOutput:
                                 self.y_old.take(seg, axis=-1)))
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One DOP853 run."""
 
     dense: Optional[DenseOutput]    # None if not one step was accepted
@@ -433,12 +431,15 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     ``fun`` takes t and the state as a list of floats and returns a
     sequence of floats.  The span must increase: t_span[1] > t_span[0],
-    else ValueError.  ``rtol`` is floored at 100*eps.  ``event`` is a
-    (g, direction) pair: the run stops at the first zero of g(t, y) crossed
-    in its direction (+1 rising, -1 falling), located on the step's
-    interpolant by ``brentq``; only the signs at step ends are compared, so
-    ``max_step`` must keep two zeros of g out of one step.  A step size
-    below ten float spacings of t ends the run with ``failure`` set.
+    else ValueError.  ``rtol`` is floored at 100*eps.  ``atol`` must be
+    > 0, else ValueError: a component at 0 would have no error scale (an
+    infinite one, which a huge tol sets, turns error control off).
+    ``event`` is a (g, direction) pair: the run stops at the first zero of
+    g(t, y) crossed in its direction (+1 rising, -1 falling), located on
+    the step's interpolant by ``brentq``; only the signs at step ends are
+    compared, so ``max_step`` must keep two zeros of g out of one step.  A
+    step size below ten float spacings of t ends the run with ``failure``
+    set.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
@@ -447,6 +448,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     y = [float(v) for v in y0]
     if not y or not all(map(math.isfinite, y)):
         raise ValueError("initial state must be a nonempty finite sequence")
+    if not atol > 0.0:
+        raise ValueError(f"atol must be > 0, got {atol!r}")
     if event is not None:
         g_event, direction = event
         if direction not in (1, -1):

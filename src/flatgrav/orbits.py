@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .constants import ARCSEC_PER_RAD, C_SI, SECONDS_PER_CENTURY
 from .errors import (
@@ -45,16 +44,14 @@ DEFAULT_TOL = 1e-12
 LEG_MAX_STEP = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class OrbitIntegrals:
+class OrbitIntegrals(NamedTuple):
     """First integrals of the bound motion."""
 
     energy_ratio: float  # E_m/m
     L: float             # specific angular momentum r^2 dphi/ds (length)
 
 
-@dataclass(frozen=True)
-class PrecessionResult:
+class PrecessionResult(NamedTuple):
     delta_phi_per_orbit: float        # radians
     arcsec_per_century: Optional[float]
 
@@ -214,7 +211,6 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     return 1.0 / u, 1.0 / _second_turning_point(r_o, u, L)
 
 
-@dataclass
 class Trajectory:
     """Orbit over a span of polar angle, tiled from one integrated period.
 
@@ -222,18 +218,20 @@ class Trajectory:
     u = u_c + alpha0*(alpha*cos(phi) + beta*sin(phi)) about the circular
     orbit u_c, over one radial period from the launch turning point at
     phi = 0 (where t = p = 0) to the next of its kind, which ``sample``
-    tiles: whole periods of phi, t and p.
+    tiles: whole periods of phi, t and p.  ``sol`` holds (alpha, beta) over
+    phi, ``advance`` is Delta(phi) per period and ``drift`` is
+    ``integral_drift()``, which ``integrate_orbit`` sets.
     """
 
-    r_o: float
-    integrals: OrbitIntegrals
-    u_c: float                       # the circular orbit of the same L
-    alpha0: float                    # the epicycle amplitude at launch
-    sol: DenseOutput                 # (alpha, beta) over phi
-    phi_end: float
-    advance: float = 0.0             # Delta(phi) per period, set by integrate_orbit
-    drift: Optional[float] = None    # integral_drift(), set by integrate_orbit
     phi_start = 0.0                  # every run starts at its launch
+
+    def __init__(self, r_o: float, integrals: OrbitIntegrals, u_c: float,
+                 alpha0: float, sol: DenseOutput, phi_end: float,
+                 advance: float = 0.0, drift: Optional[float] = None):
+        self.r_o, self.integrals, self.sol = r_o, integrals, sol
+        self.u_c = u_c                   # the circular orbit of the same L
+        self.alpha0 = alpha0             # the epicycle amplitude at launch
+        self.phi_end, self.advance, self.drift = phi_end, advance, drift
 
     @property
     def period(self) -> float:

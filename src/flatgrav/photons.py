@@ -9,8 +9,7 @@ units (c = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import (GeometryInvalid, NonPositiveRadius, NumericalFailure,
                      RayCaptured)
@@ -33,24 +32,22 @@ def coordinate_speed(r_o: float, r: float) -> float:
     return (1.0 + r_o / r) ** -2
 
 
-@dataclass(frozen=True)
 class EchoGeometry:
-    """Round-trip radar geometry past a central body."""
+    """Round-trip radar geometry past a central body: the Earth-Sun and
+    Mercury-Sun distances, the grazing distance (solar radius by default)
+    and the central energy radius."""
 
-    r_es: float               # Earth-Sun distance
-    r_ms: float               # Mercury-Sun distance
-    R_s: float                # grazing distance (solar radius by default)
-    r_o: float                # central energy radius
+    __slots__ = ("r_es", "r_ms", "R_s", "r_o")
 
-    def __post_init__(self):
-        if min(self.r_es, self.r_ms, self.R_s) <= 0.0 or self.r_o < 0.0:
+    def __init__(self, r_es: float, r_ms: float, R_s: float, r_o: float):
+        if min(r_es, r_ms, R_s) <= 0.0 or r_o < 0.0:
             raise GeometryInvalid("all lengths must be > 0 and r_o >= 0")
-        if self.R_s > min(self.r_es, self.r_ms):
+        if R_s > min(r_es, r_ms):
             raise GeometryInvalid("grazing distance exceeds an endpoint radius")
+        self.r_es, self.r_ms, self.R_s, self.r_o = r_es, r_ms, R_s, r_o
 
 
-@dataclass(frozen=True)
-class EchoDelayResult:
+class EchoDelayResult(NamedTuple):
     """Radar echo delay (meters of light travel; divide by c for seconds)."""
 
     quadrature: float
@@ -84,8 +81,7 @@ def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     return EchoDelayResult(quadrature=2.0 * val, closed_form=2.0 * closed)
 
 
-@dataclass(frozen=True)
-class DeflectionResult:
+class DeflectionResult(NamedTuple):
     """Angular deflection in radians (negative: toward the body)."""
 
     quadrature: float
@@ -136,8 +132,7 @@ def _exit(psi, y, k):
         + (1.0 + 2.0 * k * y[1]) * math.sin(psi)
 
 
-@dataclass
-class RayTrajectory:
+class RayTrajectory(NamedTuple):
     """Integrated photon path (see ``fermat_ray_integrate``)."""
 
     r_o: float

@@ -6,8 +6,8 @@ the library takes plain numbers in geometric units (c = 1, meters).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Container, Dict, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Container, Dict, Optional,
+                    Tuple)
 
 from .constants import C_SI, G_SI
 from .errors import ConfigInvalid
@@ -134,18 +134,20 @@ def check(key: str, value: Any, known: Container[str] = DOMAIN) -> Any:
     return value
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """One named run: its physical and run parameters."""
+    """One named run: its physical and run parameters (none by default).
 
-    name: str
-    params: Dict[str, Any] = field(default_factory=dict)
-    n_orbits: int = 10
-    tol: float = 1e-12
+    Each argument, then each parameter, must lie in its domain (``check``).
+    """
 
-    def __post_init__(self):
-        for f in fields(self):
-            check(f.name, getattr(self, f.name))
+    __slots__ = ("name", "params", "n_orbits", "tol")
+
+    def __init__(self, name: str, params: Optional[Dict[str, Any]] = None,
+                 n_orbits: int = 10, tol: float = 1e-12):
+        self.name = check("name", name)
+        self.params = check("params", {} if params is None else params)
+        self.n_orbits = check("n_orbits", n_orbits)
+        self.tol = check("tol", tol)
         for key, value in self.params.items():
             check(key, value, PARAM_KEYS)
 

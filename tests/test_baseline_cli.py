@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -237,12 +236,19 @@ class TestCli:
             3.0 * by_q["geodetic_rate"], rel=1e-12
         )
 
+    @staticmethod
+    def dump(report):
+        """The encoder's text of the report's six fields."""
+        return json.dumps({"scenario": report.scenario, "model": report.model,
+                           "version": report.version, "config": report.config,
+                           "rows": report.rows, "tables": report.tables},
+                          indent=2, sort_keys=True)
+
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_json_is_the_asdict_dump(self, sub):
         args = build_parser().parse_args([sub])
         report = args.func(args)
-        assert report.to_json() == json.dumps(asdict(report), indent=2,
-                                              sort_keys=True)
+        assert report.to_json() == self.dump(report)
 
     def test_json_writer_is_the_encoder_on_any_layout(self):
         report = RunReport(scenario="s\u00e9\n", model="m", config={
@@ -252,8 +258,7 @@ class TestCli:
             "n_orbits": 3})
         report.add("q", 1.25, "1", "closed-form", tolerance=1e-12)
         report.tables = {"t": {"b": [0.1, 2.0], "a": [], "c": [3.0]}}
-        assert report.to_json() == json.dumps(asdict(report), indent=2,
-                                              sort_keys=True)
+        assert report.to_json() == self.dump(report)
 
     def test_parser_is_built_once_and_calls_the_current_command(
             self, monkeypatch, capsys):

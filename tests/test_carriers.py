@@ -1,6 +1,4 @@
 """Radial carrier fields: densities, potentials, integrals, electric analog."""
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -135,7 +133,7 @@ class TestFarField:
 
     def test_density_identities(self):
         res = density_identities(RadialCarrier(r_o=1.0), self.R, 1e-2 * self.R)
-        assert astuple(res) == (0.0,) * 5
+        assert tuple(res) == (0.0,) * 5
 
     def test_displacement_divergence_residual(self):
         c = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
