@@ -11,9 +11,9 @@ import math
 
 from .errors import DenominatorVanishes, TurningPointNotFound
 from .orbits import _cosine_map_advance
-from .presets import Scenario
 
-__all__ = ["schwarzschild_baseline", "schwarzschild_precession_quadrature"]
+__all__ = ["schwarzschild_precession", "schwarzschild_deflection",
+           "schwarzschild_delay", "schwarzschild_precession_quadrature"]
 
 
 def schwarzschild_precession(r_o: float, a: float, ecc: float) -> float:
@@ -30,25 +30,6 @@ def schwarzschild_delay(r_o: float, r_es: float, r_ms: float,
                         R_s: float) -> float:
     """Round-trip radar excess delay 4*r_o*ln(4*r_ms*r_es/R_s^2) (meters)."""
     return 4.0 * r_o * math.log(4.0 * r_ms * r_es / R_s**2)
-
-
-def schwarzschild_baseline(quantity: str, scenario: Scenario) -> float:
-    """Evaluate a classic observable with the standard vacuum closed forms.
-
-    ``quantity`` is one of precession | deflection | delay (ValueError
-    otherwise); parameters come from ``scenario.params``.  All quantities
-    vanish at r_o = 0.
-    """
-    p = scenario.params
-    if quantity == "precession":
-        return schwarzschild_precession(p["r_o"], p["a"], p["ecc"])
-    if quantity == "deflection":
-        return schwarzschild_deflection(p["r_o"], p["R_s"])
-    if quantity == "delay":
-        return schwarzschild_delay(p["r_o"], p["r_es"], p["r_ms"], p["R_s"])
-    raise ValueError(
-        f"quantity must be precession|deflection|delay, got {quantity!r}"
-    )
 
 
 def schwarzschild_precession_quadrature(r_o: float, r_min: float,

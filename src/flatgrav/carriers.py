@@ -7,20 +7,17 @@ potential W = -ln(1 + r_o/r) reproduces the inverse-square attraction outside
 the energy radius while staying integrable at the center.  The electric
 carrier is the same profile normalized to a total charge.
 
-A radius is a number or an array.  A number is computed with ``math``, so
+A radius is a float, and each closed form is computed with ``math``, so
 that a profile table built row by row rounds as the C library does and
-needs no numpy; an array takes the same expressions through numpy.
+needs no numpy.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import NonPositiveRadius
 from .quadrature import gauss_legendre
-
-if TYPE_CHECKING:  # the array routes import it: a float radius needs none
-    import numpy as np
 
 __all__ = [
     "RadialCarrier", "ElectricCarrier", "DensityResiduals",
@@ -54,23 +51,18 @@ class RadialCarrier:
         return self.r_o / self.newton_constant
 
 
-def _radii(r) -> float | np.ndarray:
-    """``r`` as it is where it is a number, else as a float array;
-    NonPositiveRadius unless every radius is > 0 (a NaN is not)."""
-    if isinstance(r, (float, int)):     # float first: each table row is one
-        if r > 0.0:
-            return r
-        raise NonPositiveRadius("r must be > 0")
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 0.0):
+def _radii(r: float) -> float:
+    """``r`` as a float; NonPositiveRadius unless it is > 0 (a NaN is
+    not)."""
+    r = float(r)
+    if not r > 0.0:
         raise NonPositiveRadius("r must be > 0")
     return r
 
 
 # -- the closed forms both carriers share, at radii ``_radii`` has checked --
 
-def _profile(scale: float, r_o: float, r) -> float | np.ndarray:
+def _profile(scale: float, r_o: float, r: float) -> float:
     """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
 
     Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r in the mantissas of
@@ -84,13 +76,13 @@ def _profile(scale: float, r_o: float, r) -> float | np.ndarray:
     """
     m_scale, e_scale = math.frexp(scale)
     m_o, e_o = math.frexp(r_o)
-    m_s, e_s = _frexp(r + r_o)
-    m_r, e_r = _frexp(r)
+    m_s, e_s = math.frexp(r + r_o)
+    m_r, e_r = math.frexp(r)
     value = m_scale * (m_o / m_s) / m_s / (4.0 * math.pi) / m_r / m_r
     return _ldexp(value, e_scale + e_o - 2 * (e_s + e_r))
 
 
-def _intensity(r_o: float, r) -> float | np.ndarray:
+def _intensity(r_o: float, r: float) -> float:
     """Radial field -r_o/(r*(r+r_o)) of the carrier of energy radius r_o.
 
     Written -(r_o/(r+r_o))/r: the quotient in parentheses is at most 1, so
@@ -99,36 +91,21 @@ def _intensity(r_o: float, r) -> float | np.ndarray:
     return -(r_o / (r + r_o)) / r
 
 
-def _potential(r_o: float, r) -> float | np.ndarray:
+def _potential(r_o: float, r: float) -> float:
     """Logarithmic potential -ln(1 + r_o/r) of the same carrier."""
-    if isinstance(r, (float, int)):
-        return -math.log1p(r_o / r)
-    import numpy as np
-    return -np.log1p(r_o / r)
+    return -math.log1p(r_o / r)
 
 
-def _frexp(x) -> Tuple[float, int] | Tuple[np.ndarray, np.ndarray]:
-    """Mantissa in [0.5, 1) and exponent of ``x``, by ``math`` for a
-    number and by numpy for an array."""
-    if isinstance(x, (float, int)):
-        return math.frexp(x)
-    import numpy as np
-    return np.frexp(x)
-
-
-def _ldexp(m, k) -> float | np.ndarray:
+def _ldexp(m: float, k: int) -> float:
     """``m`` times 2^k; beyond the largest float it is infinite, as a
     float product is, where ``math.ldexp`` raises."""
-    if isinstance(m, (float, int)):
-        try:
-            return math.ldexp(m, k)
-        except OverflowError:
-            return math.copysign(math.inf, m)
-    import numpy as np
-    return np.ldexp(m, k)
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
-def _in_units_of_r(r, r_o):
+def _in_units_of_r(r: float, r_o: float) -> Tuple[float, float, int]:
     """``r`` and ``r_o`` divided by 2^k, with r/2^k in [0.5, 1), and k.
 
     Dividing by a power of two is exact, so a closed form of length
@@ -136,7 +113,7 @@ def _in_units_of_r(r, r_o):
     rounds as the same form in the original lengths wherever that stays in
     range; and its r^2 is near 1, where r^2 overflows above ~1e154.
     """
-    x, k = _frexp(r)
+    x, k = math.frexp(r)
     return x, _ldexp(r_o, -k), k
 
 
@@ -175,23 +152,23 @@ def _total_quadrature(scale: float, r_o: float) -> float:
     return head + tail
 
 
-def energy_density(c: RadialCarrier, r) -> float | np.ndarray:
+def energy_density(c: RadialCarrier, r: float) -> float:
     """eps(r) = E_M * r_o / (4*pi*r^2*(r+r_o)^2)."""
     return _profile(c.total_energy, c.r_o, _radii(r))
 
 
-def field_intensity(c: RadialCarrier, r) -> float | np.ndarray:
+def field_intensity(c: RadialCarrier, r: float) -> float:
     """Radial field w_r = -r_o/(r*(r+r_o)), inward, units 1/length; the
     divergence is read from it."""
     return _intensity(c.r_o, _radii(r))
 
 
-def log_potential(c: RadialCarrier, r) -> float | np.ndarray:
+def log_potential(c: RadialCarrier, r: float) -> float:
     """Logarithmic potential W(r) = -ln((r+r_o)/r), with w = -grad W."""
     return _potential(c.r_o, _radii(r))
 
 
-def field_divergence(c: RadialCarrier, r) -> float | np.ndarray:
+def field_divergence(c: RadialCarrier, r: float) -> float:
     """Closed-form div(w) = -r_o^2/(r^2*(r+r_o)^2) = -w_r^2: it overflows
     only where div(w) does, ~ -1/r^2 deep inside r_o."""
     w = field_intensity(c, r)
@@ -216,14 +193,14 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     recomputed by central differences at steps h and h/2 so callers can
     verify O(h^2) convergence.
     """
-    _radii(r)
+    r = _radii(r)
     if not 0.0 < h < r:
         raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * math.pi * c.newton_constant
-    eps_common = float(energy_density(c, r))   # E_M*r_o = r_o^2/G
+    eps_common = energy_density(c, r)   # E_M*r_o = r_o^2/G
     x, _, k = _in_units_of_r(r, c.r_o)
     eps_active = -field_divergence(c, r) / four_pi_g
-    w = float(field_intensity(c, r))
+    w = field_intensity(c, r)
     eps_passive = w**2 / four_pi_g
 
     def div_fd(step: float) -> float:
@@ -232,9 +209,9 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
         xp, xm = _ldexp(r + step, -k), _ldexp(r - step, -k)
         fp = xp * xp * field_intensity(c, r + step)
         fm = xm * xm * field_intensity(c, r - step)
-        return float(fp - fm) / (2.0 * step * (x * x))
+        return (fp - fm) / (2.0 * step * (x * x))
 
-    analytic = float(field_divergence(c, r))
+    analytic = field_divergence(c, r)
     return DensityResiduals(
         active_residual=abs(eps_active - eps_common),
         passive_residual=abs(eps_passive - eps_common),
@@ -244,7 +221,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     )
 
 
-def ricci_density(c: RadialCarrier, r) -> float | np.ndarray:
+def ricci_density(c: RadialCarrier, r: float) -> float:
     """Curvature-scalar density eps_a + eps_p = -div(w)/(2*pi*G), that is
     2*r_o^2/(4*pi*G*r^2*(r+r_o)^2), whose 8*pi*G multiple is the curvature
     scalar of the carrier field."""
@@ -280,7 +257,7 @@ class ElectricCarrier:
 
 
 def electric_profile(c: ElectricCarrier,
-                     r) -> Tuple[float | np.ndarray, ...]:
+                     r: float) -> Tuple[float, float, float]:
     """Charge density, radial field, and potential of the spread charge.
 
     rho = e*r_o/(4*pi*r^2*(r+r_o)^2); E_r = e*r_o/(r_e*r*(r+r_o));
@@ -297,12 +274,13 @@ def electric_profile(c: ElectricCarrier,
 
 def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
     """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    rho = _profile(c.e, c.r_o, _radii(r))
+    r = _radii(r)
+    rho = _profile(c.e, c.r_o, r)
     # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
     x, r_o, k = _in_units_of_r(r, c.r_o)
     s = x + r_o
-    div_d = float(_ldexp(c.e * r_o / ((x * x) * (s * s)), -3 * k))
-    return abs(div_d - 4.0 * math.pi * float(rho))
+    div_d = _ldexp(c.e * r_o / ((x * x) * (s * s)), -3 * k)
+    return abs(div_d - 4.0 * math.pi * rho)
 
 
 def enclosed_charge(c: ElectricCarrier, R: float) -> float:

@@ -432,8 +432,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     ``fun`` takes t and the state as a list of floats and returns a
     sequence of floats.  The span must increase: t_span[1] > t_span[0],
     else ValueError.  ``rtol`` is floored at 100*eps.  ``atol`` must be
-    > 0, else ValueError: a component at 0 would have no error scale (an
-    infinite one, which a huge tol sets, turns error control off).
+    finite and > 0, else ValueError: a component at 0 would have no error
+    scale, and an infinite one would turn error control off.
     ``event`` is a (g, direction) pair: the run stops at the first zero of
     g(t, y) crossed in its direction (+1 rising, -1 falling), located on
     the step's interpolant by ``brentq``; only the signs at step ends are
@@ -448,8 +448,8 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     y = [float(v) for v in y0]
     if not y or not all(map(math.isfinite, y)):
         raise ValueError("initial state must be a nonempty finite sequence")
-    if not atol > 0.0:
-        raise ValueError(f"atol must be > 0, got {atol!r}")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol must be finite and > 0, got {atol!r}")
     if event is not None:
         g_event, direction = event
         if direction not in (1, -1):

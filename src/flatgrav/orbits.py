@@ -265,8 +265,8 @@ class Trajectory:
         import numpy as np
         ts, n = self.sol.ts, self.sol.n_segments
         seg = np.arange(n)[:, None]
-        whole = gauss_legendre(lambda x: self._clock_rates(x, seg),
-                               ts[:-1], ts[1:])
+        whole, _ = legendre_antiderivative(
+            lambda x: self._clock_rates(x, seg), ts[:-1], ts[1:])
         return np.concatenate([np.zeros((2, 1)), np.cumsum(whole, axis=1)],
                               axis=1)
 
@@ -288,7 +288,7 @@ class Trajectory:
         # one Legendre series per step that holds a sample
         steps, which = np.unique(seg, return_inverse=True)
         ts, clocks = self.sol.ts, self._segment_clocks
-        part = legendre_antiderivative(
+        _, part = legendre_antiderivative(
             lambda x: self._clock_rates(x, steps[:, None]),
             ts[steps], ts[steps + 1], flat, which)
         # a sample on a step's end gets that breakpoint's clocks exactly

@@ -110,9 +110,11 @@ DOMAIN: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "omega": (_axis, "3 finite numbers"),
     **dict.fromkeys(("r_o", "inertia"),
                     (lambda v: _number(v) and v >= 0, "finite and >= 0")),
-    **dict.fromkeys(("tol", "a", "R_s", "r_es", "r_ms", "radius",
+    **dict.fromkeys(("a", "R_s", "r_es", "r_ms", "radius",
                      "orbit_radius", "r_over_ro", "strong_rmin"),
                     (lambda v: _number(v) and v > 0, "finite and > 0")),
+    # a relative tolerance of 1 or more bounds nothing
+    "tol": (lambda v: _number(v) and 0 < v < 1, "finite, > 0 and < 1"),
 }
 # The keys a config file may hold at its top level, and in its "params".
 CONFIG_KEYS = ("preset", "name", "params", "n_orbits", "tol")

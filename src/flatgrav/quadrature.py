@@ -4,9 +4,14 @@ Every quadrature route in the library integrates an analytic integrand over
 a finite interval, after a substitution has mapped any endpoint singularity
 or infinite range away.  For such integrands the n-point Gauss-Legendre rule
 converges geometrically in n, so doubling n until two successive rules agree
-gives a cheap, checked result without an adaptive integrator.  Integrals up
-to many points of one interval come from the Legendre series the same nodes
-define, integrated once and evaluated at each point.
+gives a cheap, checked result without an adaptive integrator.
+
+``gauss_legendre`` integrates a float integrand over one interval.
+``legendre_antiderivative`` is the one array route: it samples a vectorized
+integrand at the nodes of many intervals at once and gives each interval's
+whole integral, and the integral up to any points inside it from the
+Legendre series the same nodes define.  It adds with numpy's pairwise sum
+and ``einsum``, never a BLAS product, so its bits follow no BLAS kernel.
 
 The rules n = 16, 32, ..., 1024 are read from ``legendre_rules.f64``, which
 ``tests/reference/make_legendre_rules.py`` writes, each node and weight the
@@ -24,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 
 from .errors import NoConvergence
 
-if TYPE_CHECKING:  # the array routes import it where they run
+if TYPE_CHECKING:  # the array route imports it where it runs
     import numpy as np
 
 __all__ = ["gauss_legendre", "legendre_antiderivative"]
@@ -92,66 +97,32 @@ def _series(n: int) -> np.ndarray:
     return g
 
 
-def gauss_legendre(f: Callable, a, b):
-    """Integral of ``f`` over [a, b].
+def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral over [a, b] of ``f``, a map from float to float.
 
-    Where ``a`` and ``b`` are numbers, ``f`` maps a float to a float: it is
-    called at each node, and the rule's terms are summed by ``math.fsum``.
-    Otherwise ``a`` and ``b`` are arrays of one shape, one interval per
-    entry: the vectorized ``f`` then gets the nodes of every interval at
-    once, shape ``a.shape + (n,)``, and the result has the shape of ``a``.
-    ``f`` may return extra leading axes (several integrands on the same
-    nodes), which the result keeps in front.
-
-    Starts with START_NODES nodes and doubles the count until two successive
-    rules agree to DEFAULT_EPSREL relative on every interval; returns the
-    finer of the two.  Raises NoConvergence if they still disagree at MAX_NODES
-    nodes, or at once if a rule sums to a non-finite value, so an
-    unconverged value is never returned.
+    ``f`` is called at each node, and the rule's terms are summed by
+    ``math.fsum``.  Starts with START_NODES nodes and doubles the count
+    until two successive rules agree to DEFAULT_EPSREL relative; returns
+    the finer of the two.  Raises NoConvergence if they still disagree at
+    MAX_NODES nodes, or at once if the interval or a rule's sum is not
+    finite, so an unconverged value is never returned.
     """
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        lo, hi = float(a), float(b)
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        if not (math.isfinite(half) and math.isfinite(mid)):
-            raise NoConvergence(f"the interval [{a!r}, {b!r}] is not finite")
-
-        def total(n):
-            x, w = _floats(n)
-            terms = [wk * f(mid + half * xk) for xk, wk in zip(x, w)]
-            try:
-                return half * math.fsum(terms)
-            except ValueError:          # terms of +inf and -inf
-                return math.nan
-
-        return _converge(total, math.isfinite, bool, a, b)
-
-    import numpy as np
-    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid, scale = (0.5 * (lo + hi))[..., None], half[..., None]
-
-    def total(n):
-        x, w = _rule(n)
-        # numpy's pairwise sum, not ``@``: BLAS kernels add in other orders
-        return half * (f(mid + scale * x) * w).sum(axis=-1)
-
-    val = _converge(total, np.isfinite, np.all, a, b)
-    return val if val.ndim else float(val)
-
-
-def _converge(total: Callable, isfinite: Callable, every: Callable, a, b):
-    """The first ``total(n)``, n = START_NODES, 2*START_NODES, ... up to
-    MAX_NODES, that agrees with the one before to DEFAULT_EPSREL relative
-    wherever ``every`` looks: ``gauss_legendre``'s loop, for a float or an
-    array of sums."""
+    lo, hi = float(a), float(b)
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    if not (math.isfinite(half) and math.isfinite(mid)):
+        raise NoConvergence(f"the interval [{a!r}, {b!r}] is not finite")
     prev = None
     n = START_NODES
     while n <= MAX_NODES:
-        val = total(n)
-        if not every(isfinite(val)):
+        x, w = _floats(n)
+        terms = [wk * f(mid + half * xk) for xk, wk in zip(x, w)]
+        try:
+            val = half * math.fsum(terms)
+        except ValueError:              # terms of +inf and -inf
+            val = math.nan
+        if not math.isfinite(val):
             raise NoConvergence(f"integrand is not finite on [{a!r}, {b!r}]")
-        if prev is not None and every(abs(val - prev)
-                                      <= DEFAULT_EPSREL * abs(val)):
+        if prev is not None and abs(val - prev) <= DEFAULT_EPSREL * abs(val):
             return val
         prev = val
         n *= 2
@@ -162,27 +133,28 @@ def _converge(total: Callable, isfinite: Callable, every: Callable, a, b):
 
 
 def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
-                            x, which) -> np.ndarray:
-    """Integrals of the vectorized ``f`` from ``a[which]`` to ``x``.
+                            x=(), which=()
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals of the vectorized ``f`` over each interval [a[i], b[i]],
+    and from ``a[which[j]]`` to each point ``x[j]``: (whole, part).
 
-    ``a`` and ``b`` are 1-D arrays of intervals and each point ``x[j]``
-    lies in the interval ``which[j]``.  ``f`` gets the nodes of every
-    interval at once, shape ``a.shape + (n,)``, and may return extra
-    leading axes, which the result keeps in front of the points' axis.
+    ``a`` and ``b`` are 1-D arrays; each point ``x[j]`` lies in the
+    interval ``which[j]``, and by default there are none.  ``f`` gets the
+    nodes of every interval at once, shape ``a.shape + (n,)``, and may
+    return extra leading axes, which both results keep in front.
 
-    ``f`` is sampled once per interval, at the n nodes of the Gauss-Legendre
-    rule; its Legendre series is integrated from the interval's start and
-    evaluated at each point, so the cost grows with the intervals, not the
-    points.  At the interval's end the series gives the n-point rule.
-    Starts with SERIES_START_NODES nodes and doubles the count until two
-    successive series agree at every point to DEFAULT_EPSREL of their
-    interval's whole integral; returns the finer of the two.  Raises
-    NoConvergence as ``gauss_legendre`` does.  A point at its interval's
-    start gets exactly 0.
+    A whole integral is the n-point rule, its terms added by numpy's
+    pairwise sum; a point's is the Legendre series of the same samples,
+    integrated from its interval's start (exactly 0 there), so the cost
+    grows with the intervals, not the points.  Starts with
+    SERIES_START_NODES nodes and doubles the count until two successive
+    rules agree on every whole integral, and at every point, to
+    DEFAULT_EPSREL of the interval's whole integral; returns the finer.
+    Raises NoConvergence as ``gauss_legendre`` does.
     """
     import numpy as np
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x, which = np.asarray(x, dtype=float), np.asarray(which)
+    x, which = np.asarray(x, dtype=float), np.asarray(which, dtype=np.intp)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     inv = np.divide(1.0, half, out=np.zeros_like(half), where=half != 0.0)
     # each point as s on [-1, 1]: x - lo = half*(s + 1), below_hi = s - 1
@@ -195,18 +167,24 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
         vals = f(mid[:, None] + half[:, None] * nodes)
         if not np.isfinite(vals).all():
             raise NoConvergence("integrand is not finite on an interval")
-        if vander is None or vander.shape[-1] < n - 1:
-            # P_l at the points up to degree 2n - 2, which G of the doubled
-            # rule needs as well
-            vander = np.polynomial.legendre.legvander(s, 2 * n - 2)
-        rule = (vals @ w)[..., which]           # sum_k w_k f_k = 2*c_0
-        g = np.einsum("...jl,jl->...j", (vals @ _series(n))[..., which, :],
-                      vander[:, :n - 1])
-        val = from_lo * (0.5 * rule + below_hi * g)
-        if prev is not None and (abs(val - prev) <= DEFAULT_EPSREL
-                                 * abs(half[which] * rule)).all():
-            return val
-        prev = val
+        rule = (vals * w).sum(axis=-1)          # sum_k w_k f_k = 2*c_0
+        g = 0.0
+        if len(x):                              # the whole steps need no G
+            if vander is None or vander.shape[-1] < n - 1:
+                # P_l at the points up to degree 2n - 2, which G of the
+                # doubled rule needs as well
+                vander = np.polynomial.legendre.legvander(s, 2 * n - 2)
+            coef = np.einsum("...ik,kl->...il", vals, _series(n))
+            g = np.einsum("...jl,jl->...j", coef[..., which, :],
+                          vander[:, :n - 1])
+        whole = half * rule
+        part = from_lo * (0.5 * rule[..., which] + below_hi * g)
+        if prev is not None:
+            tol = DEFAULT_EPSREL * abs(whole)
+            if ((abs(whole - prev[0]) <= tol).all()
+                    and (abs(part - prev[1]) <= tol[..., which]).all()):
+                return whole, part
+        prev = whole, part
         n *= 2
     raise NoConvergence(
         f"Legendre series disagree at {MAX_NODES} nodes on "

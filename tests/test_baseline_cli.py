@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from flatgrav.baseline import (
-    schwarzschild_baseline,
+    schwarzschild_deflection,
+    schwarzschild_delay,
+    schwarzschild_precession,
     schwarzschild_precession_quadrature,
 )
 from flatgrav import carriers, cli
@@ -39,35 +41,27 @@ SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
 
 class TestBaseline:
     def test_precession_formula(self):
-        sc = preset_scenario("mercury")
-        val = schwarzschild_baseline("precession", sc)
+        p = preset_scenario("mercury").params
+        val = schwarzschild_precession(p["r_o"], p["a"], p["ecc"])
         expected = 6 * np.pi * SOLAR_R_O / (
             MERCURY_SEMI_MAJOR * (1 - MERCURY_ECCENTRICITY**2)
         )
         assert val == pytest.approx(expected, rel=1e-15)
 
     def test_deflection_and_delay(self):
-        sc = preset_scenario("solar")
-        p = sc.params
-        assert schwarzschild_baseline("deflection", sc) == pytest.approx(
-            -4 * p["r_o"] / p["R_s"], rel=1e-15
-        )
-        assert schwarzschild_baseline("delay", sc) == pytest.approx(
+        p = preset_scenario("solar").params
+        assert schwarzschild_deflection(p["r_o"], p["R_s"]) == \
+            pytest.approx(-4 * p["r_o"] / p["R_s"], rel=1e-15)
+        assert schwarzschild_delay(p["r_o"], p["r_es"], p["r_ms"],
+                                   p["R_s"]) == pytest.approx(
             4 * p["r_o"] * np.log(4 * p["r_ms"] * p["r_es"] / p["R_s"] ** 2),
             rel=1e-15,
         )
 
     def test_zero_field(self):
-        sc = Scenario(name="flat", params={"r_o": 0.0, "a": 1e11,
-                                           "ecc": 0.1, "R_s": 1e9,
-                                           "r_es": 1e11, "r_ms": 5e10})
-        for q in ("precession", "deflection", "delay"):
-            assert schwarzschild_baseline(q, sc) == 0.0
-
-    def test_unsupported_quantity(self):
-        sc = preset_scenario("solar")
-        with pytest.raises(ValueError):
-            schwarzschild_baseline("redshift", sc)
+        assert schwarzschild_precession(0.0, 1e11, 0.1) == 0.0
+        assert schwarzschild_deflection(0.0, 1e9) == 0.0
+        assert schwarzschild_delay(0.0, 1e11, 5e10, 1e9) == 0.0
 
     def test_quadrature_weak_field_limit(self):
         r_min = MERCURY_SEMI_MAJOR * (1 - MERCURY_ECCENTRICITY)
@@ -534,6 +528,16 @@ class TestCliContract:
             flags = flags + ["--config", self.config(tmp_path, config)]
         assert main(["light-deflect", *flags]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["tol"] == tol
+
+    @pytest.mark.parametrize("command", ["orbit", "light-deflect"])
+    @pytest.mark.parametrize("tol", ["1", "1e308"])
+    def test_tol_of_1_or_more_exits_2(self, capsys, command, tol):
+        # a relative tolerance of 1 bounds nothing, and 1e308 set the ray's
+        # atol to inf, which turned the stepper's error control off
+        assert main([command, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: 'tol' must be ")
 
     @pytest.mark.parametrize("command", ["precession", "echo-delay", "gyro",
                                          "density", "electric", "compare"])

@@ -4,19 +4,15 @@ the kernel OpenBLAS picks.
 numpy's vector ``log1p`` and ``power`` loops may differ from the C library
 by an ulp, and which loop runs depends on the CPU.  The ``density`` and
 ``electric`` tables are built from floats with ``math`` and ``**``, the C
-library's functions, which are what numpy's baseline loops call.  So in a
-child with every dispatch target of numpy disabled, the array routes must
-give the float routes' values bit for bit, and the subcommands must print
-the same bytes as without it.
+library's functions, so the subcommands print the same bytes in a child
+with every dispatch target of numpy disabled as without it.
 
 OpenBLAS's kernels add a product's terms in different orders, with or
 without fused multiply-adds.  The DOP853 stepper adds in floats, and the
-orbit clocks' whole steps in numpy's pairwise sum, so ``light-deflect``
-prints the same bytes, and ``orbit`` the same rows and radii, whichever
-kernel OpenBLAS runs: the default, Haswell (FMA) or Prescott (generic).
-orbit's clock columns t_m and p_m still come from numpy products inside a
-step, and are not compared."""
-import json
+orbit clocks with numpy's pairwise sum and ``einsum``, never a BLAS
+product, so ``light-deflect`` and the whole ``orbit`` report print the
+same bytes whichever kernel OpenBLAS runs: the default, Haswell (FMA) or
+Prescott (generic); ``orbit`` at numpy's baseline loops too."""
 import os
 import subprocess
 import sys
@@ -24,33 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from flatgrav.carriers import (ElectricCarrier, RadialCarrier,
-                               electric_profile, energy_density,
-                               field_divergence, field_intensity,
-                               log_potential, ricci_density)
-from flatgrav.cli import _geomspace
-
 SRC = Path(__file__).resolve().parents[1] / "src"
-SAMPLES = (1, 2, 64, 1000)
-
-# the array routes, one column per closed form, each float as float.hex
-COLUMNS = """
-import json, sys
-import numpy as np
-from flatgrav.carriers import (ElectricCarrier, RadialCarrier,
-    electric_profile, energy_density, field_divergence, field_intensity,
-    log_potential, ricci_density)
-field = RadialCarrier(r_o=1.0)
-charge = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
-tables = {}
-for n in map(int, sys.argv[1:]):
-    r = np.geomspace(1e-2, 1e2, n)
-    cols = [r, energy_density(field, r), field_intensity(field, r),
-            field_divergence(field, r), ricci_density(field, r),
-            log_potential(field, r), *electric_profile(charge, r)]
-    tables[n] = [[float(x).hex() for x in col] for col in cols]
-print(json.dumps(tables))
-"""
 
 
 def _umath():
@@ -92,22 +62,6 @@ def _baseline(args):
     return _child(args, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatch_targets()))
 
 
-def test_array_routes_at_the_baseline_are_the_float_routes():
-    tables = json.loads(_baseline(["-c", COLUMNS, *map(str, SAMPLES)]))
-    field = RadialCarrier(r_o=1.0)
-    charge = ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
-    for n in SAMPLES:
-        radii = _geomspace(1e-2, 1e2, n)
-        profile = [electric_profile(charge, x) for x in radii]
-        cols = [radii,
-                *([form(field, x) for x in radii]
-                  for form in (energy_density, field_intensity,
-                               field_divergence, ricci_density,
-                               log_potential)),
-                *([row[k] for row in profile] for k in range(3))]
-        assert [[x.hex() for x in col] for col in cols] == tables[str(n)]
-
-
 @pytest.mark.parametrize("args", [["density"], ["electric"],
                                   ["density", "--samples", "1000"],
                                   ["electric", "--samples", "1000"]])
@@ -124,12 +78,17 @@ def test_light_deflect_bytes_do_not_depend_on_the_blas_kernel(fmt):
     assert len(reports) == 1
 
 
-def test_orbit_rows_and_radii_do_not_depend_on_the_blas_kernel():
-    argv = ["-m", "flatgrav.cli", "orbit"]
-    parts = set()
-    for core in _blas_kernels():
-        report = json.loads(_child(argv, OPENBLAS_CORETYPE=core))
-        table = report["tables"]["trajectory"]
-        parts.add(json.dumps([report["rows"], table["phi_rad"],
-                              table["r_m"]]))
-    assert len(parts) == 1
+def test_orbit_rows_and_radii_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the json report, and the csv one --out writes with its table
+    reports = set()
+    for i, core in enumerate(_blas_kernels()):
+        for dispatch in (None, " ".join(_dispatch_targets())):
+            cpu = dict(OPENBLAS_CORETYPE=core,
+                       NPY_DISABLE_CPU_FEATURES=dispatch)
+            out = tmp_path / f"orbit{i}{dispatch is None}.csv"
+            printed = _child(["-m", "flatgrav.cli", "orbit"], **cpu)
+            _child(["-m", "flatgrav.cli", "orbit", "--format", "csv",
+                    "--out", str(out)], **cpu)
+            table = out.with_name(f"{out.stem}_trajectory.csv")
+            reports.add((printed, out.read_bytes(), table.read_bytes()))
+    assert len(reports) == 1

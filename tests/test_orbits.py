@@ -18,7 +18,6 @@ from flatgrav.errors import (
 )
 from flatgrav import orbits
 from flatgrav.constants import C_SI
-from flatgrav.quadrature import gauss_legendre
 from flatgrav.orbits import (
     energy_integral,
     integrate_orbit,
@@ -313,16 +312,37 @@ def same_bits(a, b):
 SWEEP = [(r, e) for r in (20.0, 1e3, 1e5, 3.1e7) for e in (0.0, 0.05, 0.6)]
 
 
+def gauss_rules(f, a, b):
+    """Integral of the vectorized ``f`` over each [a, b] by numpy's
+    ``leggauss`` rules, doubled from 32 nodes until two agree to 1e-13
+    relative on every interval."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    prev = None
+    for n in (32, 64, 128, 256, 512, 1024):
+        x, w = np.polynomial.legendre.leggauss(n)
+        val = half * (f(mid[:, None] + half[:, None] * x) * w).sum(axis=-1)
+        if prev is not None and np.all(abs(val - prev) <= 1e-13 * abs(val)):
+            return val
+        prev = val
+    raise AssertionError("the Gauss rules disagree at 1024 nodes")
+
+
 def per_sample_clocks(traj, phis):
-    """t and p at ``phis`` by a Gauss-Legendre rule from the start of each
-    sample's solver step to the sample: the route ``Trajectory.sample``
-    took before its per-step Legendre series, kept as its oracle."""
+    """t and p at ``phis`` by Gauss rules alone: over each whole solver step
+    for the clocks at the breakpoints, and from the start of each sample's
+    step to the sample, the route ``Trajectory.sample`` took before its
+    per-step Legendre series, kept as its oracle."""
+    ts = traj.sol.ts
+    steps = np.arange(traj.sol.n_segments)[:, None]
+    whole = gauss_rules(lambda x: traj._clock_rates(x, steps), ts[:-1], ts[1:])
+    clocks = np.concatenate([np.zeros((2, 1)), np.cumsum(whole, axis=1)],
+                            axis=1)
     k = np.maximum(np.floor(phis / traj.period), 0.0)
     flat = phis - k * traj.period
     seg = traj.sol.segments(flat)
-    part = gauss_legendre(lambda x: traj._clock_rates(x, seg[:, None]),
-                          traj.sol.ts[seg], flat)
-    return traj._segment_clocks[:, seg] + part + k * traj.period_clocks[:, None]
+    part = gauss_rules(lambda x: traj._clock_rates(x, seg[:, None]),
+                       ts[seg], flat)
+    return clocks[:, seg] + part + k * clocks[:, -1:]
 
 
 LEG_CASES = [(A, ECC), (1e5, 0.3)]

@@ -84,31 +84,6 @@ class TestGaussLegendre:
         with pytest.raises(NoConvergence, match="not finite"):
             gauss_legendre(lambda x: math.copysign(math.inf, x), -1.0, 1.0)
 
-    def test_array_endpoints_match_scalar_calls(self):
-        a = np.array([0.0, 0.5, 2.0, 1.0])
-        b = np.array([1.0, 3.0, 2.5, 1.0])
-        vals = gauss_legendre(np.exp, a, b)
-        assert vals.shape == (4,)
-        for lo, hi, val in zip(a, b, vals):
-            assert val == pytest.approx(gauss_legendre(np.exp, lo, hi),
-                                        rel=1e-15, abs=0.0)
-        assert isinstance(gauss_legendre(np.exp, 0.0, 1.0), float)
-
-    def test_several_integrands_on_shared_nodes(self):
-        a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
-        vals = gauss_legendre(lambda x: np.stack([x, x**2]), a, b)
-        assert vals.shape == (2, 3)
-        np.testing.assert_allclose(vals, [b**2 / 2, b**3 / 3], rtol=1e-14)
-
-    def test_one_bad_interval_fails_the_call(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
-        with pytest.raises(NoConvergence):
-            gauss_legendre(lambda x: np.abs(x - 0.3) ** -0.5,
-                           np.array([2.0, 0.0]), np.array([3.0, 1.0]))
-        with pytest.raises(NoConvergence):
-            gauss_legendre(lambda x: 1.0 / x, np.array([1.0, -1.0]),
-                           np.array([2.0, 1.0]))
-
     def test_nodes_are_shared_and_read_only(self):
         x, w = quadrature._rule(32)
         assert quadrature._rule(32)[0] is x
@@ -122,17 +97,46 @@ class TestLegendreAntiderivative:
     X = np.array([0.0, 0.3, 1.7, 2.0, 2.0, 1.2, 0.5, 1.5])
     WHICH = np.array([0, 0, 0, 0, 1, 1, 1, 2])
 
+    def test_array_endpoints_match_scalar_calls(self):
+        a = np.array([0.0, 0.5, 2.0, 1.0])
+        b = np.array([1.0, 3.0, 2.5, 1.0])
+        whole, part = legendre_antiderivative(np.exp, a, b)
+        assert whole.shape == (4,) and part.shape == (0,)
+        for lo, hi, val in zip(a, b, whole):
+            assert val == pytest.approx(gauss_legendre(math.exp, lo, hi),
+                                        rel=1e-15, abs=0.0)
+
+    def test_several_integrands_on_shared_nodes(self):
+        a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        whole, _ = legendre_antiderivative(lambda x: np.stack([x, x**2]),
+                                           a, b)
+        assert whole.shape == (2, 3)
+        np.testing.assert_allclose(whole, [b**2 / 2, b**3 / 3], rtol=1e-14)
+
+    def test_one_bad_interval_fails_the_call(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        with pytest.raises(NoConvergence):
+            legendre_antiderivative(lambda x: np.abs(x - 0.3) ** -0.5,
+                                    np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+        # a pole inside [-1, 2]; over [-1, 1] the odd terms would cancel to
+        # exactly 0 at every rule, as they do in gauss_legendre's fsum
+        with pytest.raises(NoConvergence):
+            legendre_antiderivative(lambda x: 1.0 / x, np.array([1.0, -1.0]),
+                                    np.array([2.0, 2.0]))
+
     def test_polynomial_exact(self):
         got = legendre_antiderivative(lambda x: 5 * x**4 - 3 * x**2,
-                                      self.A, self.B, self.X, self.WHICH)
+                                      self.A, self.B, self.X, self.WHICH)[1]
         prim = lambda x: x**5 - x**3
         want = prim(self.X) - prim(self.A[self.WHICH])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_analytic_integrand_on_shared_nodes(self):
-        got = legendre_antiderivative(lambda x: np.stack([np.exp(x), x]),
-                                      self.A, self.B, self.X, self.WHICH)
+        whole, got = legendre_antiderivative(
+            lambda x: np.stack([np.exp(x), x]), self.A, self.B, self.X,
+            self.WHICH)
         lo = self.A[self.WHICH]
+        assert whole.shape == (2, len(self.A))
         assert got.shape == (2, len(self.X))
         np.testing.assert_allclose(got[0], np.exp(self.X) - np.exp(lo),
                                    rtol=1e-14)
@@ -140,11 +144,12 @@ class TestLegendreAntiderivative:
                                    rtol=1e-14)
 
     def test_start_is_exactly_zero_end_is_the_rule(self):
-        got = legendre_antiderivative(np.exp, self.A, self.B, self.X,
-                                      self.WHICH)
+        whole, got = legendre_antiderivative(np.exp, self.A, self.B, self.X,
+                                             self.WHICH)
         at_start = self.X == self.A[self.WHICH]
         assert (got[at_start] == 0.0).all()
-        assert got[3] == pytest.approx(gauss_legendre(np.exp, 0.0, 2.0),
+        assert got[3] == whole[0]
+        assert got[3] == pytest.approx(gauss_legendre(math.exp, 0.0, 2.0),
                                        rel=1e-15)
 
     def test_no_convergence_raises(self, monkeypatch):
