@@ -160,8 +160,9 @@ def _emit(report: RunReport, fmt: str, out: Optional[str]) -> None:
 
 # A rule narrows an input's domain for one subcommand: (test(value, params),
 # description).  A flag is (key in DOMAIN, type, default, help, rule or
-# None).  ``_load_scenario`` checks the rules, so only a subcommand with a
-# preset has any.
+# None), and its help states the rule's description, the whole narrowed
+# domain, in place of DOMAIN's.  ``_load_scenario`` checks the rules, so only
+# a subcommand with a preset has any.
 Rule = Tuple[Callable[[Any, Dict[str, Any]], bool], str]
 Flag = Tuple[str, Callable[[str], Any], Any, str, Optional[Rule]]
 _FIELD: Rule = (lambda r_o, p: r_o > 0, "> 0: no field, no orbit")
@@ -175,7 +176,7 @@ COMMANDS: Dict[str, Tuple[str, Optional[str], Dict[str, Optional[Rule]],
               {"r_o": _FIELD, "a": None, "ecc": None},
               (("n_orbits", int, None, "orbits to integrate", None), _TOL,
                ("samples", int, 512, "trajectory table rows",
-                (lambda n, p: n >= 2, ">= 2")))),
+                (lambda n, p: n >= 2, "an integer from 2 to 1000000")))),
     "precession": ("perihelion advance (closed form + quadrature)",
                    "mercury", {"r_o": _FIELD, "a": None, "ecc": None}, ()),
     "light-deflect": ("grazing light deflection", "solar",
@@ -185,7 +186,8 @@ COMMANDS: Dict[str, Tuple[str, Optional[str], Dict[str, Optional[Rule]],
     "gyro": ("gyroscope precession rates", "earth",
              {"r_o": _FIELD, "inertia": None, "omega": None, "radius": None},
              (("orbit_radius", float, 7.02e6, "circular orbit radius in m",
-               (lambda r, p: r > p["radius"], "> the body's 'radius'")),)),
+               (lambda r, p: r > p["radius"],
+                "finite and > the body's 'radius'")),)),
     "density": ("radial carrier profile", None, {},
                 (("r_over_ro", float, 1.0, "radius of the point values in "
                   "units of r_o", None), _SAMPLES)),
@@ -531,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         for key, kind, default, text, rule in flags:
             option = {"n_orbits": "orbits"}.get(key, key.replace("_", "-"))
-            text += ": " + DOMAIN[key][1] + (f", {rule[1]}" if rule else "")
+            text += ": " + (rule[1] if rule else DOMAIN[key][1])
             if default is not None:
                 text += f" (default {default})"
             p.add_argument(f"--{option}", dest=key, default=default,

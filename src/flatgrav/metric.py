@@ -6,11 +6,16 @@ the whole field; the spatial triad stays the Kronecker delta, so the extracted
 3-metric ``gamma_ij = g_0i g_0j / g_00 - g_ij`` is Euclidean by construction
 for every admissible potential and gauge.
 
+A rotating central body's field and its first derivatives are written once,
+as floats, in ``CentralField.at``, which feeds the metric, the exact
+connection (``christoffels``) and ``spin``'s transport and gyroscope rates.
+
 Geometric units: c = 1, lengths in meters.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import math
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,59 +44,53 @@ class FourPotential(NamedTuple):
 
 
 class CentralField:
-    """Field of a (rotating) central body with its exact first derivatives.
+    """Field of a (rotating) central body: G0 = -r_o/r, G = 2*I*(w x x)/r^3.
 
-    g0 = -r_o/r and gi = 2*I*(w x x)/r^3.  ``inertia`` is the geometrized
-    moment of inertia G*I/c^2 (m^3) and ``omega`` the angular velocity in
-    1/m (SI omega divided by c; a scalar 0 means no rotation).  The
-    cross-product order is fixed by requiring prograde dragging at the pole:
-    a spin there precesses in the same sense as the body's rotation.  It
-    serves wherever a FourPotential is read, and ``christoffels`` takes its
-    connection from ``dg0`` and ``dgi`` in closed form.  ``omega`` is an
-    array, so == and hash go by identity.
+    ``inertia`` is the geometrized moment of inertia G*I/c^2 (m^3), and
+    ``omega`` the angular velocity in 1/m (SI omega divided by c): a
+    3-sequence, or the scalar 0 for no rotation, held as a 3-tuple of
+    floats.  The cross-product order gives prograde dragging at the pole: a
+    spin there precesses in the sense of the body's rotation.  It serves
+    wherever a FourPotential is read.  Equality goes by identity.
     """
 
     __slots__ = ("r_o", "inertia", "omega")
 
-    def __init__(self, r_o: float, inertia: float = 0.0, omega: Vec3 = 0):
-        self.r_o, self.inertia = r_o, inertia
-        self.omega = np.array(omega, dtype=float)
-        if self.omega.shape != (3,):
-            # only "no rotation" may be written as a scalar
-            if self.omega.shape or self.omega != 0.0:
-                raise ValueError(f"omega must be a 3-vector or the scalar 0, "
-                                 f"got {omega!r}")
-            self.omega = np.zeros(3)
-        if r_o < 0.0 or inertia < 0.0:
+    def __init__(self, r_o: float, inertia: float = 0.0, omega=0):
+        try:
+            w = tuple(float(c) for c in omega)
+        except TypeError:   # only "no rotation" may be written as a scalar
+            w = (0.0, 0.0, 0.0) if omega == 0 else ()
+        if len(w) != 3 or not all(map(math.isfinite, w)):
+            raise ValueError(f"omega must be 3 finite numbers or the scalar "
+                             f"0, got {omega!r}")
+        if not (r_o >= 0.0 and inertia >= 0.0):     # NaN too
             raise NonPositiveRadius("r_o and inertia must be >= 0")
+        self.r_o, self.inertia, self.omega = float(r_o), float(inertia), w
+
+    def at(self, x) -> Tuple[float, float, float, Tuple[float, float, float]]:
+        """(r, k, 3k/r^2, w x x) at the point ``x``, with k = 2*I/r^3.
+
+        Every term of the field and of its first derivatives is built from
+        these: G0 = -r_o/r, d_k G0 = r_o*x_k/r^3, G = k*(w x x), and
+        d_k G_i = k*(w x e_k)_i - (3k/r^2)*x_k*(w x x)_i.  NonPositiveRadius
+        at the center; OverflowError where r^3 overflows (r > ~5.6e102).
+        """
+        x0, x1, x2 = x
+        r = math.hypot(x0, x1, x2)
+        if r <= 0.0:
+            raise NonPositiveRadius("field evaluated at the center")
+        w0, w1, w2 = self.omega
+        k = 2.0 * self.inertia / r**3
+        wx = (w1 * x2 - w2 * x1, w2 * x0 - w0 * x2, w0 * x1 - w1 * x0)
+        return r, k, 3.0 * k / (r * r), wx
 
     def g0(self, x: Vec3) -> float:
-        return -self.r_o / _radius(x)
+        return -self.r_o / self.at(x)[0]
 
     def gi(self, x: Vec3) -> Vec3:
-        return 2.0 * self.inertia * np.cross(self.omega, x) / _radius(x)**3
-
-    def dg0(self, x: Vec3) -> Vec3:
-        """d_k g0 = r_o * x_k / r^3."""
-        return self.r_o * np.asarray(x, dtype=float) / _radius(x)**3
-
-    def dgi(self, x: Vec3) -> np.ndarray:
-        """Jacobian dgi[k, i] = d_k gi_i of the vector potential."""
-        x = np.asarray(x, dtype=float)
-        r = _radius(x)
-        wx = np.cross(self.omega, x)
-        # d_k [w x x]_i = [w x e_k]_i, one row per e_k
-        w_cross_e = np.cross(self.omega, np.eye(3))
-        return 2.0 * self.inertia * (
-            w_cross_e / r**3 - 3.0 * np.outer(x, wx) / r**5
-        )
-
-
-def _radius(x: Vec3) -> float:
-    r = np.linalg.norm(x)
-    if r <= 0.0:
-        raise NonPositiveRadius("field evaluated at the center")
-    return r
+        _, k, _, wx = self.at(x)
+        return k * np.array(wx)
 
 
 class SpacetimeMetric(NamedTuple):
@@ -208,8 +207,8 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     """Exact Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
 
     The metric g00 = (1 - g0)^-2, g0i = g00*gi, gij = g00*gi*gj - delta_ij
-    is differentiated in closed form from the field's exact gradients and
-    raised with ``build_metric``'s inverse of the same potentials
+    is differentiated in closed form from ``CentralField.at`` and raised
+    with ``build_metric``'s inverse of the same potentials
     (``_inverse``); ``christoffels_numeric`` is its finite-difference
     oracle.  A plain FourPotential (a gauge-shifted field, say) has no
     exact gradients and is refused with TypeError.
@@ -217,26 +216,27 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     if not isinstance(field, CentralField):
         raise TypeError(f"christoffels needs a CentralField, got "
                         f"{type(field).__name__}; use christoffels_numeric")
+    r, k, k_3, wx = field.at(at)
     x = np.asarray(at, dtype=float)
-    G0 = field.g0(x)
-    Gi = field.gi(x)
-    dG0 = field.dg0(x)                # dG0[k]
-    dGi = field.dgi(x)                # dGi[k, i]
-
+    G0 = -field.r_o / r
+    Gi = k * np.array(wx)
+    dG0 = field.r_o * x / r**3                          # dG0[k]
+    dGi = (k * np.cross(field.omega, np.eye(3))         # dGi[k, i]
+           - k_3 * np.outer(x, wx))
     warp = 1.0 / (1.0 - G0)
     g00 = warp**2
     dg00 = 2.0 * warp**3 * dG0        # dg00[k]
 
     dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
-    for k in range(3):
-        s = k + 1
-        dg[s, 0, 0] = dg00[k]
-        row = dg00[k] * Gi + g00 * dGi[k]
+    for j in range(3):
+        s = j + 1
+        dg[s, 0, 0] = dg00[j]
+        row = dg00[j] * Gi + g00 * dGi[j]
         dg[s, 0, 1:] = dg[s, 1:, 0] = row
-        dg[s, 1:, 1:] = (dg00[k] * np.outer(Gi, Gi)
-                         + g00 * (np.outer(dGi[k], Gi)
-                                  + np.outer(Gi, dGi[k])))
-    return _christoffel(_inverse(float(G0), Gi), dg)
+        dg[s, 1:, 1:] = (dg00[j] * np.outer(Gi, Gi)
+                         + g00 * (np.outer(dGi[j], Gi)
+                                  + np.outer(Gi, dGi[j])))
+    return _christoffel(_inverse(G0, Gi), dg)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

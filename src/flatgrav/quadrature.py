@@ -106,6 +106,11 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
     the finer of the two.  Raises NoConvergence if they still disagree at
     MAX_NODES nodes, or at once if the interval or a rule's sum is not
     finite, so an unconverged value is never returned.
+
+    Only the convergence of the rules is checked, not the integrability of
+    ``f``: an odd pole at the centre of the interval, as of 1/x on [-1, 1],
+    is no node of any rule, and its terms cancel exactly in the sum, so
+    0.0 is returned.  No subcommand's integrand has such a pole.
     """
     lo, hi = float(a), float(b)
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)

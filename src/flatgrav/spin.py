@@ -1,11 +1,13 @@
 """Gyroscope transport around a rotating central body.
 
 The body contributes a scalar potential -r_o/r and, when spinning, the
-weak-rotation vector potential 2*I*[w x r]/r^3 (``metric.CentralField``,
-which also gives the exact connection).  A comoving gyroscope's
-covariant spin is parallel-transported along its orbit; the secular drift
-decomposes into a frame-dragging rate set by the vector potential's curl and
-a geodetic rate set by the motion through the scalar field's gradient.
+weak-rotation vector potential 2*I*[w x r]/r^3.  The transport rate, both
+gyroscope rates and the exact connection read them and their first
+derivatives from one float evaluation, ``metric.CentralField.at``.  A
+comoving gyroscope's covariant spin is parallel-transported along its
+orbit; the secular drift decomposes into a frame-dragging rate set by the
+vector potential's curl and a geodetic rate set by the motion through the
+scalar field's gradient.
 
 Geometric units: lengths in meters, time in meters, angular velocity in 1/m,
 moment of inertia in m^3.
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
-from .metric import CentralField, _inverse, _radius, christoffels
+from .metric import CentralField, _inverse, christoffels
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
     from .ode import DenseOutput
@@ -35,30 +37,27 @@ RotatingFieldSpec = CentralField
 
 
 def rotating_connections(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
-    """Exact Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
-
-    The connection of ``metric.christoffels``, built from closed-form
-    metric derivatives; the finite-difference connection serves as its
-    oracle.
-    """
+    """The exact connection Gamma[lam, mu, nu] of ``metric.christoffels``."""
     return christoffels(spec, x)
 
 
-def spin_norm_invariant(spec: RotatingFieldSpec, x: np.ndarray,
-                        velocity: np.ndarray, s: np.ndarray) -> float:
+def spin_norm_invariant(spec: RotatingFieldSpec, x: Sequence[float],
+                        velocity: Sequence[float],
+                        s: Sequence[float]) -> float:
     """Transport invariant g^{mu nu} S_mu S_nu with S_0 = -v . S.
 
     Along ``circular_polar_orbit`` it drifts by ~3 (r_o/r)^2 relative, up to
     ~3e-8 at r_o/r = 1e-4: that orbit is a Newtonian circle, not a geodesic,
     so the spin is transported along a path the metric does not follow.
     """
-    x = np.asarray(x, dtype=float)
+    r, k, _, wx = spec.at(x)
     s4 = np.concatenate(([-float(np.dot(velocity, s))], s))
-    return float(s4 @ _inverse(float(spec.g0(x)), spec.gi(x)) @ s4)
+    return float(s4 @ _inverse(-spec.r_o / r, k * np.array(wx)) @ s4)
 
 
-def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
-                  velocity: np.ndarray, s: Sequence[float]) -> List[float]:
+def transport_rhs(spec: RotatingFieldSpec, x: Sequence[float],
+                  velocity: Sequence[float], s: Sequence[float]
+                  ) -> List[float]:
     """Parallel-transport rate dS_i/dt = Gamma^lam_{i nu} S_lam xdot^nu.
 
     ``velocity`` is the coordinate velocity dx/dt; the time component of the
@@ -66,26 +65,19 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
     directly, dS_i/dt = 1/2 S^s xdot^n (d_i g_sn + d_n g_si - d_s g_in),
     with g_mn = phi T_m T_n - P_mn, phi = (1 - G0)^-2, T = (1, G) and
     P = diag(0, 1, 1, 1).  Every term then needs only phi, grad(phi), G
-    and the two first-derivative forms of G.  The rate is one float kernel
-    per solver stage: plain float arithmetic on the components of the float
-    arrays ``x`` and ``velocity`` and of the float sequence ``s`` (numpy's
-    per-call cost dominates at length 3), returned as a list.
+    and the two first-derivative forms of G, all from ``spec.at``.  It runs
+    once per solver stage, so it takes float 3-sequences and returns a list
+    (numpy's per-call cost dominates at length 3).
     """
-    x0, x1, x2 = x.tolist()
-    v0, v1, v2 = velocity.tolist()
+    v0, v1, v2 = velocity
     s0, s1, s2 = s
-    w0, w1, w2 = spec.omega.tolist()
-    r2 = x0 * x0 + x1 * x1 + x2 * x2
-    r = r2 ** 0.5
-    if r <= 0.0:
-        raise NonPositiveRadius("field evaluated at the center")
-    r_o = float(spec.r_o)
-    k3 = 2.0 * float(spec.inertia) / (r * r2)
-    k5_3 = 3.0 * (k3 / r2)
+    w0, w1, w2 = spec.omega
+    r, k3, k5_3, (wx0, wx1, wx2) = spec.at(x)
+    x0, x1, x2 = x
+    r_o = spec.r_o
     lapse = 1.0 + r_o / r                       # 1 - G0
     phi = 1.0 / (lapse * lapse)
-    dphi = 2.0 * phi * r_o / (lapse * r * r2)   # grad(phi) = dphi * x
-    wx0, wx1, wx2 = w1 * x2 - w2 * x1, w2 * x0 - w0 * x2, w0 * x1 - w1 * x0
+    dphi = 2.0 * phi * r_o / (lapse * r**3)     # grad(phi) = dphi * x
     G0, G1, G2 = k3 * wx0, k3 * wx1, k3 * wx2   # G = k3 (w x x)
 
     # raised spin S^s = g^{s l} S_l
@@ -131,8 +123,9 @@ def transport_rhs(spec: RotatingFieldSpec, x: np.ndarray,
                + Tw * (phi * (guG2 - duG2) - xu * G2) + c * G2)]
 
 
-def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
-                              velocity: np.ndarray, s: np.ndarray) -> None:
+def _check_against_connection(spec: RotatingFieldSpec, x: Sequence[float],
+                              velocity: Sequence[float],
+                              s: Sequence[float]) -> None:
     """Compare transport_rhs with the contraction of the full connection.
 
     The tolerance is 1e-12 of the largest sum of absolute contraction terms
@@ -145,8 +138,7 @@ def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
     oracle = np.einsum("liv,l,v->i", gamma, s4, xdot)
     scale = np.max(np.einsum("liv,l,v->i", np.abs(gamma), np.abs(s4),
                              np.abs(xdot)))
-    gap = np.max(np.abs(transport_rhs(spec, x, velocity, s.tolist())
-                        - oracle))
+    gap = np.max(np.abs(transport_rhs(spec, x, velocity, s) - oracle))
     if not gap <= 1e-12 * scale:
         raise NumericalFailure(
             f"direct transport rate differs from the connection contraction "
@@ -154,13 +146,14 @@ def _check_against_connection(spec: RotatingFieldSpec, x: np.ndarray,
 
 
 def transport_spin(spec: RotatingFieldSpec,
-                   position: Callable[[float], np.ndarray],
-                   velocity: Callable[[float], np.ndarray],
+                   position: Callable[[float], Sequence[float]],
+                   velocity: Callable[[float], Sequence[float]],
                    s_initial: np.ndarray,
                    t_span: Tuple[float, float],
                    tol: float = 1e-12) -> DenseOutput:
     """Parallel-transport a spin along a prescribed orbit.
 
+    ``position`` and ``velocity`` map coordinate time to float 3-sequences.
     Returns the dense output, a callable from coordinate time to the
     covariant spatial spin.  At the initial point the direct rate is checked
     once against the full connection (``rotating_connections``);
@@ -174,8 +167,7 @@ def transport_spin(spec: RotatingFieldSpec,
     if not t1 > t0:
         raise GeometryInvalid(f"spin transport span ({t0}, {t1}) does not "
                               f"increase")
-    _check_against_connection(spec, np.asarray(position(t0), dtype=float),
-                              np.asarray(velocity(t0), dtype=float), s0)
+    _check_against_connection(spec, position(t0), velocity(t0), s0.tolist())
 
     def rhs(t, s):
         return transport_rhs(spec, position(t), velocity(t), s)
@@ -187,20 +179,26 @@ def transport_spin(spec: RotatingFieldSpec,
     return run.dense
 
 
-def frame_dragging_rate(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
-    """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w) from the vector potential."""
-    x = np.asarray(x, dtype=float)
-    r = _radius(x)
-    rhat = x / r
-    w = spec.omega
-    return spec.inertia / r**3 * (3.0 * rhat * np.dot(w, rhat) - w)
+def frame_dragging_rate(spec: RotatingFieldSpec,
+                        x: Sequence[float]) -> np.ndarray:
+    """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w): half the curl of G."""
+    r, k, _, _ = spec.at(x)
+    h0, h1, h2 = x[0] / r, x[1] / r, x[2] / r
+    w0, w1, w2 = spec.omega
+    wh = w0 * h0 + w1 * h1 + w2 * h2
+    half = 0.5 * k                                  # I/r^3
+    return np.array([half * (3.0 * h0 * wh - w0), half * (3.0 * h1 * wh - w1),
+                     half * (3.0 * h2 * wh - w2)])
 
 
-def geodetic_rate(spec: RotatingFieldSpec, x: np.ndarray,
-                  velocity: np.ndarray) -> np.ndarray:
+def geodetic_rate(spec: RotatingFieldSpec, x: Sequence[float],
+                  velocity: Sequence[float]) -> np.ndarray:
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope."""
-    return -np.cross(np.asarray(velocity, dtype=float) / 2.0 - spec.gi(x),
-                     spec.dg0(x))
+    r, k, _, wx = spec.at(x)
+    r3 = r**3
+    b0, b1, b2 = (spec.r_o * c / r3 for c in x)                # grad(G0)
+    a0, a1, a2 = (v / 2.0 - k * g for v, g in zip(velocity, wx))
+    return np.array([a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1])
 
 
 def de_sitter_rate(r_o: float, x: np.ndarray,
@@ -219,24 +217,25 @@ def circular_polar_orbit(radius: float, r_o: float
 
     Returns (position, velocity, orbital rate nu, period) with
     nu = sqrt(r_o/r^3) and x(t) = r*(cos(nu t), 0, sin(nu t)).  The closures
-    take a scalar t and build their arrays from float ``math`` cos and sin,
-    as cheap as the per-stage transport rate they feed.  This is a
-    Newtonian circle, not a geodesic of the metric, so ``spin_norm_invariant``
-    drifts along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
+    take a scalar t and return float 3-tuples from ``math`` cos and sin, as
+    cheap as the per-stage transport rate they feed.  This is a Newtonian
+    circle, not a geodesic of the metric, so ``spin_norm_invariant`` drifts
+    along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
+    NonPositiveRadius unless radius > 0 and r_o > 0.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
-    nu = np.sqrt(r_o / radius**3)
-    rate, speed = float(nu), float(radius * nu)
+    if not r_o > 0.0:
+        raise NonPositiveRadius(f"r_o must be > 0 for an orbit, got {r_o}")
+    nu = math.sqrt(r_o / radius**3)
+    speed = radius * nu
 
-    def position(t: float) -> np.ndarray:
-        angle = rate * t
-        return np.array([radius * math.cos(angle), 0.0,
-                         radius * math.sin(angle)])
+    def position(t: float) -> Tuple[float, float, float]:
+        angle = nu * t
+        return (radius * math.cos(angle), 0.0, radius * math.sin(angle))
 
-    def velocity(t: float) -> np.ndarray:
-        angle = rate * t
-        return np.array([-speed * math.sin(angle), 0.0,
-                         speed * math.cos(angle)])
+    def velocity(t: float) -> Tuple[float, float, float]:
+        angle = nu * t
+        return (-speed * math.sin(angle), 0.0, speed * math.cos(angle))
 
-    return position, velocity, nu, 2.0 * np.pi / nu
+    return position, velocity, nu, 2.0 * math.pi / nu

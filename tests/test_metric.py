@@ -123,15 +123,29 @@ class TestCentralField:
             with pytest.raises(NonPositiveRadius):
                 CentralField(r_o, inertia)
         field = CentralField(1.0, 0.1, [0.0, 0.0, 1.0])
-        for method in (field.g0, field.gi, field.dg0, field.dgi):
+        for method in (field.at, field.g0, field.gi):
             with pytest.raises(NonPositiveRadius):
                 method(np.zeros(3))
 
     def test_omega_is_a_vector_or_zero(self):
-        assert np.array_equal(CentralField(1.0, 0.1, 0).omega, np.zeros(3))
+        assert CentralField(1.0, 0.1, 0).omega == (0.0, 0.0, 0.0)
+        assert CentralField(1.0, 0.1, np.array([0, 1, 2])).omega == \
+            (0.0, 1.0, 2.0)
         for omega in (7.29e-5, [0.0, 1.0], [[0.0, 0.0, 1.0]], None):
             with pytest.raises(ValueError):
                 CentralField(1.0, 0.1, omega)
+
+    @pytest.mark.parametrize("r_o, inertia", [(np.nan, 0.0), (1.0, np.nan)])
+    def test_refuses_nan_r_o_and_inertia(self, r_o, inertia):
+        # a NaN r_o gave g0 = nan everywhere
+        with pytest.raises(NonPositiveRadius):
+            CentralField(r_o, inertia)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_refuses_a_non_finite_omega_entry(self, bad):
+        # [0, 0, inf] gave +-inf in gi
+        with pytest.raises(ValueError, match="finite"):
+            CentralField(1.0, 0.1, [0.0, 0.0, bad])
 
     def test_static_exact_against_finite_difference(self):
         field = CentralField(0.01)

@@ -38,18 +38,26 @@ class TestExactConnections:
             assert np.max(np.abs(exact - fd)) < 1e-7 * scale
 
     def test_gradients_match_finite_difference(self):
+        # the kernel's grad(G0) = r_o x/r^3 and
+        # dG[k, i] = k (w x e_k)_i - (3k/r^2) x_k (w x x)_i
         spec = generic_spec()
         x = np.array([1.3, -0.7, 0.4])
+        r, k, k_3, wx = spec.at(x)
+        exact_grad0 = spec.r_o * x / r**3
+        exact_jac = (k * np.cross(spec.omega, np.eye(3))
+                     - k_3 * np.outer(x, wx))
         h = 1e-7
         jac = np.empty((3, 3))
         grad0 = np.empty(3)
-        for k in range(3):
+        for j in range(3):
             dx = np.zeros(3)
-            dx[k] = h
-            jac[k] = (spec.gi(x + dx) - spec.gi(x - dx)) / (2 * h)
-            grad0[k] = (spec.g0(x + dx) - spec.g0(x - dx)) / (2 * h)
-        assert np.max(np.abs(jac - spec.dgi(x))) < 1e-10
-        assert np.max(np.abs(grad0 - spec.dg0(x))) < 1e-10
+            dx[j] = h
+            jac[j] = (spec.gi(x + dx) - spec.gi(x - dx)) / (2 * h)
+            grad0[j] = (spec.g0(x + dx) - spec.g0(x - dx)) / (2 * h)
+        assert np.max(np.abs(jac - exact_jac)) < 1e-10
+        assert np.max(np.abs(grad0 - exact_grad0)) < 1e-10
+        assert np.array_equal(spec.gi(x), k * np.array(wx))
+        assert spec.g0(x) == -spec.r_o / r
 
     def test_static_limit_reduces_to_central(self):
         spec = RotatingFieldSpec(r_o=0.01, inertia=0.0,
@@ -261,9 +269,18 @@ class TestPolarOrbit:
         assert period == pytest.approx(2 * np.pi / nu, rel=1e-15)
         t = 123.4
         h = 1e-3
-        fd = (pos(t + h) - pos(t - h)) / (2 * h)
+        fd = (np.array(pos(t + h)) - np.array(pos(t - h))) / (2 * h)
         assert np.allclose(fd, vel(t), atol=1e-9)
+        assert all(type(c) is float for c in pos(t) + vel(t))
 
     def test_radius_guard(self):
         with pytest.raises(NonPositiveRadius):
             circular_polar_orbit(0.0, 1.0)
+
+    @pytest.mark.parametrize("radius, r_o", [(np.nan, 1.0), (1.0, 0.0),
+                                             (1.0, -1.0), (1.0, np.nan)])
+    def test_refuses_nan_radius_and_r_o_not_above_zero(self, radius, r_o):
+        # a NaN radius gave a nan rate and period, and r_o <= 0 a numpy
+        # RuntimeWarning
+        with pytest.raises(NonPositiveRadius):
+            circular_polar_orbit(radius, r_o)
