@@ -248,8 +248,8 @@ def _numpy_raises(command: Callable[[argparse.Namespace], RunReport]
                   ) -> Callable[[argparse.Namespace], RunReport]:
     """``command`` run with numpy set to raise on overflow, division by zero
     and invalid operations, so that they end as one error line, as float
-    ones do.  Only the subcommands that run numpy take it: the others never
-    import numpy."""
+    ones do.  Only ``orbit`` runs numpy and takes it: the other subcommands
+    never import numpy."""
     @wraps(command)
     def guarded(args: argparse.Namespace) -> RunReport:
         import numpy as np
@@ -341,12 +341,16 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
     return report
 
 
-@_numpy_raises
-def cmd_gyro(args: argparse.Namespace) -> RunReport:
-    import numpy as np
+def _norm(v: Tuple[float, float, float]) -> float:
+    """|v|, its squares summed left to right with no fused multiply-add:
+    the same bytes on every CPU, where a BLAS ``ddot`` rounds by kernel."""
+    a, b, c = v
+    return math.sqrt(a * a + b * b + c * c)
 
+
+def cmd_gyro(args: argparse.Namespace) -> RunReport:
     from .spin import (RotatingFieldSpec, circular_polar_orbit,
-                       de_sitter_rate, frame_dragging_rate, geodetic_rate)
+                       de_sitter_rate, frame_dragging, geodetic)
     sc = _load_scenario(args)
     p = sc.params
     report = RunReport(scenario=sc.name,
@@ -354,23 +358,22 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
     spec = RotatingFieldSpec(r_o=p["r_o"], inertia=p["inertia"],
                              omega=p["omega"])
     radius = args.orbit_radius
-    pole = np.array([0.0, 0.0, radius])
-    equator = np.array([radius, 0.0, 0.0])
+    pole = (0.0, 0.0, radius)
+    equator = (radius, 0.0, 0.0)
     to_rad_s = C_SI
     report.add("frame_dragging_polar",
-               float(frame_dragging_rate(spec, pole)[2]) * to_rad_s,
+               frame_dragging(spec, pole)[2] * to_rad_s,
                "rad/s", "closed-form")
     report.add("frame_dragging_equatorial",
-               float(frame_dragging_rate(spec, equator)[2]) * to_rad_s,
+               frame_dragging(spec, equator)[2] * to_rad_s,
                "rad/s", "closed-form")
     position, velocity, nu, period = circular_polar_orbit(radius, p["r_o"])
     x0, v0 = position(0.0), velocity(0.0)
-    report.add("geodetic_rate",
-               float(np.linalg.norm(geodetic_rate(spec, x0, v0))) * to_rad_s,
+    report.add("geodetic_rate", _norm(geodetic(spec, x0, v0)) * to_rad_s,
                "rad/s", "closed-form")
     report.add("geodetic_rate_desitter",
-               float(np.linalg.norm(de_sitter_rate(p["r_o"], x0, v0)))
-               * to_rad_s, "rad/s", "comparison-closed-form")
+               _norm(de_sitter_rate(p["r_o"], x0, v0)) * to_rad_s,
+               "rad/s", "comparison-closed-form")
     report.add("orbital_period", period / C_SI, "s", "closed-form")
     return report
 
@@ -503,11 +506,20 @@ def _command(name: str):
     return lambda args: globals()[name](args)
 
 
-def _flag_type(key: str, kind: Callable[[str], Any]) -> Callable[[str], Any]:
+def _flag_type(key: str, kind: Callable[[str], Any],
+               domain: str) -> Callable[[str], Any]:
     """``kind`` of a flag's text, checked against ``key``'s domain: a
-    ConfigInvalid passes through argparse to ``main``."""
+    ConfigInvalid passes through argparse to ``main``.  The error states
+    ``domain``, the flag's whole domain as its ``--help`` does: the
+    narrower rule's description where the flag has one (``_load_scenario``
+    then checks the rule)."""
+    test = DOMAIN[key][0]
+
     def parse(text: str) -> Any:
-        return check(key, kind(text))
+        value = kind(text)
+        if not test(value):
+            raise ConfigInvalid(f"{key!r} must be {domain}, got {value!r}")
+        return value
     parse.__name__ = kind.__name__      # argparse: "invalid int value: 'x'"
     return parse
 
@@ -533,11 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         for key, kind, default, text, rule in flags:
             option = {"n_orbits": "orbits"}.get(key, key.replace("_", "-"))
-            text += ": " + (rule[1] if rule else DOMAIN[key][1])
+            domain = rule[1] if rule else DOMAIN[key][1]
+            text += ": " + domain
             if default is not None:
                 text += f" (default {default})"
             p.add_argument(f"--{option}", dest=key, default=default,
-                           type=_flag_type(key, kind), help=text)
+                           type=_flag_type(key, kind, domain), help=text)
         p.set_defaults(func=_command("cmd_" + name.replace("-", "_")))
     return parser
 

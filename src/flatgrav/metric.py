@@ -9,25 +9,31 @@ for every admissible potential and gauge.
 A rotating central body's field and its first derivatives are written once,
 as floats, in ``CentralField.at``, which feeds the metric, the exact
 connection (``christoffels``) and ``spin``'s transport and gyroscope rates.
+The module imports numpy only inside its array routes (the metric, the
+connections, ``gauge_shift`` and ``CentralField.gi``), so the float ones
+(``CentralField.at`` and ``g0``, ``proper_time_rate``) run without it.
 
 Geometric units: c = 1, lengths in meters.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
-
-import numpy as np
+import sys
+from typing import (TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import InvalidSpeed, NoConvergence, NonPositiveRadius, PotentialOutOfRange
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:  # each array route imports it: the float routes skip it
+    import numpy as np
 
-Vec3 = np.ndarray
+EPS = sys.float_info.epsilon
+
+Vec3 = Sequence[float]
 
 
-def _zero_vector(x: Vec3) -> Vec3:
+def _zero_vector(x: Vec3) -> np.ndarray:
+    import numpy as np
     return np.zeros(3)
 
 
@@ -40,7 +46,7 @@ class FourPotential(NamedTuple):
     """
 
     g0: Callable[[Vec3], float]
-    gi: Callable[[Vec3], Vec3] = _zero_vector
+    gi: Callable[[Vec3], np.ndarray] = _zero_vector
 
 
 class CentralField:
@@ -88,7 +94,8 @@ class CentralField:
     def g0(self, x: Vec3) -> float:
         return -self.r_o / self.at(x)[0]
 
-    def gi(self, x: Vec3) -> Vec3:
+    def gi(self, x: Vec3) -> np.ndarray:
+        import numpy as np
         _, k, _, wx = self.at(x)
         return k * np.array(wx)
 
@@ -113,6 +120,7 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     spatial legs are Kronecker deltas.  Raises PotentialOutOfRange for
     g0 >= 1, where the time warp is singular in the model's own terms.
     """
+    import numpy as np
     x = np.asarray(at, dtype=float)
     G0 = float(pot.g0(x))
     if G0 >= 1.0:
@@ -133,11 +141,12 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
                            gamma=gamma)
 
 
-def _inverse(G0: float, Gi: Vec3) -> np.ndarray:
+def _inverse(G0: float, Gi: np.ndarray) -> np.ndarray:
     """g^{mu nu} from the potentials at a point: g^00 = (1 - G0)^2 - Gi.Gi,
     g^0i = Gi, g^ij = -delta_ij.  ``build_metric``'s inverse, and the one
     that ``christoffels`` and ``spin.spin_norm_invariant`` read without
     building the rest of the metric."""
+    import numpy as np
     ginv = np.empty((4, 4))
     ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
     ginv[0, 1:] = ginv[1:, 0] = Gi
@@ -154,7 +163,9 @@ def gauge_shift(pot: FourPotential,
     1e-6 times the evaluation radius (at least 1e-6).  The result is a plain
     FourPotential: the exact derivatives of a CentralField do not carry over.
     """
-    def gi(x: Vec3) -> Vec3:
+    import numpy as np
+
+    def gi(x: Vec3) -> np.ndarray:
         step = 1e-6 * max(float(np.linalg.norm(x)), 1.0)
         grad = np.empty(3)
         for k in range(3):
@@ -168,6 +179,7 @@ def gauge_shift(pot: FourPotential,
 
 def metric_gradient_numeric(pot: FourPotential, at: Vec3, h: float) -> np.ndarray:
     """Spatial finite-difference gradient dg[k, mu, nu] of the full metric."""
+    import numpy as np
     x = np.asarray(at, dtype=float)
     dg = np.empty((3, 4, 4))
     for k in range(3):
@@ -191,11 +203,13 @@ def christoffels_numeric(pot: FourPotential, at: Vec3,
     the differences' rounding (eps/h against metric entries of size 1) with
     their truncation ((h/r)^2 against the field's part |g - eta|).
     """
+    import numpy as np
     x = np.asarray(at, dtype=float)
     m = build_metric(pot, x)
     if h is None:
         r = max(float(np.linalg.norm(x)), 1.0)
-        departure = max(float(np.max(np.abs(m.g - ETA))), EPS)
+        eta = np.diag([1.0, -1.0, -1.0, -1.0])
+        departure = max(float(np.max(np.abs(m.g - eta))), EPS)
         h = r * min((EPS / departure) ** (1.0 / 3.0), 1e-2)
     dg3 = metric_gradient_numeric(pot, x, h)
     dg = np.zeros((4, 4, 4))
@@ -216,6 +230,7 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     if not isinstance(field, CentralField):
         raise TypeError(f"christoffels needs a CentralField, got "
                         f"{type(field).__name__}; use christoffels_numeric")
+    import numpy as np
     r, k, k_3, wx = field.at(at)
     x = np.asarray(at, dtype=float)
     G0 = -field.r_o / r
@@ -245,6 +260,7 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     ``dg[sigma, mu, nu]`` = d_sigma g_{mu nu}, with the time slot zero for
     a static field.
     """
+    import numpy as np
     brackets = np.einsum("msn->smn", dg) + np.einsum("nsm->smn", dg) - dg
     # brackets[s, m, n] = d_m g_{s n} + d_n g_{s m} - d_s g_{m n}
     return 0.5 * np.einsum("ls,smn->lmn", ginv, brackets)
@@ -268,7 +284,7 @@ def proper_time_rate(ldot: float, r_o_over_r: float, energy_ratio: float,
             raise InvalidSpeed(
                 f"implied physical speed exceeds 1 (ldot={ldot}, dtau/dt={x})"
             )
-        x_next = 1.0 - r_o_over_r * energy_ratio * np.sqrt(arg)
+        x_next = 1.0 - r_o_over_r * energy_ratio * math.sqrt(arg)
         if abs(x_next - x) < 1e-14:
             return x_next
         x = x_next

@@ -9,6 +9,12 @@ orbit; the secular drift decomposes into a frame-dragging rate set by the
 vector potential's curl and a geodetic rate set by the motion through the
 scalar field's gradient.
 
+Both rates are float kernels that return 3-tuples (``frame_dragging``,
+``geodetic``), as is ``de_sitter_rate``, so ``gyro`` runs without numpy.
+The module imports numpy only inside its array routes: the transport, its
+check against the connection, the spin-norm invariant and the array
+wrappers ``frame_dragging_rate`` and ``geodetic_rate``.
+
 Geometric units: lengths in meters, time in meters, angular velocity in 1/m,
 moment of inertia in m^3.
 """
@@ -17,17 +23,18 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
 from .metric import CentralField, _inverse, christoffels
 
-if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
+if TYPE_CHECKING:  # the array and ODE routes import them: gyro skips both
+    import numpy as np
+
     from .ode import DenseOutput
 
 __all__ = [
     "RotatingFieldSpec", "rotating_connections", "transport_spin",
-    "frame_dragging_rate", "geodetic_rate", "de_sitter_rate",
+    "frame_dragging", "geodetic", "frame_dragging_rate", "geodetic_rate",
+    "de_sitter_rate",
     "circular_polar_orbit", "spin_norm_invariant",
 ]
 
@@ -36,7 +43,8 @@ __all__ = [
 RotatingFieldSpec = CentralField
 
 
-def rotating_connections(spec: RotatingFieldSpec, x: np.ndarray) -> np.ndarray:
+def rotating_connections(spec: RotatingFieldSpec,
+                         x: Sequence[float]) -> np.ndarray:
     """The exact connection Gamma[lam, mu, nu] of ``metric.christoffels``."""
     return christoffels(spec, x)
 
@@ -50,6 +58,7 @@ def spin_norm_invariant(spec: RotatingFieldSpec, x: Sequence[float],
     ~3e-8 at r_o/r = 1e-4: that orbit is a Newtonian circle, not a geodesic,
     so the spin is transported along a path the metric does not follow.
     """
+    import numpy as np
     r, k, _, wx = spec.at(x)
     s4 = np.concatenate(([-float(np.dot(velocity, s))], s))
     return float(s4 @ _inverse(-spec.r_o / r, k * np.array(wx)) @ s4)
@@ -132,6 +141,7 @@ def _check_against_connection(spec: RotatingFieldSpec, x: Sequence[float],
     |Gamma^lam_{i nu}| |S_lam| |xdot^nu|, the scale of the rounding error of
     either route, so a rate that vanishes by cancellation still passes.
     """
+    import numpy as np
     gamma = rotating_connections(spec, x)[:, 1:, :]
     s4 = np.concatenate(([-float(np.dot(velocity, s))], s))
     xdot = np.concatenate(([1.0], velocity))
@@ -148,7 +158,7 @@ def _check_against_connection(spec: RotatingFieldSpec, x: Sequence[float],
 def transport_spin(spec: RotatingFieldSpec,
                    position: Callable[[float], Sequence[float]],
                    velocity: Callable[[float], Sequence[float]],
-                   s_initial: np.ndarray,
+                   s_initial: Sequence[float],
                    t_span: Tuple[float, float],
                    tol: float = 1e-12) -> DenseOutput:
     """Parallel-transport a spin along a prescribed orbit.
@@ -160,6 +170,8 @@ def transport_spin(spec: RotatingFieldSpec,
     NumericalFailure if they differ.  GeometryInvalid for a span that does
     not increase.
     """
+    import numpy as np
+
     from .ode import dop853
 
     s0 = np.asarray(s_initial, dtype=float)
@@ -179,36 +191,67 @@ def transport_spin(spec: RotatingFieldSpec,
     return run.dense
 
 
-def frame_dragging_rate(spec: RotatingFieldSpec,
-                        x: Sequence[float]) -> np.ndarray:
+def frame_dragging(spec: RotatingFieldSpec, x: Sequence[float]
+                   ) -> Tuple[float, float, float]:
     """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w): half the curl of G."""
     r, k, _, _ = spec.at(x)
     h0, h1, h2 = x[0] / r, x[1] / r, x[2] / r
     w0, w1, w2 = spec.omega
     wh = w0 * h0 + w1 * h1 + w2 * h2
     half = 0.5 * k                                  # I/r^3
-    return np.array([half * (3.0 * h0 * wh - w0), half * (3.0 * h1 * wh - w1),
-                     half * (3.0 * h2 * wh - w2)])
+    return (half * (3.0 * h0 * wh - w0), half * (3.0 * h1 * wh - w1),
+            half * (3.0 * h2 * wh - w2))
 
 
-def geodetic_rate(spec: RotatingFieldSpec, x: Sequence[float],
-                  velocity: Sequence[float]) -> np.ndarray:
+def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
+             velocity: Sequence[float]) -> Tuple[float, float, float]:
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope."""
     r, k, _, wx = spec.at(x)
     r3 = r**3
     b0, b1, b2 = (spec.r_o * c / r3 for c in x)                # grad(G0)
     a0, a1, a2 = (v / 2.0 - k * g for v, g in zip(velocity, wx))
-    return np.array([a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1])
+    return (a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1)
 
 
-def de_sitter_rate(r_o: float, x: np.ndarray,
-                   velocity: np.ndarray) -> np.ndarray:
-    """Textbook geodetic comparison rate (3/2) * (r_o/r^3) * (x cross v)."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
+def frame_dragging_rate(spec: RotatingFieldSpec,
+                        x: Sequence[float]) -> np.ndarray:
+    """``frame_dragging`` as an array, so that two rates add as vectors.
+
+    perfbench's spin check and acceptance criterion 7 add it to
+    ``geodetic_rate``; the wrapper can go once perfbench reads the tuples
+    (ROADMAP item 6).
+    """
+    import numpy as np
+    return np.array(frame_dragging(spec, x))
+
+
+def geodetic_rate(spec: RotatingFieldSpec, x: Sequence[float],
+                  velocity: Sequence[float]) -> np.ndarray:
+    """``geodetic`` as an array, so that two rates add as vectors.
+
+    perfbench's spin check and acceptance criterion 7 add it to
+    ``frame_dragging_rate``; the wrapper can go once perfbench reads the
+    tuples (ROADMAP item 6).
+    """
+    import numpy as np
+    return np.array(geodetic(spec, x, velocity))
+
+
+def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
+                   ) -> Tuple[float, float, float]:
+    """Textbook geodetic comparison rate (3/2) * (r_o/r^3) * (x cross v).
+
+    r is sqrt(x.x), its squares summed left to right.  NonPositiveRadius
+    at the center.
+    """
+    x0, x1, x2 = x
+    v0, v1, v2 = velocity
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r <= 0.0:
         raise NonPositiveRadius("rate evaluated at the center")
-    return 1.5 * r_o / r**3 * np.cross(x, velocity)
+    f = 1.5 * r_o / r**3
+    return (f * (x1 * v2 - x2 * v1), f * (x2 * v0 - x0 * v2),
+            f * (x0 * v1 - x1 * v0))
 
 
 def circular_polar_orbit(radius: float, r_o: float
@@ -221,13 +264,18 @@ def circular_polar_orbit(radius: float, r_o: float
     cheap as the per-stage transport rate they feed.  This is a Newtonian
     circle, not a geodesic of the metric, so ``spin_norm_invariant`` drifts
     along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
-    NonPositiveRadius unless radius > 0 and r_o > 0.
+    NonPositiveRadius unless radius > 0 and r_o > 0; NumericalFailure where
+    r_o/radius^3 underflows to 0, which would leave no orbital rate.
     """
     if not radius > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
     if not r_o > 0.0:
         raise NonPositiveRadius(f"r_o must be > 0 for an orbit, got {r_o}")
-    nu = math.sqrt(r_o / radius**3)
+    nu2 = r_o / radius**3
+    if nu2 == 0.0:
+        raise NumericalFailure(f"orbital rate underflows: r_o/radius^3 = 0 "
+                               f"for r_o {r_o!r} at radius {radius!r}")
+    nu = math.sqrt(nu2)
     speed = radius * nu
 
     def position(t: float) -> Tuple[float, float, float]:

@@ -477,6 +477,31 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == "" and "config error" in captured.err
 
+    @pytest.mark.parametrize("argv, key, domain, got", [
+        (["orbit", "--samples", "0"], "samples",
+         "an integer from 2 to 1000000", "0"),
+        (["orbit", "--samples", "1"], "samples",
+         "an integer from 2 to 1000000", "1"),
+        (["orbit", "--samples", "1000001"], "samples",
+         "an integer from 2 to 1000000", "1000001"),
+        (["gyro", "--orbit-radius", "nan"], "orbit_radius",
+         "finite and > the body's 'radius'", "nan"),
+        (["gyro", "--orbit-radius", "1e-3"], "orbit_radius",
+         "finite and > the body's 'radius'", "0.001"),
+        (["density", "--samples", "0"], "samples",
+         "an integer from 1 to 1000000", "0"),
+    ])
+    def test_flag_error_states_the_domain_its_help_states(self, capsys, argv,
+                                                          key, domain, got):
+        # the parse-time check named DOMAIN's "from 1" for orbit --samples 0,
+        # while --help and --samples 1 said "from 2"
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {key!r} must be {domain}, got {got}\n")
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert domain in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("argv, raw, key", [
         (["gyro"], {"preset": "earth", "params": {"r_o": 0}}, "'r_o'"),
         (["gyro", "--orbit-radius", "1e-105"], None, "'orbit_radius'"),
@@ -559,6 +584,19 @@ class TestCliContract:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("numerical error: ")
         assert reason in captured.err and "(34," not in captured.err
+
+    @pytest.mark.parametrize("r_o, flags, radius", [
+        (1e-300, ["--orbit-radius", "1e9"], 1e9),
+        (5e-324, [], 7.02e6),
+    ])
+    def test_underflowing_orbital_rate_names_its_inputs(self, tmp_path, capsys,
+                                                        r_o, flags, radius):
+        cfg = self.config(tmp_path, {"preset": "earth",
+                                     "params": {"r_o": r_o}})
+        assert main(["gyro", "--config", cfg, *flags]) == 3
+        assert capsys.readouterr() == (
+            "", f"numerical error: orbital rate underflows: r_o/radius^3 = 0 "
+                f"for r_o {r_o!r} at radius {radius!r}\n")
 
     def test_zero_division_exits_3(self, monkeypatch, capsys):
         # a float ZeroDivisionError (no known input raises one) ends as one

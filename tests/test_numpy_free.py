@@ -1,8 +1,10 @@
-"""``precession``, ``echo-delay``, ``compare``, ``density``, ``electric`` and
-``light-deflect`` run without numpy: their modules import none, and with
-numpy blocked each prints what it prints with numpy importable, and keeps
-its exit code on edge input.  So do the carriers' residuals at a float
-radius, and the DOP853 stepper."""
+"""Every subcommand but ``orbit`` runs without numpy: ``precession``,
+``echo-delay``, ``compare``, ``density``, ``electric``, ``light-deflect``
+and ``gyro``.  Their modules import none, and with numpy blocked each
+prints what it prints with numpy importable, and keeps its exit code on
+edge input.  So do the carriers' residuals at a float radius, the DOP853
+stepper, and the float routes of ``metric`` and ``spin``: the field, the
+gyroscope rates, the orbit and the transport rate."""
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ from flatgrav.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric",
-              "light-deflect")
+              "light-deflect", "gyro")
 # ``import numpy`` raises in the child: a None entry halts the import
 BLOCKED = "import sys; sys.modules['numpy'] = None; "
 
@@ -43,8 +45,12 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "import flatgrav.baseline, flatgrav.carriers, flatgrav.cli\n"
         "import flatgrav.orbits, flatgrav.photons, flatgrav.presets\n"
         "import flatgrav.ode, flatgrav.quadrature\n"
+        "import flatgrav.metric, flatgrav.spin\n"
         "from flatgrav.carriers import (ElectricCarrier, RadialCarrier,\n"
         "    density_identities, displacement_divergence_residual)\n"
+        "from flatgrav.metric import CentralField, proper_time_rate\n"
+        "from flatgrav.spin import (circular_polar_orbit, de_sitter_rate,\n"
+        "    frame_dragging, geodetic, transport_rhs)\n"
         "imported = 'numpy' in sys.modules\n"
         "codes = []\n"
         f"for sub in {NUMPY_FREE!r}:\n"
@@ -53,6 +59,13 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "density_identities(RadialCarrier(r_o=1.0), 3.0, 1e-2)\n"
         "displacement_divergence_residual(\n"
         "    ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0), 3.0)\n"
+        "field = CentralField(1e-6, 1e-3, [0.0, 0.0, 1e-7])\n"
+        "pos, vel, _, _ = circular_polar_orbit(1.0, 1e-6)\n"
+        "x, v = pos(0.3), vel(0.3)\n"
+        "field.at(x), field.g0(x), frame_dragging(field, x)\n"
+        "geodetic(field, x, v), de_sitter_rate(1e-6, x, v)\n"
+        "transport_rhs(field, x, v, (1.0, 0.0, 0.0))\n"
+        "proper_time_rate(0.0, 0.1, 1.0 / 1.1)\n"
         "print(json.dumps([imported, 'numpy' in sys.modules, codes]))\n")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
@@ -120,6 +133,17 @@ ROWS = [
     (3, ["light-deflect"], {"preset": "solar",
                             "params": {"r_o": 1.0, "R_s": 4.0}}),
     (0, ["light-deflect", "--tol", "1e-9"], None),
+    (2, ["gyro", "--orbit-radius", "1e-3"], None),
+    (3, ["gyro", "--orbit-radius", "1e103"], None),
+    (3, ["gyro", "--orbit-radius", "1e9"],
+     {"preset": "earth", "params": {"r_o": 1e-300}}),
+    (3, ["gyro"], {"preset": "earth", "params": {"r_o": 5e-324}}),
+    (0, ["gyro", "--orbit-radius", "1e12"], None),
+    (0, ["gyro", "--orbit-radius", "36332272.11646175"],
+     {"preset": "earth", "params": {"r_o": 2.686716799982485e-09,
+                                    "inertia": 1.428173803976335e+18,
+                                    "omega": [0.0, 0.0,
+                                              -8.080411199299936e-07]}}),
 ]
 
 

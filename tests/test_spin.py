@@ -11,7 +11,9 @@ from flatgrav.spin import (
     RotatingFieldSpec,
     circular_polar_orbit,
     de_sitter_rate,
+    frame_dragging,
     frame_dragging_rate,
+    geodetic,
     geodetic_rate,
     rotating_connections,
     spin_norm_invariant,
@@ -86,19 +88,51 @@ class TestDragAndGeodeticRates:
 
     def test_geodetic_is_third_of_de_sitter(self):
         # point-spin rate v/2 x grad vs the 3/2 textbook factor
-        spec = RotatingFieldSpec(r_o=1e-8, inertia=0.0, omega=np.zeros(3))
-        x = np.array([1.0, 0.0, 0.0])
-        v = np.array([0.0, 1e-4, 0.0])
-        ours = geodetic_rate(spec, x, v)
+        spec = RotatingFieldSpec(r_o=1e-8, inertia=0.0, omega=0)
+        x = (1.0, 0.0, 0.0)
+        v = (0.0, 1e-4, 0.0)
+        ours = geodetic(spec, x, v)
         textbook = de_sitter_rate(spec.r_o, x, v)
-        assert np.allclose(3.0 * ours, textbook, rtol=1e-12)
+        assert type(textbook) is tuple
+        assert all(type(c) is float for c in textbook)
+        assert np.allclose(3.0 * np.array(ours), textbook, rtol=1e-12)
+
+    def test_de_sitter_is_the_cross_product_formula(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-3.0, 6.0)
+            v = rng.normal(0.0, 1e-4, 3)
+            r_o = 10.0 ** rng.uniform(-9.0, -1.0)
+            expected = 1.5 * r_o / np.linalg.norm(x)**3 * np.cross(x, v)
+            got = de_sitter_rate(r_o, tuple(x.tolist()), tuple(v.tolist()))
+            assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    def test_arrays_are_the_float_kernels(self):
+        # the array wrappers add as vectors; their entries are the kernels'
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            spec, x, v, _ = random_spec_point(rng)
+            x, v = tuple(x.tolist()), tuple(v.tolist())
+            for kernel, wrapper, args in (
+                    (frame_dragging, frame_dragging_rate, (spec, x)),
+                    (geodetic, geodetic_rate, (spec, x, v))):
+                rate = kernel(*args)
+                assert type(rate) is tuple and len(rate) == 3
+                assert all(type(c) is float for c in rate)
+                array = wrapper(*args)
+                assert isinstance(array, np.ndarray)
+                assert array.tolist() == list(rate)
 
     def test_center_guard(self):
         spec = generic_spec()
         with pytest.raises(NonPositiveRadius):
+            frame_dragging(spec, (0.0, 0.0, 0.0))
+        with pytest.raises(NonPositiveRadius):
             frame_dragging_rate(spec, np.zeros(3))
         with pytest.raises(NonPositiveRadius):
-            de_sitter_rate(1.0, np.zeros(3), np.ones(3))
+            geodetic(spec, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(NonPositiveRadius):
+            de_sitter_rate(1.0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 class TestTransport:
@@ -284,3 +318,20 @@ class TestPolarOrbit:
         # RuntimeWarning
         with pytest.raises(NonPositiveRadius):
             circular_polar_orbit(radius, r_o)
+
+    @pytest.mark.parametrize("radius, r_o", [(1e9, 1e-300), (7.02e6, 5e-324),
+                                             (1e100, 1e-30)])
+    def test_underflowing_rate_is_a_numerical_failure(self, radius, r_o):
+        # r_o/radius^3 = 0 gave nu = 0, and the period 2 pi/nu a bare
+        # "float division by zero"
+        with pytest.raises(NumericalFailure) as info:
+            circular_polar_orbit(radius, r_o)
+        assert str(info.value) == (
+            f"orbital rate underflows: r_o/radius^3 = 0 for r_o {r_o!r} "
+            f"at radius {radius!r}")
+
+    def test_subnormal_rate_squared_still_orbits(self):
+        # r_o/radius^3 = 1e-310 is subnormal but not 0: nu ~ 1e-155
+        _, _, nu, period = circular_polar_orbit(1.0, 1e-310)
+        assert nu == pytest.approx(1e-155, rel=1e-6)
+        assert period == pytest.approx(2 * np.pi / nu, rel=1e-15)
