@@ -272,6 +272,9 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
     alpha0, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
     traj = integrate_orbit(p["r_o"], alpha0, integrals, sc.n_orbits,
                            tol=sc.tol)
+    # first: the samples' quadrature pass gives the period's clocks as well
+    phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
+    u, _, t, par = traj.sample(phis)
     numeric = precession_numeric(traj)
     analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
     report.add("precession_per_orbit", numeric.delta_phi_per_orbit, "rad",
@@ -282,8 +285,6 @@ def cmd_orbit(args: argparse.Namespace) -> RunReport:
                "arcsec/century", "orbit-integration", tolerance=sc.tol)
     report.add("energy_integral_drift", traj.drift, "relative",
                "orbit-integration")
-    phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
-    u, _, t, par = traj.sample(phis)
     report.table("trajectory", phi_rad=phis, r_m=1.0 / u, t_m=t, p_m=par)
     return report
 

@@ -261,21 +261,32 @@ class Trajectory:
 
     @cached_property
     def _segment_clocks(self) -> np.ndarray:
-        """t and p at each solver breakpoint ``sol.ts``, shape (2, n + 1)."""
+        """t and p at each solver breakpoint ``sol.ts``, shape (2, n + 1),
+        which ``sample`` stores where it runs first."""
+        return self._clocks((), ())[0]
+
+    def _clocks(self, phis, seg) -> Tuple[np.ndarray, np.ndarray]:
+        """The breakpoint clocks, which it stores, and the t and p that each
+        angle ``phis[j]`` adds to the clocks at the start of its step
+        ``seg[j]``: one ``legendre_antiderivative`` pass over every step."""
         import numpy as np
-        ts, n = self.sol.ts, self.sol.n_segments
-        seg = np.arange(n)[:, None]
-        whole, _ = legendre_antiderivative(
-            lambda x: self._clock_rates(x, seg), ts[:-1], ts[1:])
-        return np.concatenate([np.zeros((2, 1)), np.cumsum(whole, axis=1)],
-                              axis=1)
+        ts = self.sol.ts
+        steps = np.arange(self.sol.n_segments)[:, None]
+        whole, part = legendre_antiderivative(
+            lambda x: self._clock_rates(x, steps), ts[:-1], ts[1:], phis, seg)
+        self._segment_clocks = np.concatenate(
+            [np.zeros((2, 1)), np.cumsum(whole, axis=1)], axis=1)
+        return self._segment_clocks, part
 
     def sample(self, phis):
         """u, u', t and p at the angles ``phis`` (scalar or 1-D).
 
         t and p are the clocks at the start of the sample's solver step plus
         the integral of dt/dphi, dp/dphi from there, read off one Legendre
-        series per step (``legendre_antiderivative``).
+        series per step.  The breakpoint clocks come from the same
+        ``legendre_antiderivative`` pass, whose whole-step integrals settle
+        at their own rule, so they are bitwise the clocks of a pass without
+        samples; ``sample`` stores them for ``period_clocks``.
         """
         import numpy as np
         phis = np.asarray(phis, dtype=float)
@@ -285,16 +296,11 @@ class Trajectory:
         flat = flat - k * self.period
         seg = self.sol.segments(flat)
         u, up = self._u(flat, seg)
-        # one Legendre series per step that holds a sample
-        steps, which = np.unique(seg, return_inverse=True)
-        ts, clocks = self.sol.ts, self._segment_clocks
-        _, part = legendre_antiderivative(
-            lambda x: self._clock_rates(x, steps[:, None]),
-            ts[steps], ts[steps + 1], flat, which)
+        clocks, part = self._clocks(flat, seg)
         # a sample on a step's end gets that breakpoint's clocks exactly
-        t, p = (np.where(flat == ts[seg + 1], clocks[:, seg + 1],
+        t, p = (np.where(flat == self.sol.ts[seg + 1], clocks[:, seg + 1],
                          clocks[:, seg] + part)
-                + k * self.period_clocks[:, None])
+                + k * clocks[:, -1:])
         return tuple(v.reshape(phis.shape) for v in (u, up, t, p))
 
     def integral_drift(self) -> float:

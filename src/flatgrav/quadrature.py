@@ -151,11 +151,15 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
     A whole integral is the n-point rule, its terms added by numpy's
     pairwise sum; a point's is the Legendre series of the same samples,
     integrated from its interval's start (exactly 0 there), so the cost
-    grows with the intervals, not the points.  Starts with
-    SERIES_START_NODES nodes and doubles the count until two successive
-    rules agree on every whole integral, and at every point, to
-    DEFAULT_EPSREL of the interval's whole integral; returns the finer.
-    Raises NoConvergence as ``gauss_legendre`` does.
+    grows with the intervals, not the points.  One pass starts with
+    SERIES_START_NODES nodes and doubles the count, and each result is
+    settled at its own rule, the finer of the first two successive rules
+    that agree to DEFAULT_EPSREL relative: ``whole`` where every whole
+    integral agrees, ``part`` where every point agrees to DEFAULT_EPSREL of
+    its interval's whole integral and so does that whole integral.  So
+    ``whole`` does not depend on the points, and ``part`` is what a call
+    over only the intervals that hold points would give.  Raises
+    NoConvergence as ``gauss_legendre`` does.
     """
     import numpy as np
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -165,7 +169,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
     # each point as s on [-1, 1]: x - lo = half*(s + 1), below_hi = s - 1
     s = (x - mid[which]) * inv[which]
     from_lo, below_hi = x - lo[which], (x - hi[which]) * inv[which]
-    prev = vander = None
+    whole = part = prev = vander = None
     n = SERIES_START_NODES
     while n <= MAX_NODES:
         nodes, w = _rule(n)
@@ -174,7 +178,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
             raise NoConvergence("integrand is not finite on an interval")
         rule = (vals * w).sum(axis=-1)          # sum_k w_k f_k = 2*c_0
         g = 0.0
-        if len(x):                              # the whole steps need no G
+        if len(x) and part is None:             # the whole steps need no G
             if vander is None or vander.shape[-1] < n - 1:
                 # P_l at the points up to degree 2n - 2, which G of the
                 # doubled rule needs as well
@@ -182,14 +186,18 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
             coef = np.einsum("...ik,kl->...il", vals, _series(n))
             g = np.einsum("...jl,jl->...j", coef[..., which, :],
                           vander[:, :n - 1])
-        whole = half * rule
-        part = from_lo * (0.5 * rule[..., which] + below_hi * g)
+        at_n = half * rule, from_lo * (0.5 * rule[..., which] + below_hi * g)
         if prev is not None:
-            tol = DEFAULT_EPSREL * abs(whole)
-            if ((abs(whole - prev[0]) <= tol).all()
-                    and (abs(part - prev[1]) <= tol[..., which]).all()):
+            tol = DEFAULT_EPSREL * abs(at_n[0])
+            agree = abs(at_n[0] - prev[0]) <= tol
+            if whole is None and agree.all():
+                whole = at_n[0]
+            if (part is None and agree[..., which].all()
+                    and (abs(at_n[1] - prev[1]) <= tol[..., which]).all()):
+                part = at_n[1]
+            if whole is not None and part is not None:
                 return whole, part
-        prev = whole, part
+        prev = at_n
         n *= 2
     raise NoConvergence(
         f"Legendre series disagree at {MAX_NODES} nodes on "

@@ -21,6 +21,7 @@ moment of inertia in m^3.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
@@ -241,15 +242,27 @@ def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
                    ) -> Tuple[float, float, float]:
     """Textbook geodetic comparison rate (3/2) * (r_o/r^3) * (x cross v).
 
-    r is sqrt(x.x), its squares summed left to right.  NonPositiveRadius
-    at the center.
+    r is sqrt(x.x), its squares summed left to right.  Where r^3 leaves the
+    normal float range (|x| above ~5.6e102 or below ~2.8e-103) or the
+    factor 1.5*r_o/r^3 overflows, x is first scaled by its largest
+    component m, and the factor is 1.5*r_o/m/m/|x/m|^3 on the scaled cross
+    product, which stays finite as long as the rate does; elsewhere that
+    form would move the last digit.  NonPositiveRadius at the center.
     """
     x0, x1, x2 = x
     v0, v1, v2 = velocity
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r <= 0.0:
-        raise NonPositiveRadius("rate evaluated at the center")
-    f = 1.5 * r_o / r**3
+    try:
+        r3 = r**3
+    except OverflowError:               # r above ~5.6e102; inf**3 is inf
+        r3 = math.inf
+    f = 1.5 * r_o / r3 if sys.float_info.min <= r3 < math.inf else math.inf
+    if not f < math.inf:
+        m = max(abs(x0), abs(x1), abs(x2))
+        if not m > 0.0:
+            raise NonPositiveRadius("rate evaluated at the center")
+        x0, x1, x2 = x0 / m, x1 / m, x2 / m
+        f = 1.5 * r_o / m / m / math.sqrt(x0 * x0 + x1 * x1 + x2 * x2) ** 3
     return (f * (x1 * v2 - x2 * v1), f * (x2 * v0 - x0 * v2),
             f * (x0 * v1 - x1 * v0))
 

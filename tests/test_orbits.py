@@ -17,6 +17,7 @@ from flatgrav.errors import (
     UnboundOrbit,
 )
 from flatgrav import orbits
+from flatgrav.cli import main
 from flatgrav.constants import C_SI
 from flatgrav.orbits import (
     energy_integral,
@@ -30,6 +31,7 @@ from flatgrav.orbits import (
     turning_points,
     turning_points_from_elements,
 )
+from flatgrav.quadrature import legendre_antiderivative
 from generic_blas import generic_oracle, hexes
 
 R_O = 1480.0
@@ -447,6 +449,35 @@ class TestElementEngine:
         # there is the step's own rule, not the whole-step quadrature
         _, _, t, p = traj.sample(traj.sol.ts)
         assert same_bits(np.stack([t, p]), traj._segment_clocks)
+
+    def test_period_clocks_do_not_depend_on_the_order(self):
+        # 5 samples of this run would move the clocks if the samples' and
+        # the whole steps' quadrature stopped at one rule
+        a, ecc = 228965973.88285884, 0.9867718779769822
+        alpha0, integrals = orbit_from_elements(R_O, a, ecc)
+        phis = np.linspace(0.0, 60.0 * np.pi, 5)
+        sampled = integrate_orbit(R_O, alpha0, integrals, 30)
+        sampled.sample(phis)
+        after = precession_numeric(sampled)
+        alone = integrate_orbit(R_O, alpha0, integrals, 30)
+        before = precession_numeric(alone)
+        clocks = alone.period_clocks
+        alone.sample(phis)
+        assert same_bits(sampled.period_clocks, clocks)
+        assert same_bits(alone.period_clocks, clocks)
+        assert after == before
+
+    def test_orbit_report_makes_one_quadrature_pass(self, monkeypatch,
+                                                    capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return legendre_antiderivative(*args)
+
+        monkeypatch.setattr(orbits, "legendre_antiderivative", counted)
+        assert main(["orbit", "--samples", "5"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("r_min_over_ro, ecc", SWEEP)
     def test_perihelia_are_roots_of_the_oracle(self, r_min_over_ro, ecc):

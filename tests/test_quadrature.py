@@ -166,6 +166,56 @@ class TestLegendreAntiderivative:
                                     np.array([0.5]), np.array([0]))
 
 
+def _clustered(seed):
+    """Seeded intervals of a Runge-like integrand, whose whole integrals
+    settle at 32 to 128 nodes, and points clustered in a few of them."""
+    rng = np.random.default_rng(seed)
+    lo = np.cumsum(rng.uniform(0.0, 3.0, 12)) - 6.0
+    hi = lo + rng.uniform(0.1, 3.0, 12)
+    held = rng.choice(12, size=3, replace=False)
+    which = np.sort(rng.choice(held, size=9))
+    # a third of the points near their interval's start
+    frac = np.concatenate([rng.uniform(0.0, 1e-3, 3),
+                           rng.uniform(0.0, 1.0, 6)])
+    x = lo[which] + frac * (hi[which] - lo[which])
+    return lo, hi, x, which
+
+
+def _runge(x):
+    return np.stack([1.0 / (1.0 + 4.0 * x**2), np.exp(-x) * x])
+
+
+class TestOnePass:
+    """``whole`` and ``part`` settle at their own rules in one pass."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_whole_does_not_depend_on_the_points(self, seed):
+        lo, hi, x, which = _clustered(seed)
+        alone, _ = legendre_antiderivative(_runge, lo, hi)
+        whole, _ = legendre_antiderivative(_runge, lo, hi, x, which)
+        assert alone.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_part_is_a_call_over_the_intervals_that_hold_points(self, seed):
+        lo, hi, x, which = _clustered(seed)
+        _, part = legendre_antiderivative(_runge, lo, hi, x, which)
+        steps, local = np.unique(which, return_inverse=True)
+        _, want = legendre_antiderivative(_runge, lo[steps], hi[steps], x,
+                                          local)
+        assert part.tobytes() == want.tobytes()
+
+    def test_a_point_settles_with_its_intervals_whole_integral(self,
+                                                                monkeypatch):
+        # so near the start, a point's part agrees at fewer nodes than its
+        # interval's whole integral, which first agrees from 64 to 128
+        lo, hi, near = np.array([0.0]), np.array([12.0]), np.array([1e-12])
+        _, part = legendre_antiderivative(_runge, lo, hi, near, [0])
+        monkeypatch.setattr(quadrature, "SERIES_START_NODES", 64)
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        _, at_128 = legendre_antiderivative(_runge, lo, hi, near, [0])
+        assert part.tobytes() == at_128.tobytes()
+
+
 def _old_turning_quadrature(r_o, r_min, r_max, k):
     """The adaptive-quad form of both turning-point quadratures (k = 3 flat,
     k = 2 Schwarzschild), with their strong-field guard."""

@@ -107,6 +107,27 @@ class TestDragAndGeodeticRates:
             got = de_sitter_rate(r_o, tuple(x.tolist()), tuple(v.tolist()))
             assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
+    def test_de_sitter_scales_a_radius_beyond_the_float_range(self):
+        # x.x overflows to inf here, and r**3 raises above ~5.6e102
+        got = de_sitter_rate(1e300, (1e200, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert got[:2] == (0.0, 0.0)
+        assert got[2] == pytest.approx(1.5e-100, rel=1e-15, abs=0.0)
+        # r^3 is normal here, but 1.5*r_o/r^3 overflows
+        got = de_sitter_rate(1e10, (1e-102, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert got[2] == pytest.approx(1.5e214, rel=1e-15, abs=0.0)
+        # the rate is r_o/r^2 times a direction: scaling r_o by k^2 and x by
+        # k keeps it, and r^3 overflows at k = 2^400, is subnormal at
+        # k = 2^-360 and underflows to 0 at k = 2^-400
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = tuple((rng.normal(0.0, 1.0, 3) * 1e3).tolist())
+            v = tuple(rng.normal(0.0, 1e-4, 3).tolist())
+            r_o = 10.0 ** rng.uniform(-9.0, -1.0)
+            want = de_sitter_rate(r_o, x, v)
+            for k in (2.0**400, 2.0**-360, 2.0**-400):
+                got = de_sitter_rate(r_o * k * k, tuple(c * k for c in x), v)
+                assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_arrays_are_the_float_kernels(self):
         # the array wrappers add as vectors; their entries are the kernels'
         rng = np.random.default_rng(6)
