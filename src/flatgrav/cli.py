@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache, wraps
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -45,14 +45,11 @@ class RunReport:
     __slots__ = ("scenario", "model", "version", "config", "rows", "tables")
 
     def __init__(self, scenario: str, model: str = FLAT_MODEL,
-                 version: str = __version__,
-                 config: Optional[Dict[str, Any]] = None,
-                 rows: Optional[List[Dict[str, Any]]] = None,
-                 tables: Optional[Dict[str, Dict[str, List[float]]]] = None):
-        self.scenario, self.model, self.version = scenario, model, version
+                 config: Optional[Dict[str, Any]] = None):
+        self.scenario, self.model, self.version = scenario, model, __version__
         self.config = {} if config is None else config
-        self.rows = [] if rows is None else rows
-        self.tables = {} if tables is None else tables
+        self.rows: List[Dict[str, Any]] = []
+        self.tables: Dict[str, Dict[str, List[float]]] = {}
 
     def add(self, quantity: str, value: float, unit: str,
             provenance: str, tolerance: Optional[float] = None,
@@ -244,48 +241,37 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 # ---------------------------------------------------------------- subcommands
 
 
-def _numpy_raises(command: Callable[[argparse.Namespace], RunReport]
-                  ) -> Callable[[argparse.Namespace], RunReport]:
-    """``command`` run with numpy set to raise on overflow, division by zero
-    and invalid operations, so that they end as one error line, as float
-    ones do.  Only ``orbit`` runs numpy and takes it: the other subcommands
-    never import numpy."""
-    @wraps(command)
-    def guarded(args: argparse.Namespace) -> RunReport:
-        import numpy as np
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return command(args)
-    return guarded
-
-
-@_numpy_raises
 def cmd_orbit(args: argparse.Namespace) -> RunReport:
     import numpy as np
 
     from .orbits import (integrate_orbit, orbit_from_elements,
                          precession_analytic, precession_numeric)
-    sc = _load_scenario(args)
-    p = sc.params
-    report = RunReport(scenario=sc.name,
-                       config={"params": p, "n_orbits": sc.n_orbits,
-                               "tol": sc.tol})
-    alpha0, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
-    traj = integrate_orbit(p["r_o"], alpha0, integrals, sc.n_orbits,
-                           tol=sc.tol)
-    # first: the samples' quadrature pass gives the period's clocks as well
-    phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
-    u, _, t, par = traj.sample(phis)
-    numeric = precession_numeric(traj)
-    analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
-    report.add("precession_per_orbit", numeric.delta_phi_per_orbit, "rad",
-               "orbit-integration", tolerance=sc.tol)
-    report.add("precession_per_orbit", analytic.delta_phi_per_orbit, "rad",
-               "closed-form")
-    report.add("precession_century", numeric.arcsec_per_century,
-               "arcsec/century", "orbit-integration", tolerance=sc.tol)
-    report.add("energy_integral_drift", traj.drift, "relative",
-               "orbit-integration")
-    report.table("trajectory", phi_rad=phis, r_m=1.0 / u, t_m=t, p_m=par)
+    # numpy's overflow, division by zero and invalid operation end as one
+    # error line, as float ones do; only orbit runs numpy
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        sc = _load_scenario(args)
+        p = sc.params
+        report = RunReport(scenario=sc.name,
+                           config={"params": p, "n_orbits": sc.n_orbits,
+                                   "tol": sc.tol})
+        alpha0, integrals = orbit_from_elements(p["r_o"], p["a"], p["ecc"])
+        traj = integrate_orbit(p["r_o"], alpha0, integrals, sc.n_orbits,
+                               tol=sc.tol)
+        # first: the samples' quadrature pass gives the period's clocks too
+        phis = np.linspace(traj.phi_start, traj.phi_end, args.samples)
+        u, _, t, par = traj.sample(phis)
+        numeric = precession_numeric(traj)
+        analytic = precession_analytic(p["r_o"], p["a"], p["ecc"])
+        report.add("precession_per_orbit", numeric.delta_phi_per_orbit,
+                   "rad", "orbit-integration", tolerance=sc.tol)
+        report.add("precession_per_orbit", analytic.delta_phi_per_orbit,
+                   "rad", "closed-form")
+        report.add("precession_century", numeric.arcsec_per_century,
+                   "arcsec/century", "orbit-integration", tolerance=sc.tol)
+        report.add("energy_integral_drift", traj.drift, "relative",
+                   "orbit-integration")
+        report.table("trajectory", phi_rad=phis, r_m=1.0 / u, t_m=t,
+                     p_m=par)
     return report
 
 

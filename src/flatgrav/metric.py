@@ -22,7 +22,8 @@ import sys
 from typing import (TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .errors import InvalidSpeed, NoConvergence, NonPositiveRadius, PotentialOutOfRange
+from .errors import (InvalidSpeed, NoConvergence, NonPositiveRadius,
+                     NumericalFailure, PotentialOutOfRange)
 
 if TYPE_CHECKING:  # each array route imports it: the float routes skip it
     import numpy as np
@@ -80,14 +81,22 @@ class CentralField:
         Every term of the field and of its first derivatives is built from
         these: G0 = -r_o/r, d_k G0 = r_o*x_k/r^3, G = k*(w x x), and
         d_k G_i = k*(w x e_k)_i - (3k/r^2)*x_k*(w x x)_i.  NonPositiveRadius
-        at the center; OverflowError where r^3 overflows (r > ~5.6e102).
+        at the center; NumericalFailure, naming r, where r^3 underflows to 0
+        (r below ~1.1e-108) or overflows (r above ~5.6e102).
         """
         x0, x1, x2 = x
         r = math.hypot(x0, x1, x2)
         if r <= 0.0:
             raise NonPositiveRadius("field evaluated at the center")
         w0, w1, w2 = self.omega
-        k = 2.0 * self.inertia / r**3
+        try:
+            k = 2.0 * self.inertia / r**3
+        except ZeroDivisionError:
+            raise NumericalFailure(
+                f"r**3 underflows to 0 at r = {r!r}") from None
+        except OverflowError:
+            raise NumericalFailure(
+                f"r**3 overflows at r = {r!r}") from None
         wx = (w1 * x2 - w2 * x1, w2 * x0 - w0 * x2, w0 * x1 - w1 * x0)
         return r, k, 3.0 * k / (r * r), wx
 

@@ -1,4 +1,5 @@
-"""Write ``tests/golden/``: the bytes that each golden CLI case prints.
+"""Write ``tests/golden/``: the one table of flatgrav's CLI cases, and the
+bytes each case prints and writes.
 
 Run from the repository root:
 
@@ -6,27 +7,37 @@ Run from the repository root:
 
 Each case is one ``flatgrav`` argument list, run as a fresh process
 (``python -m flatgrav.cli``) on the ``src`` of the checkout that holds this
-script.  A case with a config runs in an empty directory that holds only
-``config.json``, the config's text.  Its stdout is written to
-``<OUTPUT_DIR>/<name>``, and ``<OUTPUT_DIR>/cases.json`` maps each name to
-the arguments, the config text (if any), the exit code and the stderr text.
-OUTPUT_DIR defaults to ``tests/golden``, the stored corpus, which
-``tests/test_golden.py`` replays through ``cli.main`` and compares byte for
-byte; another directory leaves the corpus alone, for a ``diff -r`` against
-it.
+script, in an empty directory that holds only ``config.json``, the config's
+text, if the case has one.  Its stdout is written to ``<OUTPUT_DIR>/<name>``
+and each file the run writes there (an ``--out`` report and its
+``<stem>_<table>.csv`` tables) to ``<OUTPUT_DIR>/<name>.files/``.
+``<OUTPUT_DIR>/cases.json`` maps each name to the arguments, the config text
+(if any), the exit code, the stderr text and the written files (if any).
+OUTPUT_DIR defaults to ``tests/golden``, the stored corpus; another
+directory leaves the corpus alone, for a ``diff -r`` against it.
 
-The cases are every subcommand's default run in json and csv, ``gyro`` at
-three more orbit radii and at its edge inputs (the exit-code cases of CI,
-an overflowing radius, an orbital rate that underflows, and a config whose
-geodetic rate is a sum of squares that a fused multiply-add would round
-differently), ``orbit`` cases that stress the clock quadrature (two and
-three samples, five samples of a near-parabolic 30-orbit run, the strong
-orbit r_o = 1, a = 1e3, ecc 0.99, and the weak-field configs of CI), and
-``compare --strong-rmin 7.500001``.  The last one exits 3 on a quadrature
-that does not converge: a standing defect stays in the corpus as it is, so
-that its mend shows as a diff.  A change that moves a report's bytes on
-purpose writes the corpus again in the same commit; ``git diff
-tests/golden`` then lists every moved report.
+``tests/test_golden.py`` replays every case through ``cli.main`` and
+compares the bytes, and ``tests/test_numpy_free.py`` replays the cases of
+the numpy-free subcommands with numpy blocked.  Every case is held to the
+CLI contract: exit 0, 2 (invalid configuration) or 3 (numerical failure);
+a nonzero exit prints nothing on stdout and one stderr line that starts
+``config error: `` or ``numerical error: ``; no stderr holds ``Traceback``
+or ``Warning``.  So writing the corpus again cannot approve a traceback.
+
+The cases: every subcommand's default run, in csv too, and with ``--out``
+in json and in csv; the edge values of flags (``FLAGS``); and config files
+(``CONFIGS``): weak but valid fields, invalid input, and configs that have
+moved bytes before (an orbital rate that underflows, a sum of squares that
+a fused multiply-add would round differently, near-parabolic and strong
+orbits that stress the clock quadrature).  Standing defects stay in the
+corpus as they are, such as ``compare --strong-rmin 7.500001`` exiting 3 on
+a quadrature that does not converge, so that a mend shows as a diff.
+
+To add a case, add its flag value to ``FLAGS`` or its config to
+``CONFIGS`` (an ``--out`` path goes in a config case's extra arguments),
+and run this script.  A change that moves a report's bytes on purpose
+writes the corpus again in the same commit; ``git diff tests/golden`` then
+lists every moved report.
 """
 import json
 import os
@@ -39,58 +50,105 @@ ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = ROOT / "tests" / "golden"
 SUBCOMMANDS = ("orbit", "precession", "light-deflect", "echo-delay", "gyro",
                "density", "electric", "compare")
+# (subcommand, flag, values): case <subcommand>_<flag>_<value>.json
+FLAGS = (
+    ("orbit", "samples", ("2",)),
+    ("orbit", "orbits", ("1",)),
+    ("orbit", "tol", ("0", "1", "1e-300", "5e-324")),
+    ("light-deflect", "tol", ("1e-9", "1e308")),
+    ("gyro", "orbit-radius", ("6.5e6", "1e7", "1e12", "nan", "1e-105",
+                              "1e-3", "1e103")),
+    ("density", "r-over-ro", ("1e160", "1e200", "1e300", "1e-200", "nan",
+                              "-1")),
+    ("density", "samples", ("1", "0", "1000001")),
+    ("electric", "samples", ("1000", "0")),
+    ("compare", "strong-rmin", ("7.500001", "3", "inf")),
+)
+MERCURY = '{"preset": "mercury", "params": {%s}}'
+SOLAR = '{"preset": "solar", "params": {%s}}'
 EARTH = '{"preset": "earth", "params": {%s}}'
-MERCURY = '{"preset": "mercury", %s}'
-# config cases: name -> (subcommand, config text, extra arguments)
-CONFIGS = {
-    **{f"gyro_{name}": ("gyro", EARTH % params, [])
-       for name, params in (
-           ("inertia_str", '"inertia": "x"'),
-           ("inertia_neg", '"inertia": -1'),
-           ("inertia_inf", '"inertia": 1e400'),
-           ("omega_short", '"omega": [0, 0]'),
-           ("omega_null", '"omega": null'),
-           ("omega_inf", '"omega": [0, 0, 1e400]'),
-           ("omega_scalar", '"omega": 7.29e-5'),
-           ("omega_nested", '"omega": [[0, 0, 1]]'),
-           ("earth_no_field", '"r_o": 0'))},
-    "gyro_rate_underflow": ("gyro", EARTH % '"r_o": 1e-300',
-                            ["--orbit-radius", "1e9"]),
-    "gyro_geodetic_fma": ("gyro", EARTH % ('"r_o": 2.686716799982485e-09, '
-                                           '"inertia": 1.428173803976335e+18, '
-                                           '"omega": [0.0, 0.0, '
-                                           '-8.080411199299936e-07]'),
-                          ["--orbit-radius", "36332272.11646175"]),
-    "orbit_eccentric_samples_5": (
-        "orbit", MERCURY % ('"n_orbits": 30, "params": {"r_o": 1480.0, '
-                            '"a": 228965973.88285884, '
-                            '"ecc": 0.9867718779769822}'),
-        ["--samples", "5"]),
-    "orbit_strong": ("orbit", MERCURY % '"params": {"r_o": 1.0, "a": 1e3, '
-                                        '"ecc": 0.99}', []),
-    "orbit_strong_samples_3": ("orbit", MERCURY % '"params": {"r_o": 1.0, '
-                                                  '"a": 1e3, "ecc": 0.99}',
-                               ["--samples", "3"]),
-    "orbit_near_circle": ("orbit", MERCURY % '"params": {"r_o": 1e-60, '
-                                             '"ecc": 0.0}', []),
-    "orbit_weaker_r_o": ("orbit", MERCURY % '"params": {"r_o": 1e-290}', []),
-}
+STRONG = MERCURY % '"r_o": 1.0, "a": 1e3, "ecc": 0.99'
+# (subcommands, name, config text, extra arguments): case
+# <subcommand>_<name>.json
+CONFIGS = (
+    (("precession",), "weak_r_o", MERCURY % '"r_o": 1e-200', ()),
+    (("precession", "orbit"), "weaker_r_o", MERCURY % '"r_o": 1e-290', ()),
+    (("precession",), "huge_a_weak", MERCURY % '"r_o": 1e-100, "a": 3e150',
+     ()),
+    (("precession", "orbit"), "near_circle",
+     MERCURY % '"r_o": 1e-60, "ecc": 0.0', ()),
+    (("precession", "orbit"), "tiny_r_o", MERCURY % '"r_o": 1e-300', ()),
+    (("precession", "orbit"), "subnormal_r_o", MERCURY % '"r_o": 1e-320',
+     ()),
+    (("precession", "orbit", "compare"), "tiny_a", MERCURY % '"a": 1e-300',
+     ()),
+    (("orbit", "compare"), "huge_a", MERCURY % '"a": 1e400', ()),
+    (("orbit", "compare"), "no_field", MERCURY % '"r_o": 0', ()),
+    (("orbit",), "zero_forcing", MERCURY % '"r_o": 1e-305', ()),
+    (("orbit",), "bool_a", MERCURY % '"a": true', ()),
+    (("orbit",), "unknown_param", MERCURY % '"zzz": 1', ()),
+    (("orbit",), "one_orbit", '{"preset": "mercury", "n_orbits": 1}', ()),
+    (("orbit",), "unknown_key", '{"preset": "mercury", "nam": "x"}', ()),
+    (("orbit",), "name_int", '{"preset": "mercury", "name": 5}', ()),
+    (("precession",), "run_keys",
+     '{"preset": "mercury", "tol": 1e-3, "n_orbits": 99}', ()),
+    (("compare",), "model", '{"model": "flatspace-weber"}', ()),
+    (("orbit",), "strong", STRONG, ()),
+    (("orbit",), "strong_samples_3", STRONG, ("--samples", "3")),
+    (("orbit",), "eccentric_samples_5",
+     '{"preset": "mercury", "n_orbits": 30, "params": {"r_o": 1480.0, '
+     '"a": 228965973.88285884, "ecc": 0.9867718779769822}}',
+     ("--samples", "5")),
+    (("echo-delay",), "huge_r_ms", SOLAR % '"r_ms": 1e300', ()),
+    (("echo-delay", "light-deflect"), "tiny_R_s", SOLAR % '"R_s": 1e-300',
+     ()),
+    (("light-deflect",), "subnormal_R_s", SOLAR % '"R_s": 5e-324', ()),
+    (("light-deflect",), "deflect_orbits",
+     '{"preset": "solar", "n_orbits": 3}', ()),
+    (("light-deflect",), "near_capture", SOLAR % '"r_o": 1.0, "R_s": 4.5',
+     ()),
+    (("light-deflect",), "captured", SOLAR % '"r_o": 1.0, "R_s": 4.0', ()),
+    *((("gyro",), name, EARTH % params, ())
+      for name, params in (
+          ("inertia_str", '"inertia": "x"'),
+          ("inertia_neg", '"inertia": -1'),
+          ("inertia_inf", '"inertia": 1e400'),
+          ("omega_short", '"omega": [0, 0]'),
+          ("omega_null", '"omega": null'),
+          ("omega_inf", '"omega": [0, 0, 1e400]'),
+          ("omega_scalar", '"omega": 7.29e-5'),
+          ("omega_nested", '"omega": [[0, 0, 1]]'),
+          ("earth_no_field", '"r_o": 0'),
+          ("subnormal_r_o", '"r_o": 5e-324'))),
+    (("gyro",), "rate_underflow", EARTH % '"r_o": 1e-300',
+     ("--orbit-radius", "1e9")),
+    (("gyro",), "r_cubed_underflow", EARTH % '"radius": 1e-300',
+     ("--orbit-radius", "1e-150")),
+    (("gyro",), "geodetic_fma",
+     EARTH % ('"r_o": 2.686716799982485e-09, '
+              '"inertia": 1.428173803976335e+18, '
+              '"omega": [0.0, 0.0, -8.080411199299936e-07]'),
+     ("--orbit-radius", "36332272.11646175")),
+)
 
 
 def cases():
     """name -> (flatgrav arguments, config text or None)."""
-    out = {f"{sub}.{fmt}": ([sub, "--format", fmt], None)
-           for sub in SUBCOMMANDS for fmt in ("json", "csv")}
-    for radius in ("6.5e6", "1e7", "1e12", "nan", "1e-105", "1e-3",
-                   "1e103"):
-        out[f"gyro_orbit-radius_{radius}.json"] = (
-            ["gyro", "--orbit-radius", radius], None)
-    out["orbit_samples_2.json"] = (["orbit", "--samples", "2"], None)
-    for name, (sub, config, extra) in CONFIGS.items():
-        out[f"{name}.json"] = ([sub, "--config", "config.json", *extra],
-                               config)
-    out["compare_strong-rmin_7.500001.json"] = (
-        ["compare", "--strong-rmin", "7.500001"], None)
+    out = {}
+    for sub in SUBCOMMANDS:
+        out[f"{sub}.json"] = ([sub], None)
+        out[f"{sub}.csv"] = ([sub, "--format", "csv"], None)
+        for fmt in ("json", "csv"):
+            out[f"{sub}_out.{fmt}"] = (
+                [sub, "--format", fmt, "--out", f"report.{fmt}"], None)
+    for sub, flag, values in FLAGS:
+        for value in values:
+            out[f"{sub}_{flag}_{value}.json"] = ([sub, f"--{flag}", value],
+                                                 None)
+    for subs, name, config, extra in CONFIGS:
+        for sub in subs:
+            out[f"{sub}_{name}.json"] = (
+                [sub, "--config", "config.json", *extra], config)
     return out
 
 
@@ -105,11 +163,20 @@ def main(out: Path = GOLDEN) -> None:
             proc = subprocess.run(
                 [sys.executable, "-m", "flatgrav.cli", *args],
                 capture_output=True, env=env, cwd=cwd, timeout=300)
+            written = sorted(path for path in Path(cwd).iterdir()
+                             if path.name != "config.json")
+            if written:
+                (out / f"{name}.files").mkdir(exist_ok=True)
+            for path in written:
+                (out / f"{name}.files" / path.name).write_bytes(
+                    path.read_bytes())
         (out / name).write_bytes(proc.stdout)
         index[name] = {"args": args, "exit": proc.returncode,
                        "stderr": proc.stderr.decode()}
         if config is not None:
             index[name]["config"] = config
+        if written:
+            index[name]["files"] = [path.name for path in written]
     lines = [f" {json.dumps(name)}: {json.dumps(case)}"
              for name, case in index.items()]
     (out / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")

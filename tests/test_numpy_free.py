@@ -1,10 +1,10 @@
 """Every subcommand but ``orbit`` runs without numpy: ``precession``,
 ``echo-delay``, ``compare``, ``density``, ``electric``, ``light-deflect``
-and ``gyro``.  Their modules import none, and with numpy blocked each
-prints what it prints with numpy importable, and keeps its exit code on
-edge input.  So do the carriers' residuals at a float radius, the DOP853
-stepper, and the float routes of ``metric`` and ``spin``: the field, the
-gyroscope rates, the orbit and the transport rate."""
+and ``gyro``.  Their modules import none, and with numpy blocked every
+golden case of theirs prints and writes its stored bytes.  So do the
+carriers' residuals at a float radius, the DOP853 stepper, and the float
+routes of ``metric`` and ``spin``: the field, the gyroscope rates, the
+orbit and the transport rate."""
 import json
 import os
 import subprocess
@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CASES
 
-from flatgrav.cli import main
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric",
               "light-deflect", "gyro")
 # ``import numpy`` raises in the child: a None entry halts the import
@@ -31,12 +31,6 @@ def _python(code, *args, cwd=None):
     return subprocess.CompletedProcess(proc.args, proc.returncode,
                                        proc.stdout.decode(),
                                        proc.stderr.decode())
-
-
-def _blocked_cli(args, cwd):
-    """``flatgrav <args>`` as a fresh process in which numpy cannot load."""
-    return _python(BLOCKED + "from flatgrav.cli import run; "
-                   "sys.exit(run())", *args, cwd=cwd)
 
 
 def test_modules_and_subcommands_leave_numpy_unloaded():
@@ -72,95 +66,93 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
     assert json.loads(proc.stdout) == [False, False, [0] * len(NUMPY_FREE)]
 
 
+def _blocked_mismatches(names):
+    """The golden cases among ``names`` whose replay through ``cli.main``,
+    as tests/test_golden.py replays them, in one child with numpy blocked,
+    differs from the stored exit code, stdout, stderr or written files."""
+    code = BLOCKED + (
+        "import json\n"
+        "sys.path.insert(0, {tests!r})\n"
+        "from test_golden import replay, stored\n"
+        "print(json.dumps([name for name in {names!r}\n"
+        "                  if replay(name) != stored(name)]))\n"
+    ).format(tests=str(TESTS), names=list(names))
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _default_case(sub, out, fmt):
+    """The golden case of ``sub``'s default run in ``fmt``, to stdout or
+    to ``--out report.<fmt>``."""
+    return f"{sub}_out.{fmt}" if out else f"{sub}.{fmt}"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("sub", NUMPY_FREE)
-def test_output_without_numpy_is_the_in_process_output(tmp_path, capsys,
-                                                       sub, fmt, out):
-    args = [sub, "--format", fmt] + (["--out", "report.txt"] if out else [])
-    here, child = tmp_path / "here", tmp_path / "child"
-    here.mkdir()
-    child.mkdir()
-    cwd = Path.cwd()
-    os.chdir(here)
-    try:
-        assert main(args) == 0
-    finally:
-        os.chdir(cwd)
-    captured = capsys.readouterr()
-    proc = _blocked_cli(args, child)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (0, captured.out, "")
-    assert sorted(p.name for p in child.iterdir()) == \
-        sorted(p.name for p in here.iterdir())
-    for path in here.iterdir():
-        assert (child / path.name).read_bytes() == path.read_bytes()
+def test_output_without_numpy_is_the_in_process_output(sub, out, fmt):
+    # the stored bytes are the in-process output: tests/test_golden.py
+    assert _blocked_mismatches([_default_case(sub, out, fmt)]) == []
 
 
-# Edge rows of these subcommands: exit code, argv, config (or None).  The
-# defaults, in json and csv, are the byte-equality test's above.
-ROWS = [
-    (0, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-200}}),
-    (0, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-290}}),
-    (0, ["precession"], {"preset": "mercury",
-                         "params": {"r_o": 1e-100, "a": 3e150}}),
-    (0, ["precession"], {"preset": "mercury",
-                         "params": {"r_o": 1e-60, "ecc": 0.0}}),
-    (3, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-300}}),
-    (3, ["precession"], {"preset": "mercury", "params": {"a": 1e-300}}),
-    (3, ["precession"], {"preset": "mercury", "params": {"r_o": 1e-320}}),
-    (2, ["precession"], {"preset": "mercury", "tol": 1e-3, "n_orbits": 99}),
-    (3, ["echo-delay"], {"preset": "solar", "params": {"r_ms": 1e300}}),
-    (3, ["echo-delay"], {"preset": "solar", "params": {"R_s": 1e-300}}),
-    (3, ["compare", "--strong-rmin", "3"], None),
-    (3, ["compare", "--strong-rmin", "7.500001"], None),
-    (2, ["compare", "--strong-rmin", "inf"], None),
-    (2, ["compare"], '{"preset": "mercury", "params": {"a": 1e400}}'),
-    (2, ["compare"], {"preset": "mercury", "params": {"r_o": 0}}),
-    (2, ["compare"], {"model": "flatspace-weber"}),
-    (3, ["density", "--r-over-ro", "1e-200"], None),
-    (0, ["density", "--r-over-ro", "1e160"], None),
-    (0, ["density", "--r-over-ro", "1e300"], None),
-    (0, ["density", "--samples", "1"], None),
-    (2, ["density", "--samples", "0"], None),
-    (0, ["electric", "--samples", "1000"], None),
-    (3, ["compare"], {"preset": "mercury", "params": {"a": 1e-300}}),
-    (3, ["light-deflect"], {"preset": "solar", "params": {"R_s": 1e-300}}),
-    (3, ["light-deflect"], {"preset": "solar", "params": {"R_s": 5e-324}}),
-    (2, ["light-deflect"], {"preset": "solar", "n_orbits": 3}),
-    (0, ["light-deflect"], {"preset": "solar",
-                            "params": {"r_o": 1.0, "R_s": 4.5}}),
-    (3, ["light-deflect"], {"preset": "solar",
-                            "params": {"r_o": 1.0, "R_s": 4.0}}),
-    (0, ["light-deflect", "--tol", "1e-9"], None),
-    (2, ["gyro", "--orbit-radius", "1e-3"], None),
-    (3, ["gyro", "--orbit-radius", "1e103"], None),
-    (3, ["gyro", "--orbit-radius", "1e9"],
-     {"preset": "earth", "params": {"r_o": 1e-300}}),
-    (3, ["gyro"], {"preset": "earth", "params": {"r_o": 5e-324}}),
-    (0, ["gyro", "--orbit-radius", "1e12"], None),
-    (0, ["gyro", "--orbit-radius", "36332272.11646175"],
-     {"preset": "earth", "params": {"r_o": 2.686716799982485e-09,
-                                    "inertia": 1.428173803976335e+18,
-                                    "omega": [0.0, 0.0,
-                                              -8.080411199299936e-07]}}),
-]
+# Edge cases of these subcommands, by golden name.  Each id is the
+# ``<exit>-args<i>-<config>`` that the case has kept since it was a row of
+# an inline (exit code, argv, config) table.
+EDGE_CASES = {
+    "0-args0-config0": "precession_weak_r_o.json",
+    "0-args1-config1": "precession_weaker_r_o.json",
+    "0-args2-config2": "precession_huge_a_weak.json",
+    "0-args3-config3": "precession_near_circle.json",
+    "3-args4-config4": "precession_tiny_r_o.json",
+    "3-args5-config5": "precession_tiny_a.json",
+    "3-args6-config6": "precession_subnormal_r_o.json",
+    "2-args7-config7": "precession_run_keys.json",
+    "3-args8-config8": "echo-delay_huge_r_ms.json",
+    "3-args9-config9": "echo-delay_tiny_R_s.json",
+    "3-args10-None": "compare_strong-rmin_3.json",
+    "3-args11-None": "compare_strong-rmin_7.500001.json",
+    "2-args12-None": "compare_strong-rmin_inf.json",
+    '2-args13-{"preset": "mercury", "params": {"a": 1e400}}':
+        "compare_huge_a.json",
+    "2-args14-config14": "compare_no_field.json",
+    "2-args15-config15": "compare_model.json",
+    "3-args16-None": "density_r-over-ro_1e-200.json",
+    "0-args17-None": "density_r-over-ro_1e160.json",
+    "0-args18-None": "density_r-over-ro_1e300.json",
+    "0-args19-None": "density_samples_1.json",
+    "2-args20-None": "density_samples_0.json",
+    "0-args21-None": "electric_samples_1000.json",
+    "3-args22-config22": "compare_tiny_a.json",
+    "3-args23-config23": "light-deflect_tiny_R_s.json",
+    "3-args24-config24": "light-deflect_subnormal_R_s.json",
+    "2-args25-config25": "light-deflect_deflect_orbits.json",
+    "0-args26-config26": "light-deflect_near_capture.json",
+    "3-args27-config27": "light-deflect_captured.json",
+    "0-args28-None": "light-deflect_tol_1e-9.json",
+    "2-args29-None": "gyro_orbit-radius_1e-3.json",
+    "3-args30-None": "gyro_orbit-radius_1e103.json",
+    "3-args31-config31": "gyro_rate_underflow.json",
+    "3-args32-config32": "gyro_subnormal_r_o.json",
+    "0-args33-None": "gyro_orbit-radius_1e12.json",
+    "0-args34-config34": "gyro_geodetic_fma.json",
+}
 
 
-@pytest.mark.parametrize("code, args, config", ROWS)
-def test_exit_codes_without_numpy(tmp_path, monkeypatch, capsys, code, args,
-                                  config):
-    if config is not None:
-        text = config if isinstance(config, str) else json.dumps(config)
-        (tmp_path / "cfg.json").write_text(text)
-        args = args + ["--config", "cfg.json"]
-    proc = _blocked_cli(args, tmp_path)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    if code:
-        assert proc.stdout == "" and proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith(("config error: ", "numerical error: "))
-    else:
-        monkeypatch.chdir(tmp_path)
-        assert main(args) == 0
-        assert proc.stdout == capsys.readouterr().out
+@pytest.mark.parametrize("name", EDGE_CASES.values(), ids=list(EDGE_CASES))
+def test_exit_codes_without_numpy(name):
+    # the exit code is the stored one, and tests/test_golden.py holds it
+    # to the CLI contract
+    assert _blocked_mismatches([name]) == []
+
+
+def test_golden_cases_replay_with_numpy_blocked():
+    # one child replays every other golden case of the numpy-free
+    # subcommands
+    named = {*EDGE_CASES.values(),
+             *(_default_case(sub, out, fmt) for sub in NUMPY_FREE
+               for out in (False, True) for fmt in ("json", "csv"))}
+    rest = [name for name, case in CASES.items()
+            if case["args"][0] in NUMPY_FREE and name not in named]
+    assert named <= CASES.keys()
+    assert _blocked_mismatches(rest) == []

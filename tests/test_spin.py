@@ -1,4 +1,6 @@
 """Spin transport, exact connections, and precession rates."""
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -154,6 +156,19 @@ class TestDragAndGeodeticRates:
             geodetic(spec, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         with pytest.raises(NonPositiveRadius):
             de_sitter_rate(1.0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("r, how", [(1e-150, "underflows to 0"),
+                                        (1e103, "overflows")])
+    def test_a_cube_beyond_the_float_range_names_r(self, r, how):
+        # r**3 is 0 below ~1.1e-108 and raises above ~5.6e102: the field's
+        # failure names r, not a bare ZeroDivisionError or OverflowError
+        spec = generic_spec()
+        message = re.escape(f"r**3 {how} at r = {r!r}")
+        for x in ((0.0, 0.0, r), (r, 0.0, 0.0)):
+            with pytest.raises(NumericalFailure, match=message):
+                frame_dragging(spec, x)
+            with pytest.raises(NumericalFailure, match=message):
+                geodetic(spec, x, (0.0, 1e-5, 0.0))
 
 
 class TestTransport:
