@@ -330,9 +330,15 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
 
 def _norm(v: Tuple[float, float, float]) -> float:
     """|v|, its squares summed left to right with no fused multiply-add:
-    the same bytes on every CPU, where a BLAS ``ddot`` rounds by kernel."""
+    the same bytes on every CPU, where a BLAS ``ddot`` rounds by kernel.
+    Where that sum of finite squares leaves the normal float range, and
+    would lose digits or the whole norm, |v| is ``math.hypot``'s."""
     a, b, c = v
-    return math.sqrt(a * a + b * b + c * c)
+    ss = a * a + b * b + c * c
+    if not sys.float_info.min <= ss < math.inf \
+            and all(map(math.isfinite, v)):
+        return math.hypot(a, b, c)
+    return math.sqrt(ss)
 
 
 def cmd_gyro(args: argparse.Namespace) -> RunReport:

@@ -21,6 +21,14 @@ not depend on the CPU.  No ``sum()``: from Python 3.12 it compensates float
 sums.  The terminal event is located on the step's interpolant by Brent's
 method (``brentq``).
 
+The sums of a step are compiled once per state length n (``_kernels``):
+stages 1-12, stages 13-15, E5, E3 and each dense-output row of D are
+straight-line Python, each coefficient a ``repr`` literal and each stage a
+local, with no loop over the coefficient tables.  A sum is written
+(0.0 + a_j*k_j + ...) in the order of j, the order and the operations of a
+loop over the table from 0.0, so the kernels change no bit, the sign of a
+zero sum included (tests/test_ode_kernels.py).
+
 numpy is imported only where a ``DenseOutput`` is evaluated on arrays; a
 run, and the ``Solution`` it returns, needs none.
 """
@@ -238,16 +246,78 @@ D = tuple(_pairs(row) for row in _D_ROWS)
 # norms are ddot, which adds in lanes.
 
 
-def _dot(pairs, K) -> List[float]:
-    """For each component's stages k in ``K``, the sum of a*k[j] over the
-    (j, a) ``pairs``, left to right from 0.0."""
-    out = []
-    for k in K:
-        acc = 0.0
-        for j, a in pairs:
-            acc += a * k[j]
-        out.append(acc)
-    return out
+def _sum(pairs, term: str) -> str:
+    """Source of the sum of a*k[j] over the (j, a) ``pairs``, left to right
+    from 0.0, each a its exact ``repr``; ``term`` names k[j] by ``{j}``."""
+    return "(0.0" + "".join(f" + {a!r} * {term.format(j=j)}"
+                            for j, a in pairs) + ")"
+
+
+def _unpack(names, value: str) -> str:
+    """Source of the line ``name0, name1, ..., = value``."""
+    return f"    {', '.join(names)}, = {value}"
+
+
+def _stages(name: str, first: int, last: int, n: int) -> List[str]:
+    """Source of ``name(fun, t, y, h, K)``: stages first, ..., last - 1 of
+    the step of ``h`` from (t, y) for a state of n components, into K
+    (K[i][s], component i of stage s).  Stage 1 starts from K[i][0]; each
+    stage state is a list, (sum of a*k)*h + y, and the last one's is
+    returned."""
+    comps = range(n)
+    lines = [f"def {name}(fun, t, y, h, K):",
+             _unpack([f"K{i}" for i in comps], "K"),
+             _unpack([f"y{i}" for i in comps], "y")]
+    lines += [_unpack([f"k{i}_{s}" for s in range(first)], f"K{i}[:{first}]")
+              for i in comps]
+    for s in range(first, last):
+        state = ", ".join(f"{_sum(_A[s], f'k{i}_{{j}}')} * h + y{i}"
+                          for i in comps)
+        lines += [f"    ys = [{state}]",
+                  _unpack([f"k{i}_{s}" for i in comps],
+                          f"fun(t + {C[s]!r} * h, ys)")]
+    lines += [f"    K{i}[{first}:{last}] = "
+              + ", ".join(f"k{i}_{s}" for s in range(first, last))
+              for i in comps]
+    return lines + ["    return ys"]
+
+
+def _dot(name: str, pairs, n: int) -> List[str]:
+    """Source of ``name(K)``: for each component's stages K[i], the sum of
+    a*K[i][j] over the (j, a) ``pairs``, as a list."""
+    comps = range(n)
+    return [f"def {name}(K):",
+            _unpack([f"K{i}" for i in comps], "K"),
+            "    return [" + ", ".join(_sum(pairs, f"K{i}[{{j}}]")
+                                       for i in comps) + "]"]
+
+
+class _Kernels(NamedTuple):
+    """A step's arithmetic for one state length, as compiled functions."""
+
+    stages: Callable    # stages 1-12 of a step, returning y_new
+    extra: Callable     # stages 13-15, the dense output's
+    e5: Callable        # the E5 and E3 error estimates
+    e3: Callable
+    d: Tuple[Callable, ...]     # the sums of the dense output's D rows
+
+
+@lru_cache(maxsize=None)
+def _kernels(n: int) -> _Kernels:
+    """The step's sums for a state of n components, built once per n as
+    straight-line Python: every coefficient a literal, every stage and
+    state component a local.  Each sum is written as the loop over its
+    pairs would add it, so a step's floats are the loop's, bit for bit."""
+    source = [*_stages("stages", 1, N_STAGES + 1, n),
+              *_stages("extra", N_STAGES + 1, 16, n),
+              *_dot("e5", E5, n), *_dot("e3", E3, n)]
+    for r, row in enumerate(D):
+        source += _dot(f"d{r}", row, n)
+    namespace: dict = {}
+    exec(compile("\n".join(source), f"<dop853 kernels, n = {n}>", "exec"),
+         namespace)
+    return _Kernels(*(namespace[f] for f in ("stages", "extra", "e5", "e3")),
+                    tuple(namespace[f"d{r}"] for r in range(len(D))))
 
 
 @lru_cache(maxsize=None)
@@ -410,11 +480,11 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _error_norm(K, h, scale) -> float:
+def _error_norm(kernels, K, h, scale) -> float:
     """RMS norm of the error estimate, E5 damped by E3 as in dop853, from
     the stages ``K`` (K[i][s], component i of stage s)."""
-    err5 = [e / scale_i for e, scale_i in zip(_dot(E5, K), scale)]
-    err3 = [e / scale_i for e, scale_i in zip(_dot(E3, K), scale)]
+    err5 = [e / scale_i for e, scale_i in zip(kernels.e5(K), scale)]
+    err3 = [e / scale_i for e, scale_i in zip(kernels.e3(K), scale)]
     # squared norms as scipy squares np.linalg.norm
     err5_norm_2 = math.sqrt(_sum_of_squares(err5)) ** 2
     err3_norm_2 = math.sqrt(_sum_of_squares(err3)) ** 2
@@ -459,6 +529,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     fy = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, max_step, fy, rtol, atol)
+    kernels = _kernels(len(y))
     K = [[0.0] * 16 for _ in y]     # K[i][s]: component i of stage s
     ts, steps = [t], ([], [], [])   # DenseOutput's per-step lists
     ended = False
@@ -466,21 +537,6 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
     def solution(failure=None) -> Solution:
         dense = DenseOutput(ts, *steps) if steps[0] else None
         return Solution(dense, ts[-1], y, ended, failure)
-
-    def stages(first, last, t, y, h):
-        """Stages first, ..., last - 1 of the step of ``h`` from (t, y),
-        into K; returns the state of the last of them."""
-        for s in range(first, last):
-            pairs = _A[s]
-            ys = []
-            for K_i, y_i in zip(K, y):  # _dot's loop, inline: the hot path
-                acc = 0.0
-                for j, a in pairs:
-                    acc += a * K_i[j]
-                ys.append(acc * h + y_i)
-            for K_i, v in zip(K, fun(t + C[s] * h, ys)):
-                K_i[s] = v
-        return ys
 
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -494,10 +550,10 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             for K_i, v in zip(K, fy):
                 K_i[0] = v
             # stage 12 is f at (t + h, y_new), y_new = y + h*(B . K)
-            y_new = stages(1, N_STAGES + 1, t, y, h)
+            y_new = kernels.stages(fun, t, y, h, K)
             scale = [atol + max(abs(a), abs(b)) * rtol
                      for a, b in zip(y, y_new)]
-            error_norm = _error_norm(K, h, scale)
+            error_norm = _error_norm(kernels, K, h, scale)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR,
@@ -508,13 +564,13 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             rejected = True
 
         # the extra stages and coefficients of the step's interpolant
-        stages(N_STAGES + 1, 16, t, y, h)
+        kernels.extra(fun, t, y, h, K)
         delta_y = [b - a for a, b in zip(y, y_new)]
         F = [delta_y,
              [h * K_i[0] - d for K_i, d in zip(K, delta_y)],
              [2 * d - h * (K_i[N_STAGES] + K_i[0])
               for K_i, d in zip(K, delta_y)]]
-        F += ([h * v for v in _dot(row, K)] for row in D)
+        F += ([h * v for v in d(K)] for d in kernels.d)
         F_rev, t_old, y_old = F[::-1], t, y
         for stack, item in zip(steps, (h, F_rev, y_old)):
             stack.append(item)

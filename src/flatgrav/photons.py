@@ -64,20 +64,34 @@ def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     integrand over a short s-range for the Gauss-Legendre helper.  The
     excess is written r_o/r*(2 + r_o/r), not (1 + r_o/r)^2 - 1, which
     cancels; times dx/ds = r it is r_o*(2 + r_o/r).
+
+    Where x/R_s overflows, s = asinh(x/R_s) is ln(2*x) - ln(R_s), and past
+    the float range of cosh(s) 1/cosh(s) is 2*exp(-s): both to the last
+    bit.  NumericalFailure naming R_s and x where the delay itself
+    overflows.
     """
     x_e = math.sqrt(geom.r_es**2 - geom.R_s**2)
     x_m = math.sqrt(geom.r_ms**2 - geom.R_s**2)
     r_o, y = geom.r_o, geom.R_s
 
     def excess_ds(s):
-        r = y * math.cosh(s)              # hypot(x, R_s) = dx/ds
+        try:
+            r = y * math.cosh(s)          # hypot(x, R_s) = dx/ds
+        except OverflowError:
+            return r_o * (2.0 + r_o / y * (2.0 * math.exp(-s)))
         return r_o * (2.0 + r_o / r)
 
     val = closed = 0.0
     for x in (x_e, x_m):
-        s = math.asinh(x / y)
+        ratio = x / y
+        s = (math.asinh(ratio) if ratio < math.inf
+             else math.log(2.0 * x) - math.log(y))
+        closed += 2.0 * r_o * s + r_o * (r_o / y) * math.atan(ratio)
+        if not math.isfinite(closed):
+            raise NumericalFailure(
+                f"the echo delay overflows at R_s = {y!r} with endpoint "
+                f"distance {x!r}")
         val += gauss_legendre(excess_ds, 0.0, s)
-        closed += 2.0 * r_o * s + r_o * (r_o / y) * math.atan(x / y)
     return EchoDelayResult(quadrature=2.0 * val, closed_form=2.0 * closed)
 
 

@@ -206,12 +206,39 @@ def frame_dragging(spec: RotatingFieldSpec, x: Sequence[float]
 
 def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
              velocity: Sequence[float]) -> Tuple[float, float, float]:
-    """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope."""
+    """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope.
+
+    grad(G0) is r_o*x/r^3.  Where r^3, or r_o*x_i or r_o*x_i/r^3 of a
+    nonzero term, leaves the normal float range, grad(G0) would lose digits
+    or underflow to 0 before the product.  There x is first scaled by the
+    power of two 2**e of its largest component, and the rate is
+    (a x (x/2**e)) * r_o/|x/2**e|^3 * 2**(-2e), with the exponents kept
+    apart by ``frexp`` until one ``ldexp``: it stays accurate as long as
+    the rate is a normal float.  Elsewhere that form would move the last
+    digit.
+    """
     r, k, _, wx = spec.at(x)
     r3 = r**3
-    b0, b1, b2 = (spec.r_o * c / r3 for c in x)                # grad(G0)
+    r_o = spec.r_o
+    b0, b1, b2 = b = [r_o * c / r3 for c in x]                 # grad(G0)
     a0, a1, a2 = (v / 2.0 - k * g for v, g in zip(velocity, wx))
-    return (a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1)
+    tiny = sys.float_info.min
+    if r3 >= tiny and all(r_o * c == 0.0 or tiny <= abs(r_o * c) < math.inf
+                          and tiny <= abs(g) < math.inf
+                          for c, g in zip(x, b)):
+        return (a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1)
+    e = math.frexp(max(map(abs, x)))[1]
+    s0, s1, s2 = (math.ldexp(c, -e) for c in x)
+    rs3 = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2) ** 3
+    fr, er = math.frexp(r_o)
+    rate = []
+    for c in (a2 * s1 - a1 * s2, a0 * s2 - a2 * s0, a1 * s0 - a0 * s1):
+        fc, ec = math.frexp(c)
+        try:
+            rate.append(math.ldexp(fc * fr / rs3, ec + er - 2 * e))
+        except OverflowError:
+            rate.append(math.copysign(math.inf, fc))
+    return tuple(rate)
 
 
 def frame_dragging_rate(spec: RotatingFieldSpec,

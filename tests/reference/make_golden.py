@@ -17,8 +17,9 @@ OUTPUT_DIR defaults to ``tests/golden``, the stored corpus; another
 directory leaves the corpus alone, for a ``diff -r`` against it.
 
 ``tests/test_golden.py`` replays every case through ``cli.main`` and
-compares the bytes, and ``tests/test_numpy_free.py`` replays the cases of
-the numpy-free subcommands with numpy blocked.  Every case is held to the
+compares the bytes, ``tests/test_numpy_free.py`` replays the cases of the
+numpy-free subcommands with numpy blocked, and
+``tests/test_dataclasses_free.py`` every case with ``dataclasses`` blocked.  Every case is held to the
 CLI contract: exit 0, 2 (invalid configuration) or 3 (numerical failure);
 a nonzero exit prints nothing on stdout and one stderr line that starts
 ``config error: `` or ``numerical error: ``; no stderr holds ``Traceback``
@@ -102,6 +103,7 @@ CONFIGS = (
     (("echo-delay",), "huge_r_ms", SOLAR % '"r_ms": 1e300', ()),
     (("echo-delay", "light-deflect"), "tiny_R_s", SOLAR % '"R_s": 1e-300',
      ()),
+    (("echo-delay",), "overflowing_delay", SOLAR % '"R_s": 1e-303', ()),
     (("light-deflect",), "subnormal_R_s", SOLAR % '"R_s": 5e-324', ()),
     (("light-deflect",), "deflect_orbits",
      '{"preset": "solar", "n_orbits": 3}', ()),
@@ -129,6 +131,21 @@ CONFIGS = (
               '"inertia": 1.428173803976335e+18, '
               '"omega": [0.0, 0.0, -8.080411199299936e-07]'),
      ("--orbit-radius", "36332272.11646175")),
+    # the worst rows of a seeded scan against mpmath: grad(G0) or the
+    # rate's squares leave the float range
+    (("gyro",), "geodetic_underflow", EARTH % '"r_o": 1e-300, '
+     '"omega": [0, 0, 1e100]', ()),
+    (("gyro",), "geodetic_squares_underflow",
+     EARTH % ('"r_o": 1.6798580437847986e-67, '
+              '"inertia": 3.9348961475096244e+86, '
+              '"omega": [1.5532166443607105e-206, 0.0, '
+              '8.703073831324973e-141]'),
+     ("--orbit-radius", "7.331598625769354e+56")),
+    (("gyro",), "geodetic_overflow",
+     EARTH % ('"r_o": 8.214811644313858e+254, "inertia": 0.0, '
+              '"omega": [-1.5018961327648297e-214, 1.2241686626873702e-167, '
+              '0.0]'),
+     ("--orbit-radius", "4.106095085917503e+99")),
 )
 
 

@@ -11,50 +11,8 @@ nothing on stdout and one stderr line naming its kind; no traceback or
 warning.  A change that moves a report on purpose writes the corpus again,
 so the diff of ``golden/`` shows every moved byte.
 """
-import contextlib
-import io
-import json
-import os
-import tempfile
-from pathlib import Path
-
 import pytest
-
-from flatgrav.cli import main
-
-GOLDEN = Path(__file__).parent / "golden"
-CASES = json.loads((GOLDEN / "cases.json").read_text())
-
-
-def stored(name):
-    """(exit code, stdout, stderr, {written file: bytes}) of case ``name``
-    as the corpus holds it."""
-    case = CASES[name]
-    files = GOLDEN / f"{name}.files"
-    return (case["exit"], (GOLDEN / name).read_bytes(), case["stderr"],
-            {file: (files / file).read_bytes()
-             for file in case.get("files", [])})
-
-
-def replay(name):
-    """(exit code, stdout, stderr, {written file: bytes}) of case ``name``
-    run through ``cli.main`` in an empty directory."""
-    case = CASES[name]
-    out, err = io.StringIO(), io.StringIO()
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as cwd:
-        if "config" in case:
-            Path(cwd, "config.json").write_text(case["config"])
-        os.chdir(cwd)
-        try:
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = main(case["args"])
-        finally:
-            os.chdir(home)
-        files = {path.name: path.read_bytes()
-                 for path in Path(cwd).iterdir() if path.name != "config.json"}
-    return code, out.getvalue().encode(), err.getvalue(), files
+from golden_cases import CASES, GOLDEN, replay, stored
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -4,7 +4,10 @@ and ``gyro``.  Their modules import none, and with numpy blocked every
 golden case of theirs prints and writes its stored bytes.  So do the
 carriers' residuals at a float radius, the DOP853 stepper, and the float
 routes of ``metric`` and ``spin``: the field, the gyroscope rates, the
-orbit and the transport rate."""
+orbit and the transport rate.
+
+One child process with numpy blocked replays every golden case of these
+subcommands; each test reads its cases' entries of that one replay."""
 import json
 import os
 import subprocess
@@ -12,14 +15,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_golden import CASES
+from golden_cases import CASES
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 NUMPY_FREE = ("precession", "echo-delay", "compare", "density", "electric",
               "light-deflect", "gyro")
-# ``import numpy`` raises in the child: a None entry halts the import
-BLOCKED = "import sys; sys.modules['numpy'] = None; "
 
 
 def _python(code, *args, cwd=None):
@@ -66,20 +67,33 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
     assert json.loads(proc.stdout) == [False, False, [0] * len(NUMPY_FREE)]
 
 
-def _blocked_mismatches(names):
-    """The golden cases among ``names`` whose replay through ``cli.main``,
-    as tests/test_golden.py replays them, in one child with numpy blocked,
-    differs from the stored exit code, stdout, stderr or written files."""
-    code = BLOCKED + (
-        "import json\n"
+def blocked_replay(module, names):
+    """{name: True, False or the error raised} for the golden cases
+    ``names``, each replayed through ``cli.main`` as tests/test_golden.py
+    replays it, all in one child with ``module`` blocked (a None entry in
+    ``sys.modules`` halts its import).  True is a match: the stored exit
+    code, stdout, stderr and written files."""
+    code = (
+        "import json, sys\n"
+        "sys.modules[{module!r}] = None\n"
         "sys.path.insert(0, {tests!r})\n"
-        "from test_golden import replay, stored\n"
-        "print(json.dumps([name for name in {names!r}\n"
-        "                  if replay(name) != stored(name)]))\n"
-    ).format(tests=str(TESTS), names=list(names))
+        "from golden_cases import replay, stored\n"
+        "def match(name):\n"
+        "    try:\n"
+        "        return replay(name) == stored(name)\n"
+        "    except Exception as exc:\n"
+        "        return repr(exc)\n"
+        "print(json.dumps({{name: match(name) for name in {names!r}}}))\n"
+    ).format(module=module, tests=str(TESTS), names=list(names))
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    return blocked_replay("numpy", [name for name, case in CASES.items()
+                                    if case["args"][0] in NUMPY_FREE])
 
 
 def _default_case(sub, out, fmt):
@@ -91,9 +105,10 @@ def _default_case(sub, out, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("sub", NUMPY_FREE)
-def test_output_without_numpy_is_the_in_process_output(sub, out, fmt):
+def test_output_without_numpy_is_the_in_process_output(replayed, sub, out,
+                                                       fmt):
     # the stored bytes are the in-process output: tests/test_golden.py
-    assert _blocked_mismatches([_default_case(sub, out, fmt)]) == []
+    assert replayed[_default_case(sub, out, fmt)] is True
 
 
 # Edge cases of these subcommands, by golden name.  Each id is the
@@ -140,19 +155,13 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("name", EDGE_CASES.values(), ids=list(EDGE_CASES))
-def test_exit_codes_without_numpy(name):
+def test_exit_codes_without_numpy(replayed, name):
     # the exit code is the stored one, and tests/test_golden.py holds it
     # to the CLI contract
-    assert _blocked_mismatches([name]) == []
+    assert replayed[name] is True
 
 
-def test_golden_cases_replay_with_numpy_blocked():
-    # one child replays every other golden case of the numpy-free
-    # subcommands
-    named = {*EDGE_CASES.values(),
-             *(_default_case(sub, out, fmt) for sub in NUMPY_FREE
-               for out in (False, True) for fmt in ("json", "csv"))}
-    rest = [name for name, case in CASES.items()
-            if case["args"][0] in NUMPY_FREE and name not in named]
-    assert named <= CASES.keys()
-    assert _blocked_mismatches(rest) == []
+def test_golden_cases_replay_with_numpy_blocked(replayed):
+    # every other golden case of the numpy-free subcommands too
+    assert [name for name, match in replayed.items() if match is not True] \
+        == []

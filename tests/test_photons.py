@@ -58,6 +58,28 @@ class TestEchoDelay:
         assert res.quadrature == pytest.approx(0.0, abs=1e-12)
         assert res.closed_form == 0.0
 
+    def test_a_grazing_ratio_beyond_the_float_range(self):
+        # x/R_s overflows, the delay does not: 2*sum of
+        # 2*r_o*asinh(x/R_s) + (r_o^2/R_s)*atan(x/R_s) over both sides, to
+        # 50 digits with mpmath
+        geom = EchoGeometry(r_es=EARTH_SUN_DISTANCE,
+                            r_ms=MERCURY_SUN_DISTANCE,
+                            R_s=1e-300, r_o=SOLAR_R_O)
+        res = shapiro_delay(geom)
+        exact = 1.3762689096846165e+307
+        assert res.closed_form == pytest.approx(exact, rel=1e-15)
+        assert res.quadrature == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("R_s", [1e-303, 5e-324])
+    def test_an_overflowing_delay_names_R_s(self, R_s):
+        geom = EchoGeometry(r_es=EARTH_SUN_DISTANCE,
+                            r_ms=MERCURY_SUN_DISTANCE, R_s=R_s,
+                            r_o=SOLAR_R_O)
+        with pytest.raises(NumericalFailure,
+                           match=f"overflows at R_s = {R_s!r} with "
+                                 f"endpoint distance"):
+            shapiro_delay(geom)
+
     def test_geometry_validation(self):
         with pytest.raises(GeometryInvalid):
             EchoGeometry(r_es=1.0, r_ms=1.0, R_s=2.0, r_o=0.1)

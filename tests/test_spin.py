@@ -130,6 +130,29 @@ class TestDragAndGeodeticRates:
                 got = de_sitter_rate(r_o * k * k, tuple(c * k for c in x), v)
                 assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("r_o, inertia, omega, radius, exact", [
+        # gyro printed 0.0 for both: in the first grad(G0) is subnormal
+        # and lost the rate's digits before the product with v/2 - G; in
+        # the second the rate is exact but its squares underflow
+        (1e-300, 71997587754.12419, (0.0, 0.0, 1e100), 7.02e6,
+         5.9292463237128834e-217),
+        (1.6798580437847986e-67, 3.9348961475096244e+86,
+         (1.5532166443607105e-206, 0.0, 8.703073831324973e-141),
+         7.331598625769354e+56, 2.365277913140378e-243),
+        # grad(G0) overflows: the rate was nan
+        (8.214811644313858e+254, 0.0,
+         (-1.5018961327648297e-214, 1.2241686626873702e-167, 0.0),
+         4.106095085917503e+99, 1.0896672888570354e+133),
+    ])
+    def test_geodetic_keeps_its_digits_where_grad_G0_leaves_the_range(
+            self, r_o, inertia, omega, radius, exact):
+        # exact: |rate| at the orbit's start, to 80 digits with mpmath
+        spec = RotatingFieldSpec(r_o=r_o, inertia=inertia, omega=omega)
+        position, velocity, _, _ = circular_polar_orbit(radius, r_o)
+        rate = geodetic(spec, position(0.0), velocity(0.0))
+        assert np.hypot.reduce(rate) == pytest.approx(exact, rel=1e-15,
+                                                      abs=0.0)
+
     def test_arrays_are_the_float_kernels(self):
         # the array wrappers add as vectors; their entries are the kernels'
         rng = np.random.default_rng(6)
