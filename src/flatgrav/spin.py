@@ -223,9 +223,9 @@ def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
     b0, b1, b2 = b = [r_o * c / r3 for c in x]                 # grad(G0)
     a0, a1, a2 = (v / 2.0 - k * g for v, g in zip(velocity, wx))
     tiny = sys.float_info.min
-    if r3 >= tiny and all(r_o * c == 0.0 or tiny <= abs(r_o * c) < math.inf
-                          and tiny <= abs(g) < math.inf
-                          for c, g in zip(x, b)):
+    if r3 >= tiny and (r_o == 0.0 or all(
+            c == 0.0 or tiny <= abs(r_o * c) < math.inf
+            and tiny <= abs(g) < math.inf for c, g in zip(x, b))):
         return (a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1)
     e = math.frexp(max(map(abs, x)))[1]
     s0, s1, s2 = (math.ldexp(c, -e) for c in x)

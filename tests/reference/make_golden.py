@@ -141,6 +141,10 @@ CONFIGS = (
               '"omega": [1.5532166443607105e-206, 0.0, '
               '8.703073831324973e-141]'),
      ("--orbit-radius", "7.331598625769354e+56")),
+    # r_o*x_0 underflows to 0 where x_0 is not 0: the rate printed 0.0
+    (("gyro",), "geodetic_product_underflow",
+     EARTH % '"r_o": 1e-300, "inertia": 0.0, "radius": 1e-200',
+     ("--orbit-radius", "1e-100")),
     (("gyro",), "geodetic_overflow",
      EARTH % ('"r_o": 8.214811644313858e+254, "inertia": 0.0, '
               '"omega": [-1.5018961327648297e-214, 1.2241686626873702e-167, '

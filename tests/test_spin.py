@@ -139,6 +139,9 @@ class TestDragAndGeodeticRates:
         (1.6798580437847986e-67, 3.9348961475096244e+86,
          (1.5532166443607105e-206, 0.0, 8.703073831324973e-141),
          7.331598625769354e+56, 2.365277913140378e-243),
+        # r_o*x_0 underflows to 0 though x_0 is not 0: gyro printed 0.0
+        (1e-300, 0.0, (0.0, 0.0, 2.4322881921280855e-13), 1e-100,
+         5.0000000000000000e-201),
         # grad(G0) overflows: the rate was nan
         (8.214811644313858e+254, 0.0,
          (-1.5018961327648297e-214, 1.2241686626873702e-167, 0.0),

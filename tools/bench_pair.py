@@ -2,15 +2,15 @@
 """Paired benchmark runs of two commits, written to ``BENCH_<workload>.json``.
 
     python tools/bench_pair.py --base <rev> --head <rev> --workload <name>
-        [--seeds 1-10] [--seconds 10] [--out-dir .]
 
-Run from inside the repository.  Each side is a ``git archive`` of its
-commit, extracted to its own temporary directory, and each run is
-``python3 perfbench/run.py --workload <name> --seed <s> --seconds <t>
---trace 0`` in that copy, with every ``__pycache__`` removed first, so
-each run imports from source as a fresh checkout does.  For each seed the
-two sides run back to back, and the side that runs first alternates from
-seed to seed.
+Run from inside the repository; the file is written at its root.  Each
+side is a ``git archive`` of its commit, extracted to its own temporary
+directory, and each run is ``python3 perfbench/run.py --workload <name>
+--seed <s> --seconds <t> --trace 0`` in that copy, for seeds 1-10 and the
+``run_seconds`` of the head's BENCHMARK.json, with every ``__pycache__``
+removed first, so each run imports from source as a fresh checkout does.
+For each seed the two sides run back to back, and the side that runs
+first alternates from seed to seed.
 
 The file holds each seed's pair of end-to-end metrics, and for each metric
 of BENCHMARK.json the medians and quartiles of both sides, the head's
@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Dict, List
 
 RUN_TIMEOUT_S = 900
+SEEDS = range(1, 11)
 
 
 def git(*args: str) -> str:
@@ -67,14 +68,6 @@ def run(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 def numpy_version() -> str:
     import numpy
     return numpy.__version__
-
-
-def seeds(text: str) -> List[int]:
-    """``1-10`` or ``3,5,8``."""
-    if "-" in text:
-        lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
 
 
 def quartiles(values: List[float]) -> List[float]:
@@ -117,9 +110,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--head", required=True, help="the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
 
     sides = {"base": git("rev-parse", args.base),
@@ -131,12 +121,12 @@ def main(argv=None) -> int:
             extract(commit, copies[side])
         spec = json.loads((copies["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        for i, seed in enumerate(args.seeds):
+        seconds = spec["run_seconds"]
+        for i, seed in enumerate(SEEDS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(copies[side], args.workload, seed,
-                                 args.seconds)
+                pair[side] = run(copies[side], args.workload, seed, seconds)
                 print(f"seed {seed} {side}: "
                       + json.dumps({k: v["value"] for k, v in
                                     pair[side]["metrics"].items()}),
@@ -146,7 +136,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload,
         "command": f"python3 perfbench/run.py --workload {args.workload} "
-                   f"--seed <seed> --seconds {args.seconds:g} --trace 0",
+                   f"--seed <seed> --seconds {seconds:g} --trace 0",
         "base": {"rev": args.base, "commit": sides["base"]},
         "head": {"rev": args.head, "commit": sides["head"]},
         "machine": {"python": platform.python_version(),
@@ -156,8 +146,8 @@ def main(argv=None) -> int:
         "summary": summary(pairs, better),
         "pairs": pairs,
     }
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    path = args.out_dir / f"BENCH_{args.workload}.json"
+    path = Path(git("rev-parse", "--show-toplevel"),
+                f"BENCH_{args.workload}.json")
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(path)
     return 0
