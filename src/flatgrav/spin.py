@@ -208,11 +208,11 @@ def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
              velocity: Sequence[float]) -> Tuple[float, float, float]:
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope.
 
-    grad(G0) is r_o*x/r^3.  Where r^3, or r_o*x_i or r_o*x_i/r^3 of a
-    nonzero term, leaves the normal float range, grad(G0) would lose digits
-    or underflow to 0 before the product.  There x is first scaled by the
-    power of two 2**e of its largest component, and the rate is
-    (a x (x/2**e)) * r_o/|x/2**e|^3 * 2**(-2e), with the exponents kept
+    grad(G0) is r_o*x/r^3.  Where r^3, or r_o*x_i or r_o*x_i/r^3 for an
+    x_i != 0 and r_o != 0, leaves the normal float range, grad(G0) would
+    lose digits or underflow to 0 before the product.  There x is first
+    scaled by the power of two 2**e of its largest component, and the rate
+    is (a x (x/2**e)) * r_o/|x/2**e|^3 * 2**(-2e), with the exponents kept
     apart by ``frexp`` until one ``ldexp``: it stays accurate as long as
     the rate is a normal float.  Elsewhere that form would move the last
     digit.
