@@ -186,20 +186,6 @@ def gauge_shift(pot: FourPotential,
     return FourPotential(g0=pot.g0, gi=gi)
 
 
-def metric_gradient_numeric(pot: FourPotential, at: Vec3, h: float) -> np.ndarray:
-    """Spatial finite-difference gradient dg[k, mu, nu] of the full metric."""
-    import numpy as np
-    x = np.asarray(at, dtype=float)
-    dg = np.empty((3, 4, 4))
-    for k in range(3):
-        dx = np.zeros(3)
-        dx[k] = h
-        gp = build_metric(pot, x + dx).g
-        gm = build_metric(pot, x - dx).g
-        dg[k] = (gp - gm) / (2.0 * h)
-    return dg
-
-
 def christoffels_numeric(pot: FourPotential, at: Vec3,
                          h: Optional[float] = None) -> np.ndarray:
     """Full Christoffel array Gamma[lam, mu, nu] in Cartesian (t, x, y, z).
@@ -220,9 +206,12 @@ def christoffels_numeric(pot: FourPotential, at: Vec3,
         eta = np.diag([1.0, -1.0, -1.0, -1.0])
         departure = max(float(np.max(np.abs(m.g - eta))), EPS)
         h = r * min((EPS / departure) ** (1.0 / 3.0), 1e-2)
-    dg3 = metric_gradient_numeric(pot, x, h)
-    dg = np.zeros((4, 4, 4))
-    dg[1:] = dg3
+    dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
+    for k in range(3):
+        dx = np.zeros(3)
+        dx[k] = h
+        dg[k + 1] = (build_metric(pot, x + dx).g
+                     - build_metric(pot, x - dx).g) / (2.0 * h)
     return _christoffel(m.ginv, dg)
 
 

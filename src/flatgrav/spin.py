@@ -11,6 +11,11 @@ scalar field's gradient.
 
 Both rates are float kernels that return 3-tuples (``frame_dragging``,
 ``geodetic``), as is ``de_sitter_rate``, so ``gyro`` runs without numpy.
+Each rate, and the orbital rate of ``circular_polar_orbit``, is formed once
+in units of the orbit radius (``_in_units``), with r_o, I and each factor
+they multiply split into mantissa and exponent: it keeps the plain closed
+form's bits wherever that stays in the normal float range, and its digits
+wherever the rate and the products of w and v with x/2^e are normal floats.
 The module imports numpy only inside its array routes: the transport, its
 check against the connection, the spin-norm invariant and the array
 wrappers ``frame_dragging_rate`` and ``geodetic_rate``.
@@ -192,53 +197,87 @@ def transport_spin(spec: RotatingFieldSpec,
     return run.dense
 
 
+def _split(v: Sequence[float]) -> Tuple[Tuple[float, ...], int]:
+    """v/2^e and e, where 2^(e-1) <= max|v_i| < 2^e (e = 0 for v = 0).
+
+    A component below 2^-1074 of the largest one becomes 0.
+    """
+    e = math.frexp(max(map(abs, v)))[1]
+    return tuple(math.ldexp(c, -e) for c in v), e
+
+
+def _in_units(x: Sequence[float], r: float
+              ) -> Tuple[Tuple[float, ...], float, int]:
+    """x/2^e and e of ``_split(x)``, and r^3/2^(3e).
+
+    Dividing by a power of two is exact, so a closed form of length
+    dimension -n, evaluated in these units and rescaled by 2^(-n*e) with one
+    ``_ldexp``, rounds as it does in x wherever both stay in the normal
+    range; only that last factor leaves it.  r^3/2^(3e) is pow's own r**3
+    scaled where that is a normal float (pow is not exactly
+    scale-invariant, so the cube of a scaled r would move the last digit),
+    and the cube of the scaled x's norm elsewhere.
+    """
+    xs, e = _split(x)
+    try:
+        r3 = r**3
+    except OverflowError:                   # r above ~5.6e102
+        r3 = math.inf
+    if sys.float_info.min <= r3 < math.inf:
+        return xs, math.ldexp(r3, -3 * e), e
+    return xs, math.hypot(*xs) ** 3, e
+
+
+def _ldexp(m: float, k: int) -> float:
+    """``m`` times 2^k; beyond the largest float it is infinite, as a
+    float product is, where ``math.ldexp`` raises.  ``carriers._ldexp``'s
+    twin, so that ``gyro`` imports neither carriers nor quadrature."""
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
 def frame_dragging(spec: RotatingFieldSpec, x: Sequence[float]
                    ) -> Tuple[float, float, float]:
-    """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w): half the curl of G."""
-    r, k, _, _ = spec.at(x)
-    h0, h1, h2 = x[0] / r, x[1] / r, x[2] / r
+    """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w): half the curl of G.
+
+    I/r^3 is formed in the units of ``_in_units``, and each component of
+    3*rhat*(w . rhat) - w is split by ``frexp``, so the rate keeps its
+    digits where I/r^3 would leave the normal float range.
+    """
+    r = spec.at(x)[0]
+    _, r3, e = _in_units(x, r)
+    m_i, e_i = math.frexp(spec.inertia)
     w0, w1, w2 = spec.omega
+    h0, h1, h2 = h = (x[0] / r, x[1] / r, x[2] / r)
     wh = w0 * h0 + w1 * h1 + w2 * h2
-    half = 0.5 * k                                  # I/r^3
-    return (half * (3.0 * h0 * wh - w0), half * (3.0 * h1 * wh - w1),
-            half * (3.0 * h2 * wh - w2))
+    return tuple(_ldexp(m_i / r3 * m, e_i - 3 * e + k) for m, k in map(
+        math.frexp, (3.0 * c * wh - w for c, w in zip(h, spec.omega))))
 
 
 def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
              velocity: Sequence[float]) -> Tuple[float, float, float]:
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope.
 
-    grad(G0) is r_o*x/r^3.  Where r^3, or r_o*x_i or r_o*x_i/r^3 for an
-    x_i != 0 and r_o != 0, leaves the normal float range, grad(G0) would
-    lose digits or underflow to 0 before the product.  There x is first
-    scaled by the power of two 2**e of its largest component, and the rate
-    is (a x (x/2**e)) * r_o/|x/2**e|^3 * 2**(-2e), with the exponents kept
-    apart by ``frexp`` until one ``ldexp``: it stays accurate as long as
-    the rate is a normal float.  Elsewhere that form would move the last
-    digit.
+    grad(G0) is r_o*x/r^3 and G = (2I/r^3)(w x x), each formed in the
+    units of ``_in_units``, with each component of w x x split by
+    ``frexp``.  G is rescaled before it is subtracted from v/2; a = v/2 - G
+    is split as x is, and grad(G0) is rescaled after the cross product, so
+    the rate keeps its digits wherever it and G are normal floats.
     """
-    r, k, _, wx = spec.at(x)
-    r3 = r**3
-    r_o = spec.r_o
-    b0, b1, b2 = b = [r_o * c / r3 for c in x]                 # grad(G0)
-    a0, a1, a2 = (v / 2.0 - k * g for v, g in zip(velocity, wx))
-    tiny = sys.float_info.min
-    if r3 >= tiny and (r_o == 0.0 or all(
-            c == 0.0 or tiny <= abs(r_o * c) < math.inf
-            and tiny <= abs(g) < math.inf for c, g in zip(x, b))):
-        return (a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1)
-    e = math.frexp(max(map(abs, x)))[1]
-    s0, s1, s2 = (math.ldexp(c, -e) for c in x)
-    rs3 = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2) ** 3
-    fr, er = math.frexp(r_o)
-    rate = []
-    for c in (a2 * s1 - a1 * s2, a0 * s2 - a2 * s0, a1 * s0 - a0 * s1):
-        fc, ec = math.frexp(c)
-        try:
-            rate.append(math.ldexp(fc * fr / rs3, ec + er - 2 * e))
-        except OverflowError:
-            rate.append(math.copysign(math.inf, fc))
-    return tuple(rate)
+    (s0, s1, s2), r3, e = _in_units(x, spec.at(x)[0])
+    m_o, e_o = math.frexp(spec.r_o)
+    m_i, e_i = math.frexp(spec.inertia)
+    w0, w1, w2 = spec.omega
+    k = 2.0 * m_i / r3
+    wx = map(math.frexp, (w1 * s2 - w2 * s1, w2 * s0 - w0 * s2,
+                          w0 * s1 - w1 * s0))
+    b0, b1, b2 = (m_o * c / r3 for c in (s0, s1, s2))     # grad(G0)
+    (a0, a1, a2), e_a = _split([v / 2.0 - _ldexp(k * m, e_i - 2 * e + j)
+                                for v, (m, j) in zip(velocity, wx)])
+    return tuple(_ldexp(c, e_o - 2 * e + e_a) for c in (
+        a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1))
 
 
 def frame_dragging_rate(spec: RotatingFieldSpec,
@@ -247,7 +286,7 @@ def frame_dragging_rate(spec: RotatingFieldSpec,
 
     perfbench's spin check and acceptance criterion 7 add it to
     ``geodetic_rate``; the wrapper can go once perfbench reads the tuples
-    (ROADMAP item 6).
+    (ROADMAP item 5).
     """
     import numpy as np
     return np.array(frame_dragging(spec, x))
@@ -259,7 +298,7 @@ def geodetic_rate(spec: RotatingFieldSpec, x: Sequence[float],
 
     perfbench's spin check and acceptance criterion 7 add it to
     ``frame_dragging_rate``; the wrapper can go once perfbench reads the
-    tuples (ROADMAP item 6).
+    tuples (ROADMAP item 5).
     """
     import numpy as np
     return np.array(geodetic(spec, x, velocity))
@@ -269,29 +308,21 @@ def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
                    ) -> Tuple[float, float, float]:
     """Textbook geodetic comparison rate (3/2) * (r_o/r^3) * (x cross v).
 
-    r is sqrt(x.x), its squares summed left to right.  Where r^3 leaves the
-    normal float range (|x| above ~5.6e102 or below ~2.8e-103) or the
-    factor 1.5*r_o/r^3 overflows, x is first scaled by its largest
-    component m, and the factor is 1.5*r_o/m/m/|x/m|^3 on the scaled cross
-    product, which stays finite as long as the rate does; elsewhere that
-    form would move the last digit.  NonPositiveRadius at the center.
+    r is sqrt(x.x), its squares summed left to right.  The factor and the
+    cross product are formed in the units of ``_in_units``, each component
+    of the cross product split by ``frexp``, so the rate keeps its digits
+    wherever it is a normal float.  NonPositiveRadius at the center.
     """
     x0, x1, x2 = x
     v0, v1, v2 = velocity
-    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    try:
-        r3 = r**3
-    except OverflowError:               # r above ~5.6e102; inf**3 is inf
-        r3 = math.inf
-    f = 1.5 * r_o / r3 if sys.float_info.min <= r3 < math.inf else math.inf
-    if not f < math.inf:
-        m = max(abs(x0), abs(x1), abs(x2))
-        if not m > 0.0:
-            raise NonPositiveRadius("rate evaluated at the center")
-        x0, x1, x2 = x0 / m, x1 / m, x2 / m
-        f = 1.5 * r_o / m / m / math.sqrt(x0 * x0 + x1 * x1 + x2 * x2) ** 3
-    return (f * (x1 * v2 - x2 * v1), f * (x2 * v0 - x0 * v2),
-            f * (x0 * v1 - x1 * v0))
+    if not any(x):
+        raise NonPositiveRadius("rate evaluated at the center")
+    (s0, s1, s2), r3, e = _in_units(
+        x, math.sqrt(x0 * x0 + x1 * x1 + x2 * x2))
+    m_o, e_o = math.frexp(r_o)
+    f = 1.5 * m_o / r3
+    return tuple(_ldexp(f * m, e_o - 2 * e + k) for m, k in map(math.frexp, (
+        s1 * v2 - s2 * v1, s2 * v0 - s0 * v2, s0 * v1 - s1 * v0)))
 
 
 def circular_polar_orbit(radius: float, r_o: float
@@ -304,18 +335,24 @@ def circular_polar_orbit(radius: float, r_o: float
     cheap as the per-stage transport rate they feed.  This is a Newtonian
     circle, not a geodesic of the metric, so ``spin_norm_invariant`` drifts
     along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
-    NonPositiveRadius unless radius > 0 and r_o > 0; NumericalFailure where
-    r_o/radius^3 underflows to 0, which would leave no orbital rate.
+    nu is formed in the units of ``_in_units``, so it keeps its digits
+    where r_o/r^3 is subnormal.  NonPositiveRadius unless radius > 0 and
+    r_o > 0; NumericalFailure where r_o/radius^3 underflows to 0, which
+    would leave no orbital rate.
     """
     if not radius > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
     if not r_o > 0.0:
         raise NonPositiveRadius(f"r_o must be > 0 for an orbit, got {r_o}")
-    nu2 = r_o / radius**3
-    if nu2 == 0.0:
+    _, r3, e = _in_units((radius,), radius)
+    m_o, n = math.frexp(r_o)
+    n -= 3 * e
+    if n % 2:                       # an even exponent halves exactly
+        m_o, n = 2.0 * m_o, n - 1
+    if _ldexp(m_o / r3, n) == 0.0:
         raise NumericalFailure(f"orbital rate underflows: r_o/radius^3 = 0 "
                                f"for r_o {r_o!r} at radius {radius!r}")
-    nu = math.sqrt(nu2)
+    nu = _ldexp(math.sqrt(m_o / r3), n // 2)
     speed = radius * nu
 
     def position(t: float) -> Tuple[float, float, float]:

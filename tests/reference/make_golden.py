@@ -150,6 +150,27 @@ CONFIGS = (
               '"omega": [-1.5018961327648297e-214, 1.2241686626873702e-167, '
               '0.0]'),
      ("--orbit-radius", "4.106095085917503e+99")),
+    # 2I/r^3 underflows where the drag rates are normal: they printed 0.0
+    (("gyro",), "drag_factor_underflow",
+     EARTH % ('"r_o": 1.0, "inertia": 1e-300, "omega": [0, 0, 1e100], '
+              '"radius": 5e9'),
+     ("--orbit-radius", "1e10")),
+    # w_2*x_0 underflows where k*w_2*x_0 dominates v/2: the geodetic rate
+    # was 3.30310045322767e-258, not 3.6056784370116044e-224
+    (("gyro",), "geodetic_field_underflow",
+     EARTH % ('"r_o": 1.7889261424574756e-266, '
+              '"inertia": 8.229826771855882e+97, '
+              '"omega": [1.2270897191570304e+60, 0.0, '
+              '-7.385362409664923e-278], "radius": 3.4253583669472663e-140'),
+     ("--orbit-radius", "6.520897698131097e-54")),
+    # 1.5*r_o/r^3 and r_o/radius^3 are subnormal: the de Sitter rate and
+    # the period were 0.3% and 0.11% off
+    (("gyro",), "de_sitter_subnormal_factor",
+     EARTH % ('"r_o": 7.391679491995395e-53, '
+              '"inertia": 9.331431581215678e-273, '
+              '"omega": [-1.4645312756457603e+152, -5.912103544167774e-97, '
+              '-2.2979967708796533e-259]'),
+     ("--orbit-radius", "6.435800703607409e+89")),
 )
 
 

@@ -146,6 +146,22 @@ class TestDragAndGeodeticRates:
         (8.214811644313858e+254, 0.0,
          (-1.5018961327648297e-214, 1.2241686626873702e-167, 0.0),
          4.106095085917503e+99, 1.0896672888570354e+133),
+        # w_2*x_0 underflows to -0.0 where k*w_2*x_0 is ~1e33 times v/2:
+        # gyro printed 3.30310045322767e-258 rad/s
+        (1.7889261424574756e-266, 8.229826771855882e+97,
+         (1.2270897191570304e+60, 0.0, -7.385362409664923e-278),
+         6.520897698131097e-54, 1.2026946087430301546e-232),
+        # r_o/radius^3 is subnormal: nu, so the speed, lost digits
+        (7.391679491995395e-53, 9.331431581215678e-273,
+         (-1.4645312756457603e+152, -5.912103544167774e-97,
+          -2.2979967708796533e-259),
+         6.435800703607409e+89, 9.5626492841568259206e-304),
+        # G ~ 1.5e308: a = v/2 - G times grad(G0) in units of x overflows
+        # unless a is split too
+        (1e-300, 0.75e8, (0.0, -1e300, 0.0), 1.0, 150000000.00000001163),
+        # |w| ~ 1.5e308: 2I/r^3 in units of x times w x (x/2^e) overflows
+        # unless each component of w x (x/2^e) is split too
+        (1e-300, 0.5, (0.0, -1.5e308, 0.0), 1.0, 150000000.00000000541),
     ])
     def test_geodetic_keeps_its_digits_where_grad_G0_leaves_the_range(
             self, r_o, inertia, omega, radius, exact):
@@ -155,6 +171,27 @@ class TestDragAndGeodeticRates:
         rate = geodetic(spec, position(0.0), velocity(0.0))
         assert np.hypot.reduce(rate) == pytest.approx(exact, rel=1e-15,
                                                       abs=0.0)
+
+    @pytest.mark.parametrize("rate, r_o, inertia, omega, radius, exact", [
+        # I/r^3 = 1e-330 underflows to 0 where the rate is normal: gyro
+        # printed frame_dragging_equatorial -0.0
+        (lambda spec, x, v: frame_dragging(spec, x), 1.0, 1e-300,
+         (0.0, 0.0, 1e100), 1e10, 1.000000000000000041e-230),
+        # 1.5*r_o/r^3 and r_o/radius^3 are subnormal: the rate was 0.3% off
+        (lambda spec, x, v: de_sitter_rate(spec.r_o, x, v),
+         7.391679491995395e-53, 9.331431581215678e-273,
+         (-1.4645312756457603e+152, -5.912103544167774e-97,
+          -2.2979967708796533e-259),
+         6.435800703607409e+89, 2.8687947852470477762e-303),
+    ], ids=["frame_dragging", "de_sitter_rate"])
+    def test_rates_keep_their_digits_where_a_factor_leaves_the_range(
+            self, rate, r_o, inertia, omega, radius, exact):
+        # exact: |rate| at the orbit's start, to 80 digits with mpmath
+        spec = RotatingFieldSpec(r_o=r_o, inertia=inertia, omega=omega)
+        position, velocity, _, _ = circular_polar_orbit(radius, r_o)
+        got = rate(spec, position(0.0), velocity(0.0))
+        assert np.hypot.reduce(got) == pytest.approx(exact, rel=1e-15,
+                                                     abs=0.0)
 
     def test_arrays_are_the_float_kernels(self):
         # the array wrappers add as vectors; their entries are the kernels'
@@ -393,7 +430,12 @@ class TestPolarOrbit:
             f"at radius {radius!r}")
 
     def test_subnormal_rate_squared_still_orbits(self):
-        # r_o/radius^3 = 1e-310 is subnormal but not 0: nu ~ 1e-155
-        _, _, nu, period = circular_polar_orbit(1.0, 1e-310)
-        assert nu == pytest.approx(1e-155, rel=1e-6)
-        assert period == pytest.approx(2 * np.pi / nu, rel=1e-15)
+        # r_o/radius^3 is subnormal but not 0: nu keeps its digits.  The
+        # float r_o = 1e-310 is itself subnormal, 3e-15 from 1e-310;
+        # r_o = 1e-300 is normal, and the quotient held only ~12 digits.
+        # exact: sqrt(r_o/radius^3) of the float inputs, 80-digit mpmath
+        for radius, r_o, exact in ((1.0, 1e-310, 9.9999999999999847247e-156),
+                                   (1e4, 1e-300, 1.0000000000000000125e-156)):
+            _, _, nu, period = circular_polar_orbit(radius, r_o)
+            assert nu == pytest.approx(exact, rel=1e-15, abs=0.0)
+            assert period == pytest.approx(2 * np.pi / nu, rel=1e-15)
