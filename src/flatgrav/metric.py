@@ -50,6 +50,22 @@ class FourPotential(NamedTuple):
     gi: Callable[[Vec3], np.ndarray] = _zero_vector
 
 
+def _radius(x: Vec3) -> Tuple[float, float]:
+    """(r, r**3) at the point ``x``, r its ``hypot``.  NonPositiveRadius at
+    the center; NumericalFailure, naming r, where r^3 underflows to 0 (r
+    below ~1.1e-108) or overflows (r above ~5.6e102)."""
+    r = math.hypot(*x)
+    if r <= 0.0:
+        raise NonPositiveRadius("field evaluated at the center")
+    try:
+        r3 = r**3
+    except OverflowError:
+        raise NumericalFailure(f"r**3 overflows at r = {r!r}") from None
+    if r3 == 0.0:
+        raise NumericalFailure(f"r**3 underflows to 0 at r = {r!r}")
+    return r, r3
+
+
 class CentralField:
     """Field of a (rotating) central body: G0 = -r_o/r, G = 2*I*(w x x)/r^3.
 
@@ -80,23 +96,13 @@ class CentralField:
 
         Every term of the field and of its first derivatives is built from
         these: G0 = -r_o/r, d_k G0 = r_o*x_k/r^3, G = k*(w x x), and
-        d_k G_i = k*(w x e_k)_i - (3k/r^2)*x_k*(w x x)_i.  NonPositiveRadius
-        at the center; NumericalFailure, naming r, where r^3 underflows to 0
-        (r below ~1.1e-108) or overflows (r above ~5.6e102).
+        d_k G_i = k*(w x e_k)_i - (3k/r^2)*x_k*(w x x)_i.  r and r^3 are
+        ``_radius``'s, with its errors.
         """
         x0, x1, x2 = x
-        r = math.hypot(x0, x1, x2)
-        if r <= 0.0:
-            raise NonPositiveRadius("field evaluated at the center")
+        r, r3 = _radius(x)
         w0, w1, w2 = self.omega
-        try:
-            k = 2.0 * self.inertia / r**3
-        except ZeroDivisionError:
-            raise NumericalFailure(
-                f"r**3 underflows to 0 at r = {r!r}") from None
-        except OverflowError:
-            raise NumericalFailure(
-                f"r**3 overflows at r = {r!r}") from None
+        k = 2.0 * self.inertia / r3
         wx = (w1 * x2 - w2 * x1, w2 * x0 - w0 * x2, w0 * x1 - w1 * x0)
         return r, k, 3.0 * k / (r * r), wx
 
@@ -222,7 +228,11 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     is differentiated in closed form from ``CentralField.at`` and raised
     with ``build_metric``'s inverse of the same potentials
     (``_inverse``); ``christoffels_numeric`` is its finite-difference
-    oracle.  A plain FourPotential (a gauge-shifted field, say) has no
+    oracle.  The gradients dG_i[k] and dg[sigma] of all three axes are
+    formed at once by broadcasting, w x e_k as a literal 3x3 of w's
+    components, each product grouped as in the per-axis formulas, so every
+    entry rounds as it would there (tests/test_metric.py holds the two
+    bitwise).  A plain FourPotential (a gauge-shifted field, say) has no
     exact gradients and is refused with TypeError.
     """
     if not isinstance(field, CentralField):
@@ -231,24 +241,24 @@ def christoffels(field: CentralField, at: Vec3) -> np.ndarray:
     import numpy as np
     r, k, k_3, wx = field.at(at)
     x = np.asarray(at, dtype=float)
+    w0, w1, w2 = field.omega
     G0 = -field.r_o / r
     Gi = k * np.array(wx)
     dG0 = field.r_o * x / r**3                          # dG0[k]
-    dGi = (k * np.cross(field.omega, np.eye(3))         # dGi[k, i]
-           - k_3 * np.outer(x, wx))
+    w_cross = np.array([[0.0, w2, -w1],                 # w x e_k, row k
+                        [-w2, 0.0, w0],
+                        [w1, -w0, 0.0]])
+    dGi = k * w_cross - k_3 * (x[:, None] * wx)         # dGi[k, i]
     warp = 1.0 / (1.0 - G0)
     g00 = warp**2
     dg00 = 2.0 * warp**3 * dG0        # dg00[k]
 
     dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]; time slot stays 0
-    for j in range(3):
-        s = j + 1
-        dg[s, 0, 0] = dg00[j]
-        row = dg00[j] * Gi + g00 * dGi[j]
-        dg[s, 0, 1:] = dg[s, 1:, 0] = row
-        dg[s, 1:, 1:] = (dg00[j] * np.outer(Gi, Gi)
-                         + g00 * (np.outer(dGi[j], Gi)
-                                  + np.outer(Gi, dGi[j])))
+    dg[1:, 0, 0] = dg00
+    dg[1:, 0, 1:] = dg[1:, 1:, 0] = dg00[:, None] * Gi + g00 * dGi
+    dGG = dGi[:, :, None] * Gi        # dGG[k, i, j] = dGi[k, i]*Gi[j]
+    dg[1:, 1:, 1:] = (dg00[:, None, None] * (Gi[:, None] * Gi)
+                      + g00 * (dGG + dGG.transpose(0, 2, 1)))
     return _christoffel(_inverse(G0, Gi), dg)
 
 

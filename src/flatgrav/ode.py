@@ -21,13 +21,18 @@ not depend on the CPU.  No ``sum()``: from Python 3.12 it compensates float
 sums.  The terminal event is located on the step's interpolant by Brent's
 method (``brentq``).
 
-The sums of a step are compiled once per state length n (``_kernels``):
-stages 1-12, stages 13-15, E5, E3 and each dense-output row of D are
-straight-line Python, each coefficient a ``repr`` literal and each stage a
-local, with no loop over the coefficient tables.  A sum is written
-(0.0 + a_j*k_j + ...) in the order of j, the order and the operations of a
-loop over the table from 0.0, so the kernels change no bit, the sign of a
-zero sum included (tests/test_ode_kernels.py).
+A step's arithmetic is compiled once per state length n (``_kernels``)
+into two straight-line Python functions, each coefficient a ``repr``
+literal and each stage a local, with no loop over the coefficient tables.
+``step`` runs stages 1-12 and, from their locals, the error norm: the
+scale atol + max(|y_i|, |y_new_i|)*rtol, the E5 and E3 estimates and both
+sums of squares, written out in ``ddot``'s lanes.  ``dense`` runs stages
+13-15 of an accepted step and returns the interpolant's seven coefficient
+rows.  A sum is written (0.0 + a_j*k_j + ...) in the order of j, the order
+and the operations of a loop over the table from 0.0, so the kernels change
+no bit, the sign of a zero sum included (tests/test_ode_kernels.py).
+``dop853`` keeps the scalar control: the step-size factor, rejection, the
+terminal event and the dense output's per-step lists.
 
 numpy is imported only where a ``DenseOutput`` is evaluated on arrays; a
 run, and the ``Solution`` it returns, needs none.
@@ -258,66 +263,104 @@ def _unpack(names, value: str) -> str:
     return f"    {', '.join(names)}, = {value}"
 
 
-def _stages(name: str, first: int, last: int, n: int) -> List[str]:
-    """Source of ``name(fun, t, y, h, K)``: stages first, ..., last - 1 of
-    the step of ``h`` from (t, y) for a state of n components, into K
-    (K[i][s], component i of stage s).  Stage 1 starts from K[i][0]; each
-    stage state is a list, (sum of a*k)*h + y, and the last one's is
-    returned."""
+def _stage(s: int, n: int, state: str = "ys") -> List[str]:
+    """Source of stage s of a step for a state of n components, from the
+    locals k{i}_{j} of the stages before it: the stage state, a list
+    ``state`` of (sum of a*k)*h + y, and then fun at it, into k{i}_{s}."""
     comps = range(n)
-    lines = [f"def {name}(fun, t, y, h, K):",
+    return [f"    {state} = ["
+            + ", ".join(f"{_sum(_A[s], f'k{i}_{{j}}')} * h + y{i}"
+                        for i in comps) + "]",
+            _unpack([f"k{i}_{s}" for i in comps],
+                    f"fun(t + {C[s]!r} * h, {state})")]
+
+
+def _lanes(name: str, n: int) -> str:
+    """Source of the sum of name{i}*name{i}, i < n, as ``_sum_of_squares``
+    adds it: each ddot lane from 0.0 in the order of i, an empty lane 0.0,
+    and the lanes joined as its accumulators are."""
+    lanes = [""] * 8
+    for i, slot in enumerate(_ddot_slots(n)):
+        lanes[slot] += f" + {name}{i} * {name}{i}"
+    a = [f"(0.0{terms})" if terms else "0.0" for terms in lanes]
+    return (f"((({a[0]} + {a[2]}) + ({a[4]} + {a[6]}))"
+            f" + (({a[1]} + {a[3]}) + ({a[5]} + {a[7]})))")
+
+
+def _step(n: int) -> List[str]:
+    """Source of ``step(fun, t, y, h, K, atol, rtol)``: stages 1-12 of the
+    step of ``h`` from (t, y) for a state of n components, from stage 0 in
+    K[i][0] and into K[i][1:13], and (y_new, error norm).  Stage 12 is f at
+    (t + h, y_new), y_new = y + h*(B . K).  The norm is the RMS norm of E5
+    damped by E3, as in dop853, each component scaled by
+    atol + max(|y_i|, |y_new_i|)*rtol and squared as scipy squares
+    ``np.linalg.norm``."""
+    comps = range(n)
+    lines = ["def step(fun, t, y, h, K, atol, rtol):",
              _unpack([f"K{i}" for i in comps], "K"),
-             _unpack([f"y{i}" for i in comps], "y")]
-    lines += [_unpack([f"k{i}_{s}" for s in range(first)], f"K{i}[:{first}]")
+             _unpack([f"y{i}" for i in comps], "y"),
+             *(f"    k{i}_0 = K{i}[0]" for i in comps)]
+    for s in range(1, N_STAGES + 1):
+        lines += _stage(s, n, "y_new" if s == N_STAGES else "ys")
+    lines += [f"    K{i}[1:{N_STAGES + 1}] = "
+              + ", ".join(f"k{i}_{s}" for s in range(1, N_STAGES + 1))
               for i in comps]
-    for s in range(first, last):
-        state = ", ".join(f"{_sum(_A[s], f'k{i}_{{j}}')} * h + y{i}"
-                          for i in comps)
-        lines += [f"    ys = [{state}]",
-                  _unpack([f"k{i}_{s}" for i in comps],
-                          f"fun(t + {C[s]!r} * h, ys)")]
-    lines += [f"    K{i}[{first}:{last}] = "
-              + ", ".join(f"k{i}_{s}" for s in range(first, last))
-              for i in comps]
-    return lines + ["    return ys"]
+    lines.append(_unpack([f"n{i}" for i in comps], "y_new"))
+    for i in comps:
+        lines += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                  f"    p{i} = {_sum(E5, f'k{i}_{{j}}')} / s{i}",
+                  f"    q{i} = {_sum(E3, f'k{i}_{{j}}')} / s{i}"]
+    return lines + [
+        f"    e5 = sqrt({_lanes('p', n)}) ** 2",
+        f"    e3 = sqrt({_lanes('q', n)}) ** 2",
+        "    if e5 == 0 and e3 == 0:",
+        "        return y_new, 0.0",
+        f"    return y_new, h * e5 / sqrt((e5 + 0.01 * e3) * {n})"]
 
 
-def _dot(name: str, pairs, n: int) -> List[str]:
-    """Source of ``name(K)``: for each component's stages K[i], the sum of
-    a*K[i][j] over the (j, a) ``pairs``, as a list."""
+def _dense(n: int) -> List[str]:
+    """Source of ``dense(fun, t, y, y_new, h, K)``: stages 13-15 of the
+    accepted step from (t, y) to y_new, for a state of n components with
+    stages 0-12 in K, and (F_rev, fy): the coefficients F[6], ..., F[0] of
+    the step's interpolant, one list of n each, and f at (t + h, y_new)."""
     comps = range(n)
-    return [f"def {name}(K):",
-            _unpack([f"K{i}" for i in comps], "K"),
-            "    return [" + ", ".join(_sum(pairs, f"K{i}[{{j}}]")
-                                       for i in comps) + "]"]
+    lines = ["def dense(fun, t, y, y_new, h, K):",
+             _unpack([f"K{i}" for i in comps], "K"),
+             _unpack([f"y{i}" for i in comps], "y"),
+             *(_unpack([f"k{i}_{s}" for s in range(N_STAGES + 1)], f"K{i}")
+               for i in comps)]
+    for s in range(N_STAGES + 1, 16):
+        lines += _stage(s, n)
+    lines += [_unpack([f"n{i}" for i in comps], "y_new"),
+              *(f"    d{i} = n{i} - y{i}" for i in comps)]
+    rows = [[f"h * {_sum(row, f'k{i}_{{j}}')}" for i in comps]
+            for row in reversed(D)]
+    rows += [[f"2 * d{i} - h * (k{i}_{N_STAGES} + k{i}_0)" for i in comps],
+             [f"h * k{i}_0 - d{i}" for i in comps],
+             [f"d{i}" for i in comps]]
+    return lines + [
+        "    return [" + ", ".join("[" + ", ".join(row) + "]"
+                                   for row in rows) + "],"
+        + " [" + ", ".join(f"k{i}_{N_STAGES}" for i in comps) + "]"]
 
 
 class _Kernels(NamedTuple):
     """A step's arithmetic for one state length, as compiled functions."""
 
-    stages: Callable    # stages 1-12 of a step, returning y_new
-    extra: Callable     # stages 13-15, the dense output's
-    e5: Callable        # the E5 and E3 error estimates
-    e3: Callable
-    d: Tuple[Callable, ...]     # the sums of the dense output's D rows
+    step: Callable      # stages 1-12: (y_new, error norm)
+    dense: Callable     # stages 13-15: (F_rev, f at the step's end)
 
 
 @lru_cache(maxsize=None)
 def _kernels(n: int) -> _Kernels:
-    """The step's sums for a state of n components, built once per n as
-    straight-line Python: every coefficient a literal, every stage and
+    """The step's arithmetic for a state of n components, built once per n
+    as straight-line Python: every coefficient a literal, every stage and
     state component a local.  Each sum is written as the loop over its
     pairs would add it, so a step's floats are the loop's, bit for bit."""
-    source = [*_stages("stages", 1, N_STAGES + 1, n),
-              *_stages("extra", N_STAGES + 1, 16, n),
-              *_dot("e5", E5, n), *_dot("e3", E3, n)]
-    for r, row in enumerate(D):
-        source += _dot(f"d{r}", row, n)
-    namespace: dict = {}
-    exec(compile("\n".join(source), f"<dop853 kernels, n = {n}>", "exec"),
-         namespace)
-    return _Kernels(*(namespace[f] for f in ("stages", "extra", "e5", "e3")),
-                    tuple(namespace[f"d{r}"] for r in range(len(D))))
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join([*_step(n), *_dense(n)]),
+                 f"<dop853 kernels, n = {n}>", "exec"), namespace)
+    return _Kernels(namespace["step"], namespace["dense"])
 
 
 @lru_cache(maxsize=None)
@@ -480,20 +523,6 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _error_norm(kernels, K, h, scale) -> float:
-    """RMS norm of the error estimate, E5 damped by E3 as in dop853, from
-    the stages ``K`` (K[i][s], component i of stage s)."""
-    err5 = [e / scale_i for e, scale_i in zip(kernels.e5(K), scale)]
-    err3 = [e / scale_i for e, scale_i in zip(kernels.e3(K), scale)]
-    # squared norms as scipy squares np.linalg.norm
-    err5_norm_2 = math.sqrt(_sum_of_squares(err5)) ** 2
-    err3_norm_2 = math.sqrt(_sum_of_squares(err3)) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return h * err5_norm_2 / math.sqrt(denom * len(scale))
-
-
 def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
            atol: float, event: Optional[Tuple[Callable, float]] = None,
            max_step: float = math.inf) -> Solution:
@@ -529,16 +558,18 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
 
     fy = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, max_step, fy, rtol, atol)
-    kernels = _kernels(len(y))
-    K = [[0.0] * 16 for _ in y]     # K[i][s]: component i of stage s
+    step, dense = _kernels(len(y))
+    K = [[0.0] * (N_STAGES + 1) for _ in y]     # K[i][s]: stage s of y_i
     ts, steps = [t], ([], [], [])   # DenseOutput's per-step lists
     ended = False
 
     def solution(failure=None) -> Solution:
-        dense = DenseOutput(ts, *steps) if steps[0] else None
-        return Solution(dense, ts[-1], y, ended, failure)
+        interpolant = DenseOutput(ts, *steps) if steps[0] else None
+        return Solution(interpolant, ts[-1], y, ended, failure)
 
     while True:
+        for K_i, v in zip(K, fy):
+            K_i[0] = v
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
@@ -547,13 +578,7 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
                 return solution(TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            for K_i, v in zip(K, fy):
-                K_i[0] = v
-            # stage 12 is f at (t + h, y_new), y_new = y + h*(B . K)
-            y_new = kernels.stages(fun, t, y, h, K)
-            scale = [atol + max(abs(a), abs(b)) * rtol
-                     for a, b in zip(y, y_new)]
-            error_norm = _error_norm(kernels, K, h, scale)
+            y_new, error_norm = step(fun, t, y, h, K, atol, rtol)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR,
@@ -564,18 +589,12 @@ def dop853(fun: Callable, t_span: Tuple[float, float], y0, rtol: float,
             rejected = True
 
         # the extra stages and coefficients of the step's interpolant
-        kernels.extra(fun, t, y, h, K)
-        delta_y = [b - a for a, b in zip(y, y_new)]
-        F = [delta_y,
-             [h * K_i[0] - d for K_i, d in zip(K, delta_y)],
-             [2 * d - h * (K_i[N_STAGES] + K_i[0])
-              for K_i, d in zip(K, delta_y)]]
-        F += ([h * v for v in d(K)] for d in kernels.d)
-        F_rev, t_old, y_old = F[::-1], t, y
+        F_rev, fy = dense(fun, t, y, y_new, h, K)
+        t_old, y_old = t, y
         for stack, item in zip(steps, (h, F_rev, y_old)):
             stack.append(item)
-        t, y, fy = t_new, y_new, [K_i[N_STAGES] for K_i in K]
-        t_end = t
+        t = t_end = t_new
+        y = y_new
 
         if event is not None:
             g_new = g_event(t, y)

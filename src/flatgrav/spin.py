@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
-from .metric import CentralField, _inverse, christoffels
+from .metric import CentralField, _inverse, _radius, christoffels
 
 if TYPE_CHECKING:  # the array and ODE routes import them: gyro skips both
     import numpy as np
@@ -206,9 +206,17 @@ def _split(v: Sequence[float]) -> Tuple[Tuple[float, ...], int]:
     return tuple(math.ldexp(c, -e) for c in v), e
 
 
-def _in_units(x: Sequence[float], r: float
+def _cube(r: float) -> float:
+    """r**3, infinite where it overflows (r above ~5.6e102)."""
+    try:
+        return r**3
+    except OverflowError:
+        return math.inf
+
+
+def _in_units(x: Sequence[float], r3: float
               ) -> Tuple[Tuple[float, ...], float, int]:
-    """x/2^e and e of ``_split(x)``, and r^3/2^(3e).
+    """x/2^e and e of ``_split(x)``, and r^3/2^(3e), given r3 = r**3.
 
     Dividing by a power of two is exact, so a closed form of length
     dimension -n, evaluated in these units and rescaled by 2^(-n*e) with one
@@ -219,10 +227,6 @@ def _in_units(x: Sequence[float], r: float
     and the cube of the scaled x's norm elsewhere.
     """
     xs, e = _split(x)
-    try:
-        r3 = r**3
-    except OverflowError:                   # r above ~5.6e102
-        r3 = math.inf
     if sys.float_info.min <= r3 < math.inf:
         return xs, math.ldexp(r3, -3 * e), e
     return xs, math.hypot(*xs) ** 3, e
@@ -246,8 +250,8 @@ def frame_dragging(spec: RotatingFieldSpec, x: Sequence[float]
     3*rhat*(w . rhat) - w is split by ``frexp``, so the rate keeps its
     digits where I/r^3 would leave the normal float range.
     """
-    r = spec.at(x)[0]
-    _, r3, e = _in_units(x, r)
+    r, r3 = _radius(x)
+    _, r3, e = _in_units(x, r3)
     m_i, e_i = math.frexp(spec.inertia)
     w0, w1, w2 = spec.omega
     h0, h1, h2 = h = (x[0] / r, x[1] / r, x[2] / r)
@@ -266,7 +270,7 @@ def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
     is split as x is, and grad(G0) is rescaled after the cross product, so
     the rate keeps its digits wherever it and G are normal floats.
     """
-    (s0, s1, s2), r3, e = _in_units(x, spec.at(x)[0])
+    (s0, s1, s2), r3, e = _in_units(x, _radius(x)[1])
     m_o, e_o = math.frexp(spec.r_o)
     m_i, e_i = math.frexp(spec.inertia)
     w0, w1, w2 = spec.omega
@@ -318,7 +322,7 @@ def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
     if not any(x):
         raise NonPositiveRadius("rate evaluated at the center")
     (s0, s1, s2), r3, e = _in_units(
-        x, math.sqrt(x0 * x0 + x1 * x1 + x2 * x2))
+        x, _cube(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)))
     m_o, e_o = math.frexp(r_o)
     f = 1.5 * m_o / r3
     return tuple(_ldexp(f * m, e_o - 2 * e + k) for m, k in map(math.frexp, (
@@ -344,7 +348,7 @@ def circular_polar_orbit(radius: float, r_o: float
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
     if not r_o > 0.0:
         raise NonPositiveRadius(f"r_o must be > 0 for an orbit, got {r_o}")
-    _, r3, e = _in_units((radius,), radius)
+    _, r3, e = _in_units((radius,), _cube(radius))
     m_o, n = math.frexp(r_o)
     n -= 3 * e
     if n % 2:                       # an even exponent halves exactly

@@ -93,6 +93,32 @@ def radial_closed_forms(r_o, r):
     return r_o / r**2 * (1.0 + r_o / r) ** -3, r_o / (r * (r + r_o))
 
 
+def per_axis_christoffels(field, at):
+    """The exact connection assembled one spatial axis at a time, with
+    ``np.cross`` and ``np.outer``: the oracle of christoffels' broadcast
+    assembly, product for product."""
+    r, k, k_3, wx = field.at(at)
+    x = np.asarray(at, dtype=float)
+    G0 = -field.r_o / r
+    Gi = k * np.array(wx)
+    dG0 = field.r_o * x / r**3                          # dG0[k]
+    dGi = (k * np.cross(field.omega, np.eye(3))         # dGi[k, i]
+           - k_3 * np.outer(x, wx))
+    warp = 1.0 / (1.0 - G0)
+    g00 = warp**2
+    dg00 = 2.0 * warp**3 * dG0        # dg00[k]
+    dg = np.zeros((4, 4, 4))          # dg[sigma, mu, nu]
+    for j in range(3):
+        s = j + 1
+        dg[s, 0, 0] = dg00[j]
+        row = dg00[j] * Gi + g00 * dGi[j]
+        dg[s, 0, 1:] = dg[s, 1:, 0] = row
+        dg[s, 1:, 1:] = (dg00[j] * np.outer(Gi, Gi)
+                         + g00 * (np.outer(dGi[j], Gi)
+                                  + np.outer(Gi, dGi[j])))
+    return metric._christoffel(metric._inverse(G0, Gi), dg)
+
+
 class TestChristoffels:
     def test_central_against_finite_difference(self):
         r_o, r = 100.0, 1.0e4
@@ -204,6 +230,45 @@ class TestCentralField:
             christoffels(field, x)
             assert raised.pop().tobytes() == \
                 build_metric(field, x).ginv.tobytes()
+
+    @pytest.mark.parametrize("family", ["mixed", "omega zero",
+                                        "inertia zero", "extreme"])
+    def test_equals_the_per_axis_assembly(self, family):
+        # 600 seeded configs per family, 2,400 in all: christoffels' arrays
+        # are the per-axis assembly's, nan and inf included
+        rng = np.random.default_rng(["mixed", "omega zero", "inertia zero",
+                                     "extreme"].index(family))
+        for _ in range(600):
+            if family == "extreme":
+                r_o, inertia = 10.0 ** rng.uniform(-100.0, 100.0, 2)
+                omega = (rng.choice([-1.0, 1.0], 3)
+                         * 10.0 ** rng.uniform(-100.0, 100.0, 3))
+                x = (rng.choice([-1.0, 1.0], 3)
+                     * 10.0 ** rng.uniform(-100.0, 100.0, 3))
+            else:
+                r_o = 10.0 ** rng.uniform(-8.0, 2.0)
+                inertia = 10.0 ** rng.uniform(-8.0, 3.0)
+                omega = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-9.0, 0.0)
+                x = rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-1.0, 8.0)
+            x[rng.random(3) < 0.1] = 0.0
+            if family == "omega zero":
+                omega = 0
+            elif family == "inertia zero":
+                inertia = 0.0
+            elif not family == "extreme":
+                omega[rng.random(3) < 0.2] = 0.0
+            if not x.any():
+                x[0] = 1.0
+            field = CentralField(r_o, inertia, omega)
+            with np.errstate(all="ignore"):
+                try:
+                    want = per_axis_christoffels(field, x)
+                except ArithmeticError as exc:  # (1 - G0)^2 overflows
+                    with pytest.raises(type(exc)):
+                        christoffels(field, x)
+                    continue
+                assert np.array_equal(christoffels(field, x), want,
+                                      equal_nan=True)
 
     def test_equality_is_identity_and_hashable(self):
         field = CentralField(0.5, 0.1, [0.0, 0.0, 0.2])
