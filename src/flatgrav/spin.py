@@ -1,9 +1,10 @@
 """Gyroscope transport around a rotating central body.
 
 The body contributes a scalar potential -r_o/r and, when spinning, the
-weak-rotation vector potential 2*I*[w x r]/r^3.  The transport rate, both
-gyroscope rates and the exact connection read them and their first
-derivatives from one float evaluation, ``metric.CentralField.at``.  A
+weak-rotation vector potential 2*I*[w x r]/r^3.  The transport rate and
+the exact connection read them and their first derivatives from one float
+evaluation, ``metric.CentralField.at``; both gyroscope rates take its
+range check on r (``metric._radius``) and form the rest themselves.  A
 comoving gyroscope's covariant spin is parallel-transported along its
 orbit; the secular drift decomposes into a frame-dragging rate set by the
 vector potential's curl and a geodetic rate set by the motion through the
