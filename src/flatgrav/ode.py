@@ -263,16 +263,15 @@ def _unpack(names, value: str) -> str:
     return f"    {', '.join(names)}, = {value}"
 
 
-def _stage(s: int, n: int, state: str = "ys") -> List[str]:
+def _stage(s: int, n: int) -> List[str]:
     """Source of stage s of a step for a state of n components, from the
-    locals k{i}_{j} of the stages before it: the stage state, a list
-    ``state`` of (sum of a*k)*h + y, and then fun at it, into k{i}_{s}."""
+    locals k{i}_{j} of the stages before it: the stage state, a list ys of
+    (sum of a*k)*h + y, and then fun at it, into k{i}_{s}."""
     comps = range(n)
-    return [f"    {state} = ["
-            + ", ".join(f"{_sum(_A[s], f'k{i}_{{j}}')} * h + y{i}"
-                        for i in comps) + "]",
+    return ["    ys = [" + ", ".join(f"{_sum(_A[s], f'k{i}_{{j}}')} * h + y{i}"
+                                   for i in comps) + "]",
             _unpack([f"k{i}_{s}" for i in comps],
-                    f"fun(t + {C[s]!r} * h, {state})")]
+                    f"fun(t + {C[s]!r} * h, ys)")]
 
 
 def _lanes(name: str, n: int) -> str:
@@ -301,11 +300,11 @@ def _step(n: int) -> List[str]:
              _unpack([f"y{i}" for i in comps], "y"),
              *(f"    k{i}_0 = K{i}[0]" for i in comps)]
     for s in range(1, N_STAGES + 1):
-        lines += _stage(s, n, "y_new" if s == N_STAGES else "ys")
+        lines += _stage(s, n)
     lines += [f"    K{i}[1:{N_STAGES + 1}] = "
               + ", ".join(f"k{i}_{s}" for s in range(1, N_STAGES + 1))
               for i in comps]
-    lines.append(_unpack([f"n{i}" for i in comps], "y_new"))
+    lines.append(_unpack([f"n{i}" for i in comps], "ys"))     # y_new
     for i in comps:
         lines += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol",
                   f"    p{i} = {_sum(E5, f'k{i}_{{j}}')} / s{i}",
@@ -314,8 +313,8 @@ def _step(n: int) -> List[str]:
         f"    e5 = sqrt({_lanes('p', n)}) ** 2",
         f"    e3 = sqrt({_lanes('q', n)}) ** 2",
         "    if e5 == 0 and e3 == 0:",
-        "        return y_new, 0.0",
-        f"    return y_new, h * e5 / sqrt((e5 + 0.01 * e3) * {n})"]
+        "        return ys, 0.0",
+        f"    return ys, h * e5 / sqrt((e5 + 0.01 * e3) * {n})"]
 
 
 def _dense(n: int) -> List[str]:

@@ -178,11 +178,9 @@ def test_error_and_dense_output_sums_add_as_the_loop(n, seed):
         y = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         k0 = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         norms = []
-        for kernel in (step, loop_step):
+        for kernel, width in ((step, WIDTH), (loop_step, 16)):
             fun, _ = recording_fun(n, draw, lambda r: r.uniform(-1.0, 1.0))
-            K = [[v] * 16 for v in k0]
-            if kernel is step:
-                K = [K_i[:WIDTH] for K_i in K]
+            K = [[v] * width for v in k0]
             norms.append(kernel(fun, 0.0, y, 0.25, K, 1e-6, 1e-3)[1])
         assert bits(norms[:1]) == bits(norms[1:])
 
