@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DenominatorVanishes, TurningPointNotFound
+from .errors import NumericalFailure
 from .orbits import _cosine_map_advance
 
 __all__ = ["schwarzschild_precession", "schwarzschild_deflection",
@@ -42,11 +42,11 @@ def schwarzschild_precession_quadrature(r_o: float, r_min: float,
     removes the endpoint singularities.
     """
     if not 0.0 < r_min < r_max:
-        raise TurningPointNotFound(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
+        raise NumericalFailure(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if r_o <= 0.0:
         return 0.0
     u1, u2 = 1.0 / r_min, 1.0 / r_max
     u3 = 1.0 / (2.0 * r_o) - u1 - u2
     if u3 <= u1:
-        raise DenominatorVanishes("third root inside orbit: field too strong")
+        raise NumericalFailure("third root inside orbit: field too strong")
     return _cosine_map_advance(u1, u2, u3, 1.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Tuple
 
-from .errors import NonPositiveRadius
+from .errors import NumericalFailure
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -42,7 +42,7 @@ class RadialCarrier:
 
     def __init__(self, r_o: float, newton_constant: float = 1.0):
         if r_o <= 0.0 or newton_constant <= 0.0:
-            raise NonPositiveRadius("r_o and newton_constant must be > 0")
+            raise NumericalFailure("r_o and newton_constant must be > 0")
         self.r_o, self.newton_constant = r_o, newton_constant
 
     @property
@@ -52,11 +52,11 @@ class RadialCarrier:
 
 
 def _radii(r: float) -> float:
-    """``r`` as a float; NonPositiveRadius unless it is > 0 (a NaN is
+    """``r`` as a float; NumericalFailure unless it is > 0 (a NaN is
     not)."""
     r = float(r)
     if not r > 0.0:
-        raise NonPositiveRadius("r must be > 0")
+        raise NumericalFailure("r must be > 0")
     return r
 
 
@@ -120,7 +120,7 @@ def _in_units_of_r(r: float, r_o: float) -> Tuple[float, float, int]:
 def _enclosed(scale: float, r_o: float, R: float) -> float:
     """Analytic integral of the profile over the ball of radius R."""
     if R < 0.0:
-        raise NonPositiveRadius(f"R must be >= 0, got {R}")
+        raise NumericalFailure(f"R must be >= 0, got {R}")
     return scale * R / (R + r_o)
 
 
@@ -195,7 +195,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     """
     r = _radii(r)
     if not 0.0 < h < r:
-        raise NonPositiveRadius(f"step must satisfy 0 < h < r, got {h}")
+        raise NumericalFailure(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * math.pi * c.newton_constant
     eps_common = energy_density(c, r)   # E_M*r_o = r_o^2/G
     x, _, k = _in_units_of_r(r, c.r_o)
@@ -236,7 +236,7 @@ def enclosed_energy(c: RadialCarrier, R: float) -> float:
 def enclosed_energy_quadrature(c: RadialCarrier, R: float) -> float:
     """Quadrature of 4*pi*r^2*eps over [0, R]; exactly 0 at R = 0."""
     if R < 0.0:
-        raise NonPositiveRadius(f"R must be >= 0, got {R}")
+        raise NumericalFailure(f"R must be >= 0, got {R}")
     return _shell_quadrature(c.total_energy, c.r_o, R)
 
 
@@ -252,7 +252,7 @@ class ElectricCarrier:
 
     def __init__(self, e: float, r_e: float = 7e-58, r_o: float = 7e-58):
         if r_e <= 0.0 or r_o <= 0.0:
-            raise NonPositiveRadius("r_e and r_o must be > 0")
+            raise NumericalFailure("r_e and r_o must be > 0")
         self.e, self.r_e, self.r_o = e, r_e, r_o
 
 

@@ -22,8 +22,7 @@ import sys
 from typing import (TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .errors import (InvalidSpeed, NoConvergence, NonPositiveRadius,
-                     NumericalFailure, PotentialOutOfRange)
+from .errors import NumericalFailure
 
 if TYPE_CHECKING:  # each array route imports it: the float routes skip it
     import numpy as np
@@ -51,12 +50,12 @@ class FourPotential(NamedTuple):
 
 
 def _radius(x: Vec3) -> Tuple[float, float]:
-    """(r, r**3) at the point ``x``, r its ``hypot``.  NonPositiveRadius at
-    the center; NumericalFailure, naming r, where r^3 underflows to 0 (r
-    below ~1.1e-108) or overflows (r above ~5.6e102)."""
+    """(r, r**3) at the point ``x``, r its ``hypot``.  NumericalFailure at
+    the center, and, naming r, where r^3 underflows to 0 (r below
+    ~1.1e-108) or overflows (r above ~5.6e102)."""
     r = math.hypot(*x)
     if r <= 0.0:
-        raise NonPositiveRadius("field evaluated at the center")
+        raise NumericalFailure("field evaluated at the center")
     try:
         r3 = r**3
     except OverflowError:
@@ -88,7 +87,7 @@ class CentralField:
             raise ValueError(f"omega must be 3 finite numbers or the scalar "
                              f"0, got {omega!r}")
         if not (r_o >= 0.0 and inertia >= 0.0):     # NaN too
-            raise NonPositiveRadius("r_o and inertia must be >= 0")
+            raise NumericalFailure("r_o and inertia must be >= 0")
         self.r_o, self.inertia, self.omega = float(r_o), float(inertia), w
 
     def at(self, x) -> Tuple[float, float, float, Tuple[float, float, float]]:
@@ -132,15 +131,17 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     """Evaluate the metric of the warped-time construction at a spatial point.
 
     The time tetrad leg is e^(o)_mu = delta^(o)_mu + G_mu/(1 - G_0); the
-    spatial legs are Kronecker deltas.  Raises PotentialOutOfRange for
-    g0 >= 1, where the time warp is singular in the model's own terms.
+    spatial legs are Kronecker deltas.  Raises NumericalFailure for
+    g0 >= 1, where the time warp is singular in the model's own terms, and
+    where ``_inverse`` overflows.
     """
     import numpy as np
     x = np.asarray(at, dtype=float)
     G0 = float(pot.g0(x))
     if G0 >= 1.0:
-        raise PotentialOutOfRange(f"g0={G0} >= 1 at {x}")
+        raise NumericalFailure(f"g0={G0} >= 1 at {x}")
     Gi = np.asarray(pot.gi(x), dtype=float)
+    ginv = _inverse(G0, Gi)         # first: it names an overflowing g0
 
     warp = 1.0 / (1.0 - G0)
     tetrad = np.eye(4)
@@ -152,18 +153,23 @@ def build_metric(pot: FourPotential, at: Vec3) -> SpacetimeMetric:
     g[1:, 1:] -= np.eye(3)
 
     gamma = np.outer(g[0, 1:], g[0, 1:]) / g[0, 0] - g[1:, 1:]
-    return SpacetimeMetric(tetrad=tetrad, g=g, ginv=_inverse(G0, Gi),
-                           gamma=gamma)
+    return SpacetimeMetric(tetrad=tetrad, g=g, ginv=ginv, gamma=gamma)
 
 
 def _inverse(G0: float, Gi: np.ndarray) -> np.ndarray:
     """g^{mu nu} from the potentials at a point: g^00 = (1 - G0)^2 - Gi.Gi,
     g^0i = Gi, g^ij = -delta_ij.  ``build_metric``'s inverse, and the one
     that ``christoffels`` and ``spin.spin_norm_invariant`` read without
-    building the rest of the metric."""
+    building the rest of the metric.  NumericalFailure, naming r_o/r =
+    -G0, where (1 - G0)^2 overflows (r_o/r above ~1.3e154)."""
     import numpy as np
+    try:
+        lapse2 = (1.0 - G0) ** 2
+    except OverflowError:
+        raise NumericalFailure(f"(1 - g0)**2 overflows at r_o/r = "
+                               f"{-G0!r}") from None
     ginv = np.empty((4, 4))
-    ginv[0, 0] = (1.0 - G0) ** 2 - Gi @ Gi
+    ginv[0, 0] = lapse2 - Gi @ Gi
     ginv[0, 1:] = ginv[1:, 0] = Gi
     ginv[1:, 1:] = -np.eye(3)
     return ginv
@@ -284,16 +290,16 @@ def proper_time_rate(ldot: float, r_o_over_r: float, energy_ratio: float,
     ``ldot`` and ``energy_ratio`` the fixed point is 1/(1 + r_o/r).
     """
     if not 0.0 <= ldot < 1.0:
-        raise InvalidSpeed(f"ldot must satisfy 0 <= ldot < 1, got {ldot}")
+        raise NumericalFailure(f"ldot must satisfy 0 <= ldot < 1, got {ldot}")
     x = 1.0
     for _ in range(max_iter):
         arg = 1.0 - (ldot / x) ** 2
         if arg < 0.0:
-            raise InvalidSpeed(
+            raise NumericalFailure(
                 f"implied physical speed exceeds 1 (ldot={ldot}, dtau/dt={x})"
             )
         x_next = 1.0 - r_o_over_r * energy_ratio * math.sqrt(arg)
         if abs(x_next - x) < 1e-14:
             return x_next
         x = x_next
-    raise NoConvergence(f"no fixed point after {max_iter} iterations")
+    raise NumericalFailure(f"no fixed point after {max_iter} iterations")

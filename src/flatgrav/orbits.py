@@ -22,15 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .constants import ARCSEC_PER_RAD, C_SI, SECONDS_PER_CENTURY
-from .errors import (
-    DenominatorVanishes,
-    InsufficientOrbits,
-    NonPositiveRadius,
-    NumericalFailure,
-    ToleranceNotMet,
-    TurningPointNotFound,
-    UnboundOrbit,
-)
+from .errors import NumericalFailure
 from .quadrature import gauss_legendre, legendre_antiderivative
 
 if TYPE_CHECKING:  # the array and ODE routes import them where they run
@@ -70,7 +62,7 @@ def rosette_rhs(u: float, uprime: float, r_o: float, L: float) -> float:
     """
     den = 1.0 - 3.0 * r_o * u
     if den <= 0.0:
-        raise DenominatorVanishes(f"3*r_o*u = {3.0 * r_o * u} >= 1")
+        raise NumericalFailure(f"3*r_o*u = {3.0 * r_o * u} >= 1")
     return (r_o / L**2 - u + 4.5 * r_o * u**2 + 1.5 * r_o * uprime**2) / den
 
 
@@ -86,24 +78,24 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
     where the point is the outer turning point: in strong fields at small
     ecc, and in weak fields at ecc below ~4.5*r_o/a.  Without a field
     (L = 0) alpha0 is 0, which ``integrate_orbit`` refuses.  Raises
-    TurningPointNotFound where the orbit plunges (no second turning point)
-    and NumericalFailure where the energy integral is not finite: a
+    NumericalFailure where the orbit plunges (no second turning point)
+    or where the energy integral is not finite: a
     subnormal L^2 (r_o below ~1e-319 for Mercury's a) overflows 1/L^2.
     """
     if ecc < 0.0:
         raise ValueError(f"eccentricity must be >= 0, got {ecc}")
     if ecc >= 1.0:
-        raise UnboundOrbit(f"ecc = {ecc} >= 1")
+        raise NumericalFailure(f"ecc = {ecc} >= 1")
     if a <= 0.0:
-        raise NonPositiveRadius(f"semi-major axis must be > 0, got {a}")
+        raise NumericalFailure(f"semi-major axis must be > 0, got {a}")
     if r_o < 0.0:
-        raise NonPositiveRadius(f"r_o must be >= 0, got {r_o}")
+        raise NumericalFailure(f"r_o must be >= 0, got {r_o}")
 
     L = math.sqrt(r_o * a * (1.0 - ecc**2))
     r_p = a * (1.0 - ecc)
     u_p = 1.0 / r_p
     if 3.0 * r_o * u_p >= 1.0:
-        raise TurningPointNotFound(
+        raise NumericalFailure(
             f"r = {r_p} is not outside 3*r_o: the field is too strong")
     if not L > 0.0:
         return 0.0, OrbitIntegrals(energy_ratio=1.0, L=L)
@@ -113,7 +105,7 @@ def orbit_from_elements(r_o: float, a: float, ecc: float
             f"the energy integral at r = {r_p} is not finite: "
             f"L^2 = {L**2:.3g} {'is subnormal' if L < 1.0 else 'overflows'}")
     if not e2 > 0.0:
-        raise TurningPointNotFound(
+        raise NumericalFailure(
             f"no bound orbit turns at r = {r_p}: the field is too strong")
     if rosette_rhs(u_p, 0.0, r_o, L) > 0.0:
         # r_p is the outer turning point: the inner one must exist
@@ -129,11 +121,11 @@ def _circle_offset(r_o: float, c: float) -> float:
     u'' = u' = 0 leaves 4.5*r_o*u^2 - u + c = 0, whose smaller root is
     u_c = c + 18*r_o*c^2/(1 + s)^2 with s = sqrt(1 - 18*r_o*c): no
     cancellation.  Without a circular orbit (18*r_o*c > 1) no orbit is
-    bound: TurningPointNotFound.
+    bound: NumericalFailure.
     """
     x = 18.0 * r_o * c
     if x > 1.0:
-        raise TurningPointNotFound(
+        raise NumericalFailure(
             f"no circular orbit at r_o/L^2 = {c}: the field is too strong")
     return x * c / (1.0 + math.sqrt(1.0 - x)) ** 2
 
@@ -158,10 +150,10 @@ def _second_turning_point(r_o: float, u_known: float, L: float) -> float:
     if not math.isfinite(disc):     # r_o below ~2.5e-155: s*s overflows
         disc, scale = 1.0 - 4.0 * (p / s) / s, s
     if disc < 0.0 or p <= 0.0:
-        raise TurningPointNotFound(f"no second turning point for u = {u_known}")
+        raise NumericalFailure(f"no second turning point for u = {u_known}")
     u_other = p / (0.5 * (s + scale * math.sqrt(disc)))
     if not 0.0 < u_other < 1.0 / (3.0 * r_o):
-        raise TurningPointNotFound(f"no second turning point for u = {u_known}")
+        raise NumericalFailure(f"no second turning point for u = {u_known}")
     return u_other
 
 
@@ -175,7 +167,7 @@ def turning_points_from_elements(r_o: float, a: float, ecc: float
     """
     _, integrals = orbit_from_elements(r_o, a, ecc)
     if not (r_o > 0.0 and integrals.L > 0.0):
-        raise TurningPointNotFound("need r_o > 0 and L > 0 for a bound orbit")
+        raise NumericalFailure("need r_o > 0 and L > 0 for a bound orbit")
     u_known = 1.0 / (a * (1.0 - ecc))
     u_other = _second_turning_point(r_o, u_known, integrals.L)
     return 1.0 / max(u_known, u_other), 1.0 / min(u_known, u_other)
@@ -194,7 +186,7 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     import numpy as np
     L = integrals.L
     if L <= 0 or r_o <= 0:
-        raise TurningPointNotFound("need r_o > 0 and L > 0")
+        raise NumericalFailure("need r_o > 0 and L > 0")
     e = integrals.energy_ratio
     B = 1.0 / L**2
     k = (e - 1.0) * (e + 1.0) * B
@@ -202,7 +194,7 @@ def turning_points(r_o: float, integrals: OrbitIntegrals) -> Tuple[float, float]
     real = roots[np.abs(roots.imag) <= 1e-9 * np.max(np.abs(roots))].real
     cand = np.sort(real[(0.0 < real) & (real < 1.0 / (3.0 * r_o))])
     if len(cand) < 2:
-        raise TurningPointNotFound(
+        raise NumericalFailure(
             f"no bound radial range for E/m={e}, L={L}")
     u = float(cand[1])
     for _ in range(3):
@@ -327,7 +319,7 @@ def _element_rhs(phi, y, r_o, u_c, alpha0):
     d, dprime = alpha * cos + beta * sin, beta * cos - alpha * sin
     u = u_c + alpha0 * d
     if 3.0 * r_o * u >= 1.0:
-        raise DenominatorVanishes(f"3*r_o*u = {3.0 * r_o * u} >= 1")
+        raise NumericalFailure(f"3*r_o*u = {3.0 * r_o * u} >= 1")
     g = r_o * (6.0 * u_c * d + 1.5 * alpha0 * (d * d + dprime * dprime)) \
         / (1.0 - 3.0 * r_o * u)
     return [-g * sin, g * cos]
@@ -356,18 +348,18 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     back to the launch's kind.  The equation is autonomous in phi, so that
     radial period tiles the span; its advance is the turn of atan2(beta,
     alpha) across it, so no 2*pi is subtracted.  Raises ValueError unless
-    alpha0 is finite, ToleranceNotMet if atol underflows to 0, if a step
-    falls below the float spacing or if the energy-integral drift over the
-    period tops 1000*tol*n_orbits, InsufficientOrbits if n_orbits <= 0 or
-    a leg finds no turning point within 2*max(n_orbits, 1) revolutions, and
-    NumericalFailure if r_o > 0 but the forcing at launch is subnormal or 0.
+    alpha0 is finite, and NumericalFailure if n_orbits <= 0, if r_o > 0 but
+    the forcing at launch is subnormal or 0, if atol underflows to 0, if a
+    step falls below the float spacing, if a leg finds no turning point
+    within 2*max(n_orbits, 1) revolutions or if the energy-integral drift
+    over the period tops 1000*tol*n_orbits.
     """
     from .ode import DenseOutput, dop853
 
     if not n_orbits > 0:
-        raise InsufficientOrbits(f"cannot integrate over {n_orbits} orbits")
+        raise NumericalFailure(f"cannot integrate over {n_orbits} orbits")
     if integrals.L <= 0:
-        raise TurningPointNotFound("degenerate orbit: need L > 0")
+        raise NumericalFailure("degenerate orbit: need L > 0")
     if not math.isfinite(alpha0):
         raise ValueError(f"alpha0 must be finite, got {alpha0}")
     c = r_o / integrals.L**2
@@ -386,7 +378,7 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
     # scipy's DOP853 steps on nan without end where atol is 0 and a
     # component is 0
     if not atol > 0.0:
-        raise ToleranceNotMet(f"tol = {tol!r} sets atol = tol*pi*|g0| to 0")
+        raise NumericalFailure(f"tol = {tol!r} sets atol = tol*pi*|g0| to 0")
     reach = 4.0 * math.pi * max(n_orbits, 1.0)  # the longest leg
     legs, phi = [], 0.0
     # d' rises through the other turning point and falls through the next
@@ -396,9 +388,9 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
                      (phi, phi + reach), y, rtol=rtol, atol=atol,
                      event=(_dprime, direction), max_step=LEG_MAX_STEP)
         if run.failure:
-            raise ToleranceNotMet(run.failure)
+            raise NumericalFailure(run.failure)
         if not run.event:
-            raise InsufficientOrbits(
+            raise NumericalFailure(
                 f"no radial turning point within {reach:.6g} rad")
         legs.append(run.dense)
         phi, y = run.t, run.y
@@ -410,7 +402,8 @@ def integrate_orbit(r_o: float, alpha0: float, integrals: OrbitIntegrals,
                       phi_end=2.0 * math.pi * n_orbits, advance=advance)
     traj.drift = traj.integral_drift()
     if traj.drift > 1000.0 * tol * max(n_orbits, 1.0):
-        raise ToleranceNotMet(f"energy-integral drift {traj.drift:.3e} too large")
+        raise NumericalFailure(
+            f"energy-integral drift {traj.drift:.3e} too large")
     return traj
 
 
@@ -423,7 +416,7 @@ def precession_numeric(traj: Trajectory) -> PrecessionResult:
     whole radial period.
     """
     if traj.phi_end < traj.period:
-        raise InsufficientOrbits(
+        raise NumericalFailure(
             f"the span of {traj.phi_end:.6g} rad holds no whole radial "
             f"period of {traj.period:.6g} rad")
     period_s = float(traj.period_clocks[0]) / C_SI
@@ -440,7 +433,7 @@ def kepler_period_seconds(r_o: float, a: float) -> float:
     the period does; elsewhere that form would move the last digit.
     """
     if r_o <= 0 or a <= 0:
-        raise NonPositiveRadius("need r_o > 0 and a > 0")
+        raise NumericalFailure("need r_o > 0 and a > 0")
     a, r_o = float(a), float(r_o)
     try:
         ratio = a**3 / r_o
@@ -457,7 +450,7 @@ def precession_analytic(r_o: float, a: float, ecc: float
     The century rate uses the Keplerian period of the same elements.
     """
     if a <= 0.0:
-        raise NonPositiveRadius(f"semi-major axis must be > 0, got {a}")
+        raise NumericalFailure(f"semi-major axis must be > 0, got {a}")
     dphi = 6.0 * math.pi * r_o / (a * (1.0 - ecc**2))
     arcsec = None
     if r_o > 0.0:
@@ -480,12 +473,12 @@ def precession_quadrature(r_o: float, r_min: float, r_max: float) -> float:
     Gauss-Legendre helper.  r_min == r_max is the circular limit.
     """
     if not (r_o > 0.0 and 0.0 < r_min <= r_max):
-        raise TurningPointNotFound(
+        raise NumericalFailure(
             f"need r_o > 0 and 0 < r_min <= r_max, got {r_o}, {r_min}, {r_max}")
     u1, u2 = 1.0 / r_min, 1.0 / r_max
     u3 = 1.0 / (3.0 * r_o) - u1 - u2
     if u3 <= u1:
-        raise DenominatorVanishes("third root inside orbit: field too strong")
+        raise NumericalFailure("third root inside orbit: field too strong")
     return _cosine_map_advance(u1, u2, u3, 0.0)
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
-from .errors import (GeometryInvalid, NonPositiveRadius, NumericalFailure,
-                     RayCaptured)
+from .errors import NumericalFailure
 from .quadrature import gauss_legendre
 
 if TYPE_CHECKING:  # the ODE routes import it: closed-form runs skip it
@@ -28,7 +27,7 @@ __all__ = [
 def coordinate_speed(r_o: float, r: float) -> float:
     """Coordinate speed of light dl/dt = g00 = (1 + r_o/r)^-2 (units of c)."""
     if r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {r}")
+        raise NumericalFailure(f"r must be > 0, got {r}")
     return (1.0 + r_o / r) ** -2
 
 
@@ -41,10 +40,21 @@ class EchoGeometry:
 
     def __init__(self, r_es: float, r_ms: float, R_s: float, r_o: float):
         if min(r_es, r_ms, R_s) <= 0.0 or r_o < 0.0:
-            raise GeometryInvalid("all lengths must be > 0 and r_o >= 0")
+            raise NumericalFailure("all lengths must be > 0 and r_o >= 0")
         if R_s > min(r_es, r_ms):
-            raise GeometryInvalid("grazing distance exceeds an endpoint radius")
+            raise NumericalFailure(
+                "grazing distance exceeds an endpoint radius")
         self.r_es, self.r_ms, self.R_s, self.r_o = r_es, r_ms, R_s, r_o
+
+
+def _leg(r: float, y: float) -> float:
+    """sqrt(r^2 - y^2) for 0 < y <= r, formed without r^2 where that
+    overflows."""
+    try:
+        return math.sqrt(r**2 - y**2)
+    except OverflowError:
+        q = y / r
+        return r * math.sqrt((1.0 - q) * (1.0 + q))
 
 
 class EchoDelayResult(NamedTuple):
@@ -65,14 +75,14 @@ def shapiro_delay(geom: EchoGeometry) -> EchoDelayResult:
     excess is written r_o/r*(2 + r_o/r), not (1 + r_o/r)^2 - 1, which
     cancels; times dx/ds = r it is r_o*(2 + r_o/r).
 
-    Where x/R_s overflows, s = asinh(x/R_s) is ln(2*x) - ln(R_s), and past
-    the float range of cosh(s) 1/cosh(s) is 2*exp(-s): both to the last
-    bit.  NumericalFailure naming R_s and x where the delay itself
-    overflows.
+    Each endpoint's x is sqrt(r^2 - R_s^2), or r*sqrt((1 - R_s/r)*(1 +
+    R_s/r)) where r^2 overflows.  Where x/R_s overflows, s = asinh(x/R_s) is
+    ln(2*x) - ln(R_s), and past the float range of cosh(s) 1/cosh(s) is
+    2*exp(-s): both to the last bit.  NumericalFailure naming R_s and x
+    where the delay itself overflows.
     """
-    x_e = math.sqrt(geom.r_es**2 - geom.R_s**2)
-    x_m = math.sqrt(geom.r_ms**2 - geom.R_s**2)
     r_o, y = geom.r_o, geom.R_s
+    x_e, x_m = _leg(geom.r_es, y), _leg(geom.r_ms, y)
 
     def excess_ds(s):
         try:
@@ -109,12 +119,16 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
     x = R_s*tan(theta), leaving a bounded smooth integrand for the
     Gauss-Legendre helper; the closed form is -4*r_o/R_s.  NumericalFailure
     where r_o/R_s overflows, as it does for a subnormal R_s: the integrand
-    would be 0 and its product with r_o/R_s NaN.
+    would be 0 and its product with r_o/R_s NaN.  A captured ray
+    (4*r_o/R_s >= 1) still has its integral, but past r_o/R_s ~ 1e3 no rule
+    settles on the integrand's peak, and past ~5.6e102 its cube overflows:
+    such a failure is raised as the ray's own, ``fermat_ray_integrate``'s
+    NumericalFailure for u0 = 1/R_s, which names the capture.
     """
     if R_s <= 0.0:
-        raise GeometryInvalid(f"R_s must be > 0, got {R_s}")
+        raise NumericalFailure(f"R_s must be > 0, got {R_s}")
     if r_o < 0.0:
-        raise GeometryInvalid(f"r_o must be >= 0, got {r_o}")
+        raise NumericalFailure(f"r_o must be >= 0, got {r_o}")
     if not math.isfinite(r_o / R_s):
         raise NumericalFailure(f"r_o/R_s = {r_o!r}/{R_s!r} overflows")
 
@@ -122,9 +136,23 @@ def deflection_integral(r_o: float, R_s: float) -> DeflectionResult:
         c = math.cos(theta)
         return c / (1.0 + r_o * c / R_s) ** 3
 
-    val = gauss_legendre(integrand, 0.0, math.pi / 2.0)
+    try:
+        val = gauss_legendre(integrand, 0.0, math.pi / 2.0)
+    except (OverflowError, NumericalFailure):
+        _refuse_capture(r_o, 1.0 / R_s)
+        raise
     return DeflectionResult(quadrature=-4.0 * r_o / R_s * val,
                             closed_form=-4.0 * r_o / R_s)
+
+
+def _refuse_capture(r_o: float, u0: float) -> float:
+    """k = r_o*u0; NumericalFailure where 4*k >= 1, a ray that never turns
+    back: r*n(r) has its minimum 4*r_o at r = r_o."""
+    k = r_o * u0
+    if 4.0 * k >= 1.0:
+        raise NumericalFailure(
+            f"ray with u0={u0} is captured: 4*r_o*u0 = {4.0 * k} >= 1")
+    return k
 
 
 def _ray_rhs(psi, y, k):
@@ -169,21 +197,19 @@ def fermat_ray_integrate(u0: float, r_o: float,
     rtol = tol and atol = rtol*2*pi (``_ray_rhs``), until u falls through 0
     (``_exit``).  The deflection is atan2(a, b) there, unwrapped by the exit
     psi, so no pi is subtracted.  r*n(r) has its minimum 4*r_o at r = r_o,
-    so a ray with 4*r_o*u0 >= 1 never turns back: RayCaptured.  Raises
-    GeometryInvalid unless u0 is finite and > 0 and r_o finite and >= 0,
-    and NumericalFailure if the integration stops short.
+    so a ray with 4*r_o*u0 >= 1 never turns back (``_refuse_capture``).
+    Raises NumericalFailure for that capture, for a u0 that is not finite
+    and > 0 or an r_o that is not finite and >= 0, and if the integration
+    stops short.
     """
     from .ode import dop853
 
     if not 0.0 < u0 < math.inf:
-        raise GeometryInvalid(
+        raise NumericalFailure(
             f"inverse impact parameter must be finite and > 0, got {u0}")
     if not 0.0 <= r_o < math.inf:
-        raise GeometryInvalid(f"r_o must be finite and >= 0, got {r_o}")
-    k = r_o * u0
-    if 4.0 * k >= 1.0:
-        raise RayCaptured(
-            f"ray with u0={u0} is captured: 4*r_o*u0 = {4.0 * k} >= 1")
+        raise NumericalFailure(f"r_o must be finite and >= 0, got {r_o}")
+    k = _refuse_capture(r_o, u0)
     # a ray that is not captured turns back, so the exit ends the run
     run = dop853(lambda psi, y: _ray_rhs(psi, y, k), (0.0, math.inf),
                  [0.0, 0.0], rtol=tol, atol=tol * 2.0 * math.pi,

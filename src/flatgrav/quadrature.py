@@ -27,7 +27,7 @@ from array import array
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Tuple
 
-from .errors import NoConvergence
+from .errors import NumericalFailure
 
 if TYPE_CHECKING:  # the array route imports it where it runs
     import numpy as np
@@ -103,7 +103,7 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
     ``f`` is called at each node, and the rule's terms are summed by
     ``math.fsum``.  Starts with START_NODES nodes and doubles the count
     until two successive rules agree to DEFAULT_EPSREL relative; returns
-    the finer of the two.  Raises NoConvergence if they still disagree at
+    the finer of the two.  Raises NumericalFailure if they still disagree at
     MAX_NODES nodes, or at once if the interval or a rule's sum is not
     finite, so an unconverged value is never returned.
 
@@ -115,7 +115,7 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
     lo, hi = float(a), float(b)
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
     if not (math.isfinite(half) and math.isfinite(mid)):
-        raise NoConvergence(f"the interval [{a!r}, {b!r}] is not finite")
+        raise NumericalFailure(f"the interval [{a!r}, {b!r}] is not finite")
     prev = None
     n = START_NODES
     while n <= MAX_NODES:
@@ -126,12 +126,13 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
         except ValueError:              # terms of +inf and -inf
             val = math.nan
         if not math.isfinite(val):
-            raise NoConvergence(f"integrand is not finite on [{a!r}, {b!r}]")
+            raise NumericalFailure(
+                f"integrand is not finite on [{a!r}, {b!r}]")
         if prev is not None and abs(val - prev) <= DEFAULT_EPSREL * abs(val):
             return val
         prev = val
         n *= 2
-    raise NoConvergence(
+    raise NumericalFailure(
         f"Gauss-Legendre rules disagree at {MAX_NODES} nodes on "
         f"[{a!r}, {b!r}]: last value {prev!r}"
     )
@@ -159,7 +160,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
     its interval's whole integral and so does that whole integral.  So
     ``whole`` does not depend on the points, and ``part`` is what a call
     over only the intervals that hold points would give.  Raises
-    NoConvergence as ``gauss_legendre`` does.
+    NumericalFailure as ``gauss_legendre`` does.
     """
     import numpy as np
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -175,7 +176,7 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
         nodes, w = _rule(n)
         vals = f(mid[:, None] + half[:, None] * nodes)
         if not np.isfinite(vals).all():
-            raise NoConvergence("integrand is not finite on an interval")
+            raise NumericalFailure("integrand is not finite on an interval")
         rule = (vals * w).sum(axis=-1)          # sum_k w_k f_k = 2*c_0
         g = 0.0
         if len(x) and part is None:             # the whole steps need no G
@@ -199,6 +200,6 @@ def legendre_antiderivative(f: Callable[[np.ndarray], np.ndarray], a, b,
                 return whole, part
         prev = at_n
         n *= 2
-    raise NoConvergence(
+    raise NumericalFailure(
         f"Legendre series disagree at {MAX_NODES} nodes on "
         f"{len(lo)} interval(s)")

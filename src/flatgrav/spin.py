@@ -30,7 +30,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-from .errors import GeometryInvalid, NonPositiveRadius, NumericalFailure
+from .errors import NumericalFailure
 from .metric import CentralField, _inverse, _radius, christoffels
 
 if TYPE_CHECKING:  # the array and ODE routes import them: gyro skips both
@@ -174,8 +174,8 @@ def transport_spin(spec: RotatingFieldSpec,
     Returns the dense output, a callable from coordinate time to the
     covariant spatial spin.  At the initial point the direct rate is checked
     once against the full connection (``rotating_connections``);
-    NumericalFailure if they differ.  GeometryInvalid for a span that does
-    not increase.
+    NumericalFailure if they differ, or for a span that does not
+    increase.
     """
     import numpy as np
 
@@ -184,8 +184,8 @@ def transport_spin(spec: RotatingFieldSpec,
     s0 = np.asarray(s_initial, dtype=float)
     t0, t1 = t_span
     if not t1 > t0:
-        raise GeometryInvalid(f"spin transport span ({t0}, {t1}) does not "
-                              f"increase")
+        raise NumericalFailure(
+            f"spin transport span ({t0}, {t1}) does not increase")
     _check_against_connection(spec, position(t0), velocity(t0), s0.tolist())
 
     def rhs(t, s):
@@ -316,12 +316,12 @@ def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
     r is sqrt(x.x), its squares summed left to right.  The factor and the
     cross product are formed in the units of ``_in_units``, each component
     of the cross product split by ``frexp``, so the rate keeps its digits
-    wherever it is a normal float.  NonPositiveRadius at the center.
+    wherever it is a normal float.  NumericalFailure at the center.
     """
     x0, x1, x2 = x
     v0, v1, v2 = velocity
     if not any(x):
-        raise NonPositiveRadius("rate evaluated at the center")
+        raise NumericalFailure("rate evaluated at the center")
     (s0, s1, s2), r3, e = _in_units(
         x, _cube(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)))
     m_o, e_o = math.frexp(r_o)
@@ -341,14 +341,14 @@ def circular_polar_orbit(radius: float, r_o: float
     circle, not a geodesic of the metric, so ``spin_norm_invariant`` drifts
     along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
     nu is formed in the units of ``_in_units``, so it keeps its digits
-    where r_o/r^3 is subnormal.  NonPositiveRadius unless radius > 0 and
-    r_o > 0; NumericalFailure where r_o/radius^3 underflows to 0, which
-    would leave no orbital rate.
+    where r_o/r^3 is subnormal.  NumericalFailure unless radius > 0 and
+    r_o > 0, and where r_o/radius^3 underflows to 0, which would leave no
+    orbital rate.
     """
     if not radius > 0.0:
-        raise NonPositiveRadius(f"radius must be > 0, got {radius}")
+        raise NumericalFailure(f"radius must be > 0, got {radius}")
     if not r_o > 0.0:
-        raise NonPositiveRadius(f"r_o must be > 0 for an orbit, got {r_o}")
+        raise NumericalFailure(f"r_o must be > 0 for an orbit, got {r_o}")
     _, r3, e = _in_units((radius,), _cube(radius))
     m_o, n = math.frexp(r_o)
     n -= 3 * e

@@ -28,9 +28,9 @@ def stored(name):
              for file in case.get("files", [])})
 
 
-def replay(name):
+def replay(name, run=main):
     """(exit code, stdout, stderr, {written file: bytes}) of case ``name``
-    run through ``cli.main`` in an empty directory."""
+    run through ``run`` (``cli.main``) in an empty directory."""
     case = CASES[name]
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
@@ -41,7 +41,7 @@ def replay(name):
         try:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                code = main(case["args"])
+                code = run(case["args"])
         finally:
             os.chdir(home)
         files = {path.name: path.read_bytes()

@@ -3,7 +3,10 @@
 Run from the repository root (mpmath required; the tests that read the
 fixture do not need it):
 
-    python tests/reference/make_light_reference.py
+    python tests/reference/make_light_reference.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to ``tests/reference``, beside this script; another
+directory leaves the fixture alone, for a ``diff`` against it.
 
 Each ray is defined as the integrator sees it: u0 = 1/R_s in floats.  Its
 deflection is that of the Fermat ray of the index n = (1 + r_o/r)**2,
@@ -15,10 +18,13 @@ taken to 50 digits beyond the ones that pi - sweep cancels.
 
 Each echo is the exact straight-path excess delay, round trip, in meters:
 2*sum(2*r_o*asinh(x/R_s) + (r_o**2/R_s)*atan(x/R_s)) over
-x = sqrt(r**2 - R_s**2) for r = r_es and r_ms, in 50-digit arithmetic.
+x = sqrt(r**2 - R_s**2) for r = r_es and r_ms, in 50-digit arithmetic: the
+Earth-Mercury radar at three grazing distances, and at the solar limb with
+r_ms = 1e300, where r_ms**2 overflows a float.
 """
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -34,7 +40,9 @@ DIGITS = 50
 RAYS = [(q * SOLAR_RADIUS, SOLAR_RADIUS) for q in (1e-300, 1e-20, 7e-7)]
 RAYS += [(SOLAR_R_O, SOLAR_RADIUS), (1e-3 * SOLAR_RADIUS, SOLAR_RADIUS)]
 RAYS += [(1.0, R_s) for R_s in (10.0, 6.0, 5.0, 4.5, 4.05, 4.000001)]
-ECHO_R_S = (SOLAR_RADIUS, 7e9, 3.5e10)
+# (R_s, r_es, r_ms)
+ECHOES = [(R_s, EARTH_SUN, MERCURY_SUN) for R_s in (SOLAR_RADIUS, 7e9, 3.5e10)]
+ECHOES += [(SOLAR_RADIUS, EARTH_SUN, 1e300)]
 
 
 def deflection(r_o: float, R_s: float) -> float:
@@ -56,27 +64,27 @@ def deflection(r_o: float, R_s: float) -> float:
         return float(mp.pi - 2 * mp.quad(dpsi, [0, mp.pi / 2]))
 
 
-def echo(r_o: float, R_s: float) -> float:
+def echo(r_o: float, R_s: float, r_es: float, r_ms: float) -> float:
     """The exact round-trip excess delay along the straight path."""
     with mpmath.workdps(DIGITS):
         r, y = mp.mpf(r_o), mp.mpf(R_s)
         total = 0
-        for far in (EARTH_SUN, MERCURY_SUN):
+        for far in (r_es, r_ms):
             x = mp.sqrt(mp.mpf(far) ** 2 - y * y)
             total += 2 * r * mp.asinh(x / y) + r * r / y * mp.atan(x / y)
         return float(2 * total)
 
 
-def main():
+def main(out: Path = Path(__file__).parent) -> None:
     rays = [{"r_o": r_o, "R_s": R_s, "deflection": deflection(r_o, R_s)}
             for r_o, R_s in RAYS]
-    echoes = [{"r_o": SOLAR_R_O, "R_s": R_s, "r_es": EARTH_SUN,
-               "r_ms": MERCURY_SUN, "delay": echo(SOLAR_R_O, R_s)}
-              for R_s in ECHO_R_S]
-    out = Path(__file__).with_name("light_reference.json")
-    out.write_text(json.dumps({"rays": rays, "echoes": echoes}, indent=1)
-                   + "\n")
+    echoes = [{"r_o": SOLAR_R_O, "R_s": R_s, "r_es": r_es, "r_ms": r_ms,
+               "delay": echo(SOLAR_R_O, R_s, r_es, r_ms)}
+              for R_s, r_es, r_ms in ECHOES]
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "light_reference.json").write_text(
+        json.dumps({"rays": rays, "echoes": echoes}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(*(Path(arg).resolve() for arg in sys.argv[1:2]))

@@ -3,7 +3,10 @@
 Run from the repository root (mpmath required; the tests that read the
 fixture do not need it):
 
-    python tests/reference/make_orbit_advances.py
+    python tests/reference/make_orbit_advances.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to ``tests/reference``, beside this script; another
+directory leaves the fixture alone, for a ``diff`` against it.
 
 Each orbit is defined as the integrator sees it: c = r_o/L**2 from the float
 L = sqrt(r_o*a*(1 - ecc**2)), and a turning point at u = c*(1 + ecc).  Where
@@ -16,6 +19,7 @@ it by ~12*r_o/a relative, under 1.2e-17 there.
 """
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -56,7 +60,7 @@ def advance(r_o: float, a: float, ecc: float):
         return float(2 * mp.quad(dphi, [0, mp.pi]) - 2 * mp.pi), "mpmath-60"
 
 
-def main():
+def main(out: Path = Path(__file__).parent) -> None:
     cases = [(r_o, MERCURY_A, ecc) for r_o in WEAK_R_O for ecc in WEAK_ECC]
     cases += [(SOLAR_R_O, r_min * SOLAR_R_O / (1.0 - ecc), ecc)
               for r_min, ecc in STRONG]
@@ -65,9 +69,10 @@ def main():
         value, method = advance(r_o, a, ecc)
         rows.append({"r_o": r_o, "a": a, "ecc": ecc, "advance": value,
                      "method": method})
-    out = Path(__file__).with_name("orbit_advances.json")
-    out.write_text(json.dumps({"cases": rows}, indent=1) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "orbit_advances.json").write_text(
+        json.dumps({"cases": rows}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(*(Path(arg).resolve() for arg in sys.argv[1:2]))

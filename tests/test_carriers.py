@@ -20,7 +20,7 @@ from flatgrav.carriers import (
     total_charge_quadrature,
     total_energy_quadrature,
 )
-from flatgrav.errors import NonPositiveRadius
+from flatgrav.errors import NumericalFailure
 
 
 class TestEnergyDensity:
@@ -46,7 +46,7 @@ class TestEnergyDensity:
         )
 
     def test_radius_guard(self):
-        with pytest.raises(NonPositiveRadius):
+        with pytest.raises(NumericalFailure, match="r must be > 0"):
             energy_density(RadialCarrier(r_o=1.0), 0.0)
 
 
@@ -57,7 +57,7 @@ class TestEnergyDensity:
 def test_closed_forms_refuse_a_radius_not_above_zero(form, r):
     carrier = (ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0)
                if form is electric_profile else RadialCarrier(r_o=1.0))
-    with pytest.raises(NonPositiveRadius):
+    with pytest.raises(NumericalFailure, match="^r must be > 0$"):
         form(carrier, r)
 
 
@@ -108,7 +108,8 @@ class TestDensityIdentities:
                                                            rel=1e-14)
 
     def test_step_guard(self):
-        with pytest.raises(NonPositiveRadius):
+        with pytest.raises(NumericalFailure,
+                           match="step must satisfy 0 < h < r, got 2.0"):
             density_identities(RadialCarrier(r_o=1.0), 1.0, 2.0)
 
 

@@ -86,7 +86,14 @@ def test_first_order_routes_gap(case):
         <= 14.0 * b * b + 4.0 * EPS
 
 
-@pytest.mark.parametrize("case", ECHOES, ids=[f"{c['R_s']:g}" for c in ECHOES])
+def echo_id(case):
+    """R_s, and r_ms where it is not the first echo's."""
+    r_ms = case["r_ms"]
+    return f"{case['R_s']:g}" + (
+        "" if r_ms == ECHOES[0]["r_ms"] else f"-r_ms-{r_ms:g}")
+
+
+@pytest.mark.parametrize("case", ECHOES, ids=map(echo_id, ECHOES))
 def test_echo_matches_reference(case):
     res = shapiro_delay(EchoGeometry(r_es=case["r_es"], r_ms=case["r_ms"],
                                      R_s=case["R_s"], r_o=case["r_o"]))

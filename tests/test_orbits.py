@@ -9,13 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from flatgrav.errors import (
-    DenominatorVanishes,
-    InsufficientOrbits,
-    NonPositiveRadius,
-    NumericalFailure,
-    UnboundOrbit,
-)
+from flatgrav.errors import NumericalFailure
 from flatgrav import orbits
 from flatgrav.cli import main
 from flatgrav.constants import C_SI
@@ -61,7 +55,7 @@ class TestDynamicsConsistency:
         assert abs(c_plus - c_minus) / (2 * h) < 1e-10 * abs(c_plus)
 
     def test_rhs_denominator_guard(self):
-        with pytest.raises(DenominatorVanishes):
+        with pytest.raises(NumericalFailure, match=r"3\*r_o\*u = 3.0 >= 1"):
             rosette_rhs(1.0, 0.0, 1.0, 10.0)
 
     def test_newtonian_limit_circular(self):
@@ -119,11 +113,12 @@ class TestElementsAndTurningPoints:
                                              rel=1e-12)
 
     def test_unbound_rejected(self):
-        with pytest.raises(UnboundOrbit):
+        with pytest.raises(NumericalFailure, match="ecc = 1.0 >= 1"):
             orbit_from_elements(R_O, A, 1.0)
 
     def test_bad_elements_rejected(self):
-        with pytest.raises(NonPositiveRadius):
+        with pytest.raises(NumericalFailure,
+                           match="semi-major axis must be > 0, got -1.0"):
             orbit_from_elements(R_O, -1.0, 0.1)
         with pytest.raises(ValueError):
             orbit_from_elements(R_O, A, -0.2)
@@ -212,11 +207,13 @@ class TestIntegration:
     def test_insufficient_orbits(self):
         alpha0, integrals = orbit_from_elements(R_O, A, ECC)
         traj = integrate_orbit(R_O, alpha0, integrals, 0.25)
-        with pytest.raises(InsufficientOrbits):
+        with pytest.raises(NumericalFailure,
+                           match="rad holds no whole radial period of"):
             precession_numeric(traj)
         # phi only increases: a negative span is refused, as 0 is
         for n in (0, -1.0):
-            with pytest.raises(InsufficientOrbits):
+            with pytest.raises(NumericalFailure,
+                               match=f"cannot integrate over {n} orbits"):
                 integrate_orbit(R_O, alpha0, integrals, n)
 
     @pytest.mark.parametrize("alpha0", [math.nan, math.inf, -math.inf])
