@@ -324,6 +324,6 @@ class TestProperTimeRate:
 
     def test_superluminal_mid_iteration(self):
         # strong field drags dtau/dt below ldot: implied v exceeds 1
-        with pytest.raises(NumericalFailure,
-                           match=r"implied physical speed exceeds 1 \(ldot=0.9"):
+        with pytest.raises(NumericalFailure, match=r"implied physical "
+                           r"speed exceeds 1 \(ldot=0.9, dtau/dt="):
             proper_time_rate(0.9, 0.5, 2.0)
