@@ -303,7 +303,11 @@ def cmd_light_deflect(args: argparse.Namespace) -> RunReport:
     report = RunReport(scenario=sc.name,
                        config={"params": p, "tol": sc.tol})
     res = deflection_integral(p["r_o"], p["R_s"])
-    _, ray_angle = fermat_ray_integrate(1.0 / p["R_s"], p["r_o"], tol=sc.tol)
+    # where r_o/R_s is finite, a subnormal R_s still overflows u0 = 1/R_s
+    u0 = 1.0 / p["R_s"]
+    if u0 == math.inf:
+        raise NumericalFailure(f"1/R_s overflows at R_s = {p['R_s']!r}")
+    _, ray_angle = fermat_ray_integrate(u0, p["r_o"], tol=sc.tol)
     for value, prov in ((res.quadrature, "bending-quadrature"),
                         (res.closed_form, "closed-form"),
                         (ray_angle, "ray-integration")):

@@ -244,12 +244,24 @@ class Trajectory:
                 self.alpha0 * (beta * cos - alpha * sin))
 
     def _clock_rates(self, phi, seg) -> np.ndarray:
-        """dt/dphi and dp/dphi, stacked on a new first axis."""
+        """dt/dphi and dp/dphi, stacked on a new first axis.
+
+        NumericalFailure where a rate overflows: dt/dphi is ~r^2/L, and
+        where a is huge u**2 underflows to 0 at the far turning point.
+        """
         import numpy as np
         e, L = self.integrals.energy_ratio, self.integrals.L
         u = self._u(phi, seg)[0]
-        inv = 1.0 / (L * u**2)
-        return np.stack([e * (1.0 + self.r_o * u) ** 2 * inv, inv / e])
+        try:
+            with np.errstate(divide="raise", over="raise"):
+                inv = 1.0 / (L * u**2)
+                return np.stack([e * (1.0 + self.r_o * u) ** 2 * inv,
+                                 inv / e])
+        except FloatingPointError:
+            raise NumericalFailure(
+                f"clock rate dt/dphi = 1/(L*u**2) overflows at "
+                f"r = 1/u = {1.0 / float(np.min(u))!r} with L = {L!r}: "
+                f"the semi-major axis a is too large") from None
 
     @cached_property
     def _segment_clocks(self) -> np.ndarray:

@@ -81,7 +81,21 @@ def transport_rhs(spec: RotatingFieldSpec, x: Sequence[float],
     directly, dS_i/dt = 1/2 S^s xdot^n (d_i g_sn + d_n g_si - d_s g_in),
     with g_mn = phi T_m T_n - P_mn, phi = (1 - G0)^-2, T = (1, G) and
     P = diag(0, 1, 1, 1).  Every term then needs only phi, grad(phi), G
-    and the two first-derivative forms of G, all from ``spec.at``.  It runs
+    and the two first-derivative forms of G, all from ``spec.at``: with
+    u the space part of the raised spin S^s and y = v or u,
+    (y . grad) G = k3 (w x y) - b_y (w x x) and
+    grad(G . y) = k3 (y x w) - c_y x, where b_y = 3k5 (x . y) and
+    c_y = 3k5 ((w x x) . y).  The bracket takes these in three
+    combinations, in each of which the k3 (w x .) terms cancel or add:
+
+    - grad(G . v) + (v . grad) G = -c_v x - b_v (w x x);
+    - grad(G . u) - (u . grad) G = 2 k3 (u x w) - c_u x + b_u (w x x);
+    - ((v . grad) G) . u - ((u . grad) G) . v
+      = 2 k3 (u x w) . v + 3k5 ((x . u)(w x x . v) - (x . v)(w x x . u)).
+
+    T . S^s is lapse^2 S_0: the G . S and G . G parts of S^0 cancel against
+    G . u.  So the rate is a x + b (w x x) + c (u x w), three scalars times
+    three vectors, from four dot products and one cross product.  It runs
     once per solver stage, so it takes float 3-sequences and returns a list
     (numpy's per-call cost dominates at length 3).
     """
@@ -96,47 +110,27 @@ def transport_rhs(spec: RotatingFieldSpec, x: Sequence[float],
     dphi = 2.0 * phi * r_o / (lapse * r**3)     # grad(phi) = dphi * x
     G0, G1, G2 = k3 * wx0, k3 * wx1, k3 * wx2   # G = k3 (w x x)
 
-    # raised spin S^s = g^{s l} S_l
+    # raised spin: space part u = G S_0 - S, and Tu = T . S^s
     s_time = -(v0 * s0 + v1 * s1 + v2 * s2)
-    u_time = ((lapse * lapse - (G0 * G0 + G1 * G1 + G2 * G2)) * s_time
-              + (G0 * s0 + G1 * s1 + G2 * s2))
     u0, u1, u2 = G0 * s_time - s0, G1 * s_time - s1, G2 * s_time - s2
-    Tu = u_time + (G0 * u0 + G1 * u1 + G2 * u2)
-    Tw = 1.0 + (G0 * v0 + G1 * v1 + G2 * v2)
+    Tu = lapse * lapse * s_time
+    Tw = 1.0 + (G0 * v0 + G1 * v1 + G2 * v2)   # T . xdot
+    xv = x0 * v0 + x1 * v1 + x2 * v2
+    xu = x0 * u0 + x1 * u1 + x2 * u2
+    wxv = wx0 * v0 + wx1 * v1 + wx2 * v2
+    wxu = wx0 * u0 + wx1 * u1 + wx2 * u2
+    uw0, uw1, uw2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
 
-    # (y . grad) G = k3 (w x y) - 3 k5 (x . y) (w x x), for y = v and u
-    b = k5_3 * (x0 * v0 + x1 * v1 + x2 * v2)
-    dvG0 = k3 * (w1 * v2 - w2 * v1) - b * wx0
-    dvG1 = k3 * (w2 * v0 - w0 * v2) - b * wx1
-    dvG2 = k3 * (w0 * v1 - w1 * v0) - b * wx2
-    b = k5_3 * (x0 * u0 + x1 * u1 + x2 * u2)
-    duG0 = k3 * (w1 * u2 - w2 * u1) - b * wx0
-    duG1 = k3 * (w2 * u0 - w0 * u2) - b * wx1
-    duG2 = k3 * (w0 * u1 - w1 * u0) - b * wx2
-    # grad(G . y) at fixed y = k3 (y x w) - 3 k5 ((w x x) . y) x
-    b = k5_3 * (wx0 * v0 + wx1 * v1 + wx2 * v2)
-    gvG0 = k3 * (v1 * w2 - v2 * w1) - b * x0
-    gvG1 = k3 * (v2 * w0 - v0 * w2) - b * x1
-    gvG2 = k3 * (v0 * w1 - v1 * w0) - b * x2
-    b = k5_3 * (wx0 * u0 + wx1 * u1 + wx2 * u2)
-    guG0 = k3 * (u1 * w2 - u2 * w1) - b * x0
-    guG1 = k3 * (u2 * w0 - u0 * w2) - b * x1
-    guG2 = k3 * (u0 * w1 - u1 * w0) - b * x2
-
-    # the three derivative terms of the bracket, grouped by the factors
-    # Tu = T.u, Tw = T.xdot and G_i they share
-    Twd = Tw * dphi
-    xv = dphi * (x0 * v0 + x1 * v1 + x2 * v2)
-    xu = dphi * (x0 * u0 + x1 * u1 + x2 * u2)
-    c = phi * ((dvG0 * u0 + dvG1 * u1 + dvG2 * u2)
-               - (duG0 * v0 + duG1 * v1 + duG2 * v2))
-    return [
-        0.5 * (Tu * (Twd * x0 + xv * G0 + phi * (gvG0 + dvG0))
-               + Tw * (phi * (guG0 - duG0) - xu * G0) + c * G0),
-        0.5 * (Tu * (Twd * x1 + xv * G1 + phi * (gvG1 + dvG1))
-               + Tw * (phi * (guG1 - duG1) - xu * G1) + c * G1),
-        0.5 * (Tu * (Twd * x2 + xv * G2 + phi * (gvG2 + dvG2))
-               + Tw * (phi * (guG2 - duG2) - xu * G2) + c * G2)]
+    # the bracket's terms, grouped by the vector each multiplies
+    pk = phi * k5_3
+    dG = phi * (2.0 * k3 * (uw0 * v0 + uw1 * v1 + uw2 * v2)
+                + k5_3 * (xu * wxv - xv * wxu))
+    a = 0.5 * (Tu * Tw * dphi - pk * (Tu * wxv + Tw * wxu))
+    b = 0.5 * ((Tu * xv - Tw * xu) * (k3 * dphi - pk) + k3 * dG)
+    c = phi * k3 * Tw
+    return [a * x0 + b * wx0 + c * uw0,
+            a * x1 + b * wx1 + c * uw1,
+            a * x2 + b * wx2 + c * uw2]
 
 
 def _check_against_connection(spec: RotatingFieldSpec, x: Sequence[float],
@@ -179,7 +173,7 @@ def transport_spin(spec: RotatingFieldSpec,
     """
     import numpy as np
 
-    from .ode import dop853
+    from .ode import _sum_of_squares, dop853
 
     s0 = np.asarray(s_initial, dtype=float)
     t0, t1 = t_span
@@ -191,8 +185,10 @@ def transport_spin(spec: RotatingFieldSpec,
     def rhs(t, s):
         return transport_rhs(spec, position(t), velocity(t), s)
 
-    run = dop853(rhs, t_span, s0, rtol=tol,
-                 atol=tol * max(np.linalg.norm(s0), 1e-300))
+    # |s0| with the generic ddot's sums, so that atol is the same on every
+    # CPU, where np.linalg.norm rounds by BLAS kernel
+    norm = math.sqrt(_sum_of_squares(s0.tolist()))
+    run = dop853(rhs, t_span, s0, rtol=tol, atol=tol * max(norm, 1e-300))
     if run.failure:
         raise NumericalFailure(f"spin transport failed: {run.failure}")
     return run.dense

@@ -86,6 +86,12 @@ CONFIGS = (
     (("orbit", "compare"), "huge_a", MERCURY % '"a": 1e400', ()),
     (("orbit", "compare"), "no_field", MERCURY % '"r_o": 0', ()),
     (("orbit",), "zero_forcing", MERCURY % '"r_o": 1e-305', ()),
+    # u**2 underflows to 0 at the far turning point, so the clock rate
+    # dt/dphi = 1/(L*u**2) overflows: the line named no input
+    (("orbit",), "clock_overflow",
+     MERCURY % ('"r_o": 2.7467715509347654e-20, '
+                '"a": 2.976785554229121e+238, "ecc": 0.7877940475977829'),
+     ()),
     (("orbit",), "bool_a", MERCURY % '"a": true', ()),
     (("orbit",), "unknown_param", MERCURY % '"zzz": 1', ()),
     (("orbit",), "one_orbit", '{"preset": "mercury", "n_orbits": 1}', ()),
@@ -105,6 +111,9 @@ CONFIGS = (
      ()),
     (("echo-delay",), "overflowing_delay", SOLAR % '"R_s": 1e-303', ()),
     (("light-deflect",), "subnormal_R_s", SOLAR % '"R_s": 5e-324', ()),
+    # no field, so r_o/R_s is 0, but u0 = 1/R_s overflows
+    (("light-deflect",), "no_field_subnormal_R_s",
+     SOLAR % '"r_o": 0.0, "R_s": 1e-310', ()),
     (("light-deflect",), "deflect_orbits",
      '{"preset": "solar", "n_orbits": 3}', ()),
     (("light-deflect",), "near_capture", SOLAR % '"r_o": 1.0, "R_s": 4.5',

@@ -76,7 +76,7 @@ def spin_run(r_o, inertia, radius):
     s0 = np.array([0.6, -0.2, 0.5])
     return dict(fun=lambda t, s: transport_rhs(spec, pos(t), vel(t), s),
                 t_span=(0.0, period), y0=s0, rtol=1e-12,
-                atol=1e-12 * np.linalg.norm(s0))
+                atol=1e-12 * math.sqrt(ode._sum_of_squares(s0.tolist())))
 
 
 def chain(n):

@@ -184,6 +184,19 @@ class TestElementsAndTurningPoints:
 
 
 class TestIntegration:
+    def test_overflowing_clock_rate_names_r_and_L(self):
+        # u**2 underflows to 0 at the far turning point, r ~ 5.3e238: the
+        # clock rate dt/dphi = 1/(L*u**2) was numpy's bare "divide by zero"
+        r_o, a, ecc = (2.7467715509347654e-20, 2.976785554229121e+238,
+                       0.7877940475977829)
+        alpha0, integrals = orbit_from_elements(r_o, a, ecc)
+        traj = integrate_orbit(r_o, alpha0, integrals, 2)
+        with pytest.raises(NumericalFailure, match=(
+                r"^clock rate dt/dphi = 1/\(L\*u\*\*2\) overflows at "
+                r"r = 1/u = 5\.3\d*e\+238 with L = 1\.7612563398560181e\+109: "
+                r"the semi-major axis a is too large$")):
+            traj.sample(np.linspace(0.0, 2.0 * np.pi, 5))
+
     def test_energy_integral_drift_small(self):
         alpha0, integrals = orbit_from_elements(R_O, A, ECC)
         traj = integrate_orbit(R_O, alpha0, integrals, 5)

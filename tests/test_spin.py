@@ -1,9 +1,13 @@
-"""Spin transport, exact connections, and precession rates."""
+"""Spin transport, exact connections, and precession rates.
+
+scipy is a test dependency only: its ``quad`` is imported inside the one
+test that uses it, so the rest of this file runs without scipy.
+"""
+import math
 import re
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from flatgrav import ode, spin
 from flatgrav.errors import NumericalFailure
@@ -292,13 +296,15 @@ class TestTransport:
         assert len(calls) > 1
         ref = ode.dop853(lambda t, s: transport_rhs(spec, pos(t), vel(t), s),
                          (0.0, period), s0, rtol=tol,
-                         atol=tol * np.linalg.norm(s0)).dense
+                         atol=tol * math.sqrt(ode._sum_of_squares(
+                             s0.tolist()))).dense
         for name in ("ts", "F", "y_old"):
             a, b = np.asarray(getattr(dense, name)), \
                 np.asarray(getattr(ref, name))
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_linearized_matches_exact_short_time(self):
+        quad = pytest.importorskip("scipy.integrate").quad
         r, r_o = 1.0, 1e-8
         spec = RotatingFieldSpec(r_o=r_o, inertia=1e-2,
                                  omega=np.array([0.0, 0.0, 1e-7]))
@@ -341,6 +347,30 @@ def random_spec_point(rng):
     return spec, x, v, rng.normal(0.0, 1.0, 3)
 
 
+def strong_field_point(rng):
+    """random_spec_point with r_o/|x| drawn from 0.01 to 0.4."""
+    spec, x, v, s = random_spec_point(rng)
+    r_o = np.linalg.norm(x) * rng.uniform(0.01, 0.4)
+    return RotatingFieldSpec(r_o, spec.inertia, spec.omega), x, v, s
+
+
+def drag_dominated_point(rng):
+    """random_spec_point with a tiny r_o and a large I: G outweighs
+    grad(G0) by 1e5 to 1e13."""
+    _, x, v, s = random_spec_point(rng)
+    spec = RotatingFieldSpec(
+        r_o=10.0 ** rng.uniform(-14.0, -10.0),
+        inertia=10.0 ** rng.uniform(-3.0, 0.0),
+        omega=rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-3.0, -1.0))
+    return spec, x, v, s
+
+
+def mixed_scale_spin_point(rng):
+    """random_spec_point with each spin component scaled by 1e-6 to 1e6."""
+    spec, x, v, s = random_spec_point(rng)
+    return spec, x, v, s * 10.0 ** rng.uniform(-6.0, 6.0, 3)
+
+
 class TestDirectContraction:
     """transport_rhs against the contraction of rotating_connections."""
 
@@ -355,6 +385,15 @@ class TestDirectContraction:
         rng = np.random.default_rng(11)
         for _ in range(200):
             self.assert_agrees(*random_spec_point(rng))
+
+    @pytest.mark.parametrize("draw", [strong_field_point, drag_dominated_point,
+                                      mixed_scale_spin_point],
+                             ids=["strong_field", "drag_dominated",
+                                  "mixed_scale_spin"])
+    def test_random_specs_beyond_the_weak_field(self, draw):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            self.assert_agrees(*draw(rng))
 
     def test_zero_rotation(self):
         spec = RotatingFieldSpec(r_o=1e-3, inertia=0.0, omega=np.zeros(3))
