@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Tuple
 
+from ._scaled import ldexp
 from .errors import NumericalFailure
 from .quadrature import gauss_legendre
 
 __all__ = [
     "RadialCarrier", "ElectricCarrier", "DensityResiduals",
     "energy_density", "field_intensity", "field_divergence", "log_potential",
-    "density_identities", "ricci_density", "enclosed_energy",
-    "enclosed_energy_quadrature", "total_energy_quadrature",
-    "electric_profile", "displacement_divergence_residual", "enclosed_charge",
+    "density_identities", "enclosed_energy", "enclosed_energy_quadrature",
+    "total_energy_quadrature", "electric_profile", "enclosed_charge",
     "total_charge_quadrature", "self_energy_quadrature",
 ]
 
@@ -66,20 +66,18 @@ def _profile(scale: float, r_o: float, r: float) -> float:
     """Density scale*r_o/(4*pi*r^2*(r+r_o)^2); it integrates to ``scale``.
 
     Written scale*(r_o/(r+r_o))/(r+r_o)/(4*pi)/r/r in the mantissas of
-    ``scale``, r_o, r+r_o and r, each of magnitude in [0.5, 1), times the
-    power of two of their exponents.  No step on the mantissas leaves (0.01, 4), and
-    scaling by a power of two is exact, so the form rounds as it does in
-    the original numbers wherever they stay in range, and only the final
-    power of two can under- or overflow: scale*(r_o/(r+r_o)) would
-    underflow deep inside a small r_o, where the density is large, and r^2
-    would overflow above r ~ 1e154.
+    ``scale``, r_o, r+r_o and r, times the power of two of their exponents
+    (``_scaled``'s rule).  No step on the mantissas leaves (0.01, 4), so
+    only that power of two can under- or overflow: scale*(r_o/(r+r_o))
+    would underflow deep inside a small r_o, where the density is large,
+    and r^2 would overflow above r ~ 1e154.
     """
     m_scale, e_scale = math.frexp(scale)
     m_o, e_o = math.frexp(r_o)
     m_s, e_s = math.frexp(r + r_o)
     m_r, e_r = math.frexp(r)
     value = m_scale * (m_o / m_s) / m_s / (4.0 * math.pi) / m_r / m_r
-    return _ldexp(value, e_scale + e_o - 2 * (e_s + e_r))
+    return ldexp(value, e_scale + e_o - 2 * (e_s + e_r))
 
 
 def _intensity(r_o: float, r: float) -> float:
@@ -94,27 +92,6 @@ def _intensity(r_o: float, r: float) -> float:
 def _potential(r_o: float, r: float) -> float:
     """Logarithmic potential -ln(1 + r_o/r) of the same carrier."""
     return -math.log1p(r_o / r)
-
-
-def _ldexp(m: float, k: int) -> float:
-    """``m`` times 2^k; beyond the largest float it is infinite, as a
-    float product is, where ``math.ldexp`` raises."""
-    try:
-        return math.ldexp(m, k)
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
-def _in_units_of_r(r: float, r_o: float) -> Tuple[float, float, int]:
-    """``r`` and ``r_o`` divided by 2^k, with r/2^k in [0.5, 1), and k.
-
-    Dividing by a power of two is exact, so a closed form of length
-    dimension -n, evaluated in these lengths and multiplied by 2^(-n*k),
-    rounds as the same form in the original lengths wherever that stays in
-    range; and its r^2 is near 1, where r^2 overflows above ~1e154.
-    """
-    x, k = math.frexp(r)
-    return x, _ldexp(r_o, -k), k
 
 
 def _enclosed(scale: float, r_o: float, R: float) -> float:
@@ -198,7 +175,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
         raise NumericalFailure(f"step must satisfy 0 < h < r, got {h}")
     four_pi_g = 4.0 * math.pi * c.newton_constant
     eps_common = energy_density(c, r)   # E_M*r_o = r_o^2/G
-    x, _, k = _in_units_of_r(r, c.r_o)
+    x, k = math.frexp(r)
     eps_active = -field_divergence(c, r) / four_pi_g
     w = field_intensity(c, r)
     eps_passive = w**2 / four_pi_g
@@ -206,7 +183,7 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
     def div_fd(step: float) -> float:
         # div w = (1/r^2) d(r^2 w_r)/dr for a radial field; both r^2 in
         # units of 2^(2k), which cancel
-        xp, xm = _ldexp(r + step, -k), _ldexp(r - step, -k)
+        xp, xm = ldexp(r + step, -k), ldexp(r - step, -k)
         fp = xp * xp * field_intensity(c, r + step)
         fm = xm * xm * field_intensity(c, r - step)
         return (fp - fm) / (2.0 * step * (x * x))
@@ -219,13 +196,6 @@ def density_identities(c: RadialCarrier, r: float, h: float) -> DensityResiduals
         fd_divergence_error=abs(div_fd(h) - analytic),
         fd_divergence_error_half=abs(div_fd(h / 2.0) - analytic),
     )
-
-
-def ricci_density(c: RadialCarrier, r: float) -> float:
-    """Curvature-scalar density eps_a + eps_p = -div(w)/(2*pi*G), that is
-    2*r_o^2/(4*pi*G*r^2*(r+r_o)^2), whose 8*pi*G multiple is the curvature
-    scalar of the carrier field."""
-    return -field_divergence(c, r) / (2.0 * math.pi * c.newton_constant)
 
 
 def enclosed_energy(c: RadialCarrier, R: float) -> float:
@@ -270,17 +240,6 @@ def electric_profile(c: ElectricCarrier,
     scale = -(c.e / c.r_e)
     return (_profile(c.e, c.r_o, r), scale * _intensity(c.r_o, r),
             scale * _potential(c.r_o, r))
-
-
-def displacement_divergence_residual(c: ElectricCarrier, r: float) -> float:
-    """|div(D) - 4*pi*rho| using the closed forms (zero to rounding)."""
-    r = _radii(r)
-    rho = _profile(c.e, c.r_o, r)
-    # div D = (1/r^2) d/dr [r^2 * e/(r*(r+r_o))] = e*r_o/(r^2*(r+r_o)^2)
-    x, r_o, k = _in_units_of_r(r, c.r_o)
-    s = x + r_o
-    div_d = _ldexp(c.e * r_o / ((x * x) * (s * s)), -3 * k)
-    return abs(div_d - 4.0 * math.pi * rho)
 
 
 def enclosed_charge(c: ElectricCarrier, R: float) -> float:

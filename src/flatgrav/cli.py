@@ -33,7 +33,8 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the paper's model, which computes every row but compare's baselines
+# the paper's model, which computes every row but compare's baselines and
+# gyro's de Sitter rate
 FLAT_MODEL = "flatspace-weber"
 ROW_FIELDS = ("scenario", "model", "quantity", "value", "unit",
               "tolerance", "provenance")
@@ -332,20 +333,8 @@ def cmd_echo_delay(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _norm(v: Tuple[float, float, float]) -> float:
-    """|v|, its squares summed left to right with no fused multiply-add:
-    the same bytes on every CPU, where a BLAS ``ddot`` rounds by kernel.
-    Where that sum of finite squares leaves the normal float range, and
-    would lose digits or the whole norm, |v| is ``math.hypot``'s."""
-    a, b, c = v
-    ss = a * a + b * b + c * c
-    if not sys.float_info.min <= ss < math.inf \
-            and all(map(math.isfinite, v)):
-        return math.hypot(a, b, c)
-    return math.sqrt(ss)
-
-
 def cmd_gyro(args: argparse.Namespace) -> RunReport:
+    from ._scaled import norm
     from .spin import (RotatingFieldSpec, circular_polar_orbit,
                        de_sitter_rate, frame_dragging, geodetic)
     sc = _load_scenario(args)
@@ -366,11 +355,11 @@ def cmd_gyro(args: argparse.Namespace) -> RunReport:
                "rad/s", "closed-form")
     position, velocity, nu, period = circular_polar_orbit(radius, p["r_o"])
     x0, v0 = position(0.0), velocity(0.0)
-    report.add("geodetic_rate", _norm(geodetic(spec, x0, v0)) * to_rad_s,
+    report.add("geodetic_rate", norm(geodetic(spec, x0, v0)) * to_rad_s,
                "rad/s", "closed-form")
     report.add("geodetic_rate_desitter",
-               _norm(de_sitter_rate(p["r_o"], x0, v0)) * to_rad_s,
-               "rad/s", "comparison-closed-form")
+               norm(de_sitter_rate(p["r_o"], x0, v0)) * to_rad_s,
+               "rad/s", "closed-form", model="schwarzschild")
     report.add("orbital_period", period / C_SI, "s", "closed-form")
     return report
 

@@ -22,6 +22,7 @@ import sys
 from typing import (TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from ._scaled import cube
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:  # each array route imports it: the float routes skip it
@@ -56,10 +57,9 @@ def _radius(x: Vec3) -> Tuple[float, float]:
     r = math.hypot(*x)
     if r <= 0.0:
         raise NumericalFailure("field evaluated at the center")
-    try:
-        r3 = r**3
-    except OverflowError:
-        raise NumericalFailure(f"r**3 overflows at r = {r!r}") from None
+    r3 = cube(r)
+    if r3 == math.inf and r < math.inf:    # pow raised on a finite r
+        raise NumericalFailure(f"r**3 overflows at r = {r!r}")
     if r3 == 0.0:
         raise NumericalFailure(f"r**3 underflows to 0 at r = {r!r}")
     return r, r3

@@ -21,6 +21,7 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
+from ._scaled import cube
 from .constants import ARCSEC_PER_RAD, C_SI, SECONDS_PER_CENTURY
 from .errors import NumericalFailure
 from .quadrature import gauss_legendre, legendre_antiderivative
@@ -246,15 +247,20 @@ class Trajectory:
     def _clock_rates(self, phi, seg) -> np.ndarray:
         """dt/dphi and dp/dphi, stacked on a new first axis.
 
-        NumericalFailure where a rate overflows: dt/dphi is ~r^2/L, and
-        where a is huge u**2 underflows to 0 at the far turning point.
+        L*u**2 is formed as (L*u)*u where u**2 is below the smallest normal
+        float (r above ~6.7e153), where u**2 has lost bits or underflowed
+        to 0 although dt/dphi ~ r^2/L is finite.  NumericalFailure where a
+        rate overflows.
         """
         import numpy as np
         e, L = self.integrals.energy_ratio, self.integrals.L
         u = self._u(phi, seg)[0]
+        u2 = u**2
+        tiny = u2 < sys.float_info.min
+        lu2 = np.where(tiny, (L * u) * u, L * u2) if tiny.any() else L * u2
         try:
             with np.errstate(divide="raise", over="raise"):
-                inv = 1.0 / (L * u**2)
+                inv = 1.0 / lu2
                 return np.stack([e * (1.0 + self.r_o * u) ** 2 * inv,
                                  inv / e])
         except FloatingPointError:
@@ -447,10 +453,7 @@ def kepler_period_seconds(r_o: float, a: float) -> float:
     if r_o <= 0 or a <= 0:
         raise NumericalFailure("need r_o > 0 and a > 0")
     a, r_o = float(a), float(r_o)
-    try:
-        ratio = a**3 / r_o
-    except OverflowError:               # a**3 alone: a above ~5.6e102
-        ratio = math.inf
+    ratio = cube(a) / r_o
     root = math.sqrt(ratio) if ratio < math.inf else a * math.sqrt(a / r_o)
     return 2.0 * math.pi * root / C_SI
 

@@ -13,13 +13,12 @@ scalar field's gradient.
 Both rates are float kernels that return 3-tuples (``frame_dragging``,
 ``geodetic``), as is ``de_sitter_rate``, so ``gyro`` runs without numpy.
 Each rate, and the orbital rate of ``circular_polar_orbit``, is formed once
-in units of the orbit radius (``_in_units``), with r_o, I and each factor
-they multiply split into mantissa and exponent: it keeps the plain closed
-form's bits wherever that stays in the normal float range, and its digits
-wherever the rate and the products of w and v with x/2^e are normal floats.
-The module imports numpy only inside its array routes: the transport, its
-check against the connection, the spin-norm invariant and the array
-wrappers ``frame_dragging_rate`` and ``geodetic_rate``.
+in units of the orbit radius by ``_scaled``'s rule, with r_o, I and each
+factor they multiply split into mantissa and exponent: it keeps the plain
+closed form's bits wherever that stays in the normal float range, and its
+digits wherever the rate and the products of w and v with x/2^e are
+normal floats.  numpy is imported only by the transport, its check against
+the connection, the spin-norm invariant and the array wrappers.
 
 Geometric units: lengths in meters, time in meters, angular velocity in 1/m,
 moment of inertia in m^3.
@@ -27,9 +26,9 @@ moment of inertia in m^3.
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
+from ._scaled import cube, in_units, ldexp, split
 from .errors import NumericalFailure
 from .metric import CentralField, _inverse, _radius, christoffels
 
@@ -194,66 +193,21 @@ def transport_spin(spec: RotatingFieldSpec,
     return run.dense
 
 
-def _split(v: Sequence[float]) -> Tuple[Tuple[float, ...], int]:
-    """v/2^e and e, where 2^(e-1) <= max|v_i| < 2^e (e = 0 for v = 0).
-
-    A component below 2^-1074 of the largest one becomes 0.
-    """
-    e = math.frexp(max(map(abs, v)))[1]
-    return tuple(math.ldexp(c, -e) for c in v), e
-
-
-def _cube(r: float) -> float:
-    """r**3, infinite where it overflows (r above ~5.6e102)."""
-    try:
-        return r**3
-    except OverflowError:
-        return math.inf
-
-
-def _in_units(x: Sequence[float], r3: float
-              ) -> Tuple[Tuple[float, ...], float, int]:
-    """x/2^e and e of ``_split(x)``, and r^3/2^(3e), given r3 = r**3.
-
-    Dividing by a power of two is exact, so a closed form of length
-    dimension -n, evaluated in these units and rescaled by 2^(-n*e) with one
-    ``_ldexp``, rounds as it does in x wherever both stay in the normal
-    range; only that last factor leaves it.  r^3/2^(3e) is pow's own r**3
-    scaled where that is a normal float (pow is not exactly
-    scale-invariant, so the cube of a scaled r would move the last digit),
-    and the cube of the scaled x's norm elsewhere.
-    """
-    xs, e = _split(x)
-    if sys.float_info.min <= r3 < math.inf:
-        return xs, math.ldexp(r3, -3 * e), e
-    return xs, math.hypot(*xs) ** 3, e
-
-
-def _ldexp(m: float, k: int) -> float:
-    """``m`` times 2^k; beyond the largest float it is infinite, as a
-    float product is, where ``math.ldexp`` raises.  ``carriers._ldexp``'s
-    twin, so that ``gyro`` imports neither carriers nor quadrature."""
-    try:
-        return math.ldexp(m, k)
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
 def frame_dragging(spec: RotatingFieldSpec, x: Sequence[float]
                    ) -> Tuple[float, float, float]:
     """Drag rate (I/r^3) * (3*rhat*(w . rhat) - w): half the curl of G.
 
-    I/r^3 is formed in the units of ``_in_units``, and each component of
-    3*rhat*(w . rhat) - w is split by ``frexp``, so the rate keeps its
-    digits where I/r^3 would leave the normal float range.
+    I/r^3 is formed in the units of ``_scaled.in_units``, and each
+    component of 3*rhat*(w . rhat) - w is split by ``frexp``, so the rate
+    keeps its digits where I/r^3 would leave the normal float range.
     """
     r, r3 = _radius(x)
-    _, r3, e = _in_units(x, r3)
+    _, r3, e = in_units(x, r3)
     m_i, e_i = math.frexp(spec.inertia)
     w0, w1, w2 = spec.omega
     h0, h1, h2 = h = (x[0] / r, x[1] / r, x[2] / r)
     wh = w0 * h0 + w1 * h1 + w2 * h2
-    return tuple(_ldexp(m_i / r3 * m, e_i - 3 * e + k) for m, k in map(
+    return tuple(ldexp(m_i / r3 * m, e_i - 3 * e + k) for m, k in map(
         math.frexp, (3.0 * c * wh - w for c, w in zip(h, spec.omega))))
 
 
@@ -262,12 +216,12 @@ def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
     """Orbital precession rate -(v/2 - G) x grad(G0) of a moving gyroscope.
 
     grad(G0) is r_o*x/r^3 and G = (2I/r^3)(w x x), each formed in the
-    units of ``_in_units``, with each component of w x x split by
+    units of ``_scaled.in_units``, with each component of w x x split by
     ``frexp``.  G is rescaled before it is subtracted from v/2; a = v/2 - G
     is split as x is, and grad(G0) is rescaled after the cross product, so
     the rate keeps its digits wherever it and G are normal floats.
     """
-    (s0, s1, s2), r3, e = _in_units(x, _radius(x)[1])
+    (s0, s1, s2), r3, e = in_units(x, _radius(x)[1])
     m_o, e_o = math.frexp(spec.r_o)
     m_i, e_i = math.frexp(spec.inertia)
     w0, w1, w2 = spec.omega
@@ -275,32 +229,26 @@ def geodetic(spec: RotatingFieldSpec, x: Sequence[float],
     wx = map(math.frexp, (w1 * s2 - w2 * s1, w2 * s0 - w0 * s2,
                           w0 * s1 - w1 * s0))
     b0, b1, b2 = (m_o * c / r3 for c in (s0, s1, s2))     # grad(G0)
-    (a0, a1, a2), e_a = _split([v / 2.0 - _ldexp(k * m, e_i - 2 * e + j)
-                                for v, (m, j) in zip(velocity, wx)])
-    return tuple(_ldexp(c, e_o - 2 * e + e_a) for c in (
+    (a0, a1, a2), e_a = split([v / 2.0 - ldexp(k * m, e_i - 2 * e + j)
+                               for v, (m, j) in zip(velocity, wx)])
+    return tuple(ldexp(c, e_o - 2 * e + e_a) for c in (
         a2 * b1 - a1 * b2, a0 * b2 - a2 * b0, a1 * b0 - a0 * b1))
 
 
 def frame_dragging_rate(spec: RotatingFieldSpec,
                         x: Sequence[float]) -> np.ndarray:
-    """``frame_dragging`` as an array, so that two rates add as vectors.
-
-    perfbench's spin check and acceptance criterion 7 add it to
-    ``geodetic_rate``; the wrapper can go once perfbench reads the tuples
-    (ROADMAP item 5).
-    """
+    """``frame_dragging`` as an array, which perfbench's spin check and
+    acceptance criterion 7 add to ``geodetic_rate``; it can go once
+    perfbench reads the tuples."""
     import numpy as np
     return np.array(frame_dragging(spec, x))
 
 
 def geodetic_rate(spec: RotatingFieldSpec, x: Sequence[float],
                   velocity: Sequence[float]) -> np.ndarray:
-    """``geodetic`` as an array, so that two rates add as vectors.
-
-    perfbench's spin check and acceptance criterion 7 add it to
-    ``frame_dragging_rate``; the wrapper can go once perfbench reads the
-    tuples (ROADMAP item 5).
-    """
+    """``geodetic`` as an array, which perfbench's spin check and
+    acceptance criterion 7 add to ``frame_dragging_rate``; it can go once
+    perfbench reads the tuples."""
     import numpy as np
     return np.array(geodetic(spec, x, velocity))
 
@@ -310,19 +258,20 @@ def de_sitter_rate(r_o: float, x: Sequence[float], velocity: Sequence[float]
     """Textbook geodetic comparison rate (3/2) * (r_o/r^3) * (x cross v).
 
     r is sqrt(x.x), its squares summed left to right.  The factor and the
-    cross product are formed in the units of ``_in_units``, each component
-    of the cross product split by ``frexp``, so the rate keeps its digits
-    wherever it is a normal float.  NumericalFailure at the center.
+    cross product are formed in the units of ``_scaled.in_units``, each
+    component of the cross product split by ``frexp``, so the rate keeps
+    its digits wherever it is a normal float.  NumericalFailure at the
+    center.
     """
     x0, x1, x2 = x
     v0, v1, v2 = velocity
     if not any(x):
         raise NumericalFailure("rate evaluated at the center")
-    (s0, s1, s2), r3, e = _in_units(
-        x, _cube(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)))
+    (s0, s1, s2), r3, e = in_units(
+        x, cube(math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)))
     m_o, e_o = math.frexp(r_o)
     f = 1.5 * m_o / r3
-    return tuple(_ldexp(f * m, e_o - 2 * e + k) for m, k in map(math.frexp, (
+    return tuple(ldexp(f * m, e_o - 2 * e + k) for m, k in map(math.frexp, (
         s1 * v2 - s2 * v1, s2 * v0 - s0 * v2, s0 * v1 - s1 * v0)))
 
 
@@ -336,8 +285,8 @@ def circular_polar_orbit(radius: float, r_o: float
     cheap as the per-stage transport rate they feed.  This is a Newtonian
     circle, not a geodesic of the metric, so ``spin_norm_invariant`` drifts
     along it by ~3 (r_o/r)^2 (up to ~3e-8) whatever the tolerance.
-    nu is formed in the units of ``_in_units``, so it keeps its digits
-    where r_o/r^3 is subnormal.  NumericalFailure unless radius > 0 and
+    nu is formed in the units of ``_scaled.in_units``, so it keeps its
+    digits where r_o/r^3 is subnormal.  NumericalFailure unless radius > 0 and
     r_o > 0, and where r_o/radius^3 underflows to 0, which would leave no
     orbital rate.
     """
@@ -345,15 +294,15 @@ def circular_polar_orbit(radius: float, r_o: float
         raise NumericalFailure(f"radius must be > 0, got {radius}")
     if not r_o > 0.0:
         raise NumericalFailure(f"r_o must be > 0 for an orbit, got {r_o}")
-    _, r3, e = _in_units((radius,), _cube(radius))
+    _, r3, e = in_units((radius,), cube(radius))
     m_o, n = math.frexp(r_o)
     n -= 3 * e
     if n % 2:                       # an even exponent halves exactly
         m_o, n = 2.0 * m_o, n - 1
-    if _ldexp(m_o / r3, n) == 0.0:
+    if ldexp(m_o / r3, n) == 0.0:
         raise NumericalFailure(f"orbital rate underflows: r_o/radius^3 = 0 "
                                f"for r_o {r_o!r} at radius {radius!r}")
-    nu = _ldexp(math.sqrt(m_o / r3), n // 2)
+    nu = ldexp(math.sqrt(m_o / r3), n // 2)
     speed = radius * nu
 
     def position(t: float) -> Tuple[float, float, float]:

@@ -92,6 +92,11 @@ CONFIGS = (
      MERCURY % ('"r_o": 2.7467715509347654e-20, '
                 '"a": 2.976785554229121e+238, "ecc": 0.7877940475977829'),
      ()),
+    # u**2 is subnormal at the far turning point: L*u**2 lost ~9 bits
+    # (a 1e155), and the clock quadrature did not settle (a 1e157)
+    *((("orbit",), f"clock_subnormal_u2_{a}",
+       MERCURY % f'"r_o": 1e-20, "a": {a}, "ecc": 0.2', ("--samples", "3"))
+      for a in ("1e155", "1e157")),
     (("orbit",), "bool_a", MERCURY % '"a": true', ()),
     (("orbit",), "unknown_param", MERCURY % '"zzz": 1', ()),
     (("orbit",), "one_orbit", '{"preset": "mercury", "n_orbits": 1}', ()),

@@ -132,8 +132,14 @@ def test_any_input_exits_0_2_or_3(invocation):
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         report = json.loads(out.getvalue(), parse_constant=_refuse)
+        # a row of another model is one of compare's baselines or gyro's
+        # de Sitter rate, which is GR's
         if argv[0] != "compare":
-            assert {row["model"] for row in report["rows"]} == \
+            assert {row["model"] for row in report["rows"]
+                    if row["quantity"] != "geodetic_rate_desitter"} == \
                 {report["model"]}
+            assert all(row["model"] == "schwarzschild"
+                       for row in report["rows"]
+                       if row["quantity"] == "geodetic_rate_desitter")
     else:
         assert out.getvalue() == ""

@@ -2,9 +2,11 @@
 ``echo-delay``, ``compare``, ``density``, ``electric``, ``light-deflect``
 and ``gyro``.  Their modules import none, and with numpy blocked every
 golden case of theirs prints and writes its stored bytes.  So do the
-carriers' residuals at a float radius, the DOP853 stepper, and the float
-routes of ``metric`` and ``spin``: the field, the gyroscope rates, the
-orbit and the transport rate.
+carriers' residuals and profile at a float radius, the DOP853 stepper, and
+the float routes of ``metric`` and ``spin``: the field, the gyroscope
+rates, the orbit and the transport rate.  ``gyro`` loads none of
+``carriers``, ``quadrature`` and ``ode``, and ``density`` and ``electric``
+neither ``spin`` nor ``metric``.
 
 One child process with numpy blocked replays every golden case of these
 subcommands; each test reads its cases' entries of that one replay."""
@@ -35,25 +37,40 @@ def _python(code, *args, cwd=None):
 
 
 def test_modules_and_subcommands_leave_numpy_unloaded():
+    # gyro compiles none of the carriers' and the integrators' modules, and
+    # density and electric none of the field's: each pair shares only the
+    # numpy-free float helpers of flatgrav._scaled
     code = (
         "import contextlib, io, json, sys\n"
-        "import flatgrav.baseline, flatgrav.carriers, flatgrav.cli\n"
+        "import flatgrav.cli\n"
+        "def run(sub):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return flatgrav.cli.main([sub])\n"
+        "def loaded(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "gyro = run('gyro'), loaded('flatgrav.carriers',\n"
+        "    'flatgrav.quadrature', 'flatgrav.ode')\n"
+        "# unloaded, so that density's or electric's import of either shows\n"
+        "for name in ('spin', 'metric'):\n"
+        "    del sys.modules['flatgrav.' + name]\n"
+        "    delattr(flatgrav, name)\n"
+        "carriers = run('density'), run('electric'), loaded('flatgrav.spin',\n"
+        "    'flatgrav.metric')\n"
+        "import flatgrav.baseline, flatgrav.carriers\n"
         "import flatgrav.orbits, flatgrav.photons, flatgrav.presets\n"
         "import flatgrav.ode, flatgrav.quadrature\n"
         "import flatgrav.metric, flatgrav.spin\n"
         "from flatgrav.carriers import (ElectricCarrier, RadialCarrier,\n"
-        "    density_identities, displacement_divergence_residual)\n"
+        "    density_identities, electric_profile)\n"
         "from flatgrav.metric import CentralField, proper_time_rate\n"
         "from flatgrav.spin import (circular_polar_orbit, de_sitter_rate,\n"
         "    frame_dragging, geodetic, transport_rhs)\n"
         "imported = 'numpy' in sys.modules\n"
         "codes = []\n"
         f"for sub in {NUMPY_FREE!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(flatgrav.cli.main([sub]))\n"
+        "    codes.append(run(sub))\n"
         "density_identities(RadialCarrier(r_o=1.0), 3.0, 1e-2)\n"
-        "displacement_divergence_residual(\n"
-        "    ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0), 3.0)\n"
+        "electric_profile(ElectricCarrier(e=1.0, r_e=1.0, r_o=1.0), 3.0)\n"
         "field = CentralField(1e-6, 1e-3, [0.0, 0.0, 1e-7])\n"
         "pos, vel, _, _ = circular_polar_orbit(1.0, 1e-6)\n"
         "x, v = pos(0.3), vel(0.3)\n"
@@ -61,10 +78,12 @@ def test_modules_and_subcommands_leave_numpy_unloaded():
         "geodetic(field, x, v), de_sitter_rate(1e-6, x, v)\n"
         "transport_rhs(field, x, v, (1.0, 0.0, 0.0))\n"
         "proper_time_rate(0.0, 0.1, 1.0 / 1.1)\n"
-        "print(json.dumps([imported, 'numpy' in sys.modules, codes]))\n")
+        "print(json.dumps([gyro, carriers, imported, 'numpy' in sys.modules,\n"
+        "                  codes]))\n")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, [0] * len(NUMPY_FREE)]
+    assert json.loads(proc.stdout) == [[0, []], [0, 0, []], False, False,
+                                       [0] * len(NUMPY_FREE)]
 
 
 def blocked_replay(module, names):

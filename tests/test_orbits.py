@@ -2,6 +2,7 @@
 import functools
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ ECC = 0.2056
 # sweep's worst is ~1e-12 relative (r_min = 20 r_o at ecc 0, where u' has
 # the smallest amplitude and a root of it the least precision)
 PERI_RTOL = 1e-11
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
 def circle(r_o, integrals):
@@ -196,6 +198,31 @@ class TestIntegration:
                 r"r = 1/u = 5\.3\d*e\+238 with L = 1\.7612563398560181e\+109: "
                 r"the semi-major axis a is too large$")):
             traj.sample(np.linspace(0.0, 2.0 * np.pi, 5))
+
+    @pytest.mark.parametrize("r_o, a", [
+        (1e-20, 1e155), (1e-20, 1e156), (1e-20, 1e157), (1e10, 1e160),
+        (1e40, 1e160), (1e-20, 1e162)])
+    def test_clock_where_u_squared_is_subnormal(self, r_o, a):
+        # u**2 is subnormal at the far turning point: the clock lost digits
+        # (a 1e155), its quadrature did not settle (a 1e156 to 1e160) or
+        # dt/dphi ~ 1.5e253 overflowed (a 1e162).  r_o/a <= 1e-120, so five
+        # radial periods take Kepler's 10*pi*sqrt(a^3/r_o) far below an ulp
+        alpha0, integrals = orbit_from_elements(r_o, a, 0.2)
+        traj = integrate_orbit(r_o, alpha0, integrals, 10)
+        t = float(traj.sample(np.linspace(0.0, 20.0 * np.pi, 3))[2][1])
+        with localcontext() as ctx:
+            ctx.prec = 40
+            kepler = 10 * PI_40 * (Decimal(a) ** 3 / Decimal(r_o)).sqrt()
+            assert abs(Decimal(t) / kepler - 1) <= Decimal("2e-15")
+        # at the far turning point the rates are e*(1 + r_o*u)^2/(L*u^2)
+        # and 1/(e*L*u^2) of that u to a few roundings
+        far = np.array([np.pi])
+        u = Fraction(float(traj._u(far)[0][0]))
+        e, L = map(Fraction, integrals)
+        exact = (e * (1 + Fraction(r_o) * u) ** 2 / (L * u * u),
+                 1 / (e * L * u * u))
+        for rate, want in zip(traj._clock_rates(far, None), exact):
+            assert abs(Fraction(float(rate[0])) / want - 1) < 5e-16
 
     def test_energy_integral_drift_small(self):
         alpha0, integrals = orbit_from_elements(R_O, A, ECC)

@@ -370,14 +370,14 @@ def test_closed_form_paths_do_not_import_scipy():
 CLI_BASE = {"flatgrav", "flatgrav.constants", "flatgrav.errors",
             "flatgrav.presets"}
 SUBCOMMAND_MODULES = {
-    "orbit": {"orbits", "quadrature", "ode"},
-    "precession": {"orbits", "quadrature"},
+    "orbit": {"orbits", "_scaled", "quadrature", "ode"},
+    "precession": {"orbits", "_scaled", "quadrature"},
     "light-deflect": {"photons", "quadrature", "ode"},
     "echo-delay": {"photons", "quadrature"},
-    "gyro": {"spin", "metric"},
-    "density": {"carriers", "quadrature"},
-    "electric": {"carriers", "quadrature"},
-    "compare": {"baseline", "orbits", "photons", "quadrature"},
+    "gyro": {"spin", "metric", "_scaled"},
+    "density": {"carriers", "_scaled", "quadrature"},
+    "electric": {"carriers", "_scaled", "quadrature"},
+    "compare": {"baseline", "orbits", "_scaled", "photons", "quadrature"},
 }
 # What `flatgrav` exports, by home module.
 PACKAGE_EXPORTS = {
